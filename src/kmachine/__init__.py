@@ -9,6 +9,7 @@ from .clique import (
     Broadcast,
     CliqueMetrics,
     CliqueTrace,
+    Idle,
     NodeProgram,
     Program,
     ProgramViolation,

@@ -66,6 +66,33 @@ def _connected_graph(model, n, seed, p=None, wmax=None):
     raise RuntimeError("could not draw a connected instance")
 
 
+FIDELITY_ALGORITHMS = ("bfs", "mst", "conn", "stverify", "pagerank", "mis",
+                       "bf_sssp", "spanner", "densest", "triangle")
+FIDELITY_MODELS = (
+    ("gnp", 40, 0.15, None), ("random_weighted", 24, 0.3, 50),
+    ("cycle", 32, None, None), ("grid", 36, None, None),
+    ("star", 24, None, None), ("clique", 16, None, None),
+    ("gnp", 28, 0.3, None), ("random_weighted", 48, 0.2, 20),
+    ("path", 20, None, None), ("gnp", 64, 0.1, None),
+)
+
+
+def fidelity_instances(base_seed: int):
+    """Criterion 1's runs in battery order: (algorithm, Instance, seed),
+    twenty per algorithm."""
+    for algorithm in FIDELITY_ALGORITHMS:
+        for i in range(20):
+            model, n, p, wmax = FIDELITY_MODELS[i % len(FIDELITY_MODELS)]
+            s = _seed(base_seed, "fid", _stable(algorithm), i)
+            if algorithm == "spanner" and wmax:
+                model, p, wmax = "gnp", 0.2, None  # needs unit weights
+            g = generate(model, n, s, p=p, wmax=wmax)
+            cand = None
+            if algorithm == "stverify":
+                cand = default_stverify_candidate(g, i)
+            yield algorithm, Instance(graph=g, candidate=cand), s
+
+
 class Battery:
     """Runs the criteria in order, accumulating rows for the CSV."""
 
@@ -135,36 +162,18 @@ class Battery:
     # -- criteria ----------------------------------------------------------
 
     def crit_1_fidelity(self):
-        algos = ["bfs", "mst", "conn", "stverify", "pagerank", "mis",
-                 "bf_sssp", "spanner", "densest", "triangle"]
-        models = [
-            ("gnp", 40, 0.15, None), ("random_weighted", 24, 0.3, 50),
-            ("cycle", 32, None, None), ("grid", 36, None, None),
-            ("star", 24, None, None), ("clique", 16, None, None),
-            ("gnp", 28, 0.3, None), ("random_weighted", 48, 0.2, 20),
-            ("path", 20, None, None), ("gnp", 64, 0.1, None),
-        ]
         bad = total = 0
-        for algorithm in algos:
-            for i in range(20):
-                model, n, p, wmax = models[i % len(models)]
-                s = _seed(self.seed, "fid", _stable(algorithm), i)
-                if algorithm == "spanner" and wmax:
-                    model, p, wmax = "gnp", 0.2, None  # needs unit weights
-                g = generate(model, n, s, p=p, wmax=wmax)
-                cand = None
-                if algorithm == "stverify":
-                    cand = default_stverify_candidate(g, i)
-                inst = Instance(graph=g, candidate=cand)
-                cfg = AlgoConfig()
-                prog_a = make_program(algorithm, inst, cfg)
-                prog_b = make_program(algorithm, inst, cfg)
-                out_k, _, _ = run_on_kmachines(
-                    g, prog_a, k=4, mode=natural_mode(algorithm), seed=s
-                )
-                out_c, _, _ = run_clique(g, prog_b, s)
-                total += 1
-                bad += out_k != out_c
+        for algorithm, inst, s in fidelity_instances(self.seed):
+            g = inst.graph
+            cfg = AlgoConfig()
+            prog_a = make_program(algorithm, inst, cfg)
+            prog_b = make_program(algorithm, inst, cfg)
+            out_k, _, _ = run_on_kmachines(
+                g, prog_a, k=4, mode=natural_mode(algorithm), seed=s
+            )
+            out_c, _, _ = run_clique(g, prog_b, s)
+            total += 1
+            bad += out_k != out_c
         return self._done(
             1, "simulation fidelity", bad == 0,
             f"{total - bad}/{total} runs gave identical outputs on both paths",

@@ -2,9 +2,10 @@
 
 Every vertex runs a small state machine.  In each round a vertex may
 broadcast one payload to all other vertices, unicast payloads to chosen
-vertices, stay silent, or halt.  All outboxes of round r are delivered as
-inboxes of round r+1; execution is deterministic for a fixed seed because
-per-vertex randomness is derived from (seed, vertex, round).
+vertices, stay silent, go idle (silent, and not stepped again until it has
+mail or a chosen round arrives), or halt.  All outboxes of round r are
+delivered as inboxes of round r+1; execution is deterministic for a fixed
+seed because per-vertex randomness is derived from (seed, vertex, round).
 
 The engine records every message (source, destinations, declared bit size)
 so a finished execution can later be priced on a machine network.
@@ -61,6 +62,16 @@ class Unicast:
     def __init__(self, sends, halt=False):
         self.sends = sends
         self.halt = halt
+
+
+class Idle:
+    """Stay silent, and skip step() until the vertex has mail (a unicast
+    addressed to it, or any broadcast) or round `until` arrives."""
+
+    __slots__ = ("until",)
+
+    def __init__(self, until):
+        self.until = until
 
 
 class _Silent:
@@ -292,35 +303,53 @@ def run_clique(
         )
         prog.start(ctx)
 
-    active = [True] * n
-    live = n
+    awake = list(range(n))  # live vertices stepped every round, ascending
+    asleep = {}  # idle vertex -> round of its alarm
     trace = CliqueTrace(n)
     cur_bcasts = ()
     cur_unis = {}
 
     rnd = 0
-    while live > 0:
+    while awake or asleep:
         rnd += 1
         if rnd > max_rounds:
             raise RoundLimitExceeded(
-                f"{live} vertices still active after {max_rounds} rounds",
+                f"{len(awake) + len(asleep)} vertices still active after "
+                f"{max_rounds} rounds",
                 trace=trace,
                 outputs=None,
             )
+        order = awake
+        if asleep:
+            woken = [
+                v for v, until in asleep.items()
+                if cur_bcasts or until == rnd or v in cur_unis
+            ]
+            if woken:
+                for v in woken:
+                    del asleep[v]
+                order = sorted(awake + woken)
+        gone = []  # vertices of `order` that halted or went idle
         nxt_bcasts = []
         nxt_unis = {}
         rec_b = []
         rec_u = []
-        for v in range(n):
-            if not active[v]:
-                continue
+        for v in order:
             inbox = Inbox(cur_bcasts, cur_unis.get(v, ()))
             act = nodes[v].step(rnd, inbox)
             if act is None or act is SILENT:
                 continue
             if act is HALT:
-                active[v] = False
-                live -= 1
+                gone.append(v)
+                continue
+            if isinstance(act, Idle):
+                until = act.until
+                if not isinstance(until, int) or until <= rnd:
+                    raise ProgramViolation(
+                        f"vertex {v}: idle until round {until!r} in round {rnd}"
+                    )
+                asleep[v] = until
+                gone.append(v)
                 continue
             if isinstance(act, Broadcast):
                 if not isinstance(act.bits, int) or act.bits < 1:
@@ -332,8 +361,7 @@ def run_clique(
                 nxt_bcasts.append((v, act.payload))
                 rec_b.append((v, act.bits))
                 if act.halt:
-                    active[v] = False
-                    live -= 1
+                    gone.append(v)
             elif isinstance(act, Unicast):
                 seen_dst = set()
                 for dst, payload, bits in act.sends:
@@ -351,10 +379,14 @@ def run_clique(
                     nxt_unis.setdefault(dst, []).append((v, payload))
                     rec_u.append((v, dst, bits))
                 if act.halt:
-                    active[v] = False
-                    live -= 1
+                    gone.append(v)
             else:
                 raise ProgramViolation(f"vertex {v}: unknown action {act!r}")
+        if gone:
+            gone = set(gone)
+            awake = [v for v in order if v not in gone]
+        else:
+            awake = order
         trace.append(RoundRecord(rec_b, rec_u))
         cur_bcasts = tuple(nxt_bcasts)
         cur_unis = {k: tuple(vv) for k, vv in nxt_unis.items()}

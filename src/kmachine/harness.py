@@ -75,6 +75,18 @@ class ExperimentConfig:
             raise HarnessError("need at least one seed")
         if not self.k:
             raise HarnessError("need at least one machine count")
+        if self.W is not None and (
+            not isinstance(self.W, int) or isinstance(self.W, bool) or self.W < 1
+        ):
+            raise HarnessError(f"W must be a positive int, got {self.W!r}")
+        if self.mode not in (None, P2P, BCAST):
+            raise HarnessError(f"mode must be {P2P!r} or {BCAST!r}, got {self.mode!r}")
+        if self.mode == BCAST and self.algorithm in CLIQUE_ALGORITHMS and (
+            natural_mode(self.algorithm) == P2P
+        ):
+            raise HarnessError(
+                f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"
+            )
         self.algo.validate()
         return self
 
@@ -363,6 +375,7 @@ class RunResult:
 
 def run_cell(config: ExperimentConfig, seed: int) -> RunResult:
     """Execute one (algorithm, seed) cell and price it at every k."""
+    config.validate()
     algorithm = config.algorithm
     inst = build_instance(config.graph, seed, algorithm)
     g = inst.graph

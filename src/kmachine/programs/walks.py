@@ -8,12 +8,15 @@ stationary distribution of the restart walk.
 
 There is no cheap way for a vertex to observe that no tokens survive
 anywhere, so every vertex runs a fixed round budget chosen to make global
-survival beyond it vanishingly unlikely, then stops.
+survival beyond it vanishingly unlikely, then stops.  A vertex holding no
+tokens idles until tokens arrive or the budget is reached.
 """
 
 import math
 
-from ..clique import HALT, SILENT, NodeProgram, Program, Unicast
+import numpy as np
+
+from ..clique import HALT, Idle, NodeProgram, Program, Unicast
 from .config import AlgoConfig
 
 
@@ -27,13 +30,17 @@ def walk_round_budget(n: int, total_tokens: int, gamma: float) -> int:
 
 
 class _PageRankNode(NodeProgram):
-    def __init__(self, gamma, tokens_per_node):
+    def __init__(self, gamma, tokens_per_node, uniform):
         self.gamma = gamma
         self.tokens_per_node = tokens_per_node
+        self.uniform = uniform  # degree -> hop probabilities, shared per run
 
     def start(self, ctx):
         self.ctx = ctx
         self.nbrs = [u for u, _, _ in ctx.incident]
+        d = len(self.nbrs)
+        if d and d not in self.uniform:
+            self.uniform[d] = np.full(d, 1.0 / d)
         per_node = self.tokens_per_node or default_tokens_per_node(ctx.n)
         self.total = per_node * ctx.n
         self.here = per_node
@@ -48,29 +55,34 @@ class _PageRankNode(NodeProgram):
         if rnd >= self.budget:
             return HALT
         if self.here == 0:
-            return SILENT
+            return Idle(self.budget)
         rng = self.ctx.np_rand(rnd)
         dead = int(rng.binomial(self.here, self.gamma))
         movers = self.here - dead
         self.here = 0
         if movers == 0 or not self.nbrs:
-            return SILENT
-        counts = rng.multinomial(movers, [1.0 / len(self.nbrs)] * len(self.nbrs))
-        sends = [
-            (u, (int(c),), self.mult_bits)
-            for u, c in zip(self.nbrs, counts)
-            if c > 0
-        ]
-        return Unicast(sends) if sends else SILENT
+            return Idle(self.budget)
+        counts = rng.multinomial(movers, self.uniform[len(self.nbrs)])
+        hops = counts.nonzero()[0]
+        nbrs, bits = self.nbrs, self.mult_bits
+        return Unicast([
+            (nbrs[i], (c,), bits)
+            for i, c in zip(hops.tolist(), counts[hops].tolist())
+        ])
 
     def output(self):
         return self.gamma * self.visits / self.total
+
+
+def _pagerank_nodes(n, cfg):
+    uniform = {}
+    return [_PageRankNode(cfg.gamma, cfg.tokens_per_node, uniform) for _ in range(n)]
 
 
 def pagerank_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program(
         "pagerank",
-        lambda n: [_PageRankNode(cfg.gamma, cfg.tokens_per_node) for _ in range(n)],
+        lambda n: _pagerank_nodes(n, cfg),
         "p2p",
     )

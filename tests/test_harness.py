@@ -10,6 +10,7 @@ from kmachine.harness import (
     config_from_mapping,
     fit_scaling,
     format_csv,
+    run_cell,
     run_experiment,
 )
 from kmachine.programs import ConfigError
@@ -53,6 +54,34 @@ def test_gamma_zero_rejected_before_running():
 def test_unknown_keys_rejected():
     with pytest.raises(HarnessError):
         config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "zap": 1})
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(HarnessError):
+        config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "mode": "foo"})
+
+
+@pytest.mark.parametrize("W", [0, -3, 2.5, "8", True])
+def test_bandwidth_must_be_a_positive_int(W):
+    with pytest.raises(HarnessError):
+        config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "W": W})
+
+
+def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("kmachine.harness.run_clique", engine)
+    with pytest.raises(HarnessError):
+        config_from_mapping(
+            {"algorithm": "pagerank", "model": "cycle", "n": 16, "mode": "bcast"}
+        )
+    cfg = ExperimentConfig(
+        algorithm="pagerank", graph={"model": "cycle", "n": 16}, k=[2], seeds=[0],
+        mode="bcast",
+    )
+    with pytest.raises(HarnessError):
+        run_cell(cfg, 0)
 
 
 def test_fit_exact_power_law():
