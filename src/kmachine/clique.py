@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, label_bits
-from .rng import make_np_rng, make_random
+from .rng import make_np_rng, make_np_rngs, make_random
 
 PAYLOAD_CAP_C = 4  # payload cap is PAYLOAD_CAP_C * ceil(log2 n) bits
 
@@ -135,12 +135,24 @@ class Program:
 
     mode is the natural pricing mode of the traffic the program generates:
     'bcast' for broadcast-only programs, 'p2p' otherwise.
+
+    kernel, if set, replaces the per-vertex programs in run_clique with one
+    generator that advances every vertex of a round at once.  It is called
+    as kernel(g, np_rands), where np_rands(rnd, vertices) yields one numpy
+    Generator per vertex, keyed exactly like NodeCtx.np_rand(rnd).  It
+    yields one (src, dst, bits) triple of int arrays per round, holding that
+    round's unicasts, and returns the per-vertex outputs.  The trace keeps
+    the yielded arrays, so the kernel must not write to them later.  A
+    kernel must be byte-identical to the programs `builder` makes: the same
+    messages in the same order, the same outputs.  Those programs stay as
+    its reference.
     """
 
-    def __init__(self, name, builder, mode):
+    def __init__(self, name, builder, mode, kernel=None):
         self.name = name
         self._builder = builder
         self.mode = mode
+        self.kernel = kernel
 
     def build(self, n: int):
         return self._builder(n)
@@ -159,46 +171,58 @@ class RoundRecord:
         self.unis = unis  # [(src, dst, bits)]
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+_NONE.flags.writeable = False
+
+
+def _columns(pairs, width):
+    if not pairs:
+        return (_NONE,) * width
+    a = np.asarray(pairs, dtype=np.int64)
+    return tuple(a[:, i] for i in range(width))
+
+
 class CliqueTrace:
-    """Full message record of an execution, one entry per executed round."""
+    """Full message record of an execution, one entry per executed round,
+    stored as int64 arrays (bcast_src, bcast_bits, uni_src, uni_dst,
+    uni_bits)."""
 
     def __init__(self, n: int):
         self.n = n
-        self.rounds = []
-        self._arrays = None
+        self._rounds = []
+        self._metrics = None
+
+    def append_arrays(self, bs, bb, us, ud, ub):
+        self._rounds.append((bs, bb, us, ud, ub))
+        self._metrics = None
 
     def append(self, rec: RoundRecord):
-        self.rounds.append(rec)
-        self._arrays = None
+        self.append_arrays(*_columns(rec.bcasts, 2), *_columns(rec.unis, 3))
+
+    @property
+    def rounds(self):
+        """The rounds as a tuple of RoundRecords of (src, bits) and
+        (src, dst, bits) lists, rebuilt from the arrays on every access;
+        extend the trace with append()."""
+        return tuple(
+            RoundRecord(list(zip(bs.tolist(), bb.tolist())),
+                        list(zip(us.tolist(), ud.tolist(), ub.tolist())))
+            for bs, bb, us, ud, ub in self._rounds
+        )
 
     @property
     def num_rounds(self) -> int:
-        return len(self.rounds)
+        return len(self._rounds)
 
     def unicast_count(self) -> int:
-        return sum(len(r.unis) for r in self.rounds)
+        return sum(len(r[2]) for r in self._rounds)
 
     def broadcast_count(self) -> int:
-        return sum(len(r.bcasts) for r in self.rounds)
+        return sum(len(r[0]) for r in self._rounds)
 
     def round_arrays(self):
         """Per round: (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits)."""
-        if self._arrays is None:
-            out = []
-            for rec in self.rounds:
-                if rec.bcasts:
-                    b = np.asarray(rec.bcasts, dtype=np.int64)
-                    bs, bb = b[:, 0], b[:, 1]
-                else:
-                    bs = bb = np.zeros(0, dtype=np.int64)
-                if rec.unis:
-                    u = np.asarray(rec.unis, dtype=np.int64)
-                    us, ud, ub = u[:, 0], u[:, 1], u[:, 2]
-                else:
-                    us = ud = ub = np.zeros(0, dtype=np.int64)
-                out.append((bs, bb, us, ud, ub))
-            self._arrays = out
-        return self._arrays
+        return self._rounds
 
     def export_lines(self):
         """Debug dump, one 'round src dst_count bits bcast_flag' per message."""
@@ -230,6 +254,13 @@ class CliqueMetrics:
 
     @staticmethod
     def from_trace(trace: CliqueTrace) -> "CliqueMetrics":
+        """The trace's metrics, computed once and cached on the trace."""
+        if trace._metrics is None:
+            trace._metrics = CliqueMetrics._compute(trace)
+        return trace._metrics
+
+    @staticmethod
+    def _compute(trace: CliqueTrace) -> "CliqueMetrics":
         n = trace.n
         uni = 0
         bc = 0
@@ -281,7 +312,8 @@ def run_clique(
 
     Returns (outputs, trace, metrics) where outputs[v] is vertex v's result
     blob.  Raises RoundLimitExceeded (carrying the partial trace) if some
-    vertex never halts within the budget.
+    vertex never halts within the budget.  Runs program.kernel if the
+    program has one, else one program.build(n) state machine per vertex.
     """
     n = g.n
     if max_rounds is None:
@@ -289,6 +321,8 @@ def run_clique(
     if max_rounds < 1:
         raise SimulationError("max_rounds must be >= 1")
     cap = payload_cap_c * label_bits(n)
+    if program.kernel is not None:
+        return _run_kernel(g, program, seed, max_rounds, cap)
 
     nodes = program.build(n)
     if len(nodes) != n:
@@ -392,5 +426,66 @@ def run_clique(
         cur_unis = {k: tuple(vv) for k, vv in nxt_unis.items()}
 
     outputs = [nodes[v].output() for v in range(n)]
-    metrics = CliqueMetrics.from_trace(trace)
-    return outputs, trace, metrics
+    return outputs, trace, CliqueMetrics.from_trace(trace)
+
+
+def _run_kernel(g, program, seed, max_rounds, cap):
+    """run_clique for a program with a round kernel."""
+    n = g.n
+    trace = CliqueTrace(n)
+    rounds = program.kernel(
+        g, lambda rnd, vertices: make_np_rngs(seed, "node", vertices, rnd)
+    )
+    while True:
+        try:
+            sends = next(rounds)
+        except StopIteration as done:
+            outputs = done.value
+            break
+        if trace.num_rounds == max_rounds:
+            raise RoundLimitExceeded(
+                f"{program.name} kernel still running after {max_rounds} rounds",
+                trace=trace,
+                outputs=None,
+            )
+        trace.append_arrays(_NONE, _NONE, *_checked_unicasts(*sends, n, cap))
+    if outputs is None or len(outputs) != n:
+        raise ProgramViolation("kernel returned wrong number of outputs")
+    return outputs, trace, CliqueMetrics.from_trace(trace)
+
+
+def _checked_unicasts(src, dst, bits, n, cap):
+    """A kernel round's (src, dst, bits) as int64 arrays, after the checks a
+    Unicast action gets, vectorized; the first offending message raises."""
+    cols = [np.asarray(a) for a in (src, dst, bits)]
+    if any(a.ndim != 1 or len(a) != len(cols[0]) for a in cols):
+        raise ProgramViolation("kernel round is not three equal-length arrays")
+    if not len(cols[0]):
+        return _NONE, _NONE, _NONE
+    if any(a.dtype.kind not in "iu" for a in cols):
+        raise ProgramViolation("kernel round holds non-integer values")
+    src, dst, bits = (a.astype(np.int64, copy=False) for a in cols)
+    bad_src = (src < 0) | (src >= n)
+    bad_dst = (dst < 0) | (dst >= n) | (dst == src)
+    key = src * n + dst
+    dup = np.zeros(len(key), dtype=bool)
+    if (np.diff(key) <= 0).any():  # not strictly ascending: look for repeats
+        dup[:] = True
+        dup[np.unique(key, return_index=True)[1]] = False
+    bad_bits = (bits < 1) | (bits > cap)
+    bad = bad_src | bad_dst | dup | bad_bits
+    if bad.any():
+        i = int(bad.argmax())
+        v = int(src[i])
+        if bad_src[i]:
+            raise ProgramViolation(f"kernel: bad source {v}")
+        if bad_dst[i]:
+            raise ProgramViolation(f"vertex {v}: bad destination {int(dst[i])}")
+        if dup[i]:
+            raise ProgramViolation(
+                f"vertex {v}: two messages to {int(dst[i])} in one round"
+            )
+        raise ProgramViolation(
+            f"vertex {v}: payload size {int(bits[i])} outside [1, {cap}]"
+        )
+    return src, dst, bits

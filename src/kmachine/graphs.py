@@ -32,7 +32,7 @@ class GraphError(ValueError):
 class Graph:
     """Immutable undirected weighted graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_arrays")
+    __slots__ = ("n", "edges", "adj", "_arrays", "_csr")
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -64,6 +64,7 @@ class Graph:
         self.edges = tuple(cleaned)
         self.adj = tuple(tuple(ix) for ix in adj)
         self._arrays = None
+        self._csr = None
 
     def _init_bulk(self, n, edges):
         # identical invariants, vectorized for big edge lists
@@ -92,6 +93,7 @@ class Graph:
             tuple(sorted_e[bounds[i]:bounds[i + 1]].tolist()) for i in range(n)
         )
         self._arrays = (a, b, w)
+        self._csr = None
 
     @property
     def m(self) -> int:
@@ -109,6 +111,19 @@ class Graph:
             out.append((other, wt, ei))
         out.sort()
         return out
+
+    def csr(self):
+        """(indptr, nbr) as int64 numpy arrays, cached: vertex v's neighbors
+        fill nbr[indptr[v]:indptr[v+1]] in ascending order, the order of
+        neighbors(v)."""
+        if self._csr is None:
+            a, b, _ = self.edge_arrays()
+            ends = np.concatenate([a, b])
+            others = np.concatenate([b, a])
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
+            self._csr = (indptr, others[np.argsort(ends * self.n + others)])
+        return self._csr
 
     def edge_arrays(self):
         """(u, v, w) as int64 numpy arrays, cached."""

@@ -81,6 +81,11 @@ class ExperimentConfig:
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
         if self.mode not in (None, P2P, BCAST):
             raise HarnessError(f"mode must be {P2P!r} or {BCAST!r}, got {self.mode!r}")
+        if self.mode is not None and self.algorithm in ("hmis", "logsp"):
+            raise HarnessError(
+                f"{self.algorithm} runs at machine level and prices itself; "
+                f"it takes no mode, got {self.mode!r}"
+            )
         if self.mode == BCAST and self.algorithm in CLIQUE_ALGORITHMS and (
             natural_mode(self.algorithm) == P2P
         ):

@@ -10,6 +10,10 @@ There is no cheap way for a vertex to observe that no tokens survive
 anywhere, so every vertex runs a fixed round budget chosen to make global
 survival beyond it vanishingly unlikely, then stops.  A vertex holding no
 tokens idles until tokens arrive or the budget is reached.
+
+The engine runs the round kernel `_pagerank_rounds`, which moves every
+vertex's tokens of a round at once and is byte-identical to the per-vertex
+`_PageRankNode`; the latter stays as its reference.
 """
 
 import math
@@ -74,6 +78,48 @@ class _PageRankNode(NodeProgram):
         return self.gamma * self.visits / self.total
 
 
+def _pagerank_rounds(g, cfg, np_rands):
+    """Round kernel of _PageRankNode: the same draws, from the same keyed
+    generators in the same vertex order, give the same messages in the same
+    order (by source, then destination) and the same outputs."""
+    n = g.n
+    per_node = cfg.tokens_per_node or default_tokens_per_node(n)
+    total = per_node * n
+    bits = max(1, total.bit_length())
+    budget = walk_round_budget(n, total, cfg.gamma)
+    indptr, nbr = g.csr()
+    deg = np.diff(indptr)
+    uniform = {}  # degree -> hop probabilities, as _PageRankNode shares them
+    here = np.full(n, per_node, dtype=np.int64)
+    visits = np.zeros(n, dtype=np.int64)
+    flow = np.zeros(len(nbr), dtype=np.int64)  # tokens per (vertex, neighbor) slot
+    for rnd in range(1, budget):
+        visits += here
+        held = here.nonzero()[0]
+        vs = held.tolist()
+        for v, tokens, lo, d, rng in zip(
+            vs, here[held].tolist(), indptr[held].tolist(), deg[held].tolist(),
+            np_rands(rnd, vs),
+        ):
+            movers = tokens - int(rng.binomial(tokens, cfg.gamma))
+            if movers and d:
+                if d not in uniform:
+                    uniform[d] = np.full(d, 1.0 / d)
+                flow[lo:lo + d] = rng.multinomial(movers, uniform[d])
+        here[held] = 0
+        hops = flow.nonzero()[0]
+        mult = flow[hops]
+        flow[hops] = 0
+        dst = nbr[hops]
+        np.add.at(here, dst, mult)
+        src = np.searchsorted(indptr, hops, side="right") - 1
+        yield src, dst, np.full(len(hops), bits, dtype=np.int64)
+    visits += here
+    none = np.zeros(0, dtype=np.int64)
+    yield none, none, none  # the budget round: every vertex halts in silence
+    return (cfg.gamma * visits / total).tolist()
+
+
 def _pagerank_nodes(n, cfg):
     uniform = {}
     return [_PageRankNode(cfg.gamma, cfg.tokens_per_node, uniform) for _ in range(n)]
@@ -85,4 +131,5 @@ def pagerank_program(cfg: AlgoConfig) -> Program:
         "pagerank",
         lambda n: _pagerank_nodes(n, cfg),
         "p2p",
+        kernel=lambda g, np_rands: _pagerank_rounds(g, cfg, np_rands),
     )

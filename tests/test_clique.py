@@ -13,10 +13,11 @@ from kmachine.clique import (
     Program,
     ProgramViolation,
     RoundLimitExceeded,
+    RoundRecord,
     Unicast,
     run_clique,
 )
-from kmachine.graphs import generate
+from kmachine.graphs import Graph, generate
 from kmachine.harness import make_program
 from kmachine.programs import (
     AlgoConfig,
@@ -348,6 +349,7 @@ def _trace_digest(outputs, trace):
 def test_golden_trace_pagerank():
     g = generate("gnp", 64, 3, p=0.2)
     prog = pagerank_program(AlgoConfig(gamma=0.15, tokens_per_node=600))
+    assert prog.kernel is not None  # the pinned digest holds for the kernel
     outputs, trace, _ = run_clique(g, prog, 11)
     assert _trace_digest(outputs, trace) == (
         "27a1f6d4a5cc125a704a70ea5556e615f2ff77a62a1d33a2fbe695cd9e354f87"
@@ -360,3 +362,132 @@ def test_golden_trace_mst():
     assert _trace_digest(outputs, trace) == (
         "703f271cddbf261cf1202caac91c7a5d0c50917c4cd5093d46d0a869b216da09"
     )
+
+
+# ---------------------------------------------------------------------------
+# round kernels: byte-identical to the per-vertex programs they replace
+# ---------------------------------------------------------------------------
+
+
+def _reference(program):
+    """The same program without its kernel: one state machine per vertex."""
+    return Program(program.name, program.build, program.mode)
+
+
+def _assert_kernel_matches_reference(g, program, seed, **kw):
+    assert program.kernel is not None
+    out, trace, met = run_clique(g, program, seed, **kw)
+    ref_out, ref_trace, ref_met = run_clique(g, _reference(program), seed, **kw)
+    assert trace.export_lines() == ref_trace.export_lines()
+    # export_lines() leaves out destinations; compare every (src, dst, bits)
+    assert [r.unis for r in trace.rounds] == [r.unis for r in ref_trace.rounds]
+    assert repr(out) == repr(ref_out)
+    assert met == ref_met
+    return trace
+
+
+def test_pagerank_kernel_matches_reference_on_fidelity_instances():
+    runs = [(inst, s) for alg, inst, s in fidelity_instances(7) if alg == "pagerank"]
+    assert runs
+    for inst, s in runs:
+        _assert_kernel_matches_reference(inst.graph, pagerank_program(AlgoConfig()), s)
+
+
+@pytest.mark.parametrize("n, tokens", [(64, 600), (32, None)])
+def test_pagerank_kernel_matches_reference_on_pagerank_shapes(n, tokens):
+    cfg = AlgoConfig(gamma=0.15, tokens_per_node=tokens)
+    for seed in range(3):
+        g = generate("gnp", n, seed, p=0.2)
+        _assert_kernel_matches_reference(g, pagerank_program(cfg), seed)
+
+
+def test_pagerank_kernel_matches_reference_with_isolated_vertices():
+    # 3, 7 and 8 have no edges: their tokens die after the death draw
+    g = Graph(9, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (4, 5, 1), (5, 6, 1)])
+    for seed in range(4):
+        trace = _assert_kernel_matches_reference(
+            g, pagerank_program(AlgoConfig(tokens_per_node=40)), seed
+        )
+        assert trace.unicast_count() > 0
+
+
+def test_pagerank_kernel_payload_over_cap_is_a_violation():
+    g = generate("gnp", 16, 2, p=0.4)
+    prog = pagerank_program(AlgoConfig(tokens_per_node=10**6))  # 24-bit counts
+    errors = []
+    for p in (prog, _reference(prog)):
+        with pytest.raises(ProgramViolation) as e:
+            run_clique(g, p, 5)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
+    g = generate("gnp", 32, 1, p=0.2)
+    prog = pagerank_program(AlgoConfig())
+    traces = []
+    for p in (prog, _reference(prog)):
+        with pytest.raises(RoundLimitExceeded) as e:
+            run_clique(g, p, 3, max_rounds=12)
+        traces.append(e.value.trace)
+    assert traces[0].num_rounds == traces[1].num_rounds == 12
+    assert [r.unis for r in traces[0].rounds] == [r.unis for r in traces[1].rounds]
+
+
+def _kernel_program(*rounds, outputs=None):
+    """A program whose kernel yields the given (src, dst, bits) rounds."""
+
+    def kernel(g, np_rands):
+        for r in rounds:
+            yield r
+        return [None] * g.n if outputs is None else outputs
+
+    return Program("k", lambda n: [], "p2p", kernel=kernel)
+
+
+def test_kernel_messages_are_recorded_in_order():
+    g = generate("path", 4, 0)
+    prog = _kernel_program(([0, 2], [3, 1], [4, 5]), ([], [], []), ([3], [0], [2]))
+    _, trace, met = run_clique(g, prog, 0)
+    assert trace.export_lines() == ["1 0 1 4 0", "1 2 1 5 0", "3 3 1 2 0"]
+    assert [r.unis for r in trace.rounds] == [[(0, 3, 4), (2, 1, 5)], [], [(3, 0, 2)]]
+    assert (met.rounds, met.unicasts, met.payload_bits) == (3, 3, 11)
+
+
+@pytest.mark.parametrize("sends", [
+    ([0], [4], [2]),  # destination out of range
+    ([1], [1], [2]),  # self-send
+    ([5], [1], [2]),  # source out of range
+    ([0, 1, 0], [1, 2, 1], [2, 2, 2]),  # two messages on one (src, dst)
+    ([0], [1], [0]),  # empty payload
+    ([0], [1], [99]),  # payload over the cap
+    ([0, 1], [1], [2]),  # ragged arrays
+    ([0.0], [1.0], [2.0]),  # not integers
+])
+def test_kernel_round_violations(sends):
+    g = generate("path", 4, 0)
+    with pytest.raises(ProgramViolation):
+        run_clique(g, _kernel_program(sends), 0)
+
+
+def test_kernel_must_return_one_output_per_vertex():
+    g = generate("path", 4, 0)
+    with pytest.raises(ProgramViolation):
+        run_clique(g, _kernel_program(outputs=[1, 2]), 0)
+
+
+def test_kernel_round_budget():
+    g = generate("path", 3, 0)
+    prog = _kernel_program(*[([0], [1], [2])] * 20)
+    with pytest.raises(RoundLimitExceeded) as e:
+        run_clique(g, prog, 0, max_rounds=10)
+    assert e.value.trace.num_rounds == 10
+
+
+def test_metrics_are_cached_until_the_trace_grows():
+    g = generate("gnp", 24, 1, p=0.3)
+    _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
+    assert CliqueMetrics.from_trace(trace) is met
+    trace.append(RoundRecord([(0, 3)], []))
+    grown = CliqueMetrics.from_trace(trace)
+    assert (grown.rounds, grown.broadcasts) == (met.rounds + 1, met.broadcasts + 1)

@@ -197,3 +197,18 @@ def test_bulk_graph_path_matches_scalar():
     rebuilt = Graph(220, list(base.edges)[:9999])
     assert rebuilt.edges == base.edges[:9999]
     assert load_edge_list(dump_edge_list(base)) == base
+
+
+def test_csr_matches_neighbors():
+    from kmachine.acceptance import fidelity_instances
+
+    graphs = [inst.graph for _, inst, _ in fidelity_instances(7)]
+    graphs.append(generate("random_weighted", 600, 4, p=0.1, wmax=1000))  # bulk path
+    graphs.append(Graph(5, [(3, 1, 7), (0, 3, 2)]))  # isolated vertices
+    graphs.append(Graph(3, []))
+    for g in graphs:
+        indptr, nbr = g.csr()
+        assert g.csr() is g.csr()
+        for v in range(g.n):
+            got = nbr[indptr[v]:indptr[v + 1]].tolist()
+            assert got == [u for u, _, _ in g.neighbors(v)]

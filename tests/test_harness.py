@@ -61,6 +61,22 @@ def test_unknown_mode_rejected():
         config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "mode": "foo"})
 
 
+@pytest.mark.parametrize("mode", ["p2p", "bcast"])
+def test_hmis_rejects_a_mode(mode):
+    doc = {"algorithm": "hmis", "n": 16, "hyperedges": 20, "arity": 3}
+    config_from_mapping(doc)
+    with pytest.raises(HarnessError):
+        config_from_mapping({**doc, "mode": mode})
+
+
+@pytest.mark.parametrize("mode", ["p2p", "bcast"])
+def test_logsp_rejects_a_mode(mode):
+    doc = {"algorithm": "logsp", "model": "gnp", "n": 16, "p": 0.3}
+    config_from_mapping(doc)
+    with pytest.raises(HarnessError):
+        config_from_mapping({**doc, "mode": mode})
+
+
 @pytest.mark.parametrize("W", [0, -3, 2.5, "8", True])
 def test_bandwidth_must_be_a_positive_int(W):
     with pytest.raises(HarnessError):
