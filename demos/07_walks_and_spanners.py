@@ -45,12 +45,12 @@ for delta in (2, 3, 6):
         f"worst stretch {stretch:.2f} (cap {2 * delta - 1})"
     )
 
-res = logapprox_shortest_paths(g, k=8, seed=2)
+res = logapprox_shortest_paths(g, [8], seed=2)
 d, _ = all_pairs_distances(g)
 est = np.asarray(res.estimates)
 ratio = float((est[d > 0] / d[d > 0]).max())
 print(
     f"\ncollected-spanner distances: worst ratio {ratio:.2f} "
     f"(cap {2 * math.ceil(math.log2(g.n)) - 1}), "
-    f"{res.km_rounds} machine rounds including shipping"
+    f"{res.reports[8].km_rounds} machine rounds including shipping"
 )

@@ -44,6 +44,7 @@ from .machines import (
     convert_p2p,
     default_bandwidth,
     point_to_point_bound,
+    price,
     random_vertex_partition,
     run_on_kmachines,
 )

@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 from . import oracles
 from .clique import run_clique
-from .graphs import generate, label_bits
+from .graphs import generate
 from .harness import (
-    BROADCAST_ONLY,
-    VALIDATORS,
     ExperimentConfig,
     Instance,
     RunResult,
-    _engine_budget,
     default_stverify_candidate,
     fit_scaling,
     format_csv,
@@ -30,13 +27,7 @@ from .harness import (
     rows_from_result,
     run_cell,
 )
-from .machines import (
-    convert_broadcast,
-    convert_p2p,
-    check_mapping_bounds,
-    random_vertex_partition,
-    run_on_kmachines,
-)
+from .machines import check_mapping_bounds, random_vertex_partition, run_on_kmachines
 from .programs import AlgoConfig
 from .rng import derive
 
@@ -113,45 +104,15 @@ class Battery:
             self.reports.append((res.algorithm, rep))
         return res
 
-    def _cell(self, algorithm, graph_spec, seed, k_list, mode=None, W=None, **algo):
+    def _cell(self, algorithm, graph_spec, seed, k_list, inst=None, **algo):
         cfg = ExperimentConfig(
             algorithm=algorithm,
             graph=graph_spec,
             k=list(k_list),
             seeds=[seed],
-            W=W,
-            mode=mode,
             algo=AlgoConfig(**algo),
         )
-        return self._remember(run_cell(cfg, seed))
-
-    def _cell_graph(self, algorithm, g, seed, k_list, candidate=None, mode=None,
-                    W=None, **algo):
-        inst = Instance(graph=g, candidate=candidate)
-        cfg = AlgoConfig(**algo)
-        cfg.validate(g.n)
-        program = make_program(algorithm, inst, cfg)
-        outputs, trace, metrics = run_clique(
-            g, program, seed, max_rounds=_engine_budget(algorithm, inst, cfg)
-        )
-        valid, details = VALIDATORS[algorithm](inst, cfg, outputs, metrics)
-        if algorithm in BROADCAST_ONLY and metrics.unicasts:
-            valid = False
-        mode = mode or natural_mode(algorithm)
-        reports = {}
-        for k in k_list:
-            W_eff = W or label_bits(g.n)
-            part = random_vertex_partition(g, k, seed)
-            rep = (
-                convert_p2p(trace, part, W_eff)
-                if mode == "p2p"
-                else convert_broadcast(trace, part, W_eff)
-            )
-            rep.success = valid and rep.bound_ok
-            reports[k] = rep
-        res = RunResult(algorithm, seed, inst, outputs, metrics, valid, details,
-                        reports)
-        return self._remember(res)
+        return self._remember(run_cell(cfg, seed, inst))
 
     def _done(self, cid, name, passed, summary):
         result = CriterionResult(cid, name, bool(passed), summary)
@@ -187,7 +148,7 @@ class Battery:
             n = sizes[i % len(sizes)]
             s = _seed(self.seed, "mst", i)
             g = _connected_graph("random_weighted", n, s, p=0.3, wmax=1000)
-            ok += self._cell_graph("mst", g, s, [4]).valid
+            ok += self._cell("mst", {}, s, [4], inst=Instance(graph=g)).valid
         if ok < 100:
             fails.append(f"mst {ok}/100")
         for name, count, spec_fn in (

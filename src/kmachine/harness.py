@@ -26,14 +26,7 @@ from .graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from .machines import (
-    BCAST,
-    P2P,
-    convert_broadcast,
-    convert_p2p,
-    default_bandwidth,
-    random_vertex_partition,
-)
+from .machines import BCAST, P2P, price, random_vertex_partition
 from .programs import (
     CLIQUE_ALGORITHMS,
     AlgoConfig,
@@ -75,9 +68,10 @@ class ExperimentConfig:
             raise HarnessError("need at least one seed")
         if not self.k:
             raise HarnessError("need at least one machine count")
-        if self.W is not None and (
-            not isinstance(self.W, int) or isinstance(self.W, bool) or self.W < 1
-        ):
+        for k in self.k:
+            if not _positive_int(k):
+                raise HarnessError(f"every k must be a positive int, got {k!r}")
+        if self.W is not None and not _positive_int(self.W):
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
         if self.mode not in (None, P2P, BCAST):
             raise HarnessError(f"mode must be {P2P!r} or {BCAST!r}, got {self.mode!r}")
@@ -94,6 +88,10 @@ class ExperimentConfig:
             )
         self.algo.validate()
         return self
+
+
+def _positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 _FLAT_ALGO_KEYS = ("source", "gamma", "tokens_per_node", "eps", "delta", "mis_max_phases")
@@ -378,55 +376,47 @@ class RunResult:
     reports: dict  # k -> SimReport
 
 
-def run_cell(config: ExperimentConfig, seed: int) -> RunResult:
-    """Execute one (algorithm, seed) cell and price it at every k."""
+def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunResult:
+    """Execute one (algorithm, seed) cell and price it at every k.  The
+    instance comes from the config's graph spec unless one is given."""
     config.validate()
     algorithm = config.algorithm
-    inst = build_instance(config.graph, seed, algorithm)
+    if inst is None:
+        inst = build_instance(config.graph, seed, algorithm)
     g = inst.graph
     if algorithm == "hmis":
         reports = {}
-        flags = valid = None
         for k in config.k:
-            W = config.W or default_bandwidth(g.n)
-            flags, report, _ = hmis_kmachine(g, k, W, seed)
+            flags, rep, _ = hmis_kmachine(g, k, config.W, seed)
             members = [v for v, f in enumerate(flags) if f]
-            ok = oracles.validate_mis(g, members) and report.bound_ok
-            report.success = ok
-            reports[k] = report
-            valid = ok if valid is None else (valid and ok)
+            rep.success = oracles.validate_mis(g, members) and rep.bound_ok
+            reports[k] = rep
+        valid = all(rep.success for rep in reports.values())
         return RunResult(
             algorithm, seed, inst, flags, _empty_metrics(), valid,
             {"kind": "hmis"}, reports,
         )
     if algorithm == "logsp":
-        reports = {}
-        res = None
-        valid = True
+        res = logapprox_shortest_paths(g, config.k, config.W, seed, config.algo)
         dist, _ = oracles.all_pairs_distances(g)
         bound = 2 * max(1, math.ceil(math.log2(max(2, g.n)))) - 1
-        for k in config.k:
-            W = config.W or default_bandwidth(g.n)
-            res = logapprox_shortest_paths(g, k, W, seed, config.algo)
-            ok = True
-            for i in range(g.n):
-                for j in range(g.n):
-                    d, e = dist[i][j], res.estimates[i][j]
-                    if math.isinf(d) != math.isinf(e):
-                        ok = False
-                    elif not math.isinf(d) and not (d <= e <= bound * d):
-                        ok = False
-            rep = res.report
-            rep.km_rounds = res.km_rounds
-            rep.success = ok
-            reports[k] = rep
-            valid &= ok
+        valid = True
+        for i in range(g.n):
+            for j in range(g.n):
+                d, e = dist[i][j], res.estimates[i][j]
+                if math.isinf(d) != math.isinf(e):
+                    valid = False
+                elif not math.isinf(d) and not (d <= e <= bound * d):
+                    valid = False
+        for rep in res.reports.values():
+            rep.success = valid
         return RunResult(
             algorithm, seed, inst, res.estimates, _empty_metrics(), valid,
-            {"kind": "logsp"}, reports,
+            {"kind": "logsp"}, res.reports,
         )
 
     config.algo.validate(g.n)
+    parts = [random_vertex_partition(g, k, seed) for k in config.k]
     program = make_program(algorithm, inst, config.algo)
     outputs, trace, metrics = run_clique(
         g, program, seed, max_rounds=_engine_budget(algorithm, inst, config.algo)
@@ -435,15 +425,9 @@ def run_cell(config: ExperimentConfig, seed: int) -> RunResult:
     if algorithm in BROADCAST_ONLY and metrics.unicasts:
         valid = False
     mode = config.mode or natural_mode(algorithm)
-    reports = {}
-    for k in config.k:
-        W = config.W or default_bandwidth(g.n)
-        part = random_vertex_partition(g, k, seed)
-        rep = convert_p2p(trace, part, W) if mode == P2P else convert_broadcast(
-            trace, part, W
-        )
+    reports = {p.k: price(trace, p, config.W, mode=mode) for p in parts}
+    for rep in reports.values():
         rep.success = valid and rep.bound_ok
-        reports[k] = rep
     return RunResult(algorithm, seed, inst, outputs, metrics, valid, details, reports)
 
 

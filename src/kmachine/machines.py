@@ -121,15 +121,19 @@ def broadcast_bound(n: int, k: int, W: int, metrics: CliqueMetrics) -> float:
     return 16.0 * lg2 * (metrics.broadcasts * 2 * L / (k * W) + metrics.rounds)
 
 
-def _finalize(n, part, W, mode, km_rounds, machine_rounds, link_dir, metrics):
+def link_bandwidth(n: int, W: int = None) -> int:
+    """The per-link bandwidth to price with: W, or the default when W is None."""
+    if W is None:
+        return default_bandwidth(n)
+    if W < 1:
+        raise ConversionError("W must be >= 1")
+    return W
+
+
+def sim_report(n, part, W, mode, km_rounds, machine_rounds, link_dir, bound):
+    """The ledger of an execution from its directed per-link bit counts."""
     sym = link_dir + link_dir.T
     np.fill_diagonal(sym, 0)
-    per_machine = link_dir.sum(axis=1) + link_dir.sum(axis=0)
-    total = int(link_dir.sum())
-    if mode == P2P:
-        bound = point_to_point_bound(n, part.k, W, metrics)
-    else:
-        bound = broadcast_bound(n, part.k, W, metrics)
     return SimReport(
         n=n,
         k=part.k,
@@ -138,8 +142,8 @@ def _finalize(n, part, W, mode, km_rounds, machine_rounds, link_dir, metrics):
         km_rounds=int(km_rounds),
         machine_rounds=int(machine_rounds),
         per_link_bits=sym,
-        per_machine_bits=per_machine,
-        total_bits=total,
+        per_machine_bits=link_dir.sum(axis=1) + link_dir.sum(axis=0),
+        total_bits=int(link_dir.sum()),
         bound_rounds=bound,
         bound_ok=km_rounds <= bound,
     )
@@ -152,9 +156,8 @@ def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     and destination ids) on its link; broadcasts are first expanded to n-1
     unicasts.  A clique round costs ceil(max directed link load / W).
     """
-    if W < 1:
-        raise ConversionError("W must be >= 1")
     n = trace.n
+    W = link_bandwidth(n, W)
     k = part.k
     hdr = 2 * label_bits(n)
     home = part.home
@@ -185,8 +188,8 @@ def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
         recv = lm.sum(axis=0)
         machine_rounds += -(-int((sent + recv).max()) // (k * W))
         link_dir += lm
-    metrics = CliqueMetrics.from_trace(trace)
-    return _finalize(n, part, W, P2P, km_rounds, machine_rounds, link_dir, metrics)
+    bound = point_to_point_bound(n, k, W, CliqueMetrics.from_trace(trace))
+    return sim_report(n, part, W, P2P, km_rounds, machine_rounds, link_dir, bound)
 
 
 def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
@@ -194,11 +197,11 @@ def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
 
     Each broadcasting vertex puts one copy of payload + ceil(log2 n) source
     header bits on every one of its home machine's k-1 links; the receiving
-    machine fans the payload out to its vertices locally.
+    machine fans the payload out to its vertices locally.  On one machine
+    there are no links, and nothing is charged.
     """
-    if W < 1:
-        raise ConversionError("W must be >= 1")
     n = trace.n
+    W = link_bandwidth(n, W)
     k = part.k
     hdr = label_bits(n)
     home = part.home
@@ -208,21 +211,33 @@ def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     for bs, bb, us, ud, ub in trace.round_arrays():
         if len(us):
             raise ConversionError("broadcast pricing given a unicast message")
-        if not len(bs):
+        if not len(bs) or k == 1:
             continue
         per_m = np.zeros(k, dtype=np.int64)
         np.add.at(per_m, home[bs], bb + hdr)
-        worst = int(per_m.max())
-        km_rounds += -(-worst // W)
-        if k > 1:
-            mat = np.repeat(per_m[:, None], k, axis=1)
-            np.fill_diagonal(mat, 0)
-            link_dir += mat
-            sent = per_m * (k - 1)
-            recv = per_m.sum() - per_m
-            machine_rounds += -(-int((sent + recv).max()) // (k * W))
-    metrics = CliqueMetrics.from_trace(trace)
-    return _finalize(n, part, W, BCAST, km_rounds, machine_rounds, link_dir, metrics)
+        km_rounds += -(-int(per_m.max()) // W)
+        mat = np.repeat(per_m[:, None], k, axis=1)
+        np.fill_diagonal(mat, 0)
+        link_dir += mat
+        sent = per_m * (k - 1)
+        recv = per_m.sum() - per_m
+        machine_rounds += -(-int((sent + recv).max()) // (k * W))
+    bound = broadcast_bound(n, k, W, CliqueMetrics.from_trace(trace))
+    return sim_report(n, part, W, BCAST, km_rounds, machine_rounds, link_dir, bound)
+
+
+def check_mode(mode: str) -> str:
+    if mode not in (P2P, BCAST):
+        raise ConversionError(f"unknown mode {mode!r}")
+    return mode
+
+
+def price(trace: CliqueTrace, part: Partition, W: int = None, *, mode: str) -> SimReport:
+    """Price a trace on the partition's machines: point-to-point for `p2p`,
+    deduplicated broadcast for `bcast`.  W defaults to ceil(log2 n) bits."""
+    if check_mode(mode) == P2P:
+        return convert_p2p(trace, part, W)
+    return convert_broadcast(trace, part, W)
 
 
 def run_on_kmachines(
@@ -237,17 +252,12 @@ def run_on_kmachines(
     """Partition, execute on the clique, then price the trace.
 
     Per-vertex outputs are exactly those of the pure clique execution; the
-    machine network only changes the communication cost accounting.
+    machine network only changes the communication cost accounting.  A bad
+    k, W or mode is rejected before the execution.
     Returns (outputs, report, metrics).
     """
-    if W is None:
-        W = default_bandwidth(g.n)
+    check_mode(mode)
+    W = link_bandwidth(g.n, W)
     part = random_vertex_partition(g, k, seed)
     outputs, trace, metrics = run_clique(g, program, seed, max_rounds=max_rounds)
-    if mode == P2P:
-        report = convert_p2p(trace, part, W)
-    elif mode == BCAST:
-        report = convert_broadcast(trace, part, W)
-    else:
-        raise ConversionError(f"unknown mode {mode!r}")
-    return outputs, report, metrics
+    return outputs, price(trace, part, W, mode=mode), metrics

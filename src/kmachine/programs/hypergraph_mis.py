@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from ..graphs import Hypergraph, label_bits
-from ..machines import Partition, SimReport
-from ..rng import derive
+from ..machines import link_bandwidth, random_vertex_partition, sim_report
 
 
 def hmis_round_bound(n: int, k: int) -> float:
@@ -28,15 +27,10 @@ def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):
     """Returns (per-vertex membership flags, SimReport, Partition)."""
     if k < 2:
         raise ValueError("need at least 2 machines")
-    if k > h.n:
-        raise ValueError("need k <= n")
     n = h.n
-    if W is None:
-        W = label_bits(n)
-    home = np.fromiter(
-        (derive(seed, "rvp", v) % k for v in range(n)), dtype=np.int64, count=n
-    )
-    part = Partition(k=k, home=home, seed=seed)
+    W = link_bandwidth(n, W)
+    part = random_vertex_partition(h, k, seed)
+    home = part.home
     owned = [[] for _ in range(k)]
     for v in range(n):
         owned[home[v]].append(v)
@@ -96,22 +90,7 @@ def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):
             rounds += step_bits
             machine_rounds += -(-(pair_bits * (k - 1) + pair_bits) // (k * W))
 
-    sym = link_dir + link_dir.T
-    np.fill_diagonal(sym, 0)
-    per_machine = link_dir.sum(axis=1) + link_dir.sum(axis=0)
-    bound = hmis_round_bound(n, k)
-    report = SimReport(
-        n=n,
-        k=k,
-        W=W,
-        mode="direct",
-        km_rounds=rounds,
-        machine_rounds=machine_rounds,
-        per_link_bits=sym,
-        per_machine_bits=per_machine,
-        total_bits=int(link_dir.sum()),
-        bound_rounds=bound,
-        bound_ok=rounds <= bound,
-    )
+    report = sim_report(n, part, W, "direct", rounds, machine_rounds, link_dir,
+                        hmis_round_bound(n, k))
     flags = [s == 1 for s in status]
     return flags, report, part

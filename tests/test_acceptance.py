@@ -6,14 +6,11 @@ checks command-level determinism by running `validate` twice in fresh
 processes and comparing CSV bytes.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import kmachine
 from kmachine.acceptance import Battery
 
 SEED = 7
@@ -75,19 +72,14 @@ def test_criterion_10_hypergraph_rounds(battery):
     _check(battery, 10)
 
 
-def test_criterion_11_validate_byte_identical(tmp_path):
-    # the child processes import the same kmachine as this one, also when
-    # pytest put it on sys.path without setting PYTHONPATH
-    env = dict(os.environ)
-    src = str(Path(kmachine.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_criterion_11_validate_byte_identical(tmp_path, child_env):
     outs = []
     for i in range(2):
         path = tmp_path / f"rows{i}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "kmachine.cli", "validate",
              "--seed", str(SEED), "--out", str(path)],
-            capture_output=True, text=True, timeout=3000, env=env,
+            capture_output=True, text=True, timeout=3000, env=child_env,
         )
         assert path.exists(), proc.stderr
         outs.append(path.read_bytes())

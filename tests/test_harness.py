@@ -10,9 +10,11 @@ from kmachine.harness import (
     config_from_mapping,
     fit_scaling,
     format_csv,
+    rows_from_result,
     run_cell,
     run_experiment,
 )
+from kmachine.machines import ConversionError
 from kmachine.programs import ConfigError
 
 
@@ -81,6 +83,25 @@ def test_logsp_rejects_a_mode(mode):
 def test_bandwidth_must_be_a_positive_int(W):
     with pytest.raises(HarnessError):
         config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "W": W})
+
+
+@pytest.mark.parametrize("k", [[2.5], [True], ["4"], [0], [2, -1]])
+def test_machine_counts_must_be_positive_ints(k):
+    with pytest.raises(HarnessError):
+        config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "k": k})
+
+
+def test_more_machines_than_vertices_rejected_before_running(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("kmachine.harness.run_clique", engine)
+    cfg = ExperimentConfig(
+        algorithm="bfs", graph={"model": "gnp", "n": 32, "p": 0.2}, k=[4, 40],
+        seeds=[1],
+    )
+    with pytest.raises(ConversionError):
+        run_cell(cfg, 1)
 
 
 def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatch):
@@ -223,3 +244,64 @@ def test_cli_sweep_over_n(tmp_path, capsys):
                    "--out", str(tmp_path / "rows.csv")])
     assert rc == 0
     assert "slope" in capsys.readouterr().err
+
+
+# rows of a logsp cell and one hmis ledger, pinned before the pricing code
+# was shared between the harness, the spanner pipeline and hmis
+LOGSP_ROWS = (
+    "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,max_link_bits,"
+    "max_machine_bits,success\n"
+    "48,214,2,7,bcast,logsp,3,0,0,0,0,503,4636,4636,true\n"
+    "48,214,4,7,bcast,logsp,3,0,0,0,0,284,2719,7566,true\n"
+    "48,214,8,7,bcast,logsp,3,0,0,0,0,171,1705,9934,true\n"
+)
+
+
+def test_logsp_cell_runs_the_spanner_once(monkeypatch):
+    import kmachine.clique as clique
+
+    calls = []
+    engine = clique.run_clique
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("seed"))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(clique, "run_clique", counted)
+    monkeypatch.setattr("kmachine.programs.spanner.run_clique", counted, raising=False)
+    cfg = ExperimentConfig(
+        algorithm="logsp", graph={"model": "gnp", "n": 48, "p": 0.2},
+        k=[4, 2, 8], seeds=[3], W=7,
+    )
+    res = run_cell(cfg, 3)
+    assert calls == [3]
+    assert format_csv(rows_from_result(res)) == LOGSP_ROWS
+
+
+def test_hmis_ledger_matches_pinned_values():
+    from kmachine.graphs import random_uniform_hypergraph
+    from kmachine.programs import hmis_kmachine
+
+    h = random_uniform_hypergraph(48, 96, 3, 5)
+    flags, rep, part = hmis_kmachine(h, 4, seed=5)
+    assert sum(flags) == 24
+    assert (rep.n, rep.k, rep.W, rep.mode) == (48, 4, 6, "direct")
+    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 56, 1416)
+    assert rep.per_link_bits.tolist() == [
+        [0, 250, 250, 250], [250, 0, 222, 222], [250, 222, 0, 222], [250, 222, 222, 0]]
+    assert rep.per_machine_bits.tolist() == [750, 694, 694, 694]
+    assert rep.bound_rounds == 7985.102370422146
+    assert rep.bound_ok and rep.success
+    assert part.home.tolist()[:12] == [0, 1, 0, 0, 1, 0, 3, 0, 2, 2, 0, 0]
+
+
+def test_one_partition_derivation_and_one_report_builder():
+    from pathlib import Path
+
+    import kmachine
+
+    src = Path(kmachine.__file__).parent
+    text = {p: p.read_text() for p in src.rglob("*.py")}
+    assert sum(t.count('"rvp"') for t in text.values()) == 1
+    assert sum(t.count("SimReport(") for t in text.values()) == 1
+    assert not any("_cell_graph" in t for t in text.values())

@@ -13,6 +13,7 @@ from kmachine.machines import (
     convert_broadcast,
     convert_p2p,
     point_to_point_bound,
+    price,
     random_vertex_partition,
     run_on_kmachines,
 )
@@ -175,3 +176,45 @@ def test_dedup_never_beats_expansion():
             convert_broadcast(trace, part, 6).km_rounds
             <= convert_p2p(trace, part, 6).km_rounds
         )
+
+
+def test_one_machine_costs_nothing_in_either_mode():
+    # a single machine has no links: nothing crosses one, whatever the mode
+    g = generate("gnp", 32, 1, p=0.2)
+    _, trace, _ = run_clique(g, bfs_program(AlgoConfig()), seed=1)
+    part = random_vertex_partition(g, 1, 1)
+    for convert in (convert_p2p, convert_broadcast):
+        rep = convert(trace, part, 5)
+        assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
+        assert rep.max_link_bits == rep.max_machine_bits == 0
+
+
+def test_price_dispatches_and_defaults_bandwidth():
+    g = generate("gnp", 48, 1, p=0.2)
+    _, trace, _ = run_clique(g, mst_program(), seed=1)
+    part = random_vertex_partition(g, 4, 1)
+    for mode, convert in (("p2p", convert_p2p), ("bcast", convert_broadcast)):
+        rep = price(trace, part, mode=mode)
+        want = convert(trace, part, label_bits(g.n))
+        assert rep.mode == mode and rep.W == label_bits(g.n)
+        assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (
+            want.km_rounds, want.machine_rounds, want.total_bits)
+        assert (rep.per_link_bits == want.per_link_bits).all()
+    with pytest.raises(ConversionError):
+        price(trace, part, mode="direct")
+    with pytest.raises(ConversionError):
+        price(trace, part, 0, mode="bcast")
+
+
+def test_run_on_kmachines_rejects_bad_mode_before_running(monkeypatch):
+    import kmachine.machines as machines
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(machines, "run_clique", engine)
+    g = generate("cycle", 16, 0)
+    with pytest.raises(ConversionError):
+        run_on_kmachines(g, bfs_program(AlgoConfig()), k=4, mode="foo")
+    with pytest.raises(ConversionError):
+        run_on_kmachines(g, bfs_program(AlgoConfig()), k=17)

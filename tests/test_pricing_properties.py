@@ -1,0 +1,98 @@
+"""Property tests of the shared pricer on random small traces and placements.
+
+Each example is a random trace: a few rounds of broadcasts (at most one
+per vertex) and unicasts (at most one per ordered pair), with payloads of
+1..64 bits, priced on an arbitrary vertex -> machine assignment.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmachine.clique import CliqueTrace, RoundRecord
+from kmachine.machines import Partition, price
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+BITS = st.integers(1, 64)
+
+
+@st.composite
+def priced(draw, broadcast_only=False, every_machine_used=False, k=None):
+    """(trace, partition) on 2..10 vertices."""
+    n = draw(st.integers(2, 10))
+    trace = CliqueTrace(n)
+    for _ in range(draw(st.integers(0, 4))):
+        senders = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        bcasts = [(v, draw(BITS)) for v in sorted(senders)]
+        unis = []
+        if not broadcast_only:
+            pairs = draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda p: p[0] != p[1]),
+                unique=True, max_size=2 * n,
+            ))
+            unis = [(s, d, draw(BITS)) for s, d in pairs]
+        trace.append(RoundRecord(bcasts, unis))
+    k = k or draw(st.integers(1, n))
+    if every_machine_used:
+        home = draw(st.permutations(
+            list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                           min_size=n - k, max_size=n - k))))
+    else:
+        home = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return trace, Partition(k=k, home=np.array(home, dtype=np.int64))
+
+
+def _modes(trace):
+    """Both modes on a broadcast-only trace, point-to-point otherwise."""
+    if trace.unicast_count():
+        return ("p2p",)
+    return ("p2p", "bcast")
+
+
+@SETTINGS
+@given(priced(), st.integers(1, 64))
+def test_link_ledger_is_symmetric_with_zero_diagonal(case, W):
+    trace, part = case
+    for mode in _modes(trace):
+        links = price(trace, part, W, mode=mode).per_link_bits
+        assert links.shape == (part.k, part.k)
+        assert (links == links.T).all()
+        assert (np.diag(links) == 0).all()
+
+
+@SETTINGS
+@given(priced(), st.integers(1, 64))
+def test_every_bit_is_counted_once_per_end(case, W):
+    trace, part = case
+    for mode in _modes(trace):
+        rep = price(trace, part, W, mode=mode)
+        assert rep.per_link_bits.sum() == rep.per_machine_bits.sum() == 2 * rep.total_bits
+
+
+@SETTINGS
+@given(priced(), st.integers(1, 64), st.integers(1, 64))
+def test_rounds_never_grow_with_bandwidth(case, W, extra):
+    trace, part = case
+    for mode in _modes(trace):
+        narrow = price(trace, part, W, mode=mode)
+        wide = price(trace, part, W + extra, mode=mode)
+        assert wide.km_rounds <= narrow.km_rounds
+        assert wide.total_bits == narrow.total_bits
+
+
+@SETTINGS
+@given(priced(broadcast_only=True, every_machine_used=True), st.integers(1, 64))
+def test_dedup_never_beats_expansion(case, W):
+    trace, part = case
+    assert (price(trace, part, W, mode="bcast").km_rounds
+            <= price(trace, part, W, mode="p2p").km_rounds)
+
+
+@SETTINGS
+@given(priced(k=1), st.integers(1, 64))
+def test_one_machine_costs_nothing(case, W):
+    trace, part = case
+    for mode in _modes(trace):
+        rep = price(trace, part, W, mode=mode)
+        assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
