@@ -26,7 +26,6 @@ from .graphs import (
     gadget_feasible,
     generate,
     generate_gadget,
-    graph_stats,
     inf_weight,
     label_bits,
     load_edge_list,
@@ -48,6 +47,7 @@ from .machines import (
     random_vertex_partition,
     run_on_kmachines,
 )
+from .oracles import graph_stats
 from .programs import (
     AlgoConfig,
     bellman_ford_program,

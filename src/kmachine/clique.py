@@ -331,7 +331,7 @@ def run_clique(
         ctx = NodeCtx(
             node=v,
             n=n,
-            incident=tuple(g.neighbors(v)),
+            incident=g.neighbors(v),
             rand=lambda rnd, _v=v: make_random(seed, "node", _v, rnd),
             np_rand=lambda rnd, _v=v: make_np_rng(seed, "node", _v, rnd),
         )

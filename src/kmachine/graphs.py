@@ -30,114 +30,94 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Immutable undirected weighted graph on vertices 0..n-1."""
+    """Immutable undirected weighted graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "adj", "_arrays", "_csr")
+    Held as read-only int64 (u, v, w) edge arrays, normalised so u < v and
+    kept in input order.  The CSR and the Python views `edges` and
+    `neighbors` are built from them on first use and cached.
+    """
+
+    __slots__ = ("n", "_arrays", "_csr", "_edges", "_nbrs")
 
     def __init__(self, n: int, edges):
+        """edges: an iterable of (u, v, w) triples or an (m, 3) int array."""
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        edges = list(edges)
-        if len(edges) >= 10000:
-            self._init_bulk(n, edges)
-            return
-        wmax = inf_weight(n)
-        seen = set()
-        cleaned = []
-        adj = [[] for _ in range(n)]
-        for u, v, w in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if w < 0 or w >= wmax:
-                raise GraphError(f"weight {w} outside [0, {wmax}) for n={n}")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                raise GraphError(f"duplicate edge ({a},{b})")
-            seen.add((a, b))
-            idx = len(cleaned)
-            cleaned.append((a, b, int(w)))
-            adj[a].append(idx)
-            adj[b].append(idx)
-        self.n = n
-        self.edges = tuple(cleaned)
-        self.adj = tuple(tuple(ix) for ix in adj)
-        self._arrays = None
-        self._csr = None
-
-    def _init_bulk(self, n, edges):
-        # identical invariants, vectorized for big edge lists
-        arr = np.asarray(edges, dtype=np.int64)
-        u, v, w = arr[:, 0], arr[:, 1], arr[:, 2]
-        if (u == v).any():
-            raise GraphError("self-loop present")
-        if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n:
-            raise GraphError(f"edge endpoint out of range for n={n}")
-        wmax = inf_weight(n)
-        if w.min() < 0 or w.max() >= wmax:
-            raise GraphError(f"weight outside [0, {wmax}) for n={n}")
-        a, b = np.minimum(u, v), np.maximum(u, v)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            arr = np.array(edges, dtype=np.int64)
+        except OverflowError:
+            raise GraphError("edge field outside the int64 range")
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise GraphError("edges must be (u, v, w) triples")
+        u, v, w = arr.T
+        a, b, w = np.minimum(u, v), np.maximum(u, v), w.copy()
+        bad = (u == v) | (a < 0) | (b >= n) | (w < 0) | (w >= inf_weight(n))
         key = a * n + b
-        if len(np.unique(key)) != len(key):
-            raise GraphError("duplicate edge present")
-        m = len(a)
+        if np.count_nonzero(bad):
+            _reject(n, u, v, w, key, int(bad.argmax()))
+        ordered = np.sort(key)
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+            _reject(n, u, v, w, key, len(a))
         self.n = n
-        self.edges = tuple(zip(a.tolist(), b.tolist(), w.tolist()))
-        ends = np.concatenate([a, b])
-        eidx = np.concatenate([np.arange(m), np.arange(m)])
-        order = np.argsort(ends, kind="stable")
-        sorted_e = eidx[order]
-        bounds = np.searchsorted(ends[order], np.arange(n + 1))
-        self.adj = tuple(
-            tuple(sorted_e[bounds[i]:bounds[i + 1]].tolist()) for i in range(n)
-        )
-        self._arrays = (a, b, w)
+        self._arrays = _frozen(a, b, w)
         self._csr = None
+        self._edges = None
+        self._nbrs = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._arrays[0])
+
+    @property
+    def edges(self):
+        """(u, v, w) tuples of Python ints, u < v, in input order."""
+        if self._edges is None:
+            self._edges = tuple(zip(*(x.tolist() for x in self._arrays)))
+        return self._edges
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        indptr = self.csr()[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def neighbors(self, v: int):
-        """Sorted (neighbor, weight, edge index) triples incident to v."""
-        out = []
-        for ei in self.adj[v]:
-            u, w, wt = self.edges[ei][0], self.edges[ei][1], self.edges[ei][2]
-            other = w if u == v else u
-            out.append((other, wt, ei))
-        out.sort()
-        return out
+        """(neighbor, weight, edge index) triples incident to v, ascending."""
+        if self._nbrs is None:
+            indptr, nbr, eidx = self.csr()
+            # one int object per label, shared by every slot that names it;
+            # fresh ints from tolist() would add 28 bytes per field per slot
+            ids = list(range(max(self.n, self.m)))
+            eis = list(map(ids.__getitem__, eidx.tolist()))
+            ws = map(self._arrays[2].tolist().__getitem__, eis)
+            flat = tuple(zip(map(ids.__getitem__, nbr.tolist()), ws, eis))
+            cuts = indptr.tolist()
+            self._nbrs = tuple(flat[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+        return self._nbrs[v]
 
     def csr(self):
-        """(indptr, nbr) as int64 numpy arrays, cached: vertex v's neighbors
-        fill nbr[indptr[v]:indptr[v+1]] in ascending order, the order of
-        neighbors(v)."""
+        """(indptr, nbr, eidx) as read-only int64 arrays: vertex v's
+        neighbors fill nbr[indptr[v]:indptr[v+1]] in ascending order, the
+        order of neighbors(v), and eidx holds each slot's edge index."""
         if self._csr is None:
-            a, b, _ = self.edge_arrays()
-            ends = np.concatenate([a, b])
+            a, b, _ = self._arrays
+            n, m = self.n, len(a)
             others = np.concatenate([b, a])
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
-            self._csr = (indptr, others[np.argsort(ends * self.n + others)])
+            slot_key = np.concatenate([a, b]) * n + others
+            order = slot_key.argsort()
+            # vertex x's slots are those whose keys lie in [x*n, (x+1)*n)
+            indptr = slot_key[order].searchsorted(np.arange(0, (n + 1) * n, n))
+            self._csr = _frozen(indptr, others[order], order % max(m, 1))
         return self._csr
 
     def edge_arrays(self):
-        """(u, v, w) as int64 numpy arrays, cached."""
-        if self._arrays is None:
-            if self.m:
-                e = np.asarray(self.edges, dtype=np.int64)
-                self._arrays = (e[:, 0], e[:, 1], e[:, 2])
-            else:
-                z = np.zeros(0, dtype=np.int64)
-                self._arrays = (z, z, z)
+        """(u, v, w) as read-only int64 numpy arrays."""
         return self._arrays
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return int(np.diff(self.csr()[0]).max())
 
     def __eq__(self, other):
         return (
@@ -151,6 +131,29 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _frozen(*arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+def _reject(n, u, v, w, key, stop):
+    """Raise the error of the first faulty edge in input order: a duplicate
+    of an earlier edge among the valid first `stop`, else edge `stop`."""
+    head = key[:stop]
+    order = np.argsort(head, kind="stable")
+    later = order[1:][head[order][1:] == head[order][:-1]]
+    if len(later):
+        a, b = divmod(int(head[later.min()]), n)
+        raise GraphError(f"duplicate edge ({a},{b})")
+    uu, vv, ww = int(u[stop]), int(v[stop]), int(w[stop])
+    if uu == vv:
+        raise GraphError(f"self-loop at vertex {uu}")
+    if not (0 <= uu < n and 0 <= vv < n):
+        raise GraphError(f"edge ({uu},{vv}) out of range for n={n}")
+    raise GraphError(f"weight {ww} outside [0, {inf_weight(n)}) for n={n}")
 
 
 class Hypergraph:
@@ -262,12 +265,13 @@ def _pairs_from_indices(idx: np.ndarray, n: int):
     return u, v
 
 
-def _gnp_edges(n: int, p: float, rng) -> list:
+def _gnp_edges(n: int, p: float, rng):
+    """(u, v) int64 arrays of a G(n, p) sample, in lexicographic order."""
     total = n * (n - 1) // 2
     if p <= 0.0 or total == 0:
-        return []
+        return _pairs_from_indices(np.zeros(0, dtype=np.int64), n)
     if p >= 1.0:
-        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return _pairs_from_indices(np.arange(total), n)
     picked = []
     pos = -1
     while pos < total:
@@ -279,9 +283,7 @@ def _gnp_edges(n: int, p: float, rng) -> list:
         if len(inside) < len(idx):
             break
         pos = int(idx[-1])
-    idx = np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
-    u, v = _pairs_from_indices(idx, n)
-    return list(zip(u.tolist(), v.tolist()))
+    return _pairs_from_indices(np.concatenate(picked), n)
 
 
 def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -> Graph:
@@ -315,17 +317,16 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
             if i + cols < n:
                 edges.append((i, i + cols, 1))
     elif model == "gnp":
-        rng = make_np_rng(seed, "gen-gnp", n)
-        edges = [(u, v, 1) for u, v in _gnp_edges(n, p, rng)]
+        u, v = _gnp_edges(n, p, make_np_rng(seed, "gen-gnp", n))
+        edges = np.column_stack([u, v, np.ones_like(u)])
     elif model == "random_weighted":
         if wmax is None or wmax < 1:
             raise GraphError("random_weighted needs wmax >= 1")
         if wmax >= inf_weight(n):
             raise GraphError(f"wmax {wmax} too large for n={n}")
         rng = make_np_rng(seed, "gen-rw", n)
-        pairs = _gnp_edges(n, p, rng)
-        ws = rng.integers(1, wmax + 1, size=len(pairs))
-        edges = [(u, v, int(w)) for (u, v), w in zip(pairs, ws)]
+        u, v = _gnp_edges(n, p, rng)
+        edges = np.column_stack([u, v, rng.integers(1, wmax + 1, size=len(u))])
     else:
         raise GraphError(f"unknown model {model!r}")
     return Graph(n, edges)
@@ -457,80 +458,3 @@ def random_uniform_hypergraph(n: int, num_edges: int, arity: int, seed: int) -> 
         h = tuple(sorted(rng.choice(n, size=arity, replace=False).tolist()))
         chosen.add(h)
     return Hypergraph(n, sorted(chosen))
-
-
-# ---------------------------------------------------------------------------
-# structural statistics
-# ---------------------------------------------------------------------------
-
-
-def graph_stats(g: Graph):
-    """(m, max degree, hop diameter, shortest-path diameter).
-
-    Hop diameter is inf for disconnected graphs.  The shortest-path diameter
-    is the largest, over connected pairs, of the fewest edges on any
-    minimum-weight path.  Cost is n Dijkstra passes; intended for n up to a
-    couple thousand.
-    """
-    diam, spd = _diameters(g)
-    return g.m, g.max_degree(), diam, spd
-
-
-def _hop_distance_row(g: Graph, src: int):
-    dist = [math.inf] * g.n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    nbrs = [[e[0] for e in g.neighbors(v)] for v in range(g.n)]
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in nbrs[v]:
-                if dist[u] == math.inf:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
-def _sssp_with_hops(g: Graph, src: int):
-    """Dijkstra on (weight, hops) lexicographic keys."""
-    import heapq
-
-    inf = math.inf
-    dist = [inf] * g.n
-    hops = [0] * g.n
-    dist[src] = 0
-    heap = [(0, 0, src)]
-    done = [False] * g.n
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    while heap:
-        d, h, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        dist[v], hops[v] = d, h
-        for u, w, _ in nbrs[v]:
-            if done[u]:
-                continue
-            cand = (d + w, h + 1)
-            if cand < (dist[u], hops[u]):
-                dist[u], hops[u] = cand
-                heapq.heappush(heap, (cand[0], cand[1], u))
-    return dist, hops
-
-
-def _diameters(g: Graph):
-    diam = 0
-    spd = 0
-    for src in range(g.n):
-        row = _hop_distance_row(g, src)
-        worst = max((row[v] for v in range(g.n) if v != src), default=0)
-        if worst == math.inf:
-            diam = math.inf
-        elif diam != math.inf:
-            diam = max(diam, worst)
-        dist, hops = _sssp_with_hops(g, src)
-        spd = max(spd, max((h for d, h in zip(dist, hops) if d != math.inf), default=0))
-    return diam, spd

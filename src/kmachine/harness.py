@@ -80,6 +80,8 @@ class ExperimentConfig:
                 f"{self.algorithm} runs at machine level and prices itself; "
                 f"it takes no mode, got {self.mode!r}"
             )
+        if self.algorithm == "hmis" and min(self.k) < 2:
+            raise HarnessError(f"hmis needs at least 2 machines, got k={min(self.k)}")
         if self.mode == BCAST and self.algorithm in CLIQUE_ALGORITHMS and (
             natural_mode(self.algorithm) == P2P
         ):

@@ -165,10 +165,13 @@ def single_source_distances(g: Graph, src: int):
             continue
         done[v] = True
         dist[v], hops[v] = d, h
+        nh = h + 1
         for u, w, _ in g.neighbors(v):
-            if not done[u] and (d + w, h + 1) < (dist[u], hops[u]):
-                dist[u], hops[u] = d + w, h + 1
-                heapq.heappush(heap, (d + w, h + 1, u))
+            nd = d + w
+            # (nd, nh) < (dist[u], hops[u]), without building the tuples
+            if not done[u] and (nd < dist[u] or nd == dist[u] and nh < hops[u]):
+                dist[u], hops[u] = nd, nh
+                heapq.heappush(heap, (nd, nh, u))
     return dist, hops
 
 
@@ -211,6 +214,18 @@ def shortest_path_diameter(g: Graph) -> int:
         d, h = single_source_distances(g, src)
         spd = max(spd, max((hv for dv, hv in zip(d, h) if dv != math.inf), default=0))
     return spd
+
+
+def graph_stats(g: Graph):
+    """(m, max degree, hop diameter, shortest-path diameter).
+
+    Hop diameter is inf for disconnected graphs.  The shortest-path diameter
+    is the largest, over connected pairs, of the fewest edges on any
+    minimum-weight path.  Cost is n BFS and n Dijkstra passes; intended for
+    n up to a couple thousand.
+    """
+    diam = max(max(bfs_distances(g, src)) for src in range(g.n))
+    return g.m, g.max_degree(), diam, shortest_path_diameter(g)
 
 
 # ---------------------------------------------------------------------------

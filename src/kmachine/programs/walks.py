@@ -87,7 +87,7 @@ def _pagerank_rounds(g, cfg, np_rands):
     total = per_node * n
     bits = max(1, total.bit_length())
     budget = walk_round_budget(n, total, cfg.gamma)
-    indptr, nbr = g.csr()
+    indptr, nbr, _ = g.csr()
     deg = np.diff(indptr)
     uniform = {}  # degree -> hop probabilities, as _PageRankNode shares them
     here = np.full(n, per_node, dtype=np.int64)

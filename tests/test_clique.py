@@ -59,6 +59,25 @@ def test_broadcast_once_metrics():
     assert met.comm_degree == 6  # 3 sent plus 3 addressed per vertex
 
 
+def test_incident_is_the_graph_neighbor_tuple():
+    g = generate("random_weighted", 30, 3, p=0.3, wmax=20)
+    seen = {}
+
+    class _Look(NodeProgram):
+        def start(self, ctx):
+            super().start(ctx)
+            seen[ctx.node] = ctx.incident
+
+        def step(self, rnd, inbox):
+            return HALT
+
+        def output(self):
+            return None
+
+    run_clique(g, _prog(_Look), seed=0)
+    assert all(seen[v] is g.neighbors(v) for v in range(g.n))
+
+
 def test_single_unicast_metrics():
     g = generate("path", 3, 0)
     _, trace, met = run_clique(g, _prog(_OneUnicast), seed=0)

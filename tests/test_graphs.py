@@ -1,5 +1,8 @@
+import hashlib
 import math
+import re
 
+import numpy as np
 import pytest
 
 from kmachine.graphs import (
@@ -10,14 +13,13 @@ from kmachine.graphs import (
     gadget_feasible,
     generate,
     generate_gadget,
-    graph_stats,
     inf_weight,
     label_bits,
     load_edge_list,
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from kmachine.oracles import is_connected, is_spanning_tree
+from kmachine.oracles import graph_stats, is_connected, is_spanning_tree
 
 
 def test_load_basic():
@@ -190,25 +192,119 @@ def test_hypergraph():
         random_uniform_hypergraph(20, 5, 1, 0)
 
 
-def test_bulk_graph_path_matches_scalar():
-    base = generate("gnp", 220, 9, p=0.5)  # m > 10000 triggers the bulk path
-    assert base.m >= 10000
-    # the scalar path on a sub-threshold prefix agrees edge for edge
-    rebuilt = Graph(220, list(base.edges)[:9999])
-    assert rebuilt.edges == base.edges[:9999]
-    assert load_edge_list(dump_edge_list(base)) == base
+def _order_digest(g):
+    """sha256 prefix of the ordered edges and every vertex's neighbor triples."""
+    h = hashlib.sha256(f"n {g.n}\n".encode())
+    for u, v, w in g.edges:
+        h.update(f"{u} {v} {w}\n".encode())
+    for v in range(g.n):
+        h.update(" ".join(f"{u},{w},{ei}" for u, w, ei in g.neighbors(v)).encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
+# Pinned before Graph became array-native; the two m > 10000 cases went
+# through the old vectorized constructor, the rest through the scalar one.
+GOLDEN_MODELS = {
+    ("path", 7, ()): ("4a4d89f76af46f26", 6),
+    ("cycle", 9, ()): ("56751e31183b05b2", 9),
+    ("star", 6, ()): ("1d618fd8380e2ea4", 5),
+    ("clique", 7, ()): ("14252164eed6ea54", 21),
+    ("grid", 13, ()): ("3f48f9f265f380ab", 18),
+    ("gnp", 40, (("p", 0.2),)): ("3ae6a23558e7b4ce", 179),
+    ("gnp", 12, (("p", 1.0),)): ("8c28b6225168357b", 66),
+    ("gnp", 12, (("p", 0.0),)): ("e681bfa49c571ccd", 0),
+    ("gnp", 220, (("p", 0.5),)): ("c76916b78291419b", 12142),
+    ("random_weighted", 32, (("p", 0.3), ("wmax", 100))): ("a24ad9f2c4933b35", 163),
+    ("random_weighted", 160, (("p", 0.9), ("wmax", 1000))): ("f3044491a1e45aba", 11466),
+}
+GOLDEN_GADGETS = {
+    "ST_LOWER": ("85814e561a6c95a1", 16),
+    "STVERIFY": ("f84cf881181bb8ba", 25),
+    "CONN": ("2797c676ca97377b", 21),
+}
+GOLDEN_DOC = "n 6\n# reversed pairs keep their input slot\n3 1 7\n0 5\n4 2 9\n2 0 3\n5 4\n"
+
+
+def test_generators_pin_edge_and_neighbor_order():
+    for (model, n, kw), want in GOLDEN_MODELS.items():
+        g = generate(model, n, 9, **dict(kw))
+        assert (_order_digest(g), g.m) == want, (model, n, kw)
+        assert load_edge_list(dump_edge_list(g)) == g
+    for kind, want in GOLDEN_GADGETS.items():
+        g = generate_gadget(random_gadget_spec(kind, 12, 3))
+        assert (_order_digest(g), g.m) == want, kind
+    g = load_edge_list(GOLDEN_DOC)
+    assert g.edges == ((1, 3, 7), (0, 5, 1), (2, 4, 9), (0, 2, 3), (4, 5, 1))
+    assert _order_digest(g) == "a87e21f92ab496ef"
+
+
+@pytest.mark.parametrize("m", [20, 12000])  # both sides of the old 10000-edge split
+def test_constructor_errors_name_the_first_faulty_edge(m):
+    n = 200
+    good = [(u, v, 1) for u in range(n) for v in range(u + 1, n)][: m - 1]
+    assert Graph(n, good).m == len(good)
+    wmax = inf_weight(n)
+    for bad, text in [
+        ((7, 7, 1), "self-loop at vertex 7"),
+        ((3, n, 1), f"edge (3,{n}) out of range for n={n}"),
+        ((-1, 4, 1), f"edge (-1,4) out of range for n={n}"),
+        ((2, 9, wmax), f"weight {wmax} outside [0, {wmax}) for n={n}"),
+        ((5, 1, -3), f"weight -3 outside [0, {wmax}) for n={n}"),
+        (good[3][1::-1] + (1,), f"duplicate edge ({good[3][0]},{good[3][1]})"),
+    ]:
+        with pytest.raises(GraphError, match=f"^{re.escape(text)}$"):
+            Graph(n, good + [bad])
+        with pytest.raises(GraphError, match=f"^{re.escape(text)}$"):
+            Graph(n, np.array(good + [bad]))
+    # the earliest fault in input order wins, as in a per-edge scan
+    dup_first = good[:5] + [good[2], (7, 7, 1)]
+    with pytest.raises(GraphError, match=r"duplicate edge"):
+        Graph(n, dup_first)
+    loop_first = good[:5] + [(7, 7, 1), good[2]]
+    with pytest.raises(GraphError, match=r"self-loop"):
+        Graph(n, loop_first)
+    with pytest.raises(GraphError):
+        Graph(n, [(0, 1)])
+
+
+def test_array_and_list_inputs_build_the_same_graph():
+    g = generate("random_weighted", 300, 2, p=0.2, wmax=50)
+    edges = [(v, u, w) if i % 3 else (u, v, w) for i, (u, v, w) in enumerate(g.edges)]
+    for h in (Graph(g.n, edges), Graph(g.n, np.array(edges)), Graph(g.n, iter(edges))):
+        assert h.edges == g.edges
+        for x, y in zip(h.csr(), g.csr()):
+            assert np.array_equal(x, y)
+        assert all(h.neighbors(v) == g.neighbors(v) for v in range(g.n))
+    src = np.array(edges)
+    h = Graph(g.n, src)
+    src[:] = 0  # the graph keeps no view of its input
+    assert h.edges == g.edges
 
 
 def test_csr_matches_neighbors():
     from kmachine.acceptance import fidelity_instances
 
     graphs = [inst.graph for _, inst, _ in fidelity_instances(7)]
-    graphs.append(generate("random_weighted", 600, 4, p=0.1, wmax=1000))  # bulk path
+    graphs.append(generate("random_weighted", 600, 4, p=0.1, wmax=1000))  # m > 10000
     graphs.append(Graph(5, [(3, 1, 7), (0, 3, 2)]))  # isolated vertices
     graphs.append(Graph(3, []))
+    graphs.append(Graph(1, np.zeros((0, 3), dtype=np.int64)))
     for g in graphs:
-        indptr, nbr = g.csr()
+        indptr, nbr, eidx = g.csr()
         assert g.csr() is g.csr()
+        for x in g.csr() + g.edge_arrays():
+            assert x.dtype == np.int64 and not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[:1] = 0
+        w = g.edge_arrays()[2]
         for v in range(g.n):
-            got = nbr[indptr[v]:indptr[v + 1]].tolist()
-            assert got == [u for u, _, _ in g.neighbors(v)]
+            nb = g.neighbors(v)
+            assert isinstance(nb, tuple) and nb is g.neighbors(v)
+            assert nb == tuple(sorted(nb))
+            lo, hi = indptr[v], indptr[v + 1]
+            assert list(nb) == list(zip(nbr[lo:hi].tolist(), w[eidx[lo:hi]].tolist(),
+                                        eidx[lo:hi].tolist()))
+            assert g.degree(v) == len(nb)
+            assert all(v in g.edges[ei][:2] for _, _, ei in nb)
+        assert g.max_degree() == max(g.degree(v) for v in range(g.n))
+        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m == 2 * len(g.edges)

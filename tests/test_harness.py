@@ -71,6 +71,20 @@ def test_hmis_rejects_a_mode(mode):
         config_from_mapping({**doc, "mode": mode})
 
 
+@pytest.mark.parametrize("k", [[1], [4, 1]])
+def test_hmis_needs_two_machines_before_building(k, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr("kmachine.harness.build_instance", build)
+    graph = {"n": 16, "hyperedges": 20, "arity": 3}
+    with pytest.raises(HarnessError, match="at least 2 machines"):
+        config_from_mapping({"algorithm": "hmis", **graph, "k": k})
+    cfg = ExperimentConfig(algorithm="hmis", graph=graph, k=k, seeds=[0])
+    with pytest.raises(HarnessError):
+        run_cell(cfg, 0)
+
+
 @pytest.mark.parametrize("mode", ["p2p", "bcast"])
 def test_logsp_rejects_a_mode(mode):
     doc = {"algorithm": "logsp", "model": "gnp", "n": 16, "p": 0.3}
