@@ -9,7 +9,6 @@ from .clique import (
     Broadcast,
     CliqueMetrics,
     CliqueTrace,
-    Idle,
     NodeProgram,
     Program,
     ProgramViolation,

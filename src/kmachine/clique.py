@@ -2,10 +2,10 @@
 
 Every vertex runs a small state machine.  In each round a vertex may
 broadcast one payload to all other vertices, unicast payloads to chosen
-vertices, stay silent, go idle (silent, and not stepped again until it has
-mail or a chosen round arrives), or halt.  All outboxes of round r are
-delivered as inboxes of round r+1; execution is deterministic for a fixed
-seed because per-vertex randomness is derived from (seed, vertex, round).
+vertices, stay silent, or halt.  All outboxes of round r are delivered as
+inboxes of round r+1; execution is deterministic for a fixed seed because
+per-vertex randomness is derived from (seed, vertex, round), and a walk
+token's from (seed, round, vertex, token index).
 
 The engine records every message (source, destinations, declared bit size)
 so a finished execution can later be priced on a machine network.
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, label_bits
-from .rng import make_np_rng, make_np_rngs, make_random
+# make_np_rng is unused here but stays bound: perfbench's traced mode wraps it
+from .rng import make_np_rng, make_random, token_uniforms  # noqa: F401
 
 PAYLOAD_CAP_C = 4  # payload cap is PAYLOAD_CAP_C * ceil(log2 n) bits
 
@@ -64,16 +65,6 @@ class Unicast:
         self.halt = halt
 
 
-class Idle:
-    """Stay silent, and skip step() until the vertex has mail (a unicast
-    addressed to it, or any broadcast) or round `until` arrives."""
-
-    __slots__ = ("until",)
-
-    def __init__(self, until):
-        self.until = until
-
-
 class _Silent:
     __slots__ = ()
 
@@ -108,13 +99,15 @@ EMPTY_INBOX = Inbox((), ())
 @dataclass(frozen=True)
 class NodeCtx:
     """Per-vertex view handed to start(): identity, size, incident edges,
-    and a (round -> Random) derived-randomness factory."""
+    and derived randomness: rand(rnd) is a Random for the round, and
+    uniforms(rnd, count) is (u1, u2), the two uniforms of each of the
+    vertex's walk tokens 0..count-1 in the round (rng.token_uniforms)."""
 
     node: int
     n: int
     incident: tuple  # sorted (neighbor, weight, edge_index)
     rand: object
-    np_rand: object
+    uniforms: object
 
 
 class NodeProgram:
@@ -138,14 +131,14 @@ class Program:
 
     kernel, if set, replaces the per-vertex programs in run_clique with one
     generator that advances every vertex of a round at once.  It is called
-    as kernel(g, np_rands), where np_rands(rnd, vertices) yields one numpy
-    Generator per vertex, keyed exactly like NodeCtx.np_rand(rnd).  It
-    yields one (src, dst, bits) triple of int arrays per round, holding that
-    round's unicasts, and returns the per-vertex outputs.  The trace keeps
-    the yielded arrays, so the kernel must not write to them later.  A
-    kernel must be byte-identical to the programs `builder` makes: the same
-    messages in the same order, the same outputs.  Those programs stay as
-    its reference.
+    as kernel(g, uniforms), where uniforms(rnd, v, i) gives the uniforms of
+    the tokens with vertex v[j] and index i[j], keyed exactly like
+    NodeCtx.uniforms.  It yields one (src, dst, bits) triple of int arrays
+    per round, holding that round's unicasts, and returns the per-vertex
+    outputs.  The trace keeps the yielded arrays, so the kernel must not
+    write to them later.  A kernel must be byte-identical to the programs
+    `builder` makes: the same messages in the same order, the same outputs.
+    Those programs stay as its reference.
     """
 
     def __init__(self, name, builder, mode, kernel=None):
@@ -333,56 +326,37 @@ def run_clique(
             n=n,
             incident=g.neighbors(v),
             rand=lambda rnd, _v=v: make_random(seed, "node", _v, rnd),
-            np_rand=lambda rnd, _v=v: make_np_rng(seed, "node", _v, rnd),
+            uniforms=lambda rnd, count, _v=v: token_uniforms(
+                seed, rnd, np.full(count, _v), np.arange(count)
+            ),
         )
         prog.start(ctx)
 
-    awake = list(range(n))  # live vertices stepped every round, ascending
-    asleep = {}  # idle vertex -> round of its alarm
+    live = list(range(n))  # vertices not yet halted, ascending
     trace = CliqueTrace(n)
     cur_bcasts = ()
     cur_unis = {}
 
     rnd = 0
-    while awake or asleep:
+    while live:
         rnd += 1
         if rnd > max_rounds:
             raise RoundLimitExceeded(
-                f"{len(awake) + len(asleep)} vertices still active after "
-                f"{max_rounds} rounds",
+                f"{len(live)} vertices still active after {max_rounds} rounds",
                 trace=trace,
                 outputs=None,
             )
-        order = awake
-        if asleep:
-            woken = [
-                v for v, until in asleep.items()
-                if cur_bcasts or until == rnd or v in cur_unis
-            ]
-            if woken:
-                for v in woken:
-                    del asleep[v]
-                order = sorted(awake + woken)
-        gone = []  # vertices of `order` that halted or went idle
+        gone = []  # vertices that halted this round
         nxt_bcasts = []
         nxt_unis = {}
         rec_b = []
         rec_u = []
-        for v in order:
+        for v in live:
             inbox = Inbox(cur_bcasts, cur_unis.get(v, ()))
             act = nodes[v].step(rnd, inbox)
             if act is None or act is SILENT:
                 continue
             if act is HALT:
-                gone.append(v)
-                continue
-            if isinstance(act, Idle):
-                until = act.until
-                if not isinstance(until, int) or until <= rnd:
-                    raise ProgramViolation(
-                        f"vertex {v}: idle until round {until!r} in round {rnd}"
-                    )
-                asleep[v] = until
                 gone.append(v)
                 continue
             if isinstance(act, Broadcast):
@@ -418,9 +392,7 @@ def run_clique(
                 raise ProgramViolation(f"vertex {v}: unknown action {act!r}")
         if gone:
             gone = set(gone)
-            awake = [v for v in order if v not in gone]
-        else:
-            awake = order
+            live = [v for v in live if v not in gone]
         trace.append(RoundRecord(rec_b, rec_u))
         cur_bcasts = tuple(nxt_bcasts)
         cur_unis = {k: tuple(vv) for k, vv in nxt_unis.items()}
@@ -434,7 +406,7 @@ def _run_kernel(g, program, seed, max_rounds, cap):
     n = g.n
     trace = CliqueTrace(n)
     rounds = program.kernel(
-        g, lambda rnd, vertices: make_np_rngs(seed, "node", vertices, rnd)
+        g, lambda rnd, v, i: token_uniforms(seed, rnd, v, i)
     )
     while True:
         try:

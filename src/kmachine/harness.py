@@ -353,12 +353,11 @@ def natural_mode(algorithm: str) -> str:
 
 
 def _engine_budget(algorithm: str, inst: Instance, cfg: AlgoConfig):
-    from .programs import default_phase_budget, walk_round_budget
+    from .programs import default_phase_budget, walk_shape
 
     n = inst.graph.n
     if algorithm == "pagerank":
-        per_node = cfg.tokens_per_node or default_tokens_per_node(n)
-        return walk_round_budget(n, per_node * n, cfg.gamma) + 2
+        return walk_shape(n, cfg).budget + 2
     if algorithm == "mis":
         return 3 * (cfg.mis_max_phases or default_phase_budget(n)) + 6
     return None

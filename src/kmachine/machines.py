@@ -15,7 +15,7 @@ import numpy as np
 
 from .clique import CliqueMetrics, CliqueTrace, run_clique
 from .graphs import Graph, label_bits
-from .rng import derive
+from .rng import derive_each
 
 P2P = "p2p"
 BCAST = "bcast"
@@ -41,9 +41,8 @@ def random_vertex_partition(g: Graph, k: int, seed: int) -> Partition:
     """Assign each vertex an independent uniform home machine."""
     if k < 1 or k > g.n:
         raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    home = np.fromiter(
-        (derive(seed, "rvp", v) % k for v in range(g.n)), dtype=np.int64, count=g.n
-    )
+    keys = derive_each(seed, "rvp", range(g.n))
+    home = np.fromiter((h % k for h in keys), dtype=np.int64, count=g.n)
     return Partition(k=k, home=home, seed=seed)
 
 

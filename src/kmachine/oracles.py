@@ -89,31 +89,23 @@ def _mst_key(u, v, w):
 
 def kruskal_mst(g: Graph):
     """Exact MST under the distinct-key order; (total weight, edge pair set)."""
-    order = sorted(range(g.m), key=lambda ei: _mst_key(*g.edges[ei][:2], g.edges[ei][2]))
-    dsu = _DSU(g.n)
-    weight = 0
-    chosen = set()
-    for ei in order:
-        u, v, w = g.edges[ei]
-        if dsu.union(u, v):
-            weight += w
-            chosen.add((min(u, v), max(u, v)))
-    if dsu.count != 1:
+    weight, chosen = minimum_spanning_forest(g)
+    if len(chosen) != g.n - 1:
         raise OracleError("kruskal_mst: graph is disconnected")
     return weight, chosen
 
 
 def minimum_spanning_forest(g: Graph):
     """Kruskal without the connectivity requirement; spans each component."""
-    order = sorted(range(g.m), key=lambda ei: _mst_key(*g.edges[ei][:2], g.edges[ei][2]))
+    u, v, w = g.edge_arrays()  # u < v, so (w, u, v) is _mst_key's order
+    order = np.lexsort((v, u, w))
     dsu = _DSU(g.n)
     weight = 0
     chosen = set()
-    for ei in order:
-        u, v, w = g.edges[ei]
-        if dsu.union(u, v):
-            weight += w
-            chosen.add((min(u, v), max(u, v)))
+    for a, b, wt in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
+        if dsu.union(a, b):
+            weight += wt
+            chosen.add((a, b))
     return weight, chosen
 
 

@@ -13,7 +13,12 @@ from .spanner import (
     spanner_union,
 )
 from .triangle import triangle_program
-from .walks import default_tokens_per_node, pagerank_program, walk_round_budget
+from .walks import (
+    default_tokens_per_node,
+    pagerank_program,
+    walk_round_budget,
+    walk_shape,
+)
 
 # name -> (builder(graph, cfg) -> Program, natural pricing mode)
 # stverify builds its candidate set from context at the harness level.
@@ -55,4 +60,5 @@ __all__ = [
     "st_verify_program",
     "triangle_program",
     "walk_round_budget",
+    "walk_shape",
 ]

@@ -9,19 +9,24 @@ stationary distribution of the restart walk.
 There is no cheap way for a vertex to observe that no tokens survive
 anywhere, so every vertex runs a fixed round budget chosen to make global
 survival beyond it vanishingly unlikely, then stops.  A vertex holding no
-tokens idles until tokens arrive or the budget is reached.
+tokens stays silent until the budget is reached.
 
-The engine runs the round kernel `_pagerank_rounds`, which moves every
-vertex's tokens of a round at once and is byte-identical to the per-vertex
-`_PageRankNode`; the latter stays as its reference.
+Each token's fate comes from its own two uniforms (rng.token_uniforms),
+keyed by (seed, round, vertex, token index): it dies if u1 < gamma, else it
+hops to CSR slot indptr[v] + floor(u2 * degree); a token on an isolated
+vertex dies.  The engine runs the round kernel `_pagerank_rounds`, which
+moves every token of a round at once.  The per-vertex `_PageRankNode`
+draws the same uniforms for its own tokens and stays as its reference.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ..clique import HALT, Idle, NodeProgram, Program, Unicast
-from .config import AlgoConfig
+from ..clique import HALT, SILENT, NodeProgram, Program, Unicast
+from ..rng import token_layout_fits
+from .config import AlgoConfig, ConfigError
 
 
 def default_tokens_per_node(n: int) -> int:
@@ -33,103 +38,106 @@ def walk_round_budget(n: int, total_tokens: int, gamma: float) -> int:
     return math.ceil(math.log(max(2, total_tokens) * max(2, n)) / gamma) + 1
 
 
+class WalkShape(NamedTuple):
+    per_node: int  # tokens each vertex launches
+    total: int  # tokens over all vertices
+    bits: int  # bits of a multiplicity count
+    budget: int  # round in which every vertex halts
+
+
+def walk_shape(n: int, cfg: AlgoConfig) -> WalkShape:
+    """The walk run's sizes on n vertices.  Raises ConfigError if its token
+    counters could alias (see rng.token_layout_fits)."""
+    per_node = cfg.tokens_per_node or default_tokens_per_node(n)
+    total = per_node * n
+    if not token_layout_fits(n, total):
+        raise ConfigError(
+            f"{total} walk tokens on {n} vertices overflow the token counters"
+        )
+    return WalkShape(per_node, total, max(1, total.bit_length()),
+                     walk_round_budget(n, total, cfg.gamma))
+
+
 class _PageRankNode(NodeProgram):
-    def __init__(self, gamma, tokens_per_node, uniform):
-        self.gamma = gamma
-        self.tokens_per_node = tokens_per_node
-        self.uniform = uniform  # degree -> hop probabilities, shared per run
+    def __init__(self, cfg):
+        self.cfg = cfg
 
     def start(self, ctx):
         self.ctx = ctx
         self.nbrs = [u for u, _, _ in ctx.incident]
-        d = len(self.nbrs)
-        if d and d not in self.uniform:
-            self.uniform[d] = np.full(d, 1.0 / d)
-        per_node = self.tokens_per_node or default_tokens_per_node(ctx.n)
-        self.total = per_node * ctx.n
-        self.here = per_node
+        self.shape = walk_shape(ctx.n, self.cfg)
+        self.here = self.shape.per_node
         self.visits = 0
-        self.mult_bits = max(1, self.total.bit_length())
-        self.budget = walk_round_budget(ctx.n, self.total, self.gamma)
 
     def step(self, rnd, inbox):
         for _, (mult,) in inbox.unicasts:
             self.here += mult
         self.visits += self.here
-        if rnd >= self.budget:
+        if rnd >= self.shape.budget:
             return HALT
-        if self.here == 0:
-            return Idle(self.budget)
-        rng = self.ctx.np_rand(rnd)
-        dead = int(rng.binomial(self.here, self.gamma))
-        movers = self.here - dead
-        self.here = 0
-        if movers == 0 or not self.nbrs:
-            return Idle(self.budget)
-        counts = rng.multinomial(movers, self.uniform[len(self.nbrs)])
+        d = len(self.nbrs)
+        tokens, self.here = self.here, 0
+        if not (tokens and d):
+            return SILENT
+        u1, u2 = self.ctx.uniforms(rnd, tokens)
+        hop = (u2[u1 >= self.cfg.gamma] * d).astype(np.int64)
+        counts = np.bincount(hop, minlength=d)
         hops = counts.nonzero()[0]
-        nbrs, bits = self.nbrs, self.mult_bits
+        nbrs, bits = self.nbrs, self.shape.bits
         return Unicast([
             (nbrs[i], (c,), bits)
             for i, c in zip(hops.tolist(), counts[hops].tolist())
         ])
 
     def output(self):
-        return self.gamma * self.visits / self.total
+        return self.cfg.gamma * self.visits / self.shape.total
 
 
-def _pagerank_rounds(g, cfg, np_rands):
-    """Round kernel of _PageRankNode: the same draws, from the same keyed
-    generators in the same vertex order, give the same messages in the same
-    order (by source, then destination) and the same outputs."""
+# tokens the kernel draws at once, which keeps its scratch arrays small
+_CHUNK = 1 << 12
+
+
+def _pagerank_rounds(g, cfg, shape, uniforms):
+    """Round kernel of _PageRankNode: the same uniforms for the same tokens
+    give the same messages in the same order (by source, then destination)
+    and the same outputs.  Tokens are numbered vertex by vertex."""
     n = g.n
-    per_node = cfg.tokens_per_node or default_tokens_per_node(n)
-    total = per_node * n
-    bits = max(1, total.bit_length())
-    budget = walk_round_budget(n, total, cfg.gamma)
     indptr, nbr, _ = g.csr()
     deg = np.diff(indptr)
-    uniform = {}  # degree -> hop probabilities, as _PageRankNode shares them
-    here = np.full(n, per_node, dtype=np.int64)
+    here = np.full(n, shape.per_node, dtype=np.int64)
     visits = np.zeros(n, dtype=np.int64)
-    flow = np.zeros(len(nbr), dtype=np.int64)  # tokens per (vertex, neighbor) slot
-    for rnd in range(1, budget):
+    for rnd in range(1, shape.budget):
         visits += here
-        held = here.nonzero()[0]
-        vs = held.tolist()
-        for v, tokens, lo, d, rng in zip(
-            vs, here[held].tolist(), indptr[held].tolist(), deg[held].tolist(),
-            np_rands(rnd, vs),
-        ):
-            movers = tokens - int(rng.binomial(tokens, cfg.gamma))
-            if movers and d:
-                if d not in uniform:
-                    uniform[d] = np.full(d, 1.0 / d)
-                flow[lo:lo + d] = rng.multinomial(movers, uniform[d])
-        here[held] = 0
-        hops = flow.nonzero()[0]
-        mult = flow[hops]
-        flow[hops] = 0
-        dst = nbr[hops]
-        np.add.at(here, dst, mult)
-        src = np.searchsorted(indptr, hops, side="right") - 1
-        yield src, dst, np.full(len(hops), bits, dtype=np.int64)
+        held = np.where(deg > 0, here, 0)  # tokens on isolated vertices die
+        ends = np.cumsum(held)
+        firsts, count = ends - held, int(ends[-1])
+        here = np.zeros(n, dtype=np.int64)
+        hit = [np.zeros(0, dtype=np.int64)]  # the CSR slots some token crossed
+        for lo in range(0, count, _CHUNK):
+            t = np.arange(lo, min(lo + _CHUNK, count))
+            v = np.searchsorted(ends, t, side="right")  # the token's vertex
+            u1, u2 = uniforms(rnd, v, t - firsts[v])
+            v, u2 = v[u1 >= cfg.gamma], u2[u1 >= cfg.gamma]
+            slot = indptr[v] + (u2 * deg[v]).astype(np.int64)
+            here += np.bincount(nbr[slot], minlength=n)
+            hit.append(np.unique(slot))
+        slot = np.unique(np.concatenate(hit))
+        src = np.searchsorted(indptr, slot, side="right") - 1
+        yield src, nbr[slot], np.full(len(slot), shape.bits, dtype=np.int64)
     visits += here
     none = np.zeros(0, dtype=np.int64)
     yield none, none, none  # the budget round: every vertex halts in silence
-    return (cfg.gamma * visits / total).tolist()
-
-
-def _pagerank_nodes(n, cfg):
-    uniform = {}
-    return [_PageRankNode(cfg.gamma, cfg.tokens_per_node, uniform) for _ in range(n)]
+    return (cfg.gamma * visits / shape.total).tolist()
 
 
 def pagerank_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program(
         "pagerank",
-        lambda n: _pagerank_nodes(n, cfg),
+        lambda n: [_PageRankNode(cfg) for _ in range(n)],
         "p2p",
-        kernel=lambda g, np_rands: _pagerank_rounds(g, cfg, np_rands),
+        # walk_shape runs before the kernel's first round, to reject a bad size
+        kernel=lambda g, uniforms: _pagerank_rounds(
+            g, cfg, walk_shape(g.n, cfg), uniforms
+        ),
     )

@@ -27,13 +27,15 @@ def derive(seed: int, tag: str, *parts: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def derive_each(seed: int, tag: str, xs, rnd: int) -> list:
-    """[derive(seed, tag, x, rnd) for x in xs], hashing the shared prefix once."""
+def derive_each(seed: int, tag: str, xs, *parts: int) -> list:
+    """[derive(seed, tag, x, *parts) for x in xs], hashing the shared prefix
+    once."""
     base = _prefix(seed, tag)
+    fmt = struct.Struct(f">{1 + len(parts)}q")
     out = []
     for x in xs:
         h = base.copy()
-        h.update(struct.pack(">qq", x, rnd))
+        h.update(fmt.pack(x, *parts))
         out.append(int.from_bytes(h.digest(), "big"))
     return out
 
@@ -46,90 +48,53 @@ def make_np_rng(seed: int, tag: str, *parts: int) -> np.random.Generator:
     return np.random.default_rng(derive(seed, tag, *parts))
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) for one integer of at
-# most 64 bits: its entropy is two uint32 words, low first, and a missing
-# high word hashes exactly like a zero one.  Constants are numpy's.
-_POOL = 4
-_M32 = 0xFFFFFFFF
-_S16 = np.uint32(16)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Counter-based token draws, in the style of Salmon et al., "Parallel Random
+# Numbers: As Easy as 1, 2, 3" (SC 2011): a token's uniforms are a fixed
+# function of (seed, round, vertex, token index), so any subset of tokens
+# can be drawn at once, in any order.  The mixer is splitmix64 (Steele, Lea
+# and Flood, OOPSLA 2014): its k-th output from state s is its finalizer
+# applied to s + k * golden gamma, mod 2**64.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S = {b: np.uint64(b) for b in (1, 11, 27, 30, 31)}
+_UNIT = 2.0 ** -53
+
+# A token's counter is (vertex << TOKEN_BITS) | token index, and it takes
+# outputs 2c+1 and 2c+2 of the round's stream; counters below 2**63 keep
+# every output position distinct mod 2**64.
+TOKEN_BITS = 32
+MAX_TOKEN_VERTICES = 1 << (63 - TOKEN_BITS)
+MAX_TOKENS = 1 << TOKEN_BITS
 
 
-def _hash_consts(init, mult, count):
-    """The xor and multiply constants of `count` successive hashmix calls,
-    as (count, 1) uint32 columns; they do not depend on the data."""
-    xs = []
-    for _ in range(count + 1):
-        xs.append(init)
-        init = (init * mult) & _M32
-    col = np.array(xs, dtype=np.uint32)[:, None]
-    return col[:-1], col[1:]
+def splitmix64(state: int, steps) -> np.ndarray:
+    """Outputs number `steps` (a uint64 array) of splitmix64's stream from
+    `state`, in wrapping uint64 array arithmetic."""
+    z = np.uint64(state) + np.array(steps, dtype=np.uint64, ndmin=1) * _GOLDEN
+    z = (z ^ (z >> _S[30])) * _MIX1
+    z = (z ^ (z >> _S[27])) * _MIX2
+    return z ^ (z >> _S[31])
 
 
-_MIX_X, _MIX_M = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
-_OUT_X, _OUT_M = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
-# PCG64's default 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M128 = (1 << 128) - 1
+def token_layout_fits(n: int, tokens: int) -> bool:
+    """Whether vertices below n and token indices below `tokens` all get
+    distinct counters."""
+    return n <= MAX_TOKEN_VERTICES and tokens <= MAX_TOKENS
 
 
-def _hashmix(value, x, m):
-    value = (value ^ x) * m
-    return value ^ (value >> _S16)
+def token_counters(v, i) -> np.ndarray:
+    """The counter of each (vertex, token index) pair, as uint64."""
+    v = np.asarray(v, dtype=np.uint64)
+    return (v << np.uint64(TOKEN_BITS)) | np.asarray(i, dtype=np.uint64)
 
 
-def _seed_words(keys):
-    """SeedSequence(key).generate_state(4, uint64) for every key, as a
-    (4, len(keys)) uint64 array, in vectorized uint32 arithmetic."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    pool = np.zeros((_POOL, len(keys)), dtype=np.uint32)
-    pool[0] = keys & np.uint64(_M32)
-    pool[1] = keys >> np.uint64(32)
-    pool = _hashmix(pool, _MIX_X[:_POOL], _MIX_M[:_POOL])
-    c = _POOL
-    for src in range(_POOL):
-        # the source row stays fixed while it is mixed into the other three
-        dst = [d for d in range(_POOL) if d != src]
-        h = _hashmix(pool[src], _MIX_X[c:c + 3], _MIX_M[c:c + 3])
-        c += 3
-        mixed = _MIX_L * pool[dst] - _MIX_R * h
-        pool[dst] = mixed ^ (mixed >> _S16)
-    words = _hashmix(np.tile(pool, (2, 1)), _OUT_X, _OUT_M).astype(np.uint64)
-    return words[0::2] | (words[1::2] << np.uint64(32))
-
-
-def _pcg64_states(keys):
-    """(state, inc) of np.random.PCG64(key) for every key: PCG64 seeds its
-    128-bit state and increment from the four words above."""
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in _seed_words(keys))):
-        # pcg64_set_seed: inc = seq*2+1; state 0, one LCG step, add the
-        # seed, one more step
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _M128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
-        out.append((state, inc))
-    return out
-
-
-def _reseeded(keys):
-    """Yield, for each key in order, a Generator in the state of
-    np.random.default_rng(key).  It is one Generator, re-seeded in place
-    before each yield, so draw from it before advancing the iterator;
-    re-seeding costs a fraction of building a Generator."""
-    states = _pcg64_states(keys)
-    if not states:
-        return
-    gen = np.random.Generator(np.random.PCG64(0))
-    bitgen = gen.bit_generator
-    state = bitgen.state  # has_uint32 = uinteger = 0, as after seeding
-    for st, inc in states:
-        state["state"] = {"state": st, "inc": inc}
-        bitgen.state = state
-        yield gen
-
-
-def make_np_rngs(seed: int, tag: str, xs, rnd: int):
-    """Yield, for each x in xs in order, a Generator in the state of
-    make_np_rng(seed, tag, x, rnd): the batch form of make_np_rng for one
-    round.  The Generator is shared between yields (see _reseeded)."""
-    return _reseeded(derive_each(seed, tag, xs, rnd))
+def token_uniforms(seed: int, rnd: int, v, i):
+    """Two uniforms in [0, 1) for each (vertex, token index) pair of round
+    `rnd`, as float64 arrays (u1, u2): the top 53 bits of outputs 2c+1 and
+    2c+2 of splitmix64's stream keyed by derive(seed, "token", rnd)."""
+    key = derive(seed, "token", rnd)
+    first = (token_counters(v, i) << _S[1]) + _S[1]
+    u1 = (splitmix64(key, first) >> _S[11]) * _UNIT
+    u2 = (splitmix64(key, first + _S[1]) >> _S[11]) * _UNIT
+    return u1, u2

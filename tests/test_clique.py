@@ -8,7 +8,6 @@ from kmachine.clique import (
     SILENT,
     Broadcast,
     CliqueMetrics,
-    Idle,
     NodeProgram,
     Program,
     ProgramViolation,
@@ -18,14 +17,16 @@ from kmachine.clique import (
     run_clique,
 )
 from kmachine.graphs import Graph, generate
-from kmachine.harness import make_program
+from kmachine.harness import ExperimentConfig, run_cell
 from kmachine.programs import (
     AlgoConfig,
+    ConfigError,
     bfs_program,
     luby_mis_program,
     mst_program,
     pagerank_program,
 )
+from kmachine.programs import walks
 
 
 class _ShoutOnce(NodeProgram):
@@ -208,155 +209,10 @@ def test_trace_export_format():
 
 
 # ---------------------------------------------------------------------------
-# Idle: skipped vertices must leave every message and output unchanged
-# ---------------------------------------------------------------------------
-
-
-class _Counted(NodeProgram):
-    """Wraps a vertex program and counts its step() calls in calls[0]."""
-
-    def __init__(self, inner, calls):
-        self.inner = inner
-        self.calls = calls
-
-    def start(self, ctx):
-        self.inner.start(ctx)
-
-    def step(self, rnd, inbox):
-        self.calls[0] += 1
-        return self.inner.step(rnd, inbox)
-
-    def output(self):
-        return self.inner.output()
-
-
-class _Awake(_Counted):
-    """Turns Idle into SILENT, so the engine steps the vertex every round
-    as if idling did not exist."""
-
-    def step(self, rnd, inbox):
-        act = super().step(rnd, inbox)
-        return SILENT if isinstance(act, Idle) else act
-
-
-def _wrapped(cls, program, calls):
-    return Program(
-        program.name,
-        lambda n: [cls(p, calls) for p in program.build(n)],
-        program.mode,
-    )
-
-
-def _assert_same_as_never_idle(g, make, seed):
-    out, trace, met = run_clique(g, make(), seed)
-    out_awake, trace_awake, met_awake = run_clique(
-        g, _wrapped(_Awake, make(), [0]), seed
-    )
-    assert trace.export_lines() == trace_awake.export_lines()
-    assert out == out_awake
-    assert met == met_awake
-
-
-def test_idle_matches_stepping_every_round_on_fidelity_instances():
-    for algorithm, inst, s in fidelity_instances(7):
-        _assert_same_as_never_idle(
-            inst.graph, lambda: make_program(algorithm, inst, AlgoConfig()), s
-        )
-
-
-@pytest.mark.parametrize("n, tokens", [(64, 600), (32, None)])
-def test_idle_matches_stepping_every_round_on_pagerank_shapes(n, tokens):
-    cfg = AlgoConfig(gamma=0.15, tokens_per_node=tokens)
-    for seed in range(3):
-        g = generate("gnp", n, seed, p=0.2)
-        _assert_same_as_never_idle(g, lambda: pagerank_program(cfg), seed)
-
-
-def test_pagerank_idle_vertices_are_not_stepped():
-    g = generate("gnp", 64, 1, p=0.1)
-    awake, counted = [0], [0]
-    run_clique(g, _wrapped(_Awake, pagerank_program(AlgoConfig()), awake), 1)
-    run_clique(g, _wrapped(_Counted, pagerank_program(AlgoConfig()), counted), 1)
-    assert counted[0] < awake[0] / 2
-
-
-class _Script(NodeProgram):
-    """Returns the action its script gives for the round (SILENT if none)
-    and logs (round, broadcasts, unicasts) for every round it is stepped."""
-
-    def __init__(self, script):
-        self.script = script
-        self.log = []
-
-    def step(self, rnd, inbox):
-        self.log.append((rnd, list(inbox.broadcasts), list(inbox.unicasts)))
-        return self.script.get(rnd, SILENT)
-
-    def output(self):
-        return self.log
-
-
-def _scripted(*scripts):
-    return Program("script", lambda n: [_Script(s) for s in scripts], "p2p")
-
-
-@pytest.mark.parametrize("ahead", [0, -1])
-def test_idle_until_a_past_round_is_a_violation(ahead):
-    g = generate("path", 2, 0)
-    with pytest.raises(ProgramViolation):
-        run_clique(g, _scripted({3: Idle(3 + ahead)}, {3: HALT}), seed=0)
-
-
-def test_idle_vertex_wakes_on_its_alarm():
-    g = generate("path", 2, 0)
-    outs, _, met = run_clique(g, _scripted({1: Idle(5), 5: HALT}, {2: HALT}), seed=0)
-    assert [r for r, _, _ in outs[0]] == [1, 5]
-    assert met.rounds == 5
-
-
-def test_idle_vertex_woken_early_by_a_unicast():
-    g = generate("path", 2, 0)
-    prog = _scripted({2: Unicast([(1, "wake", 4)], halt=True)}, {1: Idle(50), 3: HALT})
-    outs, _, met = run_clique(g, prog, seed=0)
-    assert outs[1] == [(1, [], []), (3, [], [(0, "wake")])]
-    assert met.rounds == 3
-
-
-def test_idle_vertex_woken_early_by_a_broadcast():
-    g = generate("path", 3, 0)
-    prog = _scripted(
-        {2: Broadcast("hi", 4, halt=True)}, {1: Idle(50), 3: HALT}, {1: Idle(9), 3: HALT}
-    )
-    outs, _, met = run_clique(g, prog, seed=0)
-    assert outs[1] == outs[2] == [(1, [], []), (3, [(0, "hi")], [])]
-    assert met.rounds == 3
-
-
-def test_halted_vertex_is_not_revived_by_its_alarm():
-    g = generate("path", 3, 0)
-    prog = _scripted(
-        {2: Unicast([(1, "wake", 4)]), 8: HALT},
-        {1: Idle(6), 3: HALT},
-        {1: Idle(7), 7: HALT},  # still asleep when vertex 1's alarm was due
-    )
-    outs, _, met = run_clique(g, prog, seed=0)
-    assert [r for r, _, _ in outs[1]] == [1, 3]
-    assert [r for r, _, _ in outs[2]] == [1, 7]
-    assert [r for r, _, _ in outs[0]] == list(range(1, 9))
-    assert met.rounds == 8
-
-
-def test_idle_vertices_count_against_the_round_budget():
-    g = generate("path", 2, 0)
-    with pytest.raises(RoundLimitExceeded) as e:
-        run_clique(g, _scripted({1: Idle(100)}, {1: HALT}), seed=0, max_rounds=10)
-    assert e.value.trace.num_rounds == 10
-
-
-# ---------------------------------------------------------------------------
-# golden traces: SHA-256 of export_lines() plus repr(outputs), pinned from
-# the engine before idle skipping existed, so engine speed-ups must keep
-# every message and output byte-identical
+# golden traces: SHA-256 of export_lines() plus repr(outputs), so engine
+# speed-ups must keep every message and output byte-identical.  The MST
+# digest dates from the first engine; the PageRank digest was re-pinned when
+# walk tokens began drawing counter-keyed uniforms (rng.token_uniforms).
 # ---------------------------------------------------------------------------
 
 
@@ -371,7 +227,7 @@ def test_golden_trace_pagerank():
     assert prog.kernel is not None  # the pinned digest holds for the kernel
     outputs, trace, _ = run_clique(g, prog, 11)
     assert _trace_digest(outputs, trace) == (
-        "27a1f6d4a5cc125a704a70ea5556e615f2ff77a62a1d33a2fbe695cd9e354f87"
+        "6738663de4dbce5a42a7b256f7ef720cb1542cf9aaca348bb14dd13b4ab2efd6"
     )
 
 
@@ -430,6 +286,26 @@ def test_pagerank_kernel_matches_reference_with_isolated_vertices():
         assert trace.unicast_count() > 0
 
 
+def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
+    # chunks of 7 tokens split every vertex's batch of 40
+    monkeypatch.setattr(walks, "_CHUNK", 7)
+    g = generate("gnp", 24, 4, p=0.3)
+    prog = pagerank_program(AlgoConfig(tokens_per_node=40))
+    _assert_kernel_matches_reference(g, prog, 2)
+
+
+def test_walk_token_overflow_is_rejected_before_any_round():
+    g = generate("path", 4, 0)
+    prog = pagerank_program(AlgoConfig(tokens_per_node=2**31))  # 2**33 tokens
+    for p in (prog, _reference(prog)):
+        with pytest.raises(ConfigError, match="token counters"):
+            run_clique(g, p, 0)
+    cfg = ExperimentConfig("pagerank", {"model": "path", "n": 4}, [2], [0],
+                           algo=AlgoConfig(tokens_per_node=2**31))
+    with pytest.raises(ConfigError):
+        run_cell(cfg, 0)
+
+
 def test_pagerank_kernel_payload_over_cap_is_a_violation():
     g = generate("gnp", 16, 2, p=0.4)
     prog = pagerank_program(AlgoConfig(tokens_per_node=10**6))  # 24-bit counts
@@ -456,7 +332,7 @@ def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
 def _kernel_program(*rounds, outputs=None):
     """A program whose kernel yields the given (src, dst, bits) rounds."""
 
-    def kernel(g, np_rands):
+    def kernel(g, uniforms):
         for r in rounds:
             yield r
         return [None] * g.n if outputs is None else outputs

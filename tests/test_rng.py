@@ -1,68 +1,103 @@
-"""The batch RNG forms must reproduce the one-at-a-time ones bit for bit."""
+"""The batch derivation reproduces the one-at-a-time one bit for bit, and the
+counter-based token draws are splitmix64, numbered without aliasing and
+distributed as the walk needs."""
 
 import numpy as np
+import pytest
 
 from kmachine.rng import (
-    _pcg64_states,
-    _reseeded,
+    MAX_TOKEN_VERTICES,
+    MAX_TOKENS,
     derive,
     derive_each,
-    make_np_rng,
-    make_np_rngs,
+    splitmix64,
+    token_counters,
+    token_layout_fits,
+    token_uniforms,
 )
 
-EDGE_KEYS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
-
-
-def _keys():
-    """Edge keys, 1000 keys below 2**32 and 1000 full 64-bit keys."""
-    r = np.random.default_rng(2024)
-    small = r.integers(0, 2**32, 1000, dtype=np.uint64).tolist()
-    big = r.integers(0, 2**64 - 1, 1000, dtype=np.uint64, endpoint=True).tolist()
-    return EDGE_KEYS + small + big
-
-
-def _draws(gen, i):
-    """binomial over both of numpy's algorithms (inversion for small n*p,
-    BTPE above), then a multinomial over uniform hop probabilities."""
-    tokens = 1 + (i * 37) % 400
-    d = 1 + i % 23
-    return (
-        int(gen.binomial(tokens, 0.15)),
-        gen.multinomial(tokens, np.full(d, 1.0 / d)).tolist(),
-        gen.bit_generator.state,
-    )
+# any warning fails a test here, so no uint64 overflow warning escapes
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def test_derive_each_equals_derive():
-    for seed, tag, rnd in [(0, "node", 1), (12345, "node", 77), (-3, "x", -1)]:
-        xs = [0, 1, 5, 4095, -7, 2**62]
-        ref = [derive(seed, tag, x, rnd) for x in xs]
-        assert derive_each(seed, tag, xs, rnd) == ref
+    xs = [0, 1, 5, 4095, -7, 2**62]
+    for seed, tag, parts in [
+        (0, "node", (1,)), (12345, "node", (77,)), (-3, "x", (-1,)),
+        (9, "rvp", ()), (2**40, "rvp", ()), (4, "y", (3, -2**63)),
+    ]:
+        ref = [derive(seed, tag, x, *parts) for x in xs]
+        assert derive_each(seed, tag, xs, *parts) == ref
 
 
-def test_pcg64_states_equal_numpy_seeding():
-    keys = _keys()
-    assert len(keys) >= 2000
-    for key, (state, inc) in zip(keys, _pcg64_states(keys)):
-        ref = np.random.PCG64(key).state["state"]
-        assert (state, inc) == (ref["state"], ref["inc"]), key
+def test_splitmix64_known_answers():
+    # the reference outputs of splitmix64 seeded with 1234567
+    assert splitmix64(1234567, np.arange(1, 6)).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
 
 
-def test_reseeded_generator_draws_like_default_rng():
-    keys = _keys()
-    got = [_draws(gen, i) for i, gen in enumerate(_reseeded(keys))]
-    assert got == [_draws(np.random.default_rng(k), i) for i, k in enumerate(keys)]
+def _extreme_pairs():
+    """Every corner of the counter layout, plus random pairs in range."""
+    r = np.random.default_rng(5)
+    vs = [0, 1, MAX_TOKEN_VERTICES - 2, MAX_TOKEN_VERTICES - 1]
+    is_ = [0, 1, MAX_TOKENS - 2, MAX_TOKENS - 1]
+    v = [a for a in vs for _ in is_] + r.integers(0, MAX_TOKEN_VERTICES, 5000).tolist()
+    i = [b for _ in vs for b in is_] + r.integers(0, MAX_TOKENS, 5000).tolist()
+    return np.array(v, dtype=np.uint64), np.array(i, dtype=np.uint64)
 
 
-def test_make_np_rngs_is_make_np_rng_per_vertex():
-    xs = list(range(0, 2500, 3))
-    for seed, rnd in [(11, 1), (2**40 + 5, 96)]:
-        gens = make_np_rngs(seed, "node", xs, rnd)
-        got = [_draws(gen, i) for i, gen in enumerate(gens)]
-        ref = [_draws(make_np_rng(seed, "node", x, rnd), i) for i, x in enumerate(xs)]
-        assert got == ref
+def test_distinct_pairs_get_distinct_counters_and_draws():
+    v, i = _extreme_pairs()
+    pairs = len({(a, b) for a, b in zip(v.tolist(), i.tolist())})
+    assert len(np.unique(token_counters(v, i))) == pairs
+    u1, u2 = token_uniforms(2**63 - 1, 2**62, v, i)
+    assert len(np.unique(np.concatenate([u1, u2]))) == 2 * pairs
+    for u in (u1, u2):
+        assert u.dtype == np.float64 and ((0.0 <= u) & (u < 1.0)).all()
 
 
-def test_make_np_rngs_of_no_vertices_is_empty():
-    assert list(make_np_rngs(1, "node", [], 3)) == []
+def test_layout_guard_rejects_aliasing_sizes():
+    assert token_layout_fits(MAX_TOKEN_VERTICES, MAX_TOKENS)
+    assert not token_layout_fits(MAX_TOKEN_VERTICES + 1, 1)
+    assert not token_layout_fits(2, MAX_TOKENS + 1)
+
+
+def test_uniforms_depend_only_on_their_key():
+    v = np.array([3, 3, 3, 9])
+    i = np.array([0, 1, 2, 0])
+    u1, u2 = token_uniforms(11, 4, v, i)
+    # drawn alone, in another order, a token gets the same uniforms
+    for j in (3, 1, 0, 2):
+        w1, w2 = token_uniforms(11, 4, v[j:j + 1], i[j:j + 1])
+        assert (w1[0], w2[0]) == (u1[j], u2[j])
+    for other in [(12, 4), (11, 5)]:
+        assert not np.isin(token_uniforms(*other, v, i)[0], u1).any()
+
+
+def test_death_rate_and_hop_slots_match_their_distributions():
+    gamma, d = 0.15, 7
+    v = np.repeat(np.arange(1000), 200)
+    i = np.tile(np.arange(200), 1000)
+    dead = moved = 0
+    hops = np.zeros(d, dtype=np.int64)
+    for rnd in (1, 2):
+        u1, u2 = token_uniforms(2024, rnd, v, i)
+        dead += int((u1 < gamma).sum())
+        moved += int((u1 >= gamma).sum())
+        hops += np.bincount((u2[u1 >= gamma] * d).astype(np.int64), minlength=d)
+    tokens = 2 * len(v)
+    assert tokens >= 10**5
+    sigma = (tokens * gamma * (1 - gamma)) ** 0.5
+    assert abs(dead - tokens * gamma) <= 4 * sigma
+    expect = moved / d
+    chi2 = float(((hops - expect) ** 2 / expect).sum())
+    assert chi2 < 27.9  # the 0.9999 quantile of chi-square with 6 degrees of freedom
+    assert hops.sum() == moved
+
+
+@pytest.mark.parametrize("count", [0, 1, 37])
+def test_uniform_counts(count):
+    u1, u2 = token_uniforms(1, 1, np.full(count, 4), np.arange(count))
+    assert len(u1) == len(u2) == count
