@@ -40,7 +40,6 @@ from .machines import (
     check_mapping_bounds,
     convert_broadcast,
     convert_p2p,
-    default_bandwidth,
     point_to_point_bound,
     price,
     random_vertex_partition,

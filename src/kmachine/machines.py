@@ -66,9 +66,9 @@ def check_mapping_bounds(g: Graph, part: Partition):
 
 @dataclass
 class SimReport:
-    """Cost ledger of one converted execution.
+    """Cost ledger of one priced execution, built by `sim_report`.
 
-    km_rounds is the primary cost: sum over clique rounds of
+    km_rounds is the primary cost: sum over rounds of
     ceil(max directed link bits / W).  machine_rounds is the alternate
     per-machine budget metric, ceil(max machine bits / (k W)) per round.
     per_link_bits is symmetric with a zero diagonal; per_machine_bits counts
@@ -97,10 +97,6 @@ class SimReport:
         return int(self.per_machine_bits.max()) if self.per_machine_bits.size else 0
 
 
-def default_bandwidth(n: int) -> int:
-    return label_bits(n)
-
-
 def point_to_point_bound(n: int, k: int, W: int, metrics: CliqueMetrics) -> float:
     """Explicit-constant round bound for point-to-point pricing."""
     L = label_bits(n)
@@ -121,31 +117,69 @@ def broadcast_bound(n: int, k: int, W: int, metrics: CliqueMetrics) -> float:
 
 
 def link_bandwidth(n: int, W: int = None) -> int:
-    """The per-link bandwidth to price with: W, or the default when W is None."""
+    """The per-link bandwidth to price with: W, or ceil(log2 n) bits when
+    W is None."""
     if W is None:
-        return default_bandwidth(n)
+        return label_bits(n)
     if W < 1:
         raise ConversionError("W must be >= 1")
     return W
 
 
-def sim_report(n, part, W, mode, km_rounds, machine_rounds, link_dir, bound):
-    """The ledger of an execution from its directed per-link bit counts."""
-    sym = link_dir + link_dir.T
-    np.fill_diagonal(sym, 0)
+def sim_report(n, part, W, mode, loads, bound):
+    """The ledger of an execution from its per-round directed link loads.
+
+    Each load is a (k, k) int64 matrix with a zero diagonal whose (p, q)
+    entry is the bits machine p sends machine q in that round.  The round
+    costs ceil(max entry / W) km_rounds and ceil(max over machines of bits
+    sent plus received / (k W)) machine_rounds.
+    """
+    k = part.k
+    link_dir = np.zeros((k, k), dtype=np.int64)
+    km_rounds = 0
+    machine_rounds = 0
+    for load in loads:
+        km_rounds += -(-int(load.max()) // W)
+        machine_rounds += -(-int((load.sum(axis=1) + load.sum(axis=0)).max()) // (k * W))
+        link_dir += load
     return SimReport(
         n=n,
-        k=part.k,
+        k=k,
         W=W,
         mode=mode,
-        km_rounds=int(km_rounds),
-        machine_rounds=int(machine_rounds),
-        per_link_bits=sym,
+        km_rounds=km_rounds,
+        machine_rounds=machine_rounds,
+        per_link_bits=link_dir + link_dir.T,
         per_machine_bits=link_dir.sum(axis=1) + link_dir.sum(axis=0),
         total_bits=int(link_dir.sum()),
         bound_rounds=bound,
         bound_ok=km_rounds <= bound,
     )
+
+
+def _round_loads(trace: CliqueTrace, part: Partition, hdr: int, fan: np.ndarray):
+    """Per clique round, the directed link load of its messages.
+
+    Each inter-machine unicast adds its payload + hdr bits on its link; each
+    broadcast from machine p adds its payload + hdr bits, times fan[q], on
+    every link p->q.  Traffic between co-located vertices is free.
+    """
+    k = part.k
+    home = part.home
+    for bs, bb, us, ud, ub in trace.round_arrays():
+        if len(bs):
+            per_m = np.zeros(k, dtype=np.int64)
+            np.add.at(per_m, home[bs], bb + hdr)
+            load = np.outer(per_m, fan)
+            np.fill_diagonal(load, 0)
+        else:
+            load = np.zeros((k, k), dtype=np.int64)
+        if len(us):
+            hs = home[us]
+            hd = home[ud]
+            cross = hs != hd
+            np.add.at(load.reshape(-1), hs[cross] * k + hd[cross], ub[cross] + hdr)
+        yield load
 
 
 def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
@@ -157,72 +191,28 @@ def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     """
     n = trace.n
     W = link_bandwidth(n, W)
-    k = part.k
-    hdr = 2 * label_bits(n)
-    home = part.home
-    counts = part.machine_counts().astype(np.int64)
-    link_dir = np.zeros((k, k), dtype=np.int64)
-    km_rounds = 0
-    machine_rounds = 0
-    for bs, bb, us, ud, ub in trace.round_arrays():
-        load = np.zeros(k * k, dtype=np.int64)
-        if len(us):
-            hs = home[us]
-            hd = home[ud]
-            cross = hs != hd
-            if cross.any():
-                np.add.at(load, hs[cross] * k + hd[cross], ub[cross] + hdr)
-        if len(bs):
-            # a broadcast from machine p puts one copy per recipient vertex
-            # on the p->q link, recipients on p are free
-            per_m = np.zeros(k, dtype=np.int64)
-            np.add.at(per_m, home[bs], bb + hdr)
-            mat = np.outer(per_m, counts)
-            np.fill_diagonal(mat, 0)
-            load += mat.reshape(-1)
-        lm = load.reshape(k, k)
-        worst = int(lm.max())
-        km_rounds += -(-worst // W)
-        sent = lm.sum(axis=1)
-        recv = lm.sum(axis=0)
-        machine_rounds += -(-int((sent + recv).max()) // (k * W))
-        link_dir += lm
-    bound = point_to_point_bound(n, k, W, CliqueMetrics.from_trace(trace))
-    return sim_report(n, part, W, P2P, km_rounds, machine_rounds, link_dir, bound)
+    loads = _round_loads(trace, part, 2 * label_bits(n), part.machine_counts())
+    bound = point_to_point_bound(n, part.k, W, CliqueMetrics.from_trace(trace))
+    return sim_report(n, part, W, P2P, loads, bound)
 
 
 def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     """Price a broadcast-only trace with per-machine deduplication.
 
     Each broadcasting vertex puts one copy of payload + ceil(log2 n) source
-    header bits on every one of its home machine's k-1 links; the receiving
-    machine fans the payload out to its vertices locally.  On one machine
-    there are no links, and nothing is charged.
+    header bits on every link from its home machine to a machine that hosts
+    a vertex; the receiving machine fans the payload out to its vertices
+    locally.
     """
     n = trace.n
     W = link_bandwidth(n, W)
-    k = part.k
-    hdr = label_bits(n)
-    home = part.home
-    link_dir = np.zeros((k, k), dtype=np.int64)
-    km_rounds = 0
-    machine_rounds = 0
-    for bs, bb, us, ud, ub in trace.round_arrays():
-        if len(us):
-            raise ConversionError("broadcast pricing given a unicast message")
-        if not len(bs) or k == 1:
-            continue
-        per_m = np.zeros(k, dtype=np.int64)
-        np.add.at(per_m, home[bs], bb + hdr)
-        km_rounds += -(-int(per_m.max()) // W)
-        mat = np.repeat(per_m[:, None], k, axis=1)
-        np.fill_diagonal(mat, 0)
-        link_dir += mat
-        sent = per_m * (k - 1)
-        recv = per_m.sum() - per_m
-        machine_rounds += -(-int((sent + recv).max()) // (k * W))
-    bound = broadcast_bound(n, k, W, CliqueMetrics.from_trace(trace))
-    return sim_report(n, part, W, BCAST, km_rounds, machine_rounds, link_dir, bound)
+    metrics = CliqueMetrics.from_trace(trace)
+    if metrics.unicasts:
+        raise ConversionError("broadcast pricing given a unicast message")
+    fan = (part.machine_counts() > 0).astype(np.int64)
+    loads = _round_loads(trace, part, label_bits(n), fan)
+    bound = broadcast_bound(n, part.k, W, metrics)
+    return sim_report(n, part, W, BCAST, loads, bound)
 
 
 def check_mode(mode: str) -> str:

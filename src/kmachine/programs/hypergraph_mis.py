@@ -8,6 +8,10 @@ that would put some hyperedge fully inside the set) and then disseminates
 receiver forwards its pair on all of its links the following step.  A
 preliminary exchange of per-machine vertex counts fixes the schedule that
 every machine follows silently.
+
+The schedule is priced by the same rule as a converted clique execution:
+each step is one directed link load handed to `machines.sim_report`, which
+charges ceil(worst link load / W) rounds per step.
 """
 
 import math
@@ -21,6 +25,32 @@ from ..machines import link_bandwidth, random_vertex_partition, sim_report
 def hmis_round_bound(n: int, k: int) -> float:
     lg2 = max(1.0, math.log2(n)) ** 2
     return 16.0 * lg2 * (n / k + k)
+
+
+def _schedule_loads(k, owned_counts, count_bits, pair_bits):
+    """The directed link load of every step of the schedule.
+
+    First the all-to-all exchange of vertex counts; then, per batch of an
+    owner's pairs, the owner's step (one pair on each of `width` links) and
+    the forwarding step (every receiver sends its pair on all its links).
+    All full-width batches of an owner share the same two step loads.
+    """
+    counts = np.full((k, k), count_bits, dtype=np.int64)
+    np.fill_diagonal(counts, 0)
+    yield counts
+    for owner, n_i in enumerate(owned_counts):
+        others = [q for q in range(k) if q != owner]
+        full, rest = divmod(n_i, k - 1)
+        for width, batches in ((k - 1, full), (rest, int(rest > 0))):
+            receivers = others[:width]
+            send = np.zeros((k, k), dtype=np.int64)
+            send[owner, receivers] = pair_bits
+            forward = np.zeros((k, k), dtype=np.int64)
+            forward[receivers] = pair_bits
+            forward[receivers, receivers] = 0
+            for _ in range(batches):
+                yield send
+                yield forward
 
 
 def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):
@@ -46,51 +76,8 @@ def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):
                     break
             status[v] = 0 if blocked else 1
 
-    # round accounting
-    count_bits = max(1, n.bit_length())
-    pair_bits = label_bits(n) + 1
-    link_dir = np.zeros((k, k), dtype=np.int64)
-    rounds = 0
-    machine_rounds = 0
-
-    def charge_all_links(bits_per_sender):
-        nonlocal rounds, machine_rounds
-        for p in range(k):
-            for q in range(k):
-                if p != q:
-                    link_dir[p, q] += bits_per_sender
-        rounds += -(-bits_per_sender // W)
-        machine_rounds += -(-(bits_per_sender * (k - 1) * 2) // (k * W))
-
-    # every machine tells every other its vertex count, in parallel
-    charge_all_links(count_bits)
-
-    for machine in range(k):
-        n_i = len(owned[machine])
-        if n_i == 0:
-            continue
-        batches = -(-n_i // (k - 1))
-        others = [q for q in range(k) if q != machine]
-        sent = 0
-        for _ in range(batches):
-            width = min(k - 1, n_i - sent)
-            sent += width
-            # step 1: one pair per link out of the owner
-            for j in range(width):
-                link_dir[machine, others[j]] += pair_bits
-            step_bits = -(-pair_bits // W)
-            rounds += step_bits
-            machine_rounds += -(-(pair_bits * width) // (k * W))
-            # step 2: receivers forward their pair everywhere
-            for j in range(width):
-                r = others[j]
-                for q in range(k):
-                    if q != r:
-                        link_dir[r, q] += pair_bits
-            rounds += step_bits
-            machine_rounds += -(-(pair_bits * (k - 1) + pair_bits) // (k * W))
-
-    report = sim_report(n, part, W, "direct", rounds, machine_rounds, link_dir,
-                        hmis_round_bound(n, k))
+    loads = _schedule_loads(k, [len(o) for o in owned], max(1, n.bit_length()),
+                            label_bits(n) + 1)
+    report = sim_report(n, part, W, "direct", loads, hmis_round_bound(n, k))
     flags = [s == 1 for s in status]
     return flags, report, part

@@ -16,7 +16,7 @@ the vertex that retained them.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
@@ -111,26 +111,21 @@ class _SpannerNode(NodeProgram):
         if cands:
             via = min(cands)
             return Broadcast(("m", self.shared.cluster[via], via), 2 * self.L)
+        self._keep_one_edge_per_cluster(cl)
+        return Broadcast(("d",), 1)
+
+    def _final_pass(self):
+        cl = self.shared.cluster[self.ctx.node]
+        if cl is not None:
+            self._keep_one_edge_per_cluster(cl)
+
+    def _keep_one_edge_per_cluster(self, cl):
+        """Retain the least-id live edge into every adjacent cluster but cl."""
+        me = self.ctx.node
         per_cluster = {}
         for u in self.live:
             c = self.shared.cluster[u]
             if c is None or c == cl:  # own-cluster edges ride the cluster tree
-                continue
-            if c not in per_cluster or u < per_cluster[c]:
-                per_cluster[c] = u
-        for c, u in sorted(per_cluster.items()):
-            self.private_edges.append((min(me, u), max(me, u)))
-        return Broadcast(("d",), 1)
-
-    def _final_pass(self):
-        me = self.ctx.node
-        cl = self.shared.cluster[me]
-        if cl is None:
-            return
-        per_cluster = {}
-        for u in self.live:
-            c = self.shared.cluster[u]
-            if c is None or c == cl:
                 continue
             if c not in per_cluster or u < per_cluster[c]:
                 per_cluster[c] = u
@@ -210,10 +205,7 @@ def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
     L = label_bits(n)
     parts = [random_vertex_partition(g, k, seed) for k in ks]
     delta = max(1, math.ceil(math.log2(max(2, n))))
-    cfg = cfg or AlgoConfig()
-    cfg = AlgoConfig(source=cfg.source, gamma=cfg.gamma,
-                     tokens_per_node=cfg.tokens_per_node, eps=cfg.eps,
-                     delta=delta, mis_max_phases=cfg.mis_max_phases)
+    cfg = replace(cfg or AlgoConfig(), delta=delta)
     outputs, trace, _ = run_clique(g, spanner_program(cfg), seed)
     edges = spanner_union(outputs)
     reports, ship_rounds = {}, {}

@@ -300,7 +300,7 @@ def test_hmis_ledger_matches_pinned_values():
     flags, rep, part = hmis_kmachine(h, 4, seed=5)
     assert sum(flags) == 24
     assert (rep.n, rep.k, rep.W, rep.mode) == (48, 4, 6, "direct")
-    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 56, 1416)
+    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 53, 1416)
     assert rep.per_link_bits.tolist() == [
         [0, 250, 250, 250], [250, 0, 222, 222], [250, 222, 0, 222], [250, 222, 222, 0]]
     assert rep.per_machine_bits.tolist() == [750, 694, 694, 694]
@@ -318,4 +318,5 @@ def test_one_partition_derivation_and_one_report_builder():
     text = {p: p.read_text() for p in src.rglob("*.py")}
     assert sum(t.count('"rvp"') for t in text.values()) == 1
     assert sum(t.count("SimReport(") for t in text.values()) == 1
+    assert sum(t.count("machine_rounds +=") for t in text.values()) == 1
     assert not any("_cell_graph" in t for t in text.values())

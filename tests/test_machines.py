@@ -16,6 +16,7 @@ from kmachine.machines import (
     price,
     random_vertex_partition,
     run_on_kmachines,
+    sim_report,
 )
 from kmachine.oracles import bfs_distances
 from kmachine.programs import AlgoConfig, bfs_program, mst_program, pagerank_program
@@ -90,6 +91,62 @@ def test_broadcast_charging_rule():
     assert convert_broadcast(empty, part, 16).km_rounds == 0
     with pytest.raises(ConversionError):
         convert_broadcast(_single_unicast_trace(16, 8), part, 16)
+
+
+def test_broadcast_charges_only_machines_with_vertices():
+    # one 8-bit broadcast plus a 2-bit source id: no copy goes to a machine
+    # that hosts no vertex, so with every vertex on machine 0 nothing is paid
+    tr = CliqueTrace(4)
+    tr.append(RoundRecord([(0, 8)], []))
+    alone = Partition(k=4, home=np.zeros(4, dtype=np.int64))
+    rep = convert_broadcast(tr, alone, 4)
+    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
+    two = Partition(k=4, home=np.array([0, 0, 1, 1]))
+    rep = convert_broadcast(tr, two, 4)
+    assert (rep.km_rounds, rep.total_bits) == (3, 10)  # ceil(10/4), link 0->1 only
+    assert rep.per_link_bits[0].tolist() == [0, 10, 0, 0]
+
+
+def _load(k, bits_by_link):
+    load = np.zeros((k, k), dtype=np.int64)
+    for (p, q), bits in bits_by_link.items():
+        load[p, q] = bits
+    return load
+
+
+ALL_TO_ALL = {(p, q): 3 for p in range(4) for q in range(4) if p != q}
+
+
+# (k, W, per-round loads, km_rounds, machine_rounds, per_link_bits,
+#  per_machine_bits); a round costs ceil(max link / W) km_rounds and
+# ceil(max sent + received / (k W)) machine_rounds
+SIM_REPORT_TABLE = [
+    (2, 5, [], 0, 0, [[0, 0], [0, 0]], [0, 0]),
+    (1, 5, [_load(1, {})], 0, 0, [[0]], [0]),
+    # all-to-all exchange: 3 bits per link, 18 bits per machine
+    (4, 6, [_load(4, ALL_TO_ALL)], 1, 1,
+     [[0, 6, 6, 6], [6, 0, 6, 6], [6, 6, 0, 6], [6, 6, 6, 0]], [18] * 4),
+    # forwarding step with a single receiver: machine 1 sends 3 * 7 = 21
+    # bits, under k W = 24, so one machine round
+    (4, 6, [_load(4, {(1, 0): 7, (1, 2): 7, (1, 3): 7})], 2, 1,
+     [[0, 7, 0, 0], [7, 0, 7, 7], [0, 7, 0, 0], [0, 7, 0, 0]], [7, 21, 7, 7]),
+    # two rounds: 50 bits on one link, then 10 and 13 bits on two others
+    (4, 6, [_load(4, {(0, 1): 50}), _load(4, {(1, 0): 10, (2, 3): 13})], 9 + 3, 3 + 1,
+     [[0, 60, 0, 0], [60, 0, 0, 0], [0, 0, 0, 13], [0, 0, 13, 0]], [60, 60, 13, 13]),
+]
+
+
+@pytest.mark.parametrize(
+    "k, W, loads, km, mr, links, machines", SIM_REPORT_TABLE,
+    ids=["no-rounds", "one-machine", "all-to-all", "one-receiver-forward", "two-rounds"])
+def test_sim_report_charges_each_round_by_its_worst_link(k, W, loads, km, mr, links, machines):
+    part = Partition(k=k, home=np.arange(k))
+    rep = sim_report(k, part, W, "direct", iter(loads), 10.0)
+    assert (rep.km_rounds, rep.machine_rounds) == (km, mr)
+    assert rep.per_link_bits.tolist() == links
+    assert rep.per_machine_bits.tolist() == machines
+    assert rep.total_bits == sum(machines) // 2
+    assert rep.bound_ok == (km <= 10)
 
 
 def test_ledger_conservation():

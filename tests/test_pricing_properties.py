@@ -17,7 +17,7 @@ BITS = st.integers(1, 64)
 
 
 @st.composite
-def priced(draw, broadcast_only=False, every_machine_used=False, k=None):
+def priced(draw, broadcast_only=False, k=None):
     """(trace, partition) on 2..10 vertices."""
     n = draw(st.integers(2, 10))
     trace = CliqueTrace(n)
@@ -34,12 +34,7 @@ def priced(draw, broadcast_only=False, every_machine_used=False, k=None):
             unis = [(s, d, draw(BITS)) for s, d in pairs]
         trace.append(RoundRecord(bcasts, unis))
     k = k or draw(st.integers(1, n))
-    if every_machine_used:
-        home = draw(st.permutations(
-            list(range(k)) + draw(st.lists(st.integers(0, k - 1),
-                                           min_size=n - k, max_size=n - k))))
-    else:
-        home = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    home = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return trace, Partition(k=k, home=np.array(home, dtype=np.int64))
 
 
@@ -82,7 +77,7 @@ def test_rounds_never_grow_with_bandwidth(case, W, extra):
 
 
 @SETTINGS
-@given(priced(broadcast_only=True, every_machine_used=True), st.integers(1, 64))
+@given(priced(broadcast_only=True), st.integers(1, 64))
 def test_dedup_never_beats_expansion(case, W):
     trace, part = case
     assert (price(trace, part, W, mode="bcast").km_rounds
