@@ -11,6 +11,7 @@ The engine records every message (source, destinations, declared bit size)
 so a finished execution can later be priced on a machine network.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +134,14 @@ class Program:
     generator that advances every vertex of a round at once.  It is called
     as kernel(g, uniforms), where uniforms(rnd, v, i) gives the uniforms of
     the tokens with vertex v[j] and index i[j], keyed exactly like
-    NodeCtx.uniforms.  It yields one (src, dst, bits) triple of int arrays
-    per round, holding that round's unicasts, and returns the per-vertex
-    outputs.  The trace keeps the yielded arrays, so the kernel must not
-    write to them later.  A kernel must be byte-identical to the programs
-    `builder` makes: the same messages in the same order, the same outputs.
-    Those programs stay as its reference.
+    NodeCtx.uniforms.  It yields one round at a time as the five int arrays
+    CliqueTrace stores, (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits):
+    the broadcasts with their sources strictly ascending, then the
+    unicasts.  It returns the per-vertex outputs.  The trace keeps the
+    yielded arrays, so the kernel must not write to them later.  A kernel
+    must be byte-identical to the programs `builder` makes: the same
+    messages in the same order, the same outputs.  Those programs stay as
+    its reference.
     """
 
     def __init__(self, name, builder, mode, kernel=None):
@@ -410,7 +413,7 @@ def _run_kernel(g, program, seed, max_rounds, cap):
     )
     while True:
         try:
-            sends = next(rounds)
+            cols = next(rounds)
         except StopIteration as done:
             outputs = done.value
             break
@@ -420,44 +423,59 @@ def _run_kernel(g, program, seed, max_rounds, cap):
                 trace=trace,
                 outputs=None,
             )
-        trace.append_arrays(_NONE, _NONE, *_checked_unicasts(*sends, n, cap))
+        trace.append_arrays(*_checked_round(cols, n, cap))
     if outputs is None or len(outputs) != n:
         raise ProgramViolation("kernel returned wrong number of outputs")
     return outputs, trace, CliqueMetrics.from_trace(trace)
 
 
-def _checked_unicasts(src, dst, bits, n, cap):
-    """A kernel round's (src, dst, bits) as int64 arrays, after the checks a
-    Unicast action gets, vectorized; the first offending message raises."""
-    cols = [np.asarray(a) for a in (src, dst, bits)]
-    if any(a.ndim != 1 or len(a) != len(cols[0]) for a in cols):
-        raise ProgramViolation("kernel round is not three equal-length arrays")
-    if not len(cols[0]):
-        return _NONE, _NONE, _NONE
-    if any(a.dtype.kind not in "iu" for a in cols):
+def _checked_round(cols, n, cap):
+    """A kernel round's (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits)
+    as int64 arrays, after the checks a Broadcast or Unicast action gets,
+    vectorized; the first offending broadcast, else unicast, raises."""
+    cols = [np.asarray(a) for a in cols]
+    if (len(cols) != 5 or any(a.ndim != 1 for a in cols)
+            or len(cols[1]) != len(cols[0])
+            or not len(cols[2]) == len(cols[3]) == len(cols[4])):
+        raise ProgramViolation(
+            "kernel round is not (bcast_src, bcast_bits) and "
+            "(uni_src, uni_dst, uni_bits) arrays of equal lengths"
+        )
+    if any(len(a) and a.dtype.kind not in "iu" for a in cols):
         raise ProgramViolation("kernel round holds non-integer values")
-    src, dst, bits = (a.astype(np.int64, copy=False) for a in cols)
-    bad_src = (src < 0) | (src >= n)
-    bad_dst = (dst < 0) | (dst >= n) | (dst == src)
-    key = src * n + dst
-    dup = np.zeros(len(key), dtype=bool)
-    if (np.diff(key) <= 0).any():  # not strictly ascending: look for repeats
-        dup[:] = True
-        dup[np.unique(key, return_index=True)[1]] = False
-    bad_bits = (bits < 1) | (bits > cap)
-    bad = bad_src | bad_dst | dup | bad_bits
+    bs, bb, us, ud, ub = (
+        a.astype(np.int64, copy=False) if len(a) else _NONE for a in cols
+    )
+    if len(bs):
+        _raise_first([
+            ((bs < 0) | (bs >= n), lambda i: f"kernel: bad source {bs[i]}"),
+            (np.diff(bs, prepend=-1) <= 0,
+             lambda i: f"kernel: broadcast source {bs[i]} not above {bs[i - 1]}"),
+            (bb < 1, lambda i: f"vertex {bs[i]}: bad payload size {bb[i]}"),
+            (bb > cap,
+             lambda i: f"vertex {bs[i]}: payload of {bb[i]} bits exceeds cap {cap}"),
+        ])
+    if len(us):
+        key = us * n + ud
+        dup = np.zeros(len(key), dtype=bool)
+        if (np.diff(key) <= 0).any():  # not strictly ascending: look for repeats
+            dup[:] = True
+            dup[np.unique(key, return_index=True)[1]] = False
+        _raise_first([
+            ((us < 0) | (us >= n), lambda i: f"kernel: bad source {us[i]}"),
+            ((ud < 0) | (ud >= n) | (ud == us),
+             lambda i: f"vertex {us[i]}: bad destination {ud[i]}"),
+            (dup, lambda i: f"vertex {us[i]}: two messages to {ud[i]} in one round"),
+            ((ub < 1) | (ub > cap),
+             lambda i: f"vertex {us[i]}: payload size {ub[i]} outside [1, {cap}]"),
+        ])
+    return bs, bb, us, ud, ub
+
+
+def _raise_first(checks):
+    """checks: (bad mask, message of an index) pairs over one message list.
+    Raises, at the first bad message, the first check it fails."""
+    bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
     if bad.any():
         i = int(bad.argmax())
-        v = int(src[i])
-        if bad_src[i]:
-            raise ProgramViolation(f"kernel: bad source {v}")
-        if bad_dst[i]:
-            raise ProgramViolation(f"vertex {v}: bad destination {int(dst[i])}")
-        if dup[i]:
-            raise ProgramViolation(
-                f"vertex {v}: two messages to {int(dst[i])} in one round"
-            )
-        raise ProgramViolation(
-            f"vertex {v}: payload size {int(bits[i])} outside [1, {cap}]"
-        )
-    return src, dst, bits
+        raise ProgramViolation(next(text(i) for mask, text in checks if mask[i]))

@@ -223,7 +223,8 @@ def _validate_mst(inst, cfg, outputs, metrics):
     spanning_flags = {flag for _, flag in outputs}
     weight_oracle, forest_oracle = oracles.minimum_spanning_forest(g)
     ok = union == forest_oracle
-    ok &= spanning_flags == {oracles.is_connected(g)}
+    # a spanning forest has n - c edges, so it is a tree iff g is connected
+    ok &= spanning_flags == {len(forest_oracle) == g.n - 1}
     L = label_bits(g.n)
     ok &= metrics.broadcasts <= 2 * g.n * L + g.n
     return ok, {"kind": "mst", "weight": weight_oracle}

@@ -54,9 +54,10 @@ class _DSU:
 
 
 def component_count(g: Graph) -> int:
+    u, v, _ = g.edge_arrays()
     dsu = _DSU(g.n)
-    for u, v, _ in g.edges:
-        dsu.union(u, v)
+    for a, b in zip(u.tolist(), v.tolist()):
+        dsu.union(a, b)
     return dsu.count
 
 
@@ -67,11 +68,11 @@ def is_connected(g: Graph) -> bool:
 def is_spanning_tree(g: Graph, edge_indices=None) -> bool:
     """Whether the chosen edges (default: all of them) form a spanning tree."""
     idxs = range(g.m) if edge_indices is None else edge_indices
+    u, v = (x.tolist() for x in g.edge_arrays()[:2])
     dsu = _DSU(g.n)
     count = 0
     for ei in idxs:
-        u, v, _ = g.edges[ei]
-        if not dsu.union(u, v):
+        if not dsu.union(u[ei], v[ei]):
             return False
         count += 1
     return count == g.n - 1

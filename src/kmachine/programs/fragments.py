@@ -9,15 +9,22 @@ instead of once per vertex.
 MST runs on the edge weights with the tie-break key (w, min(u,v), max(u,v))
 so the optimum is unique; the connectivity variant forces unit weights and
 only reports the surviving fragment count.
+
+The engine runs the round kernel `_merge_rounds`, which advances every
+vertex of a round at once: it sorts the CSR slots by (source, merge_key)
+once, and each candidate round takes every vertex's first slot that leaves
+its fragment.  The per-vertex `_FragmentNode` stays as its reference.
 """
+
+import numpy as np
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 
 
 def merge_key(u, v, w):
-    """Total order making every edge weight distinct."""
-    return (w, min(u, v), max(u, v))
+    """Total order making every edge weight distinct, on ints or on arrays."""
+    return (w, np.minimum(u, v), np.maximum(u, v))
 
 
 class _DSU:
@@ -181,12 +188,97 @@ class _FragmentNode(NodeProgram):
         return (ok, self.count_total // 2, self.shared.count == 1)
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+# powers of two below 2**63: a count of those <= w is w.bit_length()
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+def _merge_rounds(g, kind, flags):
+    """Round kernel of _FragmentNode: the same broadcasts, in the same rounds
+    and source order, and the same outputs.  `flags` is the stverify
+    candidate's edge-index set, else None."""
+    n, L = g.n, label_bits(g.n)
+    indptr, nbr, eidx = g.csr()
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    w = g.edge_arrays()[2][eidx] if kind == "mst" else np.ones_like(nbr)
+    if flags is not None:
+        keep = np.isin(eidx, np.fromiter(flags, np.int64, len(flags)))
+        src, nbr, w = src[keep], nbr[keep], w[keep]
+    ends = len(src)  # flagged edge endpoints, which stverify counts
+    # stable, so equal keys keep the neighbor order _own_candidate scans in
+    order = np.lexsort((*merge_key(src, nbr, w)[::-1], src))
+    src, nbr, w = src[order], nbr[order], w[order]
+    everyone, l_bits = np.arange(n), np.full(n, L)
+    if kind == "stverify":
+        yield everyone, l_bits, _NONE, _NONE, _NONE  # edge counts
+    frag = np.arange(n)  # a fragment's label is its smallest vertex
+    count = n
+    chosen = [_NONE.reshape(2, 0)]
+    while count > 1:
+        yield everyone, l_bits, _NONE, _NONE, _NONE
+        cross = frag[src] != frag[nbr]  # slots inside a fragment stay inside
+        src, nbr, w = src[cross], nbr[cross], w[cross]
+        first = np.flatnonzero(np.diff(src, prepend=-1))
+        cs, cn, cw = src[first], nbr[first], w[first]
+        if kind == "mst":
+            bits = L + np.maximum(1, np.searchsorted(_POW2, cw, side="right"))
+        else:
+            bits = np.full(len(cs), L)
+        yield cs, bits, _NONE, _NONE, _NONE
+        if not len(cs):
+            break
+        frag, best = _merge(frag, cs, cn, cw)
+        chosen.append(np.sort([cs[best], cn[best]], axis=0))
+        count = int(np.count_nonzero(frag == everyone))
+    yield _NONE, _NONE, _NONE, _NONE, _NONE  # every vertex halts
+    spanning = count == 1
+    if kind == "conn":
+        return [(count, spanning)] * n
+    if kind == "stverify":
+        return [(spanning and ends == 2 * (n - 1), ends // 2, spanning)] * n
+    return _mst_outputs(n, np.concatenate(chosen, axis=1), spanning)
+
+
+def _merge(frag, cs, cn, cw):
+    """One merge phase from the candidates (cs, cn, cw), as
+    _FragmentShared.apply does it: the new labels, and the indices of the
+    candidates chosen as their fragments' cheapest."""
+    fa = frag[cs]
+    order = np.lexsort((*merge_key(cs, cn, cw)[::-1], fa))
+    best = order[np.flatnonzero(np.diff(fa[order], prepend=-1))]
+    x, y = frag[cs[best]], frag[cn[best]]
+    # hook each root under the smallest root it meets, then compress, until
+    # every chosen edge joins equal roots: a component's root is its minimum
+    root = np.arange(len(frag))
+    while True:
+        rx, ry = root[x], root[y]
+        if np.array_equal(rx, ry):
+            break
+        np.minimum.at(root, np.maximum(rx, ry), np.minimum(rx, ry))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return root[frag], best
+
+
+def _mst_outputs(n, chosen, spanning):
+    """_FragmentNode's mst outputs from the (2, k) array of chosen (min, max)
+    pairs: per vertex, its incident pairs sorted, and the spanning flag."""
+    a, b = np.unique(chosen, axis=1)
+    owner = np.concatenate([a, b])
+    a, b = np.concatenate([a, a]), np.concatenate([b, b])
+    order = np.lexsort((b, a, owner))
+    pairs = list(zip(a[order].tolist(), b[order].tolist()))
+    cuts = np.searchsorted(owner[order], np.arange(n + 1)).tolist()
+    return [(tuple(pairs[lo:hi]), spanning) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def mst_program() -> Program:
     def build(n):
         shared = _FragmentShared(n, weighted=True)
         return [_FragmentNode(shared, "mst") for _ in range(n)]
 
-    return Program("mst", build, "bcast")
+    return Program("mst", build, "bcast",
+                   kernel=lambda g, uniforms: _merge_rounds(g, "mst", None))
 
 
 def conn_program() -> Program:
@@ -194,7 +286,8 @@ def conn_program() -> Program:
         shared = _FragmentShared(n, weighted=False)
         return [_FragmentNode(shared, "conn") for _ in range(n)]
 
-    return Program("conn", build, "bcast")
+    return Program("conn", build, "bcast",
+                   kernel=lambda g, uniforms: _merge_rounds(g, "conn", None))
 
 
 def st_verify_program(candidate_edges) -> Program:
@@ -210,4 +303,5 @@ def st_verify_program(candidate_edges) -> Program:
         shared = _FragmentShared(n, weighted=False)
         return [_FragmentNode(shared, "stverify", flags=flags) for _ in range(n)]
 
-    return Program("stverify", build, "bcast")
+    return Program("stverify", build, "bcast",
+                   kernel=lambda g, uniforms: _merge_rounds(g, "stverify", flags))

@@ -102,6 +102,7 @@ def _pagerank_rounds(g, cfg, shape, uniforms):
     give the same messages in the same order (by source, then destination)
     and the same outputs.  Tokens are numbered vertex by vertex."""
     n = g.n
+    none = np.zeros(0, dtype=np.int64)
     indptr, nbr, _ = g.csr()
     deg = np.diff(indptr)
     here = np.full(n, shape.per_node, dtype=np.int64)
@@ -123,10 +124,9 @@ def _pagerank_rounds(g, cfg, shape, uniforms):
             hit.append(np.unique(slot))
         slot = np.unique(np.concatenate(hit))
         src = np.searchsorted(indptr, slot, side="right") - 1
-        yield src, nbr[slot], np.full(len(slot), shape.bits, dtype=np.int64)
+        yield none, none, src, nbr[slot], np.full(len(slot), shape.bits)
     visits += here
-    none = np.zeros(0, dtype=np.int64)
-    yield none, none, none  # the budget round: every vertex halts in silence
+    yield none, none, none, none, none  # the budget round: all halt in silence
     return (cfg.gamma * visits / shape.total).tolist()
 
 

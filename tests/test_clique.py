@@ -17,14 +17,16 @@ from kmachine.clique import (
     run_clique,
 )
 from kmachine.graphs import Graph, generate
-from kmachine.harness import ExperimentConfig, run_cell
+from kmachine.harness import ExperimentConfig, make_program, run_cell
 from kmachine.programs import (
     AlgoConfig,
     ConfigError,
     bfs_program,
+    conn_program,
     luby_mis_program,
     mst_program,
     pagerank_program,
+    st_verify_program,
 )
 from kmachine.programs import walks
 
@@ -233,7 +235,9 @@ def test_golden_trace_pagerank():
 
 def test_golden_trace_mst():
     g = generate("random_weighted", 48, 5, p=0.3, wmax=60)
-    outputs, trace, _ = run_clique(g, mst_program(), 13)
+    prog = mst_program()
+    assert prog.kernel is not None  # the pinned digest holds for the kernel
+    outputs, trace, _ = run_clique(g, prog, 13)
     assert _trace_digest(outputs, trace) == (
         "703f271cddbf261cf1202caac91c7a5d0c50917c4cd5093d46d0a869b216da09"
     )
@@ -256,6 +260,7 @@ def _assert_kernel_matches_reference(g, program, seed, **kw):
     assert trace.export_lines() == ref_trace.export_lines()
     # export_lines() leaves out destinations; compare every (src, dst, bits)
     assert [r.unis for r in trace.rounds] == [r.unis for r in ref_trace.rounds]
+    assert [r.bcasts for r in trace.rounds] == [r.bcasts for r in ref_trace.rounds]
     assert repr(out) == repr(ref_out)
     assert met == ref_met
     return trace
@@ -329,8 +334,72 @@ def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
     assert [r.unis for r in traces[0].rounds] == [r.unis for r in traces[1].rounds]
 
 
+def test_fragment_kernels_match_reference_on_fidelity_instances():
+    runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
+            if alg in ("mst", "conn", "stverify")]
+    assert len(runs) == 60
+    for alg, inst, s in runs:
+        prog = make_program(alg, inst, AlgoConfig())
+        _assert_kernel_matches_reference(inst.graph, prog, s)
+
+
+@pytest.mark.parametrize("n, edges, candidate, spanning, tree", [
+    (1, [], [], True, True),  # one vertex: it halts in the first merge round
+    # two components, {0, 1, 2} and {3, 4}
+    (5, [(0, 1, 3), (1, 2, 1), (0, 2, 2), (3, 4, 5)], [0, 1, 3], False, False),
+    # 1, 4 and 6 have no edges
+    (7, [(0, 2, 4), (2, 3, 1), (3, 5, 4)], [0, 1, 2], False, False),
+    # zero weights take a 1-bit weight field; the candidate is the path 0..5
+    (6, [(0, 1, 0), (1, 2, 0), (2, 3, 7), (3, 4, 0), (4, 5, 0), (0, 5, 0)],
+     [0, 1, 2, 3, 4], True, True),
+    # the candidate holds a cycle and leaves vertex 3 out; index 9 is no edge
+    (4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)], [0, 1, 2, 9], True, False),
+])
+def test_fragment_kernels_match_reference_on_edge_shapes(n, edges, candidate,
+                                                         spanning, tree):
+    g = Graph(n, edges)
+    progs = [mst_program(), conn_program(), st_verify_program(candidate)]
+    for seed in range(2):
+        for prog in progs:
+            _assert_kernel_matches_reference(g, prog, seed)
+    mst, conn, stverify = (run_clique(g, p, 0)[0] for p in progs)
+    assert {flag for _, flag in mst} == {spanning}
+    assert conn[0][1] == spanning and (conn[0][0] > 1) == (not spanning)
+    assert stverify[0][0] == tree
+
+
+def test_fragment_kernel_payload_over_cap_is_a_violation():
+    # weight 2**12 takes 13 bits: 4 + 13 over the cap of 4 * 4
+    g = Graph(16, [(0, 1, 2**12), (1, 2, 3), (2, 3, 5)])
+    prog = mst_program()
+    errors = []
+    for p in (prog, _reference(prog)):
+        with pytest.raises(ProgramViolation) as e:
+            run_clique(g, p, 0)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1] == "vertex 0: payload of 17 bits exceeds cap 16"
+
+
+def test_fragment_kernel_round_limit_keeps_the_partial_trace():
+    g = generate("gnp", 64, 1, p=0.1)
+    progs = [mst_program(), conn_program(), st_verify_program(range(g.m))]
+    for prog in progs:
+        traces = []
+        for p in (prog, _reference(prog)):
+            with pytest.raises(RoundLimitExceeded) as e:
+                run_clique(g, p, 3, max_rounds=4)
+            traces.append(e.value.trace)
+        assert traces[0].num_rounds == traces[1].num_rounds == 4
+        assert [r.bcasts for r in traces[0].rounds] == [
+            r.bcasts for r in traces[1].rounds
+        ]
+
+
+_E = []  # an empty column
+
+
 def _kernel_program(*rounds, outputs=None):
-    """A program whose kernel yields the given (src, dst, bits) rounds."""
+    """A program whose kernel yields the given five-array rounds."""
 
     def kernel(g, uniforms):
         for r in rounds:
@@ -342,22 +411,40 @@ def _kernel_program(*rounds, outputs=None):
 
 def test_kernel_messages_are_recorded_in_order():
     g = generate("path", 4, 0)
-    prog = _kernel_program(([0, 2], [3, 1], [4, 5]), ([], [], []), ([3], [0], [2]))
+    prog = _kernel_program(
+        ([1, 3], [6, 7], [0, 2], [3, 1], [4, 5]),
+        (_E, _E, _E, _E, _E),
+        (_E, _E, [3], [0], [2]),
+    )
     _, trace, met = run_clique(g, prog, 0)
-    assert trace.export_lines() == ["1 0 1 4 0", "1 2 1 5 0", "3 3 1 2 0"]
+    assert trace.export_lines() == [
+        "1 1 3 6 1", "1 3 3 7 1", "1 0 1 4 0", "1 2 1 5 0", "3 3 1 2 0",
+    ]
+    assert [r.bcasts for r in trace.rounds] == [[(1, 6), (3, 7)], [], []]
     assert [r.unis for r in trace.rounds] == [[(0, 3, 4), (2, 1, 5)], [], [(3, 0, 2)]]
-    assert (met.rounds, met.unicasts, met.payload_bits) == (3, 3, 11)
+    assert (met.rounds, met.broadcasts, met.unicasts, met.payload_bits) == (
+        3, 2, 3, 24,
+    )
 
 
 @pytest.mark.parametrize("sends", [
-    ([0], [4], [2]),  # destination out of range
-    ([1], [1], [2]),  # self-send
-    ([5], [1], [2]),  # source out of range
-    ([0, 1, 0], [1, 2, 1], [2, 2, 2]),  # two messages on one (src, dst)
-    ([0], [1], [0]),  # empty payload
-    ([0], [1], [99]),  # payload over the cap
-    ([0, 1], [1], [2]),  # ragged arrays
-    ([0.0], [1.0], [2.0]),  # not integers
+    (_E, _E, [0], [4], [2]),  # destination out of range
+    (_E, _E, [1], [1], [2]),  # self-send
+    (_E, _E, [5], [1], [2]),  # source out of range
+    (_E, _E, [0, 1, 0], [1, 2, 1], [2, 2, 2]),  # two messages on one (src, dst)
+    (_E, _E, [0], [1], [0]),  # empty payload
+    (_E, _E, [0], [1], [99]),  # payload over the cap
+    (_E, _E, [0, 1], [1], [2]),  # ragged arrays
+    (_E, _E, [0.0], [1.0], [2.0]),  # not integers
+    ([4], [2], _E, _E, _E),  # broadcast source out of range
+    ([-1], [2], _E, _E, _E),  # negative broadcast source
+    ([1, 1], [2, 2], _E, _E, _E),  # one source broadcasts twice
+    ([2, 1], [2, 2], _E, _E, _E),  # sources descending
+    ([0], [0], _E, _E, _E),  # empty broadcast payload
+    ([0], [9], _E, _E, _E),  # broadcast over the cap of 4 * 2 bits
+    ([0, 1], [2], _E, _E, _E),  # ragged broadcast arrays
+    ([0.0], [2.0], _E, _E, _E),  # broadcast values not integers
+    ([0], [2], [0], [1]),  # four arrays, not five
 ])
 def test_kernel_round_violations(sends):
     g = generate("path", 4, 0)
@@ -373,7 +460,7 @@ def test_kernel_must_return_one_output_per_vertex():
 
 def test_kernel_round_budget():
     g = generate("path", 3, 0)
-    prog = _kernel_program(*[([0], [1], [2])] * 20)
+    prog = _kernel_program(*[(_E, _E, [0], [1], [2])] * 20)
     with pytest.raises(RoundLimitExceeded) as e:
         run_clique(g, prog, 0, max_rounds=10)
     assert e.value.trace.num_rounds == 10

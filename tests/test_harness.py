@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from kmachine.cli import main as cli_main
@@ -161,7 +162,8 @@ def test_corrupted_tie_break_is_caught(monkeypatch):
     import kmachine.programs.fragments as frag
 
     monkeypatch.setattr(
-        frag, "merge_key", lambda u, v, w: (w, -min(u, v), -max(u, v))
+        frag, "merge_key",
+        lambda u, v, w: (w, -np.minimum(u, v), -np.maximum(u, v)),
     )
     cfg = ExperimentConfig(
         algorithm="mst", graph={"model": "cycle", "n": 16}, k=[2], seeds=[3]
