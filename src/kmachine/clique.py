@@ -7,8 +7,12 @@ inboxes of round r+1; execution is deterministic for a fixed seed because
 per-vertex randomness is derived from (seed, vertex, round), and a walk
 token's from (seed, round, vertex, token index).
 
-The engine records every message (source, destinations, declared bit size)
-so a finished execution can later be priced on a machine network.
+One driver, run_clique, runs every program as a generator of rounds: the
+program's round kernel if it has one, else the per-vertex scheduler
+_vertex_rounds.  Each round is five int arrays (bcast_src, bcast_bits,
+uni_src, uni_dst, uni_bits); the driver checks them against the model's
+rules (_checked_round) and records them, so a finished execution can later
+be priced on a machine network.
 """
 
 import functools
@@ -99,10 +103,11 @@ EMPTY_INBOX = Inbox((), ())
 
 @dataclass(frozen=True)
 class NodeCtx:
-    """Per-vertex view handed to start(): identity, size, incident edges,
-    and derived randomness: rand(rnd) is a Random for the round, and
-    uniforms(rnd, count) is (u1, u2), the two uniforms of each of the
-    vertex's walk tokens 0..count-1 in the round (rng.token_uniforms)."""
+    """Per-vertex view handed to start() by the per-vertex scheduler:
+    identity, size, incident edges, and derived randomness: rand(rnd) is a
+    Random for the round, and uniforms(rnd, count) is (u1, u2), the two
+    uniforms of each of the vertex's walk tokens 0..count-1 in the round,
+    rng.token_uniforms(seed, rnd, v, i) for v = node and i = 0..count-1."""
 
     node: int
     n: int
@@ -127,27 +132,22 @@ class NodeProgram:
 class Program:
     """A named recipe that builds one fresh NodeProgram per vertex.
 
-    mode is the natural pricing mode of the traffic the program generates:
-    'bcast' for broadcast-only programs, 'p2p' otherwise.
-
     kernel, if set, replaces the per-vertex programs in run_clique with one
     generator that advances every vertex of a round at once.  It is called
-    as kernel(g, uniforms), where uniforms(rnd, v, i) gives the uniforms of
-    the tokens with vertex v[j] and index i[j], keyed exactly like
-    NodeCtx.uniforms.  It yields one round at a time as the five int arrays
-    CliqueTrace stores, (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits):
-    the broadcasts with their sources strictly ascending, then the
-    unicasts.  It returns the per-vertex outputs.  The trace keeps the
-    yielded arrays, so the kernel must not write to them later.  A kernel
-    must be byte-identical to the programs `builder` makes: the same
-    messages in the same order, the same outputs.  Those programs stay as
-    its reference.
+    as kernel(g, seed) and draws any randomness it needs itself, keyed like
+    NodeCtx (walk tokens through rng.token_uniforms(seed, ...)).  It yields
+    one round at a time as the five int arrays CliqueTrace stores,
+    (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits): the broadcasts
+    with their sources strictly ascending, then the unicasts.  It returns
+    the per-vertex outputs.  The trace keeps the yielded arrays, so the
+    kernel must not write to them later.  A kernel must be byte-identical
+    to the programs `builder` makes: the same messages in the same order,
+    the same outputs.  Those programs stay as its reference.
     """
 
-    def __init__(self, name, builder, mode, kernel=None):
+    def __init__(self, name, builder, kernel=None):
         self.name = name
         self._builder = builder
-        self.mode = mode
         self.kernel = kernel
 
     def build(self, n: int):
@@ -307,9 +307,11 @@ def run_clique(
     """Execute `program` on graph g over the complete n-vertex network.
 
     Returns (outputs, trace, metrics) where outputs[v] is vertex v's result
-    blob.  Raises RoundLimitExceeded (carrying the partial trace) if some
-    vertex never halts within the budget.  Runs program.kernel if the
-    program has one, else one program.build(n) state machine per vertex.
+    blob.  Raises RoundLimitExceeded (carrying the partial trace) if the
+    program still runs after the budget.  The rounds come from
+    program.kernel(g, seed) if the program has a kernel, else from one
+    program.build(n) state machine per vertex (_vertex_rounds); either way
+    every round passes the same checks before it is recorded.
     """
     n = g.n
     if max_rounds is None:
@@ -318,9 +320,36 @@ def run_clique(
         raise SimulationError("max_rounds must be >= 1")
     cap = payload_cap_c * label_bits(n)
     if program.kernel is not None:
-        return _run_kernel(g, program, seed, max_rounds, cap)
+        rounds = program.kernel(g, seed)
+    else:
+        rounds = _vertex_rounds(g, program.build(n), seed)
+    trace = CliqueTrace(n)
+    while True:
+        try:
+            cols = next(rounds)
+        except StopIteration as done:
+            outputs = done.value
+            break
+        if trace.num_rounds == max_rounds:
+            raise RoundLimitExceeded(
+                f"{program.name} still running after {max_rounds} rounds",
+                trace=trace,
+                outputs=None,
+            )
+        trace.append_arrays(*_checked_round(cols, n, cap))
+    if outputs is None or len(outputs) != n:
+        raise ProgramViolation("kernel returned wrong number of outputs")
+    return outputs, trace, CliqueMetrics.from_trace(trace)
 
-    nodes = program.build(n)
+
+def _vertex_rounds(g, nodes, seed):
+    """The round generator of one NodeProgram per vertex.  It starts every
+    program, steps the live vertices in ascending order, yields each round
+    as (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) lists, delivers
+    the round's messages as the next round's inboxes, and returns the
+    outputs once every vertex has halted.  run_clique checks each round
+    before it resumes the generator, so nothing unchecked is delivered."""
+    n = g.n
     if len(nodes) != n:
         raise ProgramViolation("program built wrong number of vertices")
     for v, prog in enumerate(nodes):
@@ -336,103 +365,51 @@ def run_clique(
         prog.start(ctx)
 
     live = list(range(n))  # vertices not yet halted, ascending
-    trace = CliqueTrace(n)
-    cur_bcasts = ()
-    cur_unis = {}
-
+    inbox_b = ()
+    inbox_u = {}
     rnd = 0
     while live:
         rnd += 1
-        if rnd > max_rounds:
-            raise RoundLimitExceeded(
-                f"{len(live)} vertices still active after {max_rounds} rounds",
-                trace=trace,
-                outputs=None,
-            )
         gone = []  # vertices that halted this round
-        nxt_bcasts = []
-        nxt_unis = {}
-        rec_b = []
-        rec_u = []
+        bs, bb, bp = [], [], []  # broadcast sources, bits, payloads
+        us, ud, ub, up = [], [], [], []  # unicast sources, dests, bits, payloads
         for v in live:
-            inbox = Inbox(cur_bcasts, cur_unis.get(v, ()))
-            act = nodes[v].step(rnd, inbox)
+            act = nodes[v].step(rnd, Inbox(inbox_b, inbox_u.get(v, ())))
             if act is None or act is SILENT:
                 continue
             if act is HALT:
                 gone.append(v)
                 continue
             if isinstance(act, Broadcast):
-                if not isinstance(act.bits, int) or act.bits < 1:
-                    raise ProgramViolation(f"vertex {v}: bad payload size {act.bits}")
-                if act.bits > cap:
-                    raise ProgramViolation(
-                        f"vertex {v}: payload of {act.bits} bits exceeds cap {cap}"
-                    )
-                nxt_bcasts.append((v, act.payload))
-                rec_b.append((v, act.bits))
-                if act.halt:
-                    gone.append(v)
+                bs.append(v)
+                bb.append(act.bits)
+                bp.append(act.payload)
             elif isinstance(act, Unicast):
-                seen_dst = set()
                 for dst, payload, bits in act.sends:
-                    if not (0 <= dst < n) or dst == v:
-                        raise ProgramViolation(f"vertex {v}: bad destination {dst}")
-                    if dst in seen_dst:
-                        raise ProgramViolation(
-                            f"vertex {v}: two messages to {dst} in one round"
-                        )
-                    seen_dst.add(dst)
-                    if not isinstance(bits, int) or bits < 1 or bits > cap:
-                        raise ProgramViolation(
-                            f"vertex {v}: payload size {bits} outside [1, {cap}]"
-                        )
-                    nxt_unis.setdefault(dst, []).append((v, payload))
-                    rec_u.append((v, dst, bits))
-                if act.halt:
-                    gone.append(v)
+                    us.append(v)
+                    ud.append(dst)
+                    ub.append(bits)
+                    up.append(payload)
             else:
                 raise ProgramViolation(f"vertex {v}: unknown action {act!r}")
+            if act.halt:
+                gone.append(v)
         if gone:
             gone = set(gone)
             live = [v for v in live if v not in gone]
-        trace.append(RoundRecord(rec_b, rec_u))
-        cur_bcasts = tuple(nxt_bcasts)
-        cur_unis = {k: tuple(vv) for k, vv in nxt_unis.items()}
-
-    outputs = [nodes[v].output() for v in range(n)]
-    return outputs, trace, CliqueMetrics.from_trace(trace)
-
-
-def _run_kernel(g, program, seed, max_rounds, cap):
-    """run_clique for a program with a round kernel."""
-    n = g.n
-    trace = CliqueTrace(n)
-    rounds = program.kernel(
-        g, lambda rnd, v, i: token_uniforms(seed, rnd, v, i)
-    )
-    while True:
-        try:
-            cols = next(rounds)
-        except StopIteration as done:
-            outputs = done.value
-            break
-        if trace.num_rounds == max_rounds:
-            raise RoundLimitExceeded(
-                f"{program.name} kernel still running after {max_rounds} rounds",
-                trace=trace,
-                outputs=None,
-            )
-        trace.append_arrays(*_checked_round(cols, n, cap))
-    if outputs is None or len(outputs) != n:
-        raise ProgramViolation("kernel returned wrong number of outputs")
-    return outputs, trace, CliqueMetrics.from_trace(trace)
+        yield bs, bb, us, ud, ub
+        inbox_b = tuple(zip(bs, bp))
+        inbox_u = {}
+        for src, dst, payload in zip(us, ud, up):
+            inbox_u.setdefault(dst, []).append((src, payload))
+        inbox_u = {dst: tuple(msgs) for dst, msgs in inbox_u.items()}
+    return [prog.output() for prog in nodes]
 
 
 def _checked_round(cols, n, cap):
-    """A kernel round's (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits)
-    as int64 arrays, after the checks a Broadcast or Unicast action gets,
-    vectorized; the first offending broadcast, else unicast, raises."""
+    """A round's (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) as int64
+    arrays, after the model's checks on every message, vectorized; the
+    first offending broadcast, else unicast, raises."""
     cols = [np.asarray(a) for a in cols]
     if (len(cols) != 5 or any(a.ndim != 1 for a in cols)
             or len(cols[1]) != len(cols[0])
@@ -442,14 +419,16 @@ def _checked_round(cols, n, cap):
             "(uni_src, uni_dst, uni_bits) arrays of equal lengths"
         )
     if any(len(a) and a.dtype.kind not in "iu" for a in cols):
-        raise ProgramViolation("kernel round holds non-integer values")
+        raise ProgramViolation("round holds non-integer values")
     bs, bb, us, ud, ub = (
         a.astype(np.int64, copy=False) if len(a) else _NONE for a in cols
     )
     if len(bs):
+        down = np.zeros(len(bs), dtype=bool)  # a source not above the one before
+        down[1:] = bs[1:] <= bs[:-1]
         _raise_first([
             ((bs < 0) | (bs >= n), lambda i: f"kernel: bad source {bs[i]}"),
-            (np.diff(bs, prepend=-1) <= 0,
+            (down,
              lambda i: f"kernel: broadcast source {bs[i]} not above {bs[i - 1]}"),
             (bb < 1, lambda i: f"vertex {bs[i]}: bad payload size {bb[i]}"),
             (bb > cap,
@@ -458,7 +437,7 @@ def _checked_round(cols, n, cap):
     if len(us):
         key = us * n + ud
         dup = np.zeros(len(key), dtype=bool)
-        if (np.diff(key) <= 0).any():  # not strictly ascending: look for repeats
+        if (key[1:] <= key[:-1]).any():  # not strictly ascending: look for repeats
             dup[:] = True
             dup[np.unique(key, return_index=True)[1]] = False
         _raise_first([

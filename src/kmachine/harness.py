@@ -33,15 +33,12 @@ from .programs import (
     default_tokens_per_node,
     hmis_kmachine,
     logapprox_shortest_paths,
-    st_verify_program,
 )
 
 CSV_HEADER = (
     "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,"
     "max_link_bits,max_machine_bits,success"
 )
-
-BROADCAST_ONLY = {"bfs", "mst", "conn", "stverify", "bf_sssp", "spanner", "densest"}
 
 
 class HarnessError(ValueError):
@@ -82,9 +79,7 @@ class ExperimentConfig:
             )
         if self.algorithm == "hmis" and min(self.k) < 2:
             raise HarnessError(f"hmis needs at least 2 machines, got k={min(self.k)}")
-        if self.mode == BCAST and self.algorithm in CLIQUE_ALGORITHMS and (
-            natural_mode(self.algorithm) == P2P
-        ):
+        if self.mode == BCAST and natural_mode(self.algorithm) == P2P:
             raise HarnessError(
                 f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"
             )
@@ -339,18 +334,13 @@ VALIDATORS = {
 
 
 def make_program(algorithm: str, inst: Instance, cfg: AlgoConfig):
-    if algorithm == "stverify":
-        return st_verify_program(inst.candidate or ())
-    builder, _ = CLIQUE_ALGORITHMS[algorithm]
-    return builder(inst.graph, cfg)
+    return CLIQUE_ALGORITHMS[algorithm][0](inst, cfg)
 
 
 def natural_mode(algorithm: str) -> str:
-    if algorithm == "stverify":
-        return BCAST
-    if algorithm in CLIQUE_ALGORITHMS:
-        return CLIQUE_ALGORITHMS[algorithm][1]
-    return P2P
+    """The mode a clique algorithm is priced in: "bcast" for the programs
+    that never send a unicast, "p2p" otherwise."""
+    return CLIQUE_ALGORITHMS[algorithm][1]
 
 
 def _engine_budget(algorithm: str, inst: Instance, cfg: AlgoConfig):
@@ -424,7 +414,7 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
         g, program, seed, max_rounds=_engine_budget(algorithm, inst, config.algo)
     )
     valid, details = VALIDATORS[algorithm](inst, config.algo, outputs, metrics)
-    if algorithm in BROADCAST_ONLY and metrics.unicasts:
+    if natural_mode(algorithm) == BCAST and metrics.unicasts:
         valid = False
     mode = config.mode or natural_mode(algorithm)
     reports = {p.k: price(trace, p, config.W, mode=mode) for p in parts}

@@ -96,6 +96,9 @@ def kruskal_mst(g: Graph):
     return weight, chosen
 
 
+_KRUSKAL_BATCH = 1 << 14
+
+
 def minimum_spanning_forest(g: Graph):
     """Kruskal without the connectivity requirement; spans each component."""
     u, v, w = g.edge_arrays()  # u < v, so (w, u, v) is _mst_key's order
@@ -103,10 +106,15 @@ def minimum_spanning_forest(g: Graph):
     dsu = _DSU(g.n)
     weight = 0
     chosen = set()
-    for a, b, wt in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
-        if dsu.union(a, b):
-            weight += wt
-            chosen.add((a, b))
+    # edges in batches, so that the scan stops soon after a spanning tree
+    for lo in range(0, g.m, _KRUSKAL_BATCH):
+        batch = order[lo:lo + _KRUSKAL_BATCH]
+        for a, b, wt in zip(u[batch].tolist(), v[batch].tolist(), w[batch].tolist()):
+            if dsu.union(a, b):
+                weight += wt
+                chosen.add((a, b))
+        if len(chosen) == g.n - 1:  # no later edge can join two components
+            break
     return weight, chosen
 
 

@@ -20,21 +20,23 @@ from .walks import (
     walk_shape,
 )
 
-# name -> (builder(graph, cfg) -> Program, natural pricing mode)
-# stverify builds its candidate set from context at the harness level.
+# name -> (builder(instance, cfg) -> Program, natural pricing mode).  The
+# instance is the harness's: its graph, plus stverify's candidate edges.
+# "bcast" marks the programs that never send a unicast.
 CLIQUE_ALGORITHMS = {
-    "bfs": (lambda g, cfg: bfs_program(cfg), "bcast"),
-    "mst": (lambda g, cfg: mst_program(), "bcast"),
-    "conn": (lambda g, cfg: conn_program(), "bcast"),
-    "bf_sssp": (lambda g, cfg: bellman_ford_program(cfg), "bcast"),
-    "pagerank": (lambda g, cfg: pagerank_program(cfg), "p2p"),
-    "mis": (lambda g, cfg: luby_mis_program(cfg), "bcast"),
-    "spanner": (lambda g, cfg: spanner_program(cfg), "bcast"),
-    "densest": (lambda g, cfg: densest_subgraph_program(cfg), "bcast"),
-    "triangle": (lambda g, cfg: triangle_program(), "p2p"),
+    "bfs": (lambda inst, cfg: bfs_program(cfg), "bcast"),
+    "mst": (lambda inst, cfg: mst_program(), "bcast"),
+    "conn": (lambda inst, cfg: conn_program(), "bcast"),
+    "stverify": (lambda inst, cfg: st_verify_program(inst.candidate or ()), "bcast"),
+    "bf_sssp": (lambda inst, cfg: bellman_ford_program(cfg), "bcast"),
+    "pagerank": (lambda inst, cfg: pagerank_program(cfg), "p2p"),
+    "mis": (lambda inst, cfg: luby_mis_program(cfg), "bcast"),
+    "spanner": (lambda inst, cfg: spanner_program(cfg), "bcast"),
+    "densest": (lambda inst, cfg: densest_subgraph_program(cfg), "bcast"),
+    "triangle": (lambda inst, cfg: triangle_program(), "p2p"),
 }
 
-ALGORITHM_NAMES = sorted(CLIQUE_ALGORITHMS) + ["stverify", "hmis", "logsp"]
+ALGORITHM_NAMES = sorted(CLIQUE_ALGORITHMS) + ["hmis", "logsp"]
 
 __all__ = [
     "AlgoConfig",

@@ -17,6 +17,12 @@ class AlgoConfig:
     mis_max_phases: int = None  # None -> 10*ceil(log2 n) + 16
 
     def validate(self, n: int = None):
+        for name in ("source", "tokens_per_node", "delta", "mis_max_phases"):
+            value = getattr(self, name)
+            if value is None and name in ("tokens_per_node", "mis_max_phases"):
+                continue  # None picks the default
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
         if self.tokens_per_node is not None and self.tokens_per_node < 1:

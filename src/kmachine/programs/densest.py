@@ -97,4 +97,4 @@ def densest_subgraph_program(cfg: AlgoConfig) -> Program:
         shared = _PeelShared(n)
         return [_PeelNode(shared, cfg.eps) for _ in range(n)]
 
-    return Program("densest", build, "bcast")
+    return Program("densest", build)

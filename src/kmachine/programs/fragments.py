@@ -277,8 +277,8 @@ def mst_program() -> Program:
         shared = _FragmentShared(n, weighted=True)
         return [_FragmentNode(shared, "mst") for _ in range(n)]
 
-    return Program("mst", build, "bcast",
-                   kernel=lambda g, uniforms: _merge_rounds(g, "mst", None))
+    return Program("mst", build,
+                   kernel=lambda g, _seed: _merge_rounds(g, "mst", None))
 
 
 def conn_program() -> Program:
@@ -286,8 +286,8 @@ def conn_program() -> Program:
         shared = _FragmentShared(n, weighted=False)
         return [_FragmentNode(shared, "conn") for _ in range(n)]
 
-    return Program("conn", build, "bcast",
-                   kernel=lambda g, uniforms: _merge_rounds(g, "conn", None))
+    return Program("conn", build,
+                   kernel=lambda g, _seed: _merge_rounds(g, "conn", None))
 
 
 def st_verify_program(candidate_edges) -> Program:
@@ -303,5 +303,5 @@ def st_verify_program(candidate_edges) -> Program:
         shared = _FragmentShared(n, weighted=False)
         return [_FragmentNode(shared, "stverify", flags=flags) for _ in range(n)]
 
-    return Program("stverify", build, "bcast",
-                   kernel=lambda g, uniforms: _merge_rounds(g, "stverify", flags))
+    return Program("stverify", build,
+                   kernel=lambda g, _seed: _merge_rounds(g, "stverify", flags))

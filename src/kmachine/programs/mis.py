@@ -70,6 +70,4 @@ class _LubyNode(NodeProgram):
 
 def luby_mis_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program(
-        "mis", lambda n: [_LubyNode(cfg.mis_max_phases) for _ in range(n)], "bcast"
-    )
+    return Program("mis", lambda n: [_LubyNode(cfg.mis_max_phases) for _ in range(n)])

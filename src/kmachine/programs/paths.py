@@ -52,7 +52,7 @@ class _BfsNode(NodeProgram):
 
 def bfs_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("bfs", lambda n: [_BfsNode(cfg.source) for _ in range(n)], "bcast")
+    return Program("bfs", lambda n: [_BfsNode(cfg.source) for _ in range(n)])
 
 
 class _BellmanFordNode(NodeProgram):
@@ -105,5 +105,5 @@ class _BellmanFordNode(NodeProgram):
 def bellman_ford_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program(
-        "bf_sssp", lambda n: [_BellmanFordNode(cfg.source) for _ in range(n)], "bcast"
+        "bf_sssp", lambda n: [_BellmanFordNode(cfg.source) for _ in range(n)]
     )

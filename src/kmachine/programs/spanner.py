@@ -148,7 +148,7 @@ def spanner_program(cfg: AlgoConfig) -> Program:
         shared = _SpannerShared(n, cfg.delta)
         return [_SpannerNode(shared) for _ in range(n)]
 
-    return Program("spanner", build, "bcast")
+    return Program("spanner", build)
 
 
 def spanner_union(outputs):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..clique import HALT, SILENT, NodeProgram, Program, Unicast
-from ..rng import token_layout_fits
+from ..rng import token_layout_fits, token_uniforms
 from .config import AlgoConfig, ConfigError
 
 
@@ -97,7 +97,7 @@ class _PageRankNode(NodeProgram):
 _CHUNK = 1 << 12
 
 
-def _pagerank_rounds(g, cfg, shape, uniforms):
+def _pagerank_rounds(g, cfg, shape, seed):
     """Round kernel of _PageRankNode: the same uniforms for the same tokens
     give the same messages in the same order (by source, then destination)
     and the same outputs.  Tokens are numbered vertex by vertex."""
@@ -117,7 +117,7 @@ def _pagerank_rounds(g, cfg, shape, uniforms):
         for lo in range(0, count, _CHUNK):
             t = np.arange(lo, min(lo + _CHUNK, count))
             v = np.searchsorted(ends, t, side="right")  # the token's vertex
-            u1, u2 = uniforms(rnd, v, t - firsts[v])
+            u1, u2 = token_uniforms(seed, rnd, v, t - firsts[v])
             v, u2 = v[u1 >= cfg.gamma], u2[u1 >= cfg.gamma]
             slot = indptr[v] + (u2 * deg[v]).astype(np.int64)
             here += np.bincount(nbr[slot], minlength=n)
@@ -135,9 +135,6 @@ def pagerank_program(cfg: AlgoConfig) -> Program:
     return Program(
         "pagerank",
         lambda n: [_PageRankNode(cfg) for _ in range(n)],
-        "p2p",
         # walk_shape runs before the kernel's first round, to reject a bad size
-        kernel=lambda g, uniforms: _pagerank_rounds(
-            g, cfg, walk_shape(g.n, cfg), uniforms
-        ),
+        kernel=lambda g, seed: _pagerank_rounds(g, cfg, walk_shape(g.n, cfg), seed),
     )

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from kmachine.acceptance import fidelity_instances
@@ -50,7 +51,7 @@ class _OneUnicast(NodeProgram):
 
 
 def _prog(cls):
-    return Program("t", lambda n: [cls() for _ in range(n)], "p2p")
+    return Program("t", lambda n: [cls() for _ in range(n)])
 
 
 def test_broadcast_once_metrics():
@@ -165,9 +166,13 @@ class _Forever(NodeProgram):
 
 def test_round_budget():
     g = generate("path", 3, 0)
-    with pytest.raises(RoundLimitExceeded) as e:
-        run_clique(g, _prog(_Forever), seed=0, max_rounds=10)
-    assert e.value.trace.num_rounds == 10
+    # per-vertex programs and kernels share one round-limit rule and text
+    looping = _kernel_program(*[(_E, _E, [0], [1], [2])] * 20)
+    for prog in (_prog(_Forever), looping):
+        with pytest.raises(RoundLimitExceeded) as e:
+            run_clique(g, prog, seed=0, max_rounds=10)
+        assert str(e.value) == f"{prog.name} still running after 10 rounds"
+        assert e.value.trace.num_rounds == 10
 
 
 class _TooBig(NodeProgram):
@@ -194,11 +199,44 @@ class _DupDst(NodeProgram):
         return None
 
 
+# the round each program yields first on path(4), as kernel columns
+_VIOLATING_ROUND = {
+    _TooBig: ([0, 1, 2, 3], [10_000] * 4, [], [], []),
+    _BadDst: ([], [], [0, 1, 2, 3], [7] * 4, [2] * 4),
+    _DupDst: ([], [], [0, 0], [1, 1], [2, 2]),
+}
+
+
 @pytest.mark.parametrize("cls", [_TooBig, _BadDst, _DupDst])
 def test_program_violations(cls):
+    # one checker: a per-vertex program and a kernel that yields the same
+    # round fail with the same text
     g = generate("path", 4, 0)
-    with pytest.raises(ProgramViolation):
-        run_clique(g, _prog(cls), seed=0)
+    errors = []
+    for prog in (_prog(cls), _kernel_program(_VIOLATING_ROUND[cls])):
+        with pytest.raises(ProgramViolation) as e:
+            run_clique(g, prog, seed=0)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+def test_vertex_payload_sizes_are_checked_as_integers():
+    def shout(bits):
+        class _Shout(NodeProgram):
+            def step(self, rnd, inbox):
+                return Broadcast("x", bits, halt=True)
+
+            def output(self):
+                return None
+
+        return _prog(_Shout)
+
+    g = generate("path", 3, 0)
+    for bits in (4.0, True):
+        with pytest.raises(ProgramViolation, match="^round holds non-integer values$"):
+            run_clique(g, shout(bits), seed=0)
+    _, trace, _ = run_clique(g, shout(np.int64(4)), seed=0)
+    assert trace.rounds[0].bcasts == [(0, 4), (1, 4), (2, 4)]
 
 
 def test_trace_export_format():
@@ -250,7 +288,7 @@ def test_golden_trace_mst():
 
 def _reference(program):
     """The same program without its kernel: one state machine per vertex."""
-    return Program(program.name, program.build, program.mode)
+    return Program(program.name, program.build)
 
 
 def _assert_kernel_matches_reference(g, program, seed, **kw):
@@ -401,12 +439,12 @@ _E = []  # an empty column
 def _kernel_program(*rounds, outputs=None):
     """A program whose kernel yields the given five-array rounds."""
 
-    def kernel(g, uniforms):
+    def kernel(g, seed):
         for r in rounds:
             yield r
         return [None] * g.n if outputs is None else outputs
 
-    return Program("k", lambda n: [], "p2p", kernel=kernel)
+    return Program("k", lambda n: [], kernel=kernel)
 
 
 def test_kernel_messages_are_recorded_in_order():

@@ -16,7 +16,7 @@ from kmachine.harness import (
     run_experiment,
 )
 from kmachine.machines import ConversionError
-from kmachine.programs import ConfigError
+from kmachine.programs import AlgoConfig, ConfigError
 
 
 def test_csv_header_exact():
@@ -134,6 +134,28 @@ def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatc
     )
     with pytest.raises(HarnessError):
         run_cell(cfg, 0)
+
+
+@pytest.mark.parametrize("algorithm, key, value", [
+    ("bfs", "source", 1.5),
+    ("bf_sssp", "source", True),
+    ("pagerank", "tokens_per_node", 2.5),
+    ("pagerank", "tokens_per_node", True),
+    ("spanner", "delta", 2.5),
+    ("mis", "mis_max_phases", 2.5),
+])
+def test_non_integer_algo_values_rejected_before_running(algorithm, key, value,
+                                                         monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("kmachine.harness.run_clique", engine)
+    cfg = ExperimentConfig(
+        algorithm=algorithm, graph={"model": "gnp", "n": 32, "p": 0.2}, k=[2],
+        seeds=[1], algo=AlgoConfig(**{key: value}),
+    )
+    with pytest.raises(ConfigError, match=f"{key} must be an int"):
+        run_cell(cfg, 1)
 
 
 def test_fit_exact_power_law():
@@ -311,14 +333,25 @@ def test_hmis_ledger_matches_pinned_values():
     assert part.home.tolist()[:12] == [0, 1, 0, 0, 1, 0, 3, 0, 2, 2, 0, 0]
 
 
-def test_one_partition_derivation_and_one_report_builder():
+def _source_texts():
     from pathlib import Path
 
     import kmachine
 
     src = Path(kmachine.__file__).parent
-    text = {p: p.read_text() for p in src.rglob("*.py")}
+    return {p: p.read_text() for p in src.rglob("*.py")}
+
+
+def test_one_partition_derivation_and_one_report_builder():
+    text = _source_texts()
     assert sum(t.count('"rvp"') for t in text.values()) == 1
     assert sum(t.count("SimReport(") for t in text.values()) == 1
     assert sum(t.count("machine_rounds +=") for t in text.values()) == 1
     assert not any("_cell_graph" in t for t in text.values())
+
+
+def test_one_engine_driver_and_one_algorithm_table():
+    text = _source_texts()
+    assert sum(t.count("two messages to") for t in text.values()) == 1
+    assert sum(t.count("raise RoundLimitExceeded(") for t in text.values()) == 1
+    assert not any("BROADCAST_ONLY" in t or "_run_kernel" in t for t in text.values())

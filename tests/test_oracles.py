@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kmachine import oracles
 from kmachine.graphs import Graph, generate, random_uniform_hypergraph
 from kmachine.oracles import (
     OracleError,
@@ -50,6 +51,15 @@ def test_forest_on_disconnected():
     g = Graph(5, [(0, 1, 2), (2, 3, 4), (3, 4, 1), (2, 4, 9)])
     w, edges = minimum_spanning_forest(g)
     assert w == 7 and edges == {(0, 1), (2, 3), (3, 4)}
+
+
+def test_forest_does_not_depend_on_the_batch_size(monkeypatch):
+    graphs = [generate("random_weighted", 40, s, p=0.3, wmax=9) for s in range(4)]
+    graphs += [generate("gnp", 64, 1, p=0.02), Graph(1, []), Graph(3, [(0, 1, 1)])]
+    want = [minimum_spanning_forest(g) for g in graphs]
+    for batch in (1, 2, 7):
+        monkeypatch.setattr(oracles, "_KRUSKAL_BATCH", batch)
+        assert [minimum_spanning_forest(g) for g in graphs] == want
 
 
 def test_pagerank_oracle():
