@@ -38,10 +38,9 @@ class ProgramViolation(SimulationError):
 class RoundLimitExceeded(SimulationError):
     """Round budget ran out before every vertex halted."""
 
-    def __init__(self, msg, trace=None, outputs=None):
+    def __init__(self, msg, trace=None):
         super().__init__(msg)
         self.trace = trace
-        self.outputs = outputs
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +95,6 @@ class Inbox:
     def __init__(self, broadcasts, unicasts):
         self.broadcasts = broadcasts
         self.unicasts = unicasts
-
-
-EMPTY_INBOX = Inbox((), ())
 
 
 @dataclass(frozen=True)
@@ -334,7 +330,6 @@ def run_clique(
             raise RoundLimitExceeded(
                 f"{program.name} still running after {max_rounds} rounds",
                 trace=trace,
-                outputs=None,
             )
         trace.append_arrays(*_checked_round(cols, n, cap))
     if outputs is None or len(outputs) != n:

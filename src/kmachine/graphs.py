@@ -117,7 +117,8 @@ class Graph:
         return self._arrays
 
     def max_degree(self) -> int:
-        return int(np.diff(self.csr()[0]).max())
+        u, v, _ = self._arrays
+        return int(np.bincount(np.concatenate([u, v]), minlength=self.n).max())
 
     def __eq__(self, other):
         return (

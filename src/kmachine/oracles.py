@@ -15,6 +15,7 @@ from .graphs import Graph, Hypergraph
 
 BRUTE_DENSEST_MAX_N = 22
 ALL_PAIRS_MAX_N = 2048
+_NO_PATH = 1 << 61  # the all-pairs key of an unreachable pair
 
 
 class OracleError(ValueError):
@@ -194,27 +195,39 @@ def bfs_distances(g: Graph, src: int):
     return dist
 
 
+def _closure(g: Graph, unit: bool = False):
+    """Floyd-Warshall over (n, n) int64 path keys.  An edge's key is w*n + 1
+    (1 when `unit`), and a minimum-key path is simple (h < n), so its key
+    d*n + h gives the minimum weight d and the fewest edges h among
+    minimum-weight paths.  Cost is n^3 whatever the graph."""
+    n = g.n
+    if n > ALL_PAIRS_MAX_N:
+        raise OracleError(f"all-pairs distances capped at n={ALL_PAIRS_MAX_N}")
+    u, v, w = g.edge_arrays()
+    top = 1 if unit else int(w.max(initial=0)) * n + 1
+    if (n - 1) * top >= _NO_PATH:
+        raise OracleError("path keys overflow: weights too large for all-pairs")
+    K = np.full((n, n), _NO_PATH, dtype=np.int64)
+    K[u, v] = K[v, u] = 1 if unit else w * n + 1
+    np.fill_diagonal(K, 0)
+    via = np.empty_like(K)
+    for x in range(n):
+        np.add(K[:, x, None], K[x], out=via)
+        np.minimum(K, via, out=K)
+    return K
+
+
 def all_pairs_distances(g: Graph):
     """(weighted distance matrix, hop-minimal matrix) as numpy float arrays."""
-    if g.n > ALL_PAIRS_MAX_N:
-        raise OracleError(f"all_pairs_distances capped at n={ALL_PAIRS_MAX_N}")
-    dist = np.full((g.n, g.n), np.inf)
-    hops = np.full((g.n, g.n), np.inf)
-    for src in range(g.n):
-        d, h = single_source_distances(g, src)
-        dist[src] = d
-        for v in range(g.n):
-            if d[v] != math.inf:
-                hops[src, v] = h[v]
-    return dist, hops
+    K = _closure(g)
+    dist, hops = np.divmod(K, g.n)
+    cut = K == _NO_PATH
+    return np.where(cut, np.inf, dist), np.where(cut, np.inf, hops)
 
 
 def shortest_path_diameter(g: Graph) -> int:
-    spd = 0
-    for src in range(g.n):
-        d, h = single_source_distances(g, src)
-        spd = max(spd, max((hv for dv, hv in zip(d, h) if dv != math.inf), default=0))
-    return spd
+    K = _closure(g)
+    return int((K[K < _NO_PATH] % g.n).max())
 
 
 def graph_stats(g: Graph):
@@ -222,10 +235,11 @@ def graph_stats(g: Graph):
 
     Hop diameter is inf for disconnected graphs.  The shortest-path diameter
     is the largest, over connected pairs, of the fewest edges on any
-    minimum-weight path.  Cost is n BFS and n Dijkstra passes; intended for
-    n up to a couple thousand.
+    minimum-weight path.  Cost is two n^3 closures; capped at
+    n = ALL_PAIRS_MAX_N.
     """
-    diam = max(max(bfs_distances(g, src)) for src in range(g.n))
+    H = _closure(g, unit=True)
+    diam = math.inf if (H == _NO_PATH).any() else int(H.max())
     return g.m, g.max_degree(), diam, shortest_path_diameter(g)
 
 

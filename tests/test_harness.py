@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from kmachine.cli import main as cli_main
 from kmachine.harness import (
     CSV_HEADER,
+    VALIDATORS,
     ExperimentConfig,
     HarnessError,
+    Instance,
     config_from_mapping,
     fit_scaling,
     format_csv,
@@ -355,3 +359,42 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert sum(t.count("two messages to") for t in text.values()) == 1
     assert sum(t.count("raise RoundLimitExceeded(") for t in text.values()) == 1
     assert not any("BROADCAST_ONLY" in t or "_run_kernel" in t for t in text.values())
+
+
+def test_bellman_ford_broadcast_bound_holds_above_512():
+    from kmachine.clique import CliqueMetrics
+    from kmachine.graphs import generate
+
+    g = generate("path", 600, 0)  # from vertex 0 the farthest is 599 hops
+    outputs = [(d, None) for d in range(g.n)]
+    bound = 600 * 599 + 600
+    check = VALIDATORS["bf_sssp"]
+    for broadcasts, want in ((bound, True), (bound + 1, False)):
+        metrics = CliqueMetrics(1, 0, broadcasts, 0, 0, 0)
+        ok, _ = check(Instance(graph=g), AlgoConfig(source=0), outputs, metrics)
+        assert ok == want
+
+
+def test_distance_checks_do_not_import_scipy_sparse(child_env):
+    # csgraph costs ~25 MB of resident memory on first import, which the
+    # oracles and the checks of the shortest-path cells avoid
+    code = """
+import sys
+from kmachine import oracles
+from kmachine.graphs import generate
+from kmachine.harness import ExperimentConfig, run_cell
+g = generate("random_weighted", 24, 1, p=0.3, wmax=9)
+oracles.all_pairs_distances(g)
+oracles.graph_stats(g)
+for algorithm, spec in (
+    ("bf_sssp", {"model": "random_weighted", "n": 24, "p": 0.3, "wmax": 9}),
+    ("spanner", {"model": "gnp", "n": 32, "p": 0.3}),
+    ("logsp", {"model": "gnp", "n": 32, "p": 0.3}),
+):
+    cfg = ExperimentConfig(algorithm=algorithm, graph=spec, k=[2], seeds=[1])
+    assert run_cell(cfg, 1).valid, algorithm
+assert "scipy.sparse" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=child_env)
+    assert proc.returncode == 0, proc.stderr

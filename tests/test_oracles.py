@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kmachine import oracles
-from kmachine.graphs import Graph, generate, random_uniform_hypergraph
+from kmachine.graphs import Graph, generate, inf_weight, random_uniform_hypergraph
 from kmachine.oracles import (
     OracleError,
     all_pairs_distances,
@@ -13,6 +13,7 @@ from kmachine.oracles import (
     brute_densest,
     densest_via_flow,
     exact_pagerank,
+    graph_stats,
     is_connected,
     is_spanning_tree,
     kruskal_mst,
@@ -106,6 +107,51 @@ def test_all_pairs():
     disc = Graph(3, [(0, 1, 4)])
     d2, _ = all_pairs_distances(disc)
     assert math.isinf(d2[0, 2])
+
+
+def _shortest_path_instances():
+    """random_weighted shapes re-weighted into [0, 3], so that zero-weight
+    edges tie minimum-weight paths of different hop counts; sparse ones are
+    disconnected."""
+    rng = np.random.default_rng(5)
+    graphs = [Graph(1, []), Graph(4, [(0, 1, 0), (2, 3, 7)])]
+    for seed in range(12):
+        n, p = [(6, 0.5), (24, 0.08), (48, 0.15)][seed % 3]
+        g = generate("random_weighted", n, seed, p=p, wmax=9)
+        u, v, _ = g.edge_arrays()
+        graphs.append(Graph(n, np.column_stack([u, v, rng.integers(0, 4, g.m)])))
+    return graphs
+
+
+def test_all_pairs_rows_match_single_source():
+    disconnected = 0
+    for g in _shortest_path_instances():
+        dist, hops = all_pairs_distances(g)
+        for src in range(g.n):
+            d, h = single_source_distances(g, src)
+            reach = np.isfinite(d)
+            assert dist[src].tolist() == d
+            assert hops[src, reach].tolist() == np.asarray(h)[reach].tolist()
+            assert np.isinf(hops[src, ~reach]).all()
+        hop_diam = max(max(bfs_distances(g, src)) for src in range(g.n))
+        assert graph_stats(g)[2] == hop_diam
+        disconnected += math.isinf(hop_diam)
+    assert disconnected >= 3
+
+
+def test_closure_rejects_key_overflow_before_allocating():
+    import tracemalloc
+
+    n = oracles.ALL_PAIRS_MAX_N
+    g = Graph(n, [(0, 1, inf_weight(n) - 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleError):
+            oracles._closure(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # the key matrix alone would be 8 n^2 bytes
 
 
 def test_distances_cross_check_scipy():
