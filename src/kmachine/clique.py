@@ -4,8 +4,8 @@ Every vertex runs a small state machine.  In each round a vertex may
 broadcast one payload to all other vertices, unicast payloads to chosen
 vertices, stay silent, or halt.  All outboxes of round r are delivered as
 inboxes of round r+1; execution is deterministic for a fixed seed because
-per-vertex randomness is derived from (seed, vertex, round), and a walk
-token's from (seed, round, vertex, token index).
+the engine draws nothing: every program draws its randomness from the run
+seed through kmachine.rng, keyed by vertex and round.
 
 One driver, run_clique, runs every program as a generator of rounds: the
 program's round kernel if it has one, else the per-vertex scheduler
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, label_bits
-# make_np_rng is unused here but stays bound: perfbench's traced mode wraps it
-from .rng import make_np_rng, make_random, token_uniforms  # noqa: F401
+# make_np_rng and make_random are unused here: perfbench's traced mode wraps them
+from .rng import make_np_rng, make_random  # noqa: F401
 
 PAYLOAD_CAP_C = 4  # payload cap is PAYLOAD_CAP_C * ceil(log2 n) bits
 
@@ -100,16 +100,14 @@ class Inbox:
 @dataclass(frozen=True)
 class NodeCtx:
     """Per-vertex view handed to start() by the per-vertex scheduler:
-    identity, size, incident edges, and derived randomness: rand(rnd) is a
-    Random for the round, and uniforms(rnd, count) is (u1, u2), the two
-    uniforms of each of the vertex's walk tokens 0..count-1 in the round,
-    rng.token_uniforms(seed, rnd, v, i) for v = node and i = 0..count-1."""
+    identity, size, incident edges and the run seed, from which the program
+    draws its own randomness through kmachine.rng (for example
+    rng.uniform(seed, "coin", node, rnd))."""
 
     node: int
     n: int
     incident: tuple  # sorted (neighbor, weight, edge_index)
-    rand: object
-    uniforms: object
+    seed: int
 
 
 class NodeProgram:
@@ -130,8 +128,8 @@ class Program:
 
     kernel, if set, replaces the per-vertex programs in run_clique with one
     generator that advances every vertex of a round at once.  It is called
-    as kernel(g, seed) and draws any randomness it needs itself, keyed like
-    NodeCtx (walk tokens through rng.token_uniforms(seed, ...)).  It yields
+    as kernel(g, seed) and draws any randomness it needs itself, with the
+    kmachine.rng keys the programs draw from ctx.seed.  It yields
     one round at a time as the five int arrays CliqueTrace stores,
     (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits): the broadcasts
     with their sources strictly ascending, then the unicasts.  It returns
@@ -348,16 +346,7 @@ def _vertex_rounds(g, nodes, seed):
     if len(nodes) != n:
         raise ProgramViolation("program built wrong number of vertices")
     for v, prog in enumerate(nodes):
-        ctx = NodeCtx(
-            node=v,
-            n=n,
-            incident=g.neighbors(v),
-            rand=lambda rnd, _v=v: make_random(seed, "node", _v, rnd),
-            uniforms=lambda rnd, count, _v=v: token_uniforms(
-                seed, rnd, np.full(count, _v), np.arange(count)
-            ),
-        )
-        prog.start(ctx)
+        prog.start(NodeCtx(node=v, n=n, incident=g.neighbors(v), seed=seed))
 
     live = list(range(n))  # vertices not yet halted, ascending
     inbox_b = ()

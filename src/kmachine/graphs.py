@@ -451,6 +451,8 @@ def random_uniform_hypergraph(n: int, num_edges: int, arity: int, seed: int) -> 
     """Random hypergraph with num_edges distinct arity-subsets of 0..n-1."""
     if arity < 2 or arity > n:
         raise GraphError("arity must be in [2, n]")
+    if num_edges < 0:
+        raise GraphError(f"num_edges must be >= 0, got {num_edges}")
     rng = make_np_rng(seed, "hypergen", n, num_edges, arity)
     chosen = set()
     limit = math.comb(n, arity)

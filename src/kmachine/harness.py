@@ -34,6 +34,7 @@ from .programs import (
     hmis_kmachine,
     logapprox_shortest_paths,
 )
+from .programs.config import is_int, is_real
 
 CSV_HEADER = (
     "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,"
@@ -63,6 +64,17 @@ class ExperimentConfig:
             raise HarnessError(f"unknown algorithm {self.algorithm!r}")
         if not self.seeds:
             raise HarnessError("need at least one seed")
+        for seed in self.seeds:
+            if not (is_int(seed) and -2**63 <= seed < 2**63):
+                raise HarnessError(f"every seed must be an int64, got {seed!r}")
+        for key in ("n", "b", "wmax", "hyperedges", "arity"):
+            value = self.graph.get(key, 0)  # an absent key passes here
+            sizes = key in ("n", "b") and isinstance(value, (list, tuple))  # sweep n
+            values = value if sizes else [value]
+            if not all(is_int(x) for x in values):
+                raise HarnessError(f"graph {key} must be an int, got {value!r}")
+        if self.graph.get("p") is not None and not is_real(self.graph["p"]):
+            raise HarnessError(f"graph p must be a real number, got {self.graph['p']!r}")
         if not self.k:
             raise HarnessError("need at least one machine count")
         for k in self.k:
@@ -88,7 +100,7 @@ class ExperimentConfig:
 
 
 def _positive_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+    return is_int(x) and x >= 1
 
 
 _FLAT_ALGO_KEYS = ("source", "gamma", "tokens_per_node", "eps", "delta", "mis_max_phases")

@@ -4,11 +4,13 @@ Phases take three broadcast rounds: marked vertices announce their current
 active degree; marked vertices without a higher-priority marked neighbor
 (priority: larger degree, then larger id) join the set and announce it;
 their neighbors announce that they drop out.  A vertex leaves the
-execution the moment its own membership is settled.
+execution the moment its own membership is settled.  A vertex of active
+degree d marks itself if rng.uniform(seed, "coin", v, round) < 1/(2d).
 """
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
+from ..rng import uniform
 from .config import AlgoConfig
 
 
@@ -43,7 +45,7 @@ class _LubyNode(NodeProgram):
             if d == 0:
                 self.marked = True
             else:
-                self.marked = self.ctx.rand(rnd).random() < 1.0 / (2 * d)
+                self.marked = uniform(self.ctx.seed, "coin", self.ctx.node, rnd) < 0.5 / d
             if self.marked:
                 return Broadcast(("mark", d), self.L)
             return SILENT

@@ -1,7 +1,8 @@
 """Sparse spanner with stretch 2*delta-1 by repeated cluster sampling.
 
 delta-1 iterations of two broadcast rounds each: surviving cluster centers
-that re-sample themselves (probability n^(-1/delta)) announce it, then each
+that re-sample themselves (probability n^(-1/delta), by the center's
+rng.uniform(seed, "coin", center, round)) announce it, then each
 vertex announces its new membership.  A vertex next to a sampled cluster
 joins it through one retained edge; a vertex next to none retains one edge
 into every adjacent cluster and drops out.  Retained edges double as the
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
 from ..machines import BCAST, price, random_vertex_partition
+from ..rng import uniform
 from .config import AlgoConfig
 
 
@@ -96,7 +98,7 @@ class _SpannerNode(NodeProgram):
             if rnd > 1:
                 self._apply_round(inbox)
             cl = self.shared.cluster[self.ctx.node]
-            if cl == self.ctx.node and self.ctx.rand(rnd).random() < self.p:
+            if cl == self.ctx.node and uniform(self.ctx.seed, "coin", cl, rnd) < self.p:
                 return Broadcast(("c",), 1)
             return SILENT
         # membership round

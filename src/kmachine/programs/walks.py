@@ -79,7 +79,8 @@ class _PageRankNode(NodeProgram):
         tokens, self.here = self.here, 0
         if not (tokens and d):
             return SILENT
-        u1, u2 = self.ctx.uniforms(rnd, tokens)
+        u1, u2 = token_uniforms(self.ctx.seed, rnd, np.full(tokens, self.ctx.node),
+                                np.arange(tokens))
         hop = (u2[u1 >= self.cfg.gamma] * d).astype(np.int64)
         counts = np.bincount(hop, minlength=d)
         hops = counts.nonzero()[0]

@@ -1,7 +1,8 @@
 """Deterministic randomness derivation.
 
 Every random draw in the simulator is keyed by (seed, domain tag, integers),
-so executions are reproducible regardless of scheduling or call order.
+so executions are reproducible regardless of scheduling or call order.  Each
+program draws its own from the run seed (ctx.seed, or kernel(g, seed)).
 """
 
 import hashlib
@@ -38,6 +39,11 @@ def derive_each(seed: int, tag: str, xs, *parts: int) -> list:
         h.update(fmt.pack(x, *parts))
         out.append(int.from_bytes(h.digest(), "big"))
     return out
+
+
+def uniform(seed: int, tag: str, *parts: int) -> float:
+    """A uniform in [0, 1): the top 53 bits of derive(seed, tag, *parts)."""
+    return (derive(seed, tag, *parts) >> 11) * 2.0 ** -53
 
 
 def make_random(seed: int, tag: str, *parts: int) -> random.Random:

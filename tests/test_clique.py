@@ -27,6 +27,7 @@ from kmachine.programs import (
     luby_mis_program,
     mst_program,
     pagerank_program,
+    spanner_program,
     st_verify_program,
 )
 from kmachine.programs import walks
@@ -70,7 +71,7 @@ def test_incident_is_the_graph_neighbor_tuple():
     class _Look(NodeProgram):
         def start(self, ctx):
             super().start(ctx)
-            seen[ctx.node] = ctx.incident
+            seen[ctx.node] = ctx
 
         def step(self, rnd, inbox):
             return HALT
@@ -78,8 +79,9 @@ def test_incident_is_the_graph_neighbor_tuple():
         def output(self):
             return None
 
-    run_clique(g, _prog(_Look), seed=0)
-    assert all(seen[v] is g.neighbors(v) for v in range(g.n))
+    run_clique(g, _prog(_Look), seed=41)
+    assert all(seen[v].incident is g.neighbors(v) for v in range(g.n))
+    assert all(seen[v].seed == 41 for v in range(g.n))
 
 
 def test_single_unicast_metrics():
@@ -252,7 +254,9 @@ def test_trace_export_format():
 # golden traces: SHA-256 of export_lines() plus repr(outputs), so engine
 # speed-ups must keep every message and output byte-identical.  The MST
 # digest dates from the first engine; the PageRank digest was re-pinned when
-# walk tokens began drawing counter-keyed uniforms (rng.token_uniforms).
+# walk tokens began drawing counter-keyed uniforms (rng.token_uniforms); the
+# MIS and spanner digests date from per-vertex coins drawn as
+# rng.uniform(seed, "coin", vertex, round).
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +282,22 @@ def test_golden_trace_mst():
     outputs, trace, _ = run_clique(g, prog, 13)
     assert _trace_digest(outputs, trace) == (
         "703f271cddbf261cf1202caac91c7a5d0c50917c4cd5093d46d0a869b216da09"
+    )
+
+
+def test_golden_trace_mis():
+    g = generate("gnp", 64, 3, p=0.2)
+    outputs, trace, _ = run_clique(g, luby_mis_program(AlgoConfig()), 5)
+    assert _trace_digest(outputs, trace) == (
+        "1a1877864666fe595209d630a75d4a5014ab12acd2ed167f8d5bba80c9f68966"
+    )
+
+
+def test_golden_trace_spanner():
+    g = generate("random_weighted", 48, 5, p=0.3, wmax=60)
+    outputs, trace, _ = run_clique(g, spanner_program(AlgoConfig(delta=3)), 5)
+    assert _trace_digest(outputs, trace) == (
+        "6badd3e10f83e0b5877a23bc0be09d1d8acf21f39a4c541eafb9476644ce1bb0"
     )
 
 

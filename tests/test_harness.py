@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kmachine.cli import main as cli_main
+from kmachine.graphs import GraphError
 from kmachine.harness import (
     CSV_HEADER,
     VALIDATORS,
@@ -56,6 +57,46 @@ def test_gamma_zero_rejected_before_running():
         config_from_mapping(
             {"algorithm": "pagerank", "model": "cycle", "n": 16, "gamma": 0.0}
         )
+
+
+_GNP = {"algorithm": "mis", "model": "gnp", "n": 16, "p": 0.3}
+_GADGET = {"algorithm": "mst", "gadget": "st_lower", "b": 8}
+_HYPER = {"algorithm": "hmis", "n": 16}
+_RW = {"algorithm": "mst", "model": "random_weighted", "n": 16, "p": 0.3, "wmax": 5}
+_PR = {"algorithm": "pagerank", "model": "gnp", "n": 16, "p": 0.3}
+_DENSE = {"algorithm": "densest", "model": "gnp", "n": 16, "p": 0.3}
+
+
+@pytest.mark.parametrize("base, bad, error", [
+    (_GNP, {"seeds": [1.5]}, HarnessError),
+    (_GNP, {"seeds": ["3"]}, HarnessError),
+    (_GNP, {"seeds": [2**63]}, HarnessError),
+    (_GNP, {"seeds": [True]}, HarnessError),
+    (_GNP, {"n": 16.0}, HarnessError),
+    (_GADGET, {"b": 2.5}, HarnessError),
+    (_HYPER, {"arity": 2.5}, HarnessError),
+    (_HYPER, {"hyperedges": 2.5}, HarnessError),
+    (_RW, {"wmax": 2.5}, HarnessError),
+    (_GNP, {"p": "0.3"}, HarnessError),
+    (_PR, {"gamma": None}, ConfigError),
+    (_PR, {"gamma": "x"}, ConfigError),
+    (_DENSE, {"eps": "x"}, ConfigError),
+    (_DENSE, {"eps": True}, ConfigError),
+    (_DENSE, {"eps": float("nan")}, ConfigError),
+    (_HYPER, {"hyperedges": -3}, GraphError),
+])
+def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran on a bad config")
+
+    monkeypatch.setattr("kmachine.harness.run_clique", no_engine)
+    monkeypatch.setattr("kmachine.harness.hmis_kmachine", no_engine)
+    with pytest.raises(error):
+        run_experiment(config_from_mapping({**base, "k": [2], "seeds": [1], **bad}))
+
+
+def test_seeds_at_the_ends_of_the_int64_range_are_accepted():
+    config_from_mapping({**_GNP, "seeds": [-2**63, 2**63 - 1]})
 
 
 def test_unknown_keys_rejected():
@@ -289,13 +330,15 @@ def test_cli_sweep_over_n(tmp_path, capsys):
 
 
 # rows of a logsp cell and one hmis ledger, pinned before the pricing code
-# was shared between the harness, the spanner pipeline and hmis
+# was shared between the harness, the spanner pipeline and hmis; the logsp
+# rows were re-pinned when the spanner's cluster coins became
+# rng.uniform(seed, "coin", vertex, round)
 LOGSP_ROWS = (
     "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,max_link_bits,"
     "max_machine_bits,success\n"
-    "48,214,2,7,bcast,logsp,3,0,0,0,0,503,4636,4636,true\n"
-    "48,214,4,7,bcast,logsp,3,0,0,0,0,284,2719,7566,true\n"
-    "48,214,8,7,bcast,logsp,3,0,0,0,0,171,1705,9934,true\n"
+    "48,214,2,7,bcast,logsp,3,0,0,0,0,528,4699,4699,true\n"
+    "48,214,4,7,bcast,logsp,3,0,0,0,0,295,2675,7693,true\n"
+    "48,214,8,7,bcast,logsp,3,0,0,0,0,174,1795,10105,true\n"
 )
 
 
@@ -359,6 +402,11 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert sum(t.count("two messages to") for t in text.values()) == 1
     assert sum(t.count("raise RoundLimitExceeded(") for t in text.values()) == 1
     assert not any("BROADCAST_ONLY" in t or "_run_kernel" in t for t in text.values())
+    # programs draw their own randomness: the engine builds no Random, and
+    # no program reads one from its context
+    (rng_text,) = [t for t in text.values() if "make_random(" in t]
+    assert rng_text.count("make_random(") == rng_text.count("def make_random(") == 1
+    assert not any(".rand(" in t for t in text.values())
 
 
 def test_bellman_ford_broadcast_bound_holds_above_512():

@@ -1,6 +1,7 @@
-"""The batch derivation reproduces the one-at-a-time one bit for bit, and the
-counter-based token draws are splitmix64, numbered without aliasing and
-distributed as the walk needs."""
+"""The batch derivation reproduces the one-at-a-time one bit for bit, a
+vertex's coin is the top 53 bits of its derived key, and the counter-based
+token draws are splitmix64, numbered without aliasing and distributed as the
+walk needs."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kmachine.rng import (
     token_counters,
     token_layout_fits,
     token_uniforms,
+    uniform,
 )
 
 # any warning fails a test here, so no uint64 overflow warning escapes
@@ -28,6 +30,25 @@ def test_derive_each_equals_derive():
     ]:
         ref = [derive(seed, tag, x, *parts) for x in xs]
         assert derive_each(seed, tag, xs, *parts) == ref
+
+
+def test_uniform_known_answers():
+    assert [uniform(*key) for key in [
+        (0, "coin", 0, 1), (7, "coin", 3, 4), (-5, "coin", 2**40, 1),
+        (2**63 - 1, "coin", -2**63, 2**62),
+    ]] == [
+        0.22587737721715484, 0.9739854863023589, 0.037745683004077546,
+        0.23965087466990698,
+    ]
+
+
+def test_uniform_is_the_scaled_batch_key():
+    vs = list(range(300)) + [2**62, -1]
+    for seed, rnd in [(0, 1), (7, 4), (2**63 - 1, 2**62)]:
+        keys = derive_each(seed, "coin", vs, rnd)
+        coins = [uniform(seed, "coin", v, rnd) for v in vs]
+        assert coins == [(key >> 11) * 2.0**-53 for key in keys]
+        assert all(0.0 <= c < 1.0 for c in coins)
 
 
 def test_splitmix64_known_answers():
