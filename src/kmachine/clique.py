@@ -124,7 +124,8 @@ class NodeProgram:
 
 
 class Program:
-    """A named recipe that builds one fresh NodeProgram per vertex.
+    """A named per-vertex program: node() makes one vertex's fresh
+    NodeProgram, whose state is its own.
 
     kernel, if set, replaces the per-vertex programs in run_clique with one
     generator that advances every vertex of a round at once.  It is called
@@ -135,17 +136,14 @@ class Program:
     with their sources strictly ascending, then the unicasts.  It returns
     the per-vertex outputs.  The trace keeps the yielded arrays, so the
     kernel must not write to them later.  A kernel must be byte-identical
-    to the programs `builder` makes: the same messages in the same order,
+    to the programs `node` makes: the same messages in the same order,
     the same outputs.  Those programs stay as its reference.
     """
 
-    def __init__(self, name, builder, kernel=None):
+    def __init__(self, name, node, kernel=None):
         self.name = name
-        self._builder = builder
+        self.node = node
         self.kernel = kernel
-
-    def build(self, n: int):
-        return self._builder(n)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +201,6 @@ class CliqueTrace:
     @property
     def num_rounds(self) -> int:
         return len(self._rounds)
-
-    def unicast_count(self) -> int:
-        return sum(len(r[2]) for r in self._rounds)
-
-    def broadcast_count(self) -> int:
-        return sum(len(r[0]) for r in self._rounds)
 
     def round_arrays(self):
         """Per round: (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits)."""
@@ -304,7 +296,7 @@ def run_clique(
     blob.  Raises RoundLimitExceeded (carrying the partial trace) if the
     program still runs after the budget.  The rounds come from
     program.kernel(g, seed) if the program has a kernel, else from one
-    program.build(n) state machine per vertex (_vertex_rounds); either way
+    program.node() state machine per vertex (_vertex_rounds); either way
     every round passes the same checks before it is recorded.
     """
     n = g.n
@@ -316,7 +308,7 @@ def run_clique(
     if program.kernel is not None:
         rounds = program.kernel(g, seed)
     else:
-        rounds = _vertex_rounds(g, program.build(n), seed)
+        rounds = _vertex_rounds(g, program.node, seed)
     trace = CliqueTrace(n)
     while True:
         try:
@@ -335,16 +327,15 @@ def run_clique(
     return outputs, trace, CliqueMetrics.from_trace(trace)
 
 
-def _vertex_rounds(g, nodes, seed):
-    """The round generator of one NodeProgram per vertex.  It starts every
-    program, steps the live vertices in ascending order, yields each round
-    as (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) lists, delivers
-    the round's messages as the next round's inboxes, and returns the
-    outputs once every vertex has halted.  run_clique checks each round
+def _vertex_rounds(g, node, seed):
+    """The round generator of one node() NodeProgram per vertex.  It starts
+    every program, steps the live vertices in ascending order, yields each
+    round as (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) lists,
+    delivers the round's messages as the next round's inboxes, and returns
+    the outputs once every vertex has halted.  run_clique checks each round
     before it resumes the generator, so nothing unchecked is delivered."""
     n = g.n
-    if len(nodes) != n:
-        raise ProgramViolation("program built wrong number of vertices")
+    nodes = [node() for _ in range(n)]
     for v, prog in enumerate(nodes):
         prog.start(NodeCtx(node=v, n=n, incident=g.neighbors(v), seed=seed))
 

@@ -460,6 +460,12 @@ def run_experiment(config: ExperimentConfig):
     (k, seed).  Raises nothing on validation failure; the caller inspects
     the success column (the CLI exits nonzero)."""
     config.validate()
+    for key in ("n", "b"):
+        if isinstance(config.graph.get(key), (list, tuple)):
+            raise HarnessError(
+                f"graph {key} is a list of sizes; sweep them with "
+                "`kmachine sweep --sweep n`"
+            )
     rows = []
     for seed in config.seeds:
         rows.extend(rows_from_result(run_cell(config, seed)))

@@ -288,7 +288,7 @@ def brute_densest(g: Graph):
     for u, v, _ in g.edges:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
-    best = Fraction(0)
+    best_cnt, best_size = 0, 1
     best_set = frozenset([0])
     # incremental internal edge counts over the subset lattice
     edges_in = [0]
@@ -298,11 +298,10 @@ def brute_densest(g: Graph):
         cnt = edges_in[rest] + bin(adj_mask[low] & rest).count("1")
         edges_in.append(cnt)
         size = bin(s).count("1")
-        dens = Fraction(cnt, size)
-        if dens > best:
-            best = dens
+        if cnt * best_size > best_cnt * size:  # cnt/size beats the best, exactly
+            best_cnt, best_size = cnt, size
             best_set = frozenset(i for i in range(g.n) if s >> i & 1)
-    return best, best_set
+    return Fraction(best_cnt, best_size), best_set
 
 
 def densest_via_flow(g: Graph):

@@ -2,9 +2,8 @@
 
 Every vertex broadcasts its fragment label each phase, then vertices owning
 an edge that leaves their fragment broadcast the cheapest such edge.  Since
-broadcasts reach everyone, all vertices replay the identical merge history
-locally; the shared mirror below holds that common knowledge once per run
-instead of once per vertex.
+broadcasts reach everyone, every vertex replays the identical merge history
+locally, each in its own _MergeHistory.
 
 MST runs on the edge weights with the tie-break key (w, min(u,v), max(u,v))
 so the optimum is unique; the connectivity variant forces unit weights and
@@ -45,8 +44,8 @@ class _DSU:
             self.parent[rb] = ra
 
 
-class _FragmentShared:
-    """Merge history mirrored identically at every vertex."""
+class _MergeHistory:
+    """The merge history one vertex replays from the broadcasts it hears."""
 
     def __init__(self, n, weighted):
         self.n = n
@@ -56,18 +55,13 @@ class _FragmentShared:
         self.done = False
         self.spanning = None
         self.chosen = []
-        self.by_vertex = None
-        self._applied = 0
 
     def apply(self, phase_round, candidate_msgs):
         """Advance by one phase worth of delivered candidate broadcasts.
 
         phase_round is the odd effective round at which the candidates from
-        the previous even round are visible; idempotent per round.
+        the previous even round are visible.
         """
-        if self.done or phase_round <= self._applied:
-            return
-        self._applied = phase_round
         if phase_round == 1:
             if self.count == 1:
                 self._finish(True)
@@ -111,11 +105,6 @@ class _FragmentShared:
     def _finish(self, spanning):
         self.done = True
         self.spanning = spanning
-        by_vertex = {}
-        for a, b, w in self.chosen:
-            by_vertex.setdefault(a, []).append((a, b))
-            by_vertex.setdefault(b, []).append((a, b))
-        self.by_vertex = {v: tuple(sorted(es)) for v, es in by_vertex.items()}
 
 
 class _FragmentNode(NodeProgram):
@@ -126,8 +115,7 @@ class _FragmentNode(NodeProgram):
     broadcast the cheapest incident edge leaving the fragment, if any.
     """
 
-    def __init__(self, shared, kind, flags=None):
-        self.shared = shared
+    def __init__(self, kind, flags=None):
         self.kind = kind  # "mst" | "conn" | "stverify"
         self.flags = flags
         self.count_total = None
@@ -135,11 +123,12 @@ class _FragmentNode(NodeProgram):
     def start(self, ctx):
         self.ctx = ctx
         self.L = label_bits(ctx.n)
+        self.history = _MergeHistory(ctx.n, weighted=self.kind == "mst")
         inc = ctx.incident
         if self.flags is not None:
             inc = tuple(e for e in inc if e[2] in self.flags)
         self.edges = tuple(
-            (u, w if self.shared.weighted else 1) for u, w, _ in inc
+            (u, w if self.history.weighted else 1) for u, w, _ in inc
         )
         self.offset = 1 if self.kind == "stverify" else 0
 
@@ -151,21 +140,21 @@ class _FragmentNode(NodeProgram):
                 self.count_total = sum(c for _, (c,) in inbox.broadcasts)
         eff = rnd - self.offset
         if eff % 2 == 1:
-            self.shared.apply(eff, inbox.broadcasts if eff > 1 else ())
-            if self.shared.done:
+            self.history.apply(eff, inbox.broadcasts if eff > 1 else ())
+            if self.history.done:
                 return HALT
-            return Broadcast((self.shared.frag[self.ctx.node],), self.L)
+            return Broadcast((self.history.frag[self.ctx.node],), self.L)
         cand = self._own_candidate()
         if cand is None:
             return SILENT
         endpoint, w = cand
-        if self.shared.weighted:
+        if self.history.weighted:
             return Broadcast((endpoint, w), self.L + max(1, w.bit_length()))
         return Broadcast((endpoint,), self.L)
 
     def _own_candidate(self):
         me = self.ctx.node
-        frag = self.shared.frag
+        frag = self.history.frag
         mine = frag[me]
         best = None
         for u, w in self.edges:
@@ -179,13 +168,14 @@ class _FragmentNode(NodeProgram):
 
     def output(self):
         me = self.ctx.node
+        history = self.history
         if self.kind == "mst":
-            edges = self.shared.by_vertex.get(me, ()) if self.shared.by_vertex else ()
-            return (edges, bool(self.shared.spanning))
+            mine = sorted((a, b) for a, b, _ in history.chosen if me in (a, b))
+            return (tuple(mine), bool(history.spanning))
         if self.kind == "conn":
-            return (self.shared.count, self.shared.count == 1)
-        ok = self.shared.count == 1 and self.count_total == 2 * (self.ctx.n - 1)
-        return (ok, self.count_total // 2, self.shared.count == 1)
+            return (history.count, history.count == 1)
+        ok = history.count == 1 and self.count_total == 2 * (self.ctx.n - 1)
+        return (ok, self.count_total // 2, history.count == 1)
 
 
 _NONE = np.zeros(0, dtype=np.int64)
@@ -241,7 +231,7 @@ def _merge_rounds(g, kind, flags):
 
 def _merge(frag, cs, cn, cw):
     """One merge phase from the candidates (cs, cn, cw), as
-    _FragmentShared.apply does it: the new labels, and the indices of the
+    _MergeHistory.apply does it: the new labels, and the indices of the
     candidates chosen as their fragments' cheapest."""
     fa = frag[cs]
     order = np.lexsort((*merge_key(cs, cn, cw)[::-1], fa))
@@ -273,20 +263,12 @@ def _mst_outputs(n, chosen, spanning):
 
 
 def mst_program() -> Program:
-    def build(n):
-        shared = _FragmentShared(n, weighted=True)
-        return [_FragmentNode(shared, "mst") for _ in range(n)]
-
-    return Program("mst", build,
+    return Program("mst", lambda: _FragmentNode("mst"),
                    kernel=lambda g, _seed: _merge_rounds(g, "mst", None))
 
 
 def conn_program() -> Program:
-    def build(n):
-        shared = _FragmentShared(n, weighted=False)
-        return [_FragmentNode(shared, "conn") for _ in range(n)]
-
-    return Program("conn", build,
+    return Program("conn", lambda: _FragmentNode("conn"),
                    kernel=lambda g, _seed: _merge_rounds(g, "conn", None))
 
 
@@ -298,10 +280,5 @@ def st_verify_program(candidate_edges) -> Program:
     the answer is YES iff connected and the count equals n-1.
     """
     flags = frozenset(candidate_edges)
-
-    def build(n):
-        shared = _FragmentShared(n, weighted=False)
-        return [_FragmentNode(shared, "stverify", flags=flags) for _ in range(n)]
-
-    return Program("stverify", build,
+    return Program("stverify", lambda: _FragmentNode("stverify", flags=flags),
                    kernel=lambda g, _seed: _merge_rounds(g, "stverify", flags))

@@ -72,4 +72,4 @@ class _LubyNode(NodeProgram):
 
 def luby_mis_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("mis", lambda n: [_LubyNode(cfg.mis_max_phases) for _ in range(n)])
+    return Program("mis", lambda: _LubyNode(cfg.mis_max_phases))

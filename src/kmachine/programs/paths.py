@@ -52,7 +52,7 @@ class _BfsNode(NodeProgram):
 
 def bfs_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("bfs", lambda n: [_BfsNode(cfg.source) for _ in range(n)])
+    return Program("bfs", lambda: _BfsNode(cfg.source))
 
 
 class _BellmanFordNode(NodeProgram):
@@ -104,6 +104,4 @@ class _BellmanFordNode(NodeProgram):
 
 def bellman_ford_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program(
-        "bf_sssp", lambda n: [_BellmanFordNode(cfg.source) for _ in range(n)]
-    )
+    return Program("bf_sssp", lambda: _BellmanFordNode(cfg.source))

@@ -9,10 +9,10 @@ into every adjacent cluster and drops out.  Retained edges double as the
 cluster trees, which is what caps the stretch.  A final local pass joins
 each surviving vertex to every adjacent residual cluster.
 
-Membership broadcasts carry the witness edge, so the shared mirror can
-replay joins, drops and edge removals identically at every vertex; only
-edges retained by a dropping vertex or in the final pass stay private to
-the vertex that retained them.
+Membership broadcasts carry the witness edge, so each vertex replays the
+joins, drops and edge removals it needs from its own inbox: it tracks the
+clusters of itself and its neighbors only, and keeps the retained edges
+it is an endpoint of.
 """
 
 import math
@@ -26,98 +26,81 @@ from ..rng import uniform
 from .config import AlgoConfig
 
 
-class _SpannerShared:
-    def __init__(self, n, delta):
-        self.n = n
-        self.delta = delta
-        self.cluster = list(range(n))
-        self.prev_cluster = list(range(n))
-        self.sampled = set()
-        self.join_edges = []
-        self._coins_round = 0
-        self._applied = 0
-
-    def set_sampled(self, rnd, coin_msgs):
-        if rnd <= self._coins_round:
-            return
-        self._coins_round = rnd
-        self.sampled = {src for src, _ in coin_msgs}
-
-    def apply_memberships(self, rnd, msgs):
-        """Replay one iteration's membership broadcasts; idempotent."""
-        if rnd <= self._applied:
-            return
-        self._applied = rnd
-        self.prev_cluster = list(self.cluster)
-        for src, payload in sorted(msgs):
-            if payload[0] == "m":
-                _, c_new, via = payload
-                if via >= 0:
-                    self.join_edges.append((min(src, via), max(src, via)))
-                self.cluster[src] = c_new
-            elif payload[0] == "d":
-                self.cluster[src] = None
-
-
 class _SpannerNode(NodeProgram):
-    def __init__(self, shared):
-        self.shared = shared
+    def __init__(self, delta):
+        self.delta = delta
 
     def start(self, ctx):
         self.ctx = ctx
         self.L = label_bits(ctx.n)
         self.live = {u for u, _, _ in ctx.incident}
-        self.private_edges = []
-        self.p = ctx.n ** (-1.0 / self.shared.delta)
-        self.last_rounds = 2 * (self.shared.delta - 1) + 1
+        # the cluster of this vertex and of each live neighbor (None once
+        # dropped); a neighbor's entry goes stale, unread, once it leaves live
+        self.cluster = {v: v for v in (ctx.node, *self.live)}
+        self.edges = set()  # retained edges with this vertex as an endpoint
+        self.p = ctx.n ** (-1.0 / self.delta)
+        self.last_rounds = 2 * (self.delta - 1) + 1
 
     def _apply_round(self, inbox):
-        self.shared.apply_memberships(self._rnd, inbox.broadcasts)
-        prev = self.shared.prev_cluster
+        """Replay one iteration's membership broadcasts.  Only those of this
+        vertex and of its neighbors live at the round's start change what it
+        reads: live edges are symmetric, so a witness edge to this vertex
+        comes from one of them."""
+        prev, live = self.cluster, self.live  # clusters move once all are read
         me = self.ctx.node
+        watched = {me, *live}
+        moves = {}
         for src, payload in inbox.broadcasts:
+            if src not in watched:
+                continue
             if payload[0] == "d":
-                self.live.discard(src)
+                live.discard(src)
                 if src == me:
-                    self.live.clear()
-            elif payload[0] == "m" and payload[2] >= 0:
-                c_new = payload[1]
-                if src == me:
-                    self.live = {u for u in self.live if prev[u] != c_new}
-                elif src in self.live and prev[me] == c_new:
-                    self.live.discard(src)
+                    live.clear()
+                moves[src] = None
+                continue
+            _, c_new, via = payload
+            moves[src] = c_new
+            if via < 0:
+                continue
+            if src == me:
+                live.difference_update([u for u in live if prev[u] == c_new])
+            elif src in live and prev[me] == c_new:
+                live.discard(src)
+            if via == me or src == me:
+                self.edges.add((min(src, via), max(src, via)))
+        prev.update(moves)
 
     def step(self, rnd, inbox):
-        self._rnd = rnd
         if rnd == self.last_rounds:
             if rnd > 1:
                 self._apply_round(inbox)
             self._final_pass()
             return HALT
+        me = self.ctx.node
         if rnd % 2 == 1:  # coin round
             if rnd > 1:
                 self._apply_round(inbox)
-            cl = self.shared.cluster[self.ctx.node]
-            if cl == self.ctx.node and uniform(self.ctx.seed, "coin", cl, rnd) < self.p:
+            cl = self.cluster[me]
+            if cl == me and uniform(self.ctx.seed, "coin", cl, rnd) < self.p:
                 return Broadcast(("c",), 1)
             return SILENT
         # membership round
-        self.shared.set_sampled(rnd, inbox.broadcasts)
-        me = self.ctx.node
-        cl = self.shared.cluster[me]
+        cl = self.cluster[me]
         if cl is None:
             return SILENT
-        if cl in self.shared.sampled:
+        sampled = {src for src, _ in inbox.broadcasts}  # the coin round's centers
+        if cl in sampled:
             return Broadcast(("m", cl, -1), 2 * self.L)
-        cands = [u for u in self.live if self.shared.cluster[u] in self.shared.sampled]
+        cands = [u for u in self.live if self.cluster[u] in sampled]
         if cands:
             via = min(cands)
-            return Broadcast(("m", self.shared.cluster[via], via), 2 * self.L)
+            return Broadcast(("m", self.cluster[via], via), 2 * self.L)
         self._keep_one_edge_per_cluster(cl)
         return Broadcast(("d",), 1)
 
     def _final_pass(self):
-        cl = self.shared.cluster[self.ctx.node]
+        cl = self.cluster[self.ctx.node]
         if cl is not None:
             self._keep_one_edge_per_cluster(cl)
 
@@ -126,31 +109,21 @@ class _SpannerNode(NodeProgram):
         me = self.ctx.node
         per_cluster = {}
         for u in self.live:
-            c = self.shared.cluster[u]
+            c = self.cluster[u]
             if c is None or c == cl:  # own-cluster edges ride the cluster tree
                 continue
             if c not in per_cluster or u < per_cluster[c]:
                 per_cluster[c] = u
-        for c, u in sorted(per_cluster.items()):
-            self.private_edges.append((min(me, u), max(me, u)))
+        for u in per_cluster.values():
+            self.edges.add((min(me, u), max(me, u)))
 
     def output(self):
-        me = self.ctx.node
-        mine = set(self.private_edges)
-        for a, b in self.shared.join_edges:
-            if a == me or b == me:
-                mine.add((a, b))
-        return tuple(sorted(mine))
+        return tuple(sorted(self.edges))
 
 
 def spanner_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-
-    def build(n):
-        shared = _SpannerShared(n, cfg.delta)
-        return [_SpannerNode(shared) for _ in range(n)]
-
-    return Program("spanner", build)
+    return Program("spanner", lambda: _SpannerNode(cfg.delta))
 
 
 def spanner_union(outputs):

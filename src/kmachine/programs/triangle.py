@@ -57,4 +57,4 @@ class _TriangleNode(NodeProgram):
 
 
 def triangle_program() -> Program:
-    return Program("triangle", lambda n: [_TriangleNode() for _ in range(n)])
+    return Program("triangle", _TriangleNode)

@@ -135,7 +135,7 @@ def pagerank_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program(
         "pagerank",
-        lambda n: [_PageRankNode(cfg) for _ in range(n)],
+        lambda: _PageRankNode(cfg),
         # walk_shape runs before the kernel's first round, to reject a bad size
         kernel=lambda g, seed: _pagerank_rounds(g, cfg, walk_shape(g.n, cfg), seed),
     )

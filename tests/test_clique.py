@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -24,6 +25,7 @@ from kmachine.programs import (
     ConfigError,
     bfs_program,
     conn_program,
+    densest_subgraph_program,
     luby_mis_program,
     mst_program,
     pagerank_program,
@@ -52,7 +54,7 @@ class _OneUnicast(NodeProgram):
 
 
 def _prog(cls):
-    return Program("t", lambda n: [cls() for _ in range(n)])
+    return Program("t", cls)
 
 
 def test_broadcast_once_metrics():
@@ -256,7 +258,8 @@ def test_trace_export_format():
 # digest dates from the first engine; the PageRank digest was re-pinned when
 # walk tokens began drawing counter-keyed uniforms (rng.token_uniforms); the
 # MIS and spanner digests date from per-vertex coins drawn as
-# rng.uniform(seed, "coin", vertex, round).
+# rng.uniform(seed, "coin", vertex, round); the densest digest was measured
+# while every densest vertex still read one shared mirror.
 # ---------------------------------------------------------------------------
 
 
@@ -301,14 +304,23 @@ def test_golden_trace_spanner():
     )
 
 
+def test_golden_trace_densest():
+    g = generate("gnp", 40, 3, p=0.15)
+    outputs, trace, _ = run_clique(g, densest_subgraph_program(AlgoConfig()), 5)
+    assert _trace_digest(outputs, trace) == (
+        "eb3fa811cdca9cc7120215d6b03e0ae24ae9c8604fcfdced50e92a365d80d295"
+    )
+
+
 # ---------------------------------------------------------------------------
 # round kernels: byte-identical to the per-vertex programs they replace
 # ---------------------------------------------------------------------------
 
 
 def _reference(program):
-    """The same program without its kernel: one state machine per vertex."""
-    return Program(program.name, program.build)
+    """The same program without its kernel: one state machine per vertex,
+    each a deep copy, so no two vertices can share an object."""
+    return Program(program.name, lambda: copy.deepcopy(program.node()))
 
 
 def _assert_kernel_matches_reference(g, program, seed, **kw):
@@ -346,7 +358,7 @@ def test_pagerank_kernel_matches_reference_with_isolated_vertices():
         trace = _assert_kernel_matches_reference(
             g, pagerank_program(AlgoConfig(tokens_per_node=40)), seed
         )
-        assert trace.unicast_count() > 0
+        assert CliqueMetrics.from_trace(trace).unicasts > 0
 
 
 def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
@@ -399,6 +411,22 @@ def test_fragment_kernels_match_reference_on_fidelity_instances():
     for alg, inst, s in runs:
         prog = make_program(alg, inst, AlgoConfig())
         _assert_kernel_matches_reference(inst.graph, prog, s)
+
+
+def test_broadcast_programs_keep_no_shared_state_on_fidelity_instances():
+    # every vertex a deep copy: what a vertex knows of the others it rebuilt
+    # from its own inbox, so the trace and outputs equal the normal run's
+    runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
+            if alg in ("densest", "spanner")]
+    assert len(runs) == 40
+    for alg, inst, s in runs:
+        prog = make_program(alg, inst, AlgoConfig())
+        out, trace, _ = run_clique(inst.graph, prog, s)
+        iso_out, iso_trace, _ = run_clique(inst.graph, _reference(prog), s)
+        assert [(r.bcasts, r.unis) for r in trace.rounds] == [
+            (r.bcasts, r.unis) for r in iso_trace.rounds
+        ]
+        assert repr(out) == repr(iso_out)
 
 
 @pytest.mark.parametrize("n, edges, candidate, spanning, tree", [
@@ -464,7 +492,7 @@ def _kernel_program(*rounds, outputs=None):
             yield r
         return [None] * g.n if outputs is None else outputs
 
-    return Program("k", lambda n: [], kernel=kernel)
+    return Program("k", NodeProgram, kernel=kernel)
 
 
 def test_kernel_messages_are_recorded_in_order():

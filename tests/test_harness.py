@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from kmachine.harness import (
     rows_from_result,
     run_cell,
     run_experiment,
+    run_sweep,
 )
 from kmachine.machines import ConversionError
 from kmachine.programs import AlgoConfig, ConfigError
@@ -93,6 +95,17 @@ def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
     monkeypatch.setattr("kmachine.harness.hmis_kmachine", no_engine)
     with pytest.raises(error):
         run_experiment(config_from_mapping({**base, "k": [2], "seeds": [1], **bad}))
+
+
+@pytest.mark.parametrize("doc", [
+    {**_GNP, "n": [16, 32]},
+    {"algorithm": "conn", "gadget": "conn", "b": [8, 16]},
+])
+def test_a_list_of_sizes_is_refused_outside_a_sweep(doc):
+    cfg = config_from_mapping({**doc, "k": [2], "seeds": [1]})
+    with pytest.raises(HarnessError, match="kmachine sweep --sweep n"):
+        run_experiment(cfg)
+    assert run_sweep(cfg, "n")  # the same config sweeps
 
 
 def test_seeds_at_the_ends_of_the_int64_range_are_accepted():
@@ -407,6 +420,10 @@ def test_one_engine_driver_and_one_algorithm_table():
     (rng_text,) = [t for t in text.values() if "make_random(" in t]
     assert rng_text.count("make_random(") == rng_text.count("def make_random(") == 1
     assert not any(".rand(" in t for t in text.values())
+    # one state machine per vertex: no shared mirror, no n-vertex builder
+    assert not any(re.search(r"class _\w*Shared\b", t) for t in text.values())
+    assert not any(".build(" in t or "wrong number of vertices" in t
+                   for t in text.values())
 
 
 def test_bellman_ford_broadcast_bound_holds_above_512():

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmachine.clique import CliqueTrace, RoundRecord
+from kmachine.clique import CliqueMetrics, CliqueTrace, RoundRecord
 from kmachine.machines import Partition, price
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -40,7 +40,7 @@ def priced(draw, broadcast_only=False, k=None):
 
 def _modes(trace):
     """Both modes on a broadcast-only trace, point-to-point otherwise."""
-    if trace.unicast_count():
+    if CliqueMetrics.from_trace(trace).unicasts:
         return ("p2p",)
     return ("p2p", "bcast")
 
