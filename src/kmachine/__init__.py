@@ -43,6 +43,7 @@ from .machines import (
     point_to_point_bound,
     price,
     random_vertex_partition,
+    random_vertex_partitions,
     run_on_kmachines,
 )
 from .oracles import graph_stats

@@ -1,14 +1,26 @@
 """Command line front end: gen, run, sweep, validate.
 
 Config files are flat JSON key-value documents; any flag given on the
-command line overrides the same key from the file.
+command line overrides the same key from the file.  A config the program
+rejects prints one `kmachine: error: ...` line on stderr and exits with 2;
+exit code 1 means some row or criterion failed.
 """
 
 import argparse
 import sys
+import time
 
-from .graphs import dump_edge_list, generate
-from .harness import fit_scaling, format_csv, load_config, run_experiment, run_sweep
+from .graphs import GraphError, dump_edge_list, generate
+from .harness import (
+    HarnessError,
+    fit_scaling,
+    format_csv,
+    load_config,
+    run_experiment,
+    run_sweep,
+)
+from .machines import ConversionError
+from .programs import ConfigError
 
 
 def _ints(text):
@@ -87,7 +99,19 @@ def cmd_sweep(args):
 def cmd_validate(args):
     from .acceptance import validate_all
 
-    results, csv_text, ok = validate_all(seed=args.seed)
+    last = time.perf_counter()
+
+    def echo(line):
+        # the battery runs its criteria one after another and prints one
+        # verdict line as each finishes, so the time since the previous line
+        # is that criterion's wall time
+        nonlocal last
+        now = time.perf_counter()
+        print(line)
+        print(f"# {line.split(':', 1)[0]}: {now - last:.2f} s", file=sys.stderr)
+        last = now
+
+    results, csv_text, ok = validate_all(seed=args.seed, echo=echo)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
@@ -130,7 +154,12 @@ def main(argv=None):
     v.set_defaults(fn=cmd_validate)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    # these are what a bad config or bad flags raise, unlike a program fault
+    try:
+        return args.fn(args)
+    except (HarnessError, ConfigError, GraphError, ConversionError) as exc:
+        print(f"kmachine: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

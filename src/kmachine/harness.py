@@ -26,7 +26,7 @@ from .graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from .machines import BCAST, P2P, price, random_vertex_partition
+from .machines import BCAST, P2P, price, random_vertex_partitions
 from .programs import (
     CLIQUE_ALGORITHMS,
     AlgoConfig,
@@ -405,7 +405,7 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
         )
 
     config.algo.validate(g.n)
-    parts = [random_vertex_partition(g, k, seed) for k in config.k]
+    parts = random_vertex_partitions(g, config.k, seed)
     program = make_program(algorithm, inst, config.algo)
     outputs, trace, metrics = run_clique(
         g, program, seed, max_rounds=_engine_budget(algorithm, inst, config.algo)

@@ -37,13 +37,21 @@ class Partition:
         return np.bincount(self.home, minlength=self.k)
 
 
+def random_vertex_partitions(g: Graph, ks, seed: int) -> list:
+    """One partition per machine count in `ks`, each assigning every vertex
+    an independent uniform home machine.  A vertex's key does not depend on
+    k, so the keys are derived once and reduced mod each k."""
+    for k in ks:
+        if k < 1 or k > g.n:
+            raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")
+    keys = np.array(derive_each(seed, "rvp", range(g.n)), dtype=np.uint64)
+    return [Partition(k=k, home=(keys % np.uint64(k)).astype(np.int64), seed=seed)
+            for k in ks]
+
+
 def random_vertex_partition(g: Graph, k: int, seed: int) -> Partition:
     """Assign each vertex an independent uniform home machine."""
-    if k < 1 or k > g.n:
-        raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    keys = derive_each(seed, "rvp", range(g.n))
-    home = np.fromiter((h % k for h in keys), dtype=np.int64, count=g.n)
-    return Partition(k=k, home=home, seed=seed)
+    return random_vertex_partitions(g, [k], seed)[0]
 
 
 def check_mapping_bounds(g: Graph, part: Partition):

@@ -11,8 +11,9 @@ only reports the surviving fragment count.
 
 The engine runs the round kernel `_merge_rounds`, which advances every
 vertex of a round at once: it sorts the CSR slots by (source, merge_key)
-once, and each candidate round takes every vertex's first slot that leaves
-its fragment.  The per-vertex `_FragmentNode` stays as its reference.
+once, and each candidate round drops the slots inside a fragment and takes
+every vertex's first remaining slot.  The per-vertex `_FragmentNode` stays
+as its reference.
 """
 
 import numpy as np
@@ -181,6 +182,12 @@ class _FragmentNode(NodeProgram):
 _NONE = np.zeros(0, dtype=np.int64)
 # powers of two below 2**63: a count of those <= w is w.bit_length()
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
+# slots per block in _merge_rounds.  It works on blocks so that, but for
+# one sort order, its slot-length arrays are the few it keeps for the whole
+# run: slot-length temporaries, made and freed every round, fragment the
+# malloc heap, and a run's peak memory then varies by megabytes with the
+# graph.
+_BLOCK = 1 << 13
 
 
 def _merge_rounds(g, kind, flags):
@@ -195,9 +202,17 @@ def _merge_rounds(g, kind, flags):
         keep = np.isin(eidx, np.fromiter(flags, np.int64, len(flags)))
         src, nbr, w = src[keep], nbr[keep], w[keep]
     ends = len(src)  # flagged edge endpoints, which stverify counts
-    # stable, so equal keys keep the neighbor order _own_candidate scans in
-    order = np.lexsort((*merge_key(src, nbr, w)[::-1], src))
-    src, nbr, w = src[order], nbr[order], w[order]
+    # stable, so equal keys keep the neighbor order _own_candidate scans in.
+    # src is sorted, so each block of whole sources sorts on its own, and
+    # src keeps its order
+    order = np.empty(len(src), dtype=np.int64)
+    cuts = np.append(np.searchsorted(src, src[::_BLOCK]), len(src)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        b = slice(lo, hi)
+        order[b] = lo + np.lexsort((*merge_key(src[b], nbr[b], w[b])[::-1], src[b]))
+    nbr = nbr[order]
+    w = w[order]
+    del order  # the generator lives through every round
     everyone, l_bits = np.arange(n), np.full(n, L)
     if kind == "stverify":
         yield everyone, l_bits, _NONE, _NONE, _NONE  # edge counts
@@ -206,9 +221,12 @@ def _merge_rounds(g, kind, flags):
     chosen = [_NONE.reshape(2, 0)]
     while count > 1:
         yield everyone, l_bits, _NONE, _NONE, _NONE
-        cross = frag[src] != frag[nbr]  # slots inside a fragment stay inside
-        src, nbr, w = src[cross], nbr[cross], w[cross]
-        first = np.flatnonzero(np.diff(src, prepend=-1))
+        # slots inside a fragment stay inside
+        live = _keep_crossing(frag, src, nbr, w)
+        src, nbr, w = src[:live], nbr[:live], w[:live]
+        # each source's first slot
+        start = np.searchsorted(src, everyone)
+        first = start[start < np.searchsorted(src, everyone, side="right")]
         cs, cn, cw = src[first], nbr[first], w[first]
         if kind == "mst":
             bits = L + np.maximum(1, np.searchsorted(_POW2, cw, side="right"))
@@ -227,6 +245,21 @@ def _merge_rounds(g, kind, flags):
     if kind == "stverify":
         return [(spanning and ends == 2 * (n - 1), ends // 2, spanning)] * n
     return _mst_outputs(n, np.concatenate(chosen, axis=1), spanning)
+
+
+def _keep_crossing(frag, src, nbr, w):
+    """Move the slots whose two ends lie in different fragments, in order,
+    to the front of src, nbr and w, in place and a block at a time; return
+    how many there are."""
+    kept = 0
+    for lo in range(0, len(src), _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        cross = frag[src[b]] != frag[nbr[b]]
+        k = int(np.count_nonzero(cross))
+        for a in (src, nbr, w):
+            a[kept:kept + k] = a[b][cross]  # kept <= lo: nothing unread is overwritten
+        kept += k
+    return kept
 
 
 def _merge(frag, cs, cn, cw):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
-from ..machines import BCAST, price, random_vertex_partition
+from ..machines import BCAST, price, random_vertex_partitions
 from ..rng import uniform
 from .config import AlgoConfig
 
@@ -178,7 +178,7 @@ def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
         raise ValueError("approximate shortest paths expects a unit-weight graph")
     n = g.n
     L = label_bits(n)
-    parts = [random_vertex_partition(g, k, seed) for k in ks]
+    parts = random_vertex_partitions(g, ks, seed)
     delta = max(1, math.ceil(math.log2(max(2, n))))
     cfg = replace(cfg or AlgoConfig(), delta=delta)
     outputs, trace, _ = run_clique(g, spanner_program(cfg), seed)

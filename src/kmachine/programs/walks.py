@@ -15,7 +15,9 @@ Each token's fate comes from its own two uniforms (rng.token_uniforms),
 keyed by (seed, round, vertex, token index): it dies if u1 < gamma, else it
 hops to CSR slot indptr[v] + floor(u2 * degree); a token on an isolated
 vertex dies.  The engine runs the round kernel `_pagerank_rounds`, which
-moves every token of a round at once.  The per-vertex `_PageRankNode`
+moves every token of a round at once and marks the CSR slots its tokens
+crossed in one boolean mask over the 2m slots; the marked slots, in
+ascending order, are the round's messages.  The per-vertex `_PageRankNode`
 draws the same uniforms for its own tokens and stays as its reference.
 """
 
@@ -114,7 +116,7 @@ def _pagerank_rounds(g, cfg, shape, seed):
         ends = np.cumsum(held)
         firsts, count = ends - held, int(ends[-1])
         here = np.zeros(n, dtype=np.int64)
-        hit = [np.zeros(0, dtype=np.int64)]  # the CSR slots some token crossed
+        crossed = np.zeros(len(nbr), dtype=bool)  # per CSR slot: a token crossed it
         for lo in range(0, count, _CHUNK):
             t = np.arange(lo, min(lo + _CHUNK, count))
             v = np.searchsorted(ends, t, side="right")  # the token's vertex
@@ -122,8 +124,8 @@ def _pagerank_rounds(g, cfg, shape, seed):
             v, u2 = v[u1 >= cfg.gamma], u2[u1 >= cfg.gamma]
             slot = indptr[v] + (u2 * deg[v]).astype(np.int64)
             here += np.bincount(nbr[slot], minlength=n)
-            hit.append(np.unique(slot))
-        slot = np.unique(np.concatenate(hit))
+            crossed[slot] = True
+        slot = np.flatnonzero(crossed)  # ascending: by source, then destination
         src = np.searchsorted(indptr, slot, side="right") - 1
         yield none, none, src, nbr[slot], np.full(len(slot), shape.bits)
     visits += here

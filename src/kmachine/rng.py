@@ -33,12 +33,12 @@ def derive_each(seed: int, tag: str, xs, *parts: int) -> list:
     once."""
     base = _prefix(seed, tag)
     fmt = struct.Struct(f">{1 + len(parts)}q")
-    out = []
+    digests = []
     for x in xs:
         h = base.copy()
         h.update(fmt.pack(x, *parts))
-        out.append(int.from_bytes(h.digest(), "big"))
-    return out
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8").tolist()
 
 
 def uniform(seed: int, tag: str, *parts: int) -> float:

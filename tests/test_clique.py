@@ -32,7 +32,7 @@ from kmachine.programs import (
     spanner_program,
     st_verify_program,
 )
-from kmachine.programs import walks
+from kmachine.programs import fragments, walks
 
 
 class _ShoutOnce(NodeProgram):
@@ -361,6 +361,16 @@ def test_pagerank_kernel_matches_reference_with_isolated_vertices():
         assert CliqueMetrics.from_trace(trace).unicasts > 0
 
 
+def test_pagerank_kernel_matches_reference_without_edges():
+    # no CSR slots at all: the crossed-slot mask is empty and every token dies
+    for g in (Graph(1, []), Graph(6, [])):
+        for seed in range(2):
+            trace = _assert_kernel_matches_reference(
+                g, pagerank_program(AlgoConfig()), seed
+            )
+            assert CliqueMetrics.from_trace(trace).unicasts == 0
+
+
 def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
     # chunks of 7 tokens split every vertex's batch of 40
     monkeypatch.setattr(walks, "_CHUNK", 7)
@@ -408,6 +418,18 @@ def test_fragment_kernels_match_reference_on_fidelity_instances():
     runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
             if alg in ("mst", "conn", "stverify")]
     assert len(runs) == 60
+    for alg, inst, s in runs:
+        prog = make_program(alg, inst, AlgoConfig())
+        _assert_kernel_matches_reference(inst.graph, prog, s)
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
+    # blocks far under a vertex's slot count: the sort's blocks still hold
+    # whole sources, and the in-place compaction runs over many blocks
+    monkeypatch.setattr(fragments, "_BLOCK", block)
+    runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
+            if alg in ("mst", "conn", "stverify")]
     for alg, inst, s in runs:
         prog = make_program(alg, inst, AlgoConfig())
         _assert_kernel_matches_reference(inst.graph, prog, s)

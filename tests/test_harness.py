@@ -288,6 +288,41 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+def test_cli_bad_config_is_one_line_and_exit_2(tmp_path, capsys):
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps(
+        {"algorithm": "mis", "model": "gnp", "n": [16, 32], "p": 0.3}
+    ))
+    rc = cli_main(["run", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("kmachine: error: graph n is a list of sizes")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_validate_times_each_criterion(tmp_path, capsys, monkeypatch):
+    from kmachine.acceptance import Battery
+
+    def two_criteria(self):  # stands in for the full battery
+        self._done(2, "second", True, "ok")
+        self._done(1, "first", False, "no")
+        self.results.sort(key=lambda r: r.cid)
+        return self.results
+
+    monkeypatch.setattr(Battery, "run", two_criteria)
+    out = tmp_path / "rows.csv"
+    rc = cli_main(["validate", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "[PASS]  2 second: ok\n[FAIL]  1 first: no\n1/2 criteria passed\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"# \[PASS\]  2 second: \d+\.\d\d s", lines[0])
+    assert re.fullmatch(r"# \[FAIL\]  1 first: \d+\.\d\d s", lines[1])
+    assert out.read_text() == format_csv([])
+
+
 def test_cli_gen_roundtrip(tmp_path):
     out = tmp_path / "g.edges"
     rc = cli_main(["gen", "--model", "gnp", "--n", "40", "--seed", "3",

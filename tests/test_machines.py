@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from kmachine.machines import (
     point_to_point_bound,
     price,
     random_vertex_partition,
+    random_vertex_partitions,
     run_on_kmachines,
     sim_report,
 )
@@ -34,6 +36,41 @@ def test_rvp_basics():
         random_vertex_partition(g2, 0, 0)
     with pytest.raises(ConversionError):
         random_vertex_partition(g2, 11, 0)
+
+
+def test_rvp_golden_digest():
+    # homes pinned before the keys were derived once for every k
+    h = hashlib.sha256()
+    g = Graph(300, [])
+    for k in (1, 2, 3, 7, 32, 300):
+        for seed in (0, 11, -5, 2**40):
+            h.update(random_vertex_partition(g, k, seed).home.astype("<i8").tobytes())
+    assert h.hexdigest() == (
+        "a265ca4a0a9631e0bef337e92b947b8ccf84c703594c9dfc9c81525c0bd0c48e"
+    )
+
+
+def test_rvp_batch_equals_one_at_a_time():
+    g = generate("gnp", 200, 1, p=0.05)
+    for ks, seed in [((1,), 0), ((2, 4, 8, 16, 32), 9), ((7, 3, 7, 200), -4)]:
+        parts = random_vertex_partitions(g, ks, seed)
+        assert len(parts) == len(ks)
+        for k, part in zip(ks, parts):
+            one = random_vertex_partition(g, k, seed)
+            assert (part.k, part.seed) == (one.k, one.seed) == (k, seed)
+            assert part.home.dtype == one.home.dtype == np.int64
+            assert (part.home == one.home).all()
+
+
+def test_rvp_batch_rejects_a_bad_k_before_hashing(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("keys derived before every k was checked")
+
+    monkeypatch.setattr("kmachine.machines.derive_each", no_hashing)
+    g = Graph(10, [])
+    for ks in ([0], [2, 11], [4, 2, -1, 3]):
+        with pytest.raises(ConversionError):
+            random_vertex_partitions(g, ks, 0)
 
 
 def test_rvp_concentration():
