@@ -59,9 +59,10 @@ class Graph:
         key = a * n + b
         if np.count_nonzero(bad):
             _reject(n, u, v, w, key, int(bad.argmax()))
-        ordered = np.sort(key)
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):
-            _reject(n, u, v, w, key, len(a))
+        if not (key[1:] > key[:-1]).all():  # strictly ascending keys are distinct
+            ordered = np.sort(key)
+            if np.count_nonzero(ordered[1:] == ordered[:-1]):
+                _reject(n, u, v, w, key, len(a))
         self.n = n
         self._arrays = _frozen(a, b, w)
         self._csr = None
@@ -105,11 +106,18 @@ class Graph:
             a, b, _ = self._arrays
             n, m = self.n, len(a)
             others = np.concatenate([b, a])
-            slot_key = np.concatenate([a, b]) * n + others
+            slot_key = np.concatenate([a, b])
+            slot_key *= n
+            slot_key += others
             order = slot_key.argsort()
-            # vertex x's slots are those whose keys lie in [x*n, (x+1)*n)
-            indptr = slot_key[order].searchsorted(np.arange(0, (n + 1) * n, n))
-            self._csr = _frozen(indptr, others[order], order % max(m, 1))
+            del slot_key
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n),
+                      out=indptr[1:])
+            nbr = others[order]
+            del others
+            order %= max(m, 1)
+            self._csr = _frozen(indptr, nbr, order)
         return self._csr
 
     def edge_arrays(self):
@@ -251,19 +259,15 @@ def dump_edge_list(g: Graph) -> str:
 
 
 def _pairs_from_indices(idx: np.ndarray, n: int):
-    # pair i of the lexicographic order (0,1),(0,2),..,(0,n-1),(1,2),..
-    u = np.floor(n - 0.5 - np.sqrt((n - 0.5) ** 2 - 2.0 * idx)).astype(np.int64)
-    u = np.clip(u, 0, n - 2)
-
-    def offset(uu):
-        return uu * n - (uu * (uu + 1)) // 2
-
-    # the float guess can be off by one either way
-    for _ in range(2):
-        u = np.where((u > 0) & (offset(u) > idx), u - 1, u)
-        u = np.where(offset(u + 1) <= idx, u + 1, u)
-    v = idx - offset(u) + u + 1
-    return u, v
+    """(u, v) of the pair indices idx in the lexicographic order
+    (0,1),(0,2),..,(0,n-1),(1,2),..; v is computed in place over idx."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    start = rows * n - rows * (rows + 1) // 2  # index of the pair (u, u+1)
+    u = start.searchsorted(idx, side="right") - 1
+    idx -= start[u]
+    idx += u
+    idx += 1
+    return u, idx
 
 
 def _gnp_edges(n: int, p: float, rng):

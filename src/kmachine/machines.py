@@ -56,20 +56,12 @@ def random_vertex_partition(g: Graph, k: int, seed: int) -> Partition:
 
 def check_mapping_bounds(g: Graph, part: Partition):
     """(max vertices on any machine, max input edges on any inter-machine link)."""
-    counts = part.machine_counts()
-    max_vertices = int(counts.max()) if len(counts) else 0
+    k = part.k
     u, v, _ = g.edge_arrays()
-    if g.m == 0 or part.k < 2:
-        return max_vertices, 0
-    hu = part.home[u]
-    hv = part.home[v]
-    cross = hu != hv
-    lo = np.minimum(hu[cross], hv[cross])
-    hi = np.maximum(hu[cross], hv[cross])
-    if len(lo) == 0:
-        return max_vertices, 0
-    link_counts = np.bincount(lo * part.k + hi, minlength=part.k * part.k)
-    return max_vertices, int(link_counts.max())
+    links = np.bincount(part.home[u] * k + part.home[v], minlength=k * k).reshape(k, k)
+    links = links + links.T
+    np.fill_diagonal(links, 0)
+    return int(part.machine_counts().max()), int(links.max())
 
 
 @dataclass
@@ -179,14 +171,11 @@ def _round_loads(trace: CliqueTrace, part: Partition, hdr: int, fan: np.ndarray)
             per_m = np.zeros(k, dtype=np.int64)
             np.add.at(per_m, home[bs], bb + hdr)
             load = np.outer(per_m, fan)
-            np.fill_diagonal(load, 0)
         else:
             load = np.zeros((k, k), dtype=np.int64)
         if len(us):
-            hs = home[us]
-            hd = home[ud]
-            cross = hs != hd
-            np.add.at(load.reshape(-1), hs[cross] * k + hd[cross], ub[cross] + hdr)
+            np.add.at(load.reshape(-1), home[us] * k + home[ud], ub + hdr)
+        np.fill_diagonal(load, 0)
         yield load
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 
@@ -19,6 +20,7 @@ from kmachine.graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
+from kmachine.graphs import _pairs_from_indices
 from kmachine.oracles import graph_stats, is_connected, is_spanning_tree
 
 
@@ -251,6 +253,7 @@ def test_constructor_errors_name_the_first_faulty_edge(m):
         ((2, 9, wmax), f"weight {wmax} outside [0, {wmax}) for n={n}"),
         ((5, 1, -3), f"weight -3 outside [0, {wmax}) for n={n}"),
         (good[3][1::-1] + (1,), f"duplicate edge ({good[3][0]},{good[3][1]})"),
+        (good[-1], f"duplicate edge ({good[-1][0]},{good[-1][1]})"),  # sorted input
     ]:
         with pytest.raises(GraphError, match=f"^{re.escape(text)}$"):
             Graph(n, good + [bad])
@@ -279,6 +282,21 @@ def test_array_and_list_inputs_build_the_same_graph():
     h = Graph(g.n, src)
     src[:] = 0  # the graph keeps no view of its input
     assert h.edges == g.edges
+
+
+def test_pair_indices_decode_exactly():
+    for n in range(1, 65):
+        u, v = _pairs_from_indices(np.arange(n * (n - 1) // 2), n)
+        assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
+    for n in (2**16, 2**20):
+        total = n * (n - 1) // 2
+        idx, want = [total - 1], [(n - 2, n - 1)]
+        for r in (1, 2, 3, n // 3, n // 2, n - 3, n - 2):
+            start = r * n - r * (r + 1) // 2
+            idx += [start - 1, start]
+            want += [(r - 1, n - 1), (r, r + 1)]
+        u, v = _pairs_from_indices(np.array(idx, dtype=np.int64), n)
+        assert list(zip(u.tolist(), v.tolist())) == want
 
 
 def test_csr_matches_neighbors():

@@ -1,8 +1,11 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmachine.clique import CliqueTrace, RoundRecord, run_clique
 from kmachine.graphs import Graph, generate, label_bits
@@ -98,6 +101,48 @@ def test_mapping_monte_carlo_small():
         mv, me = check_mapping_bounds(g, part)
         assert mv <= 4 * n / k
         assert me <= 8 * math.log2(n) * (g.m / k**2 + g.max_degree() / k)
+
+
+@st.composite
+def _placed_graph(draw):
+    """(graph, partition) on 1..40 vertices, any edge set and any homes."""
+    n = draw(st.integers(1, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(v, u, 1) if draw(st.booleans()) else (u, v, 1) for u, v in picked]
+    k = draw(st.integers(1, n))
+    home = draw(st.one_of(
+        st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+        st.integers(0, k - 1).map(lambda p: [p] * n),  # every vertex on one machine
+    ))
+    return Graph(n, edges), Partition(k=k, home=np.array(home, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_placed_graph())
+def test_mapping_bounds_match_a_per_edge_count(case):
+    g, part = case
+    home = part.home.tolist()
+    links = Counter()
+    for u, v, _ in g.edges:
+        if home[u] != home[v]:
+            links[frozenset((home[u], home[v]))] += 1
+    want = (max(Counter(home).values()), max(links.values(), default=0))
+    assert check_mapping_bounds(g, part) == want
+
+
+def test_mapping_bounds_golden():
+    # pinned before the link count moved to one bincount over every edge
+    got = []
+    for seed in (0, 1, 2):
+        g = generate("gnp", 2048, seed, p=0.1)
+        for part in random_vertex_partitions(g, (4, 8, 16), seed):
+            got.append(check_mapping_bounds(g, part))
+    assert got == [
+        (535, 27415), (273, 7342), (143, 2053),
+        (527, 27060), (291, 7762), (164, 2336),
+        (539, 28042), (274, 7363), (152, 2181),
+    ]
 
 
 def _single_unicast_trace(n, bits):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmachine.clique import CliqueMetrics, CliqueTrace, RoundRecord
+from kmachine.graphs import label_bits
 from kmachine.machines import Partition, price
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -91,3 +92,42 @@ def test_one_machine_costs_nothing(case, W):
     for mode in _modes(trace):
         rep = price(trace, part, W, mode=mode)
         assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
+
+
+def _per_message(trace, part, W, mode):
+    """(km_rounds, machine_rounds, per_link_bits, total_bits) by charging
+    every message on its own.  A broadcast is n-1 unicasts under p2p and one
+    copy per other occupied machine under bcast; co-located traffic is free."""
+    n, k, home = trace.n, part.k, part.home.tolist()
+    hdr = label_bits(n) if mode == "bcast" else 2 * label_bits(n)
+    km_rounds = machine_rounds = 0
+    links = [[0] * k for _ in range(k)]
+    for rec in trace.rounds:
+        load = [[0] * k for _ in range(k)]
+        if mode == "bcast":  # one copy to some vertex of each occupied machine
+            sends = [(src, home.index(q), bits) for src, bits in rec.bcasts
+                     for q in set(home)]
+        else:
+            sends = [(src, dst, bits) for src, bits in rec.bcasts
+                     for dst in range(n) if dst != src] + rec.unis
+        for src, dst, bits in sends:
+            p, q = home[src], home[dst]
+            if p != q:
+                load[p][q] += bits + hdr
+        km_rounds += -(-max(max(row) for row in load) // W)
+        busy = max(sum(load[p]) + sum(row[p] for row in load) for p in range(k))
+        machine_rounds += -(-busy // (k * W))
+        for p in range(k):
+            for q in range(k):
+                links[p][q] += load[p][q] + load[q][p]
+    return km_rounds, machine_rounds, links, sum(map(sum, links)) // 2
+
+
+@SETTINGS
+@given(priced(), st.integers(1, 64))
+def test_pricing_matches_per_message_charging(case, W):
+    trace, part = case
+    for mode in _modes(trace):
+        rep = price(trace, part, W, mode=mode)
+        got = (rep.km_rounds, rep.machine_rounds, rep.per_link_bits.tolist(), rep.total_bits)
+        assert got == _per_message(trace, part, W, mode)
