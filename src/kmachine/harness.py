@@ -187,8 +187,9 @@ def default_stverify_candidate(g: Graph, seed: int):
     tree_idx = sorted(pairs[e] for e in forest)
     if seed % 2 == 0 or g.m <= len(tree_idx):
         return tuple(tree_idx)
-    spare = next(i for i in range(g.m) if i not in set(tree_idx))
-    return tuple(sorted(set(tree_idx[1:]) | {spare}))
+    tree = set(tree_idx)
+    spare = next(i for i in range(g.m) if i not in tree)
+    return tuple(sorted([*tree_idx[1:], spare]))
 
 
 # ---------------------------------------------------------------------------

@@ -97,19 +97,33 @@ def kruskal_mst(g: Graph):
     return weight, chosen
 
 
-_KRUSKAL_BATCH = 1 << 14
+_KRUSKAL_BATCH = 1 << 12
 
 
 def minimum_spanning_forest(g: Graph):
-    """Kruskal without the connectivity requirement; spans each component."""
-    u, v, w = g.edge_arrays()  # u < v, so (w, u, v) is _mst_key's order
-    order = np.lexsort((v, u, w))
+    """Kruskal without the connectivity requirement; spans each component.
+
+    Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009): the edges go
+    in _mst_key order in batches, and before each batch the edges whose ends
+    already share a component are dropped, so the union loop sees mostly
+    edges of the forest.  The scan stops once a spanning tree is complete.
+    """
+    u, v, w = g.edge_arrays()
+    # u < v, so (w, u * n + v) is _mst_key's order; u * n + v < n**2 < 2**63
+    order = np.lexsort((u * g.n + v, w))
     dsu = _DSU(g.n)
     weight = 0
     chosen = set()
-    # edges in batches, so that the scan stops soon after a spanning tree
-    for lo in range(0, g.m, _KRUSKAL_BATCH):
-        batch = order[lo:lo + _KRUSKAL_BATCH]
+    # a batch holds n/8 edges or more, so that the O(n) root refresh stays
+    # a fraction of the batch's union loop on long sparse graphs
+    step = max(_KRUSKAL_BATCH, g.n >> 3)
+    for lo in range(0, g.m, step):
+        batch = order[lo:lo + step]
+        # every vertex's root, by pointer jumping on the DSU's parents
+        root = np.array(dsu.parent)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        batch = batch[root[u[batch]] != root[v[batch]]]
         for a, b, wt in zip(u[batch].tolist(), v[batch].tolist(), w[batch].tolist()):
             if dsu.union(a, b):
                 weight += wt

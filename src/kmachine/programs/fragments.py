@@ -209,7 +209,10 @@ def _merge_rounds(g, kind, flags):
     cuts = np.append(np.searchsorted(src, src[::_BLOCK]), len(src)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
         b = slice(lo, hi)
-        order[b] = lo + np.lexsort((*merge_key(src[b], nbr[b], w[b])[::-1], src[b]))
+        kw, kmin, kmax = merge_key(src[b], nbr[b], w[b])
+        # both ends lie in [0, n) and n**2 < 2**63, so kmin * n + kmax packs
+        # the pair into one int64 exactly, in the pair's order: three passes
+        order[b] = lo + np.lexsort((kmin * n + kmax, kw, src[b]))
     nbr = nbr[order]
     w = w[order]
     del order  # the generator lives through every round

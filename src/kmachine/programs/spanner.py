@@ -9,7 +9,8 @@ into every adjacent cluster and drops out.  Retained edges double as the
 cluster trees, which is what caps the stretch.  A final local pass joins
 each surviving vertex to every adjacent residual cluster.
 
-Membership broadcasts carry the witness edge, so each vertex replays the
+Membership broadcasts carry the witness edge (a vertex that stays in its
+sampled cluster names itself as the witness), so each vertex replays the
 joins, drops and edge removals it needs from its own inbox: it tracks the
 clusters of itself and its neighbors only, and keeps the retained edges
 it is an endpoint of.
@@ -61,7 +62,7 @@ class _SpannerNode(NodeProgram):
                 continue
             _, c_new, via = payload
             moves[src] = c_new
-            if via < 0:
+            if via == src:  # a stay: a vertex is never its own neighbor
                 continue
             if src == me:
                 live.difference_update([u for u in live if prev[u] == c_new])
@@ -90,8 +91,8 @@ class _SpannerNode(NodeProgram):
         if cl is None:
             return SILENT
         sampled = {src for src, _ in inbox.broadcasts}  # the coin round's centers
-        if cl in sampled:
-            return Broadcast(("m", cl, -1), 2 * self.L)
+        if cl in sampled:  # stay, sent as via = me so that both fields fit L bits
+            return Broadcast(("m", cl, me), 2 * self.L)
         cands = [u for u in self.live if self.cluster[u] in sampled]
         if cands:
             via = min(cands)

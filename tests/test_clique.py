@@ -19,7 +19,12 @@ from kmachine.clique import (
     run_clique,
 )
 from kmachine.graphs import Graph, generate
-from kmachine.harness import ExperimentConfig, make_program, run_cell
+from kmachine.harness import (
+    ExperimentConfig,
+    default_stverify_candidate,
+    make_program,
+    run_cell,
+)
 from kmachine.programs import (
     AlgoConfig,
     ConfigError,
@@ -433,6 +438,26 @@ def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
     for alg, inst, s in runs:
         prog = make_program(alg, inst, AlgoConfig())
         _assert_kernel_matches_reference(inst.graph, prog, s)
+
+
+def _tied_weight_graphs():
+    """Weights in [1, 2] and in [0, 1]: most slots tie on weight, so the
+    endpoint pair decides the merge order."""
+    graphs = [generate("random_weighted", n, s, p=0.3, wmax=w)
+              for n in (31, 64) for w in (1, 2) for s in range(2)]
+    g = generate("random_weighted", 64, 5, p=0.3, wmax=2)
+    graphs.append(Graph(g.n, [(u, v, w - 1) for u, v, w in g.edges]))
+    return graphs
+
+
+@pytest.mark.parametrize("block", [1, 5, fragments._BLOCK])
+def test_fragment_kernels_match_reference_on_tied_weights(monkeypatch, block):
+    monkeypatch.setattr(fragments, "_BLOCK", block)
+    for i, g in enumerate(_tied_weight_graphs()):
+        # even seeds propose the spanning tree, odd seeds a broken one
+        candidate = default_stverify_candidate(g, i)
+        for prog in (mst_program(), conn_program(), st_verify_program(candidate)):
+            _assert_kernel_matches_reference(g, prog, i)
 
 
 def test_broadcast_programs_keep_no_shared_state_on_fidelity_instances():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmachine import oracles
 from kmachine.graphs import Graph, generate, inf_weight, random_uniform_hypergraph
@@ -61,6 +63,41 @@ def test_forest_does_not_depend_on_the_batch_size(monkeypatch):
     for batch in (1, 2, 7):
         monkeypatch.setattr(oracles, "_KRUSKAL_BATCH", batch)
         assert [minimum_spanning_forest(g) for g in graphs] == want
+
+
+def _textbook_kruskal(g):
+    """Every edge in _mst_key order through one fresh _DSU: no batches, no
+    filter."""
+    dsu = oracles._DSU(g.n)
+    weight, chosen = 0, set()
+    for u, v, w in sorted(g.edges, key=lambda e: oracles._mst_key(*e)):
+        if dsu.union(u, v):
+            weight += w
+            chosen.add((u, v))
+    return weight, chosen
+
+
+@st.composite
+def _tied_graph(draw):
+    """1..40 vertices, any edge set in any input order and orientation, and
+    weights in [0, wmax] for wmax <= 3: many ties and zero weights, and the
+    sparse draws have several components and isolated vertices."""
+    n = draw(st.integers(1, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    wmax = draw(st.integers(0, 3))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in picked]
+    return Graph(n, [(a, b, draw(st.integers(0, wmax))) for a, b in edges])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tied_graph())
+def test_forest_matches_textbook_kruskal(g):
+    want = _textbook_kruskal(g)
+    for batch in (1, 3, oracles._KRUSKAL_BATCH):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_KRUSKAL_BATCH", batch)
+            assert minimum_spanning_forest(g) == want
 
 
 def test_pagerank_oracle():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmachine import oracles
-from kmachine.clique import run_clique
+from kmachine.clique import Broadcast, Program, run_clique
 from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
 from kmachine.programs import (
     AlgoConfig,
@@ -22,6 +22,7 @@ from kmachine.programs import (
     st_verify_program,
     triangle_program,
 )
+from kmachine.programs.spanner import _SpannerNode
 
 
 def _run(g, prog, seed=0, **kw):
@@ -283,6 +284,27 @@ def test_spanner_stretch_random():
         d_sp, _ = oracles.all_pairs_distances(sg)
         finite = ~np.isinf(d_in)
         assert (d_sp[finite] <= (2 * delta - 1) * d_in[finite]).all()
+
+
+def test_spanner_membership_fields_fit_their_bits():
+    # each "m" broadcast declares 2L bits for (cluster, via); a stay that
+    # sent via = -1 needed n + 1 values, one bit more when n is a power of two
+    sent = []
+
+    class _Recorded(_SpannerNode):
+        def step(self, rnd, inbox):
+            out = super().step(rnd, inbox)
+            if isinstance(out, Broadcast) and out.payload[0] == "m":
+                sent.append((self.ctx.node, out.payload[1:]))
+            return out
+
+    for n in (32, 64, 128):
+        for delta in (2, math.ceil(math.log2(n))):
+            sent.clear()
+            g = generate("gnp", n, delta, p=0.15)
+            _run(g, Program("spanner", lambda: _Recorded(delta)), seed=n + delta)
+            assert all(0 <= x < n for _, fields in sent for x in fields)
+            assert any(via == me for me, (_, via) in sent)  # some vertex stays
 
 
 def test_logapprox_paths():
