@@ -36,6 +36,7 @@ from kmachine.programs import (
     pagerank_program,
     spanner_program,
     st_verify_program,
+    triangle_program,
 )
 from kmachine.programs import fragments, walks
 
@@ -264,7 +265,8 @@ def test_trace_export_format():
 # walk tokens began drawing counter-keyed uniforms (rng.token_uniforms); the
 # MIS and spanner digests date from per-vertex coins drawn as
 # rng.uniform(seed, "coin", vertex, round); the densest digest was measured
-# while every densest vertex still read one shared mirror.
+# while every densest vertex still read one shared mirror; the triangle
+# digest was measured on the per-vertex program alone.
 # ---------------------------------------------------------------------------
 
 
@@ -306,6 +308,14 @@ def test_golden_trace_spanner():
     outputs, trace, _ = run_clique(g, spanner_program(AlgoConfig(delta=3)), 5)
     assert _trace_digest(outputs, trace) == (
         "6badd3e10f83e0b5877a23bc0be09d1d8acf21f39a4c541eafb9476644ce1bb0"
+    )
+
+
+def test_golden_trace_triangle():
+    g = generate("gnp", 64, 3, p=0.1)
+    outputs, trace, _ = run_clique(g, triangle_program(), 5)
+    assert _trace_digest(outputs, trace) == (
+        "3a7824accc0795678ec28fe53baa0f9e174b69a05e78f116ef1771b07a6a56d2"
     )
 
 
