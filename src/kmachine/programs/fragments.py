@@ -20,6 +20,7 @@ import numpy as np
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
+from .slots import NONE, slot_sources
 
 
 def merge_key(u, v, w):
@@ -179,7 +180,6 @@ class _FragmentNode(NodeProgram):
         return (ok, self.count_total // 2, history.count == 1)
 
 
-_NONE = np.zeros(0, dtype=np.int64)
 # powers of two below 2**63: a count of those <= w is w.bit_length()
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
 # slots per block in _merge_rounds.  It works on blocks so that, but for
@@ -196,7 +196,7 @@ def _merge_rounds(g, kind, flags):
     candidate's edge-index set, else None."""
     n, L = g.n, label_bits(g.n)
     indptr, nbr, eidx = g.csr()
-    src = np.repeat(np.arange(n), np.diff(indptr))
+    src = slot_sources(indptr)
     w = g.edge_arrays()[2][eidx] if kind == "mst" else np.ones_like(nbr)
     if flags is not None:
         keep = np.isin(eidx, np.fromiter(flags, np.int64, len(flags)))
@@ -218,12 +218,12 @@ def _merge_rounds(g, kind, flags):
     del order  # the generator lives through every round
     everyone, l_bits = np.arange(n), np.full(n, L)
     if kind == "stverify":
-        yield everyone, l_bits, _NONE, _NONE, _NONE  # edge counts
+        yield everyone, l_bits, NONE, NONE, NONE  # edge counts
     frag = np.arange(n)  # a fragment's label is its smallest vertex
     count = n
-    chosen = [_NONE.reshape(2, 0)]
+    chosen = [NONE.reshape(2, 0)]
     while count > 1:
-        yield everyone, l_bits, _NONE, _NONE, _NONE
+        yield everyone, l_bits, NONE, NONE, NONE
         # slots inside a fragment stay inside
         live = _keep_crossing(frag, src, nbr, w)
         src, nbr, w = src[:live], nbr[:live], w[:live]
@@ -235,13 +235,13 @@ def _merge_rounds(g, kind, flags):
             bits = L + np.maximum(1, np.searchsorted(_POW2, cw, side="right"))
         else:
             bits = np.full(len(cs), L)
-        yield cs, bits, _NONE, _NONE, _NONE
+        yield cs, bits, NONE, NONE, NONE
         if not len(cs):
             break
         frag, best = _merge(frag, cs, cn, cw)
         chosen.append(np.sort([cs[best], cn[best]], axis=0))
         count = int(np.count_nonzero(frag == everyone))
-    yield _NONE, _NONE, _NONE, _NONE, _NONE  # every vertex halts
+    yield NONE, NONE, NONE, NONE, NONE  # every vertex halts
     spanning = count == 1
     if kind == "conn":
         return [(count, spanning)] * n

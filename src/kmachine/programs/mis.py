@@ -6,12 +6,22 @@ active degree; marked vertices without a higher-priority marked neighbor
 their neighbors announce that they drop out.  A vertex leaves the
 execution the moment its own membership is settled.  A vertex of active
 degree d marks itself if rng.uniform(seed, "coin", v, round) < 1/(2d).
+
+The engine runs the round kernel `_luby_rounds`, which advances every vertex
+of a round at once over the CSR slots whose two ends are both still live.
+At a mark round a live vertex's active degree is its live degree: it has
+heard every live neighbor that left say "out", and it has no neighbor that
+joined the set, or it would have left too.  The per-vertex `_LubyNode`
+stays as its reference.
 """
+
+import numpy as np
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
-from ..rng import uniform
+from ..rng import uniform, uniform_each
 from .config import AlgoConfig
+from .slots import NONE, slot_sources
 
 
 def default_phase_budget(n: int) -> int:
@@ -70,6 +80,59 @@ class _LubyNode(NodeProgram):
         return (self.in_set, self.failed)
 
 
+def _luby_rounds(g, max_phases, seed):
+    """Round kernel of _LubyNode: the same coins give the same broadcasts, in
+    the same rounds and source order, and the same outputs."""
+    n, L = g.n, label_bits(g.n)
+    indptr, nbr, _ = g.csr()
+    src = slot_sources(indptr)
+    budget = max_phases or default_phase_budget(n)
+    alive = np.ones(n, dtype=bool)
+    in_set = np.zeros(n, dtype=bool)
+    rnd = 0
+    for _phase in range(budget):
+        # mark: slots between live vertices are the active-neighbor pairs
+        keep = alive[src] & alive[nbr]
+        src, nbr = src[keep], nbr[keep]
+        d = np.bincount(src, minlength=n)
+        rnd += 1
+        marked = alive & (d == 0)
+        tossing = np.flatnonzero(alive & (d > 0))
+        coins = uniform_each(seed, "coin", tossing, rnd)
+        marked[tossing] = coins < 0.5 / d[tossing]
+        yield _broadcasts(marked, L)
+        # resolve: a marked vertex loses to a marked neighbor of larger (d, id)
+        rnd += 1
+        prio = d * n + np.arange(n)
+        beaten = marked[src] & marked[nbr] & (prio[nbr] > prio[src])
+        win = marked.copy()
+        win[src[beaten]] = False
+        yield _broadcasts(win, 1)
+        in_set |= win
+        alive &= ~win
+        if not alive.any():
+            break
+        # deactivate: live neighbors of a winner leave
+        rnd += 1
+        out = np.zeros(n, dtype=bool)
+        out[src[win[nbr]]] = True
+        yield _broadcasts(out, 1)
+        alive &= ~out
+        if not alive.any():
+            break
+    else:
+        yield NONE, NONE, NONE, NONE, NONE  # over budget: the rest fail
+    return list(zip(in_set.tolist(), alive.tolist()))
+
+
+def _broadcasts(senders, bits):
+    """The round in which every vertex of the mask `senders` broadcasts
+    `bits` bits."""
+    bs = np.flatnonzero(senders)
+    return bs, np.full(len(bs), bits), NONE, NONE, NONE
+
+
 def luby_mis_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("mis", lambda: _LubyNode(cfg.mis_max_phases))
+    return Program("mis", lambda: _LubyNode(cfg.mis_max_phases),
+                   kernel=lambda g, seed: _luby_rounds(g, cfg.mis_max_phases, seed))

@@ -14,17 +14,28 @@ sampled cluster names itself as the witness), so each vertex replays the
 joins, drops and edge removals it needs from its own inbox: it tracks the
 clusters of itself and its neighbors only, and keeps the retained edges
 it is an endpoint of.
+
+The engine runs the round kernel `_spanner_rounds`, which keeps one global
+cluster array (-1 once a vertex drops) and one live mask over the CSR
+slots.  Both are faithful to the per-vertex state: a vertex reads the
+clusters of itself and of its live neighbors only, and it has heard every
+one of their membership broadcasts, so its view of them is the global one;
+its live set is its live slots.  The per-vertex `_SpannerNode` stays as its
+reference.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
 from ..machines import BCAST, price, random_vertex_partitions
-from ..rng import uniform
+from ..rng import uniform, uniform_each
 from .config import AlgoConfig
+from .slots import NONE, first_per_key, slot_sources
 
 
 class _SpannerNode(NodeProgram):
@@ -46,7 +57,10 @@ class _SpannerNode(NodeProgram):
         """Replay one iteration's membership broadcasts.  Only those of this
         vertex and of its neighbors live at the round's start change what it
         reads: live edges are symmetric, so a witness edge to this vertex
-        comes from one of them."""
+        comes from one of them.  Every test reads the clusters of the
+        round's start, so the broadcasts may be read in any order: this
+        vertex drops a live neighbor if either of them drops, or if either
+        moves into the other's old cluster."""
         prev, live = self.cluster, self.live  # clusters move once all are read
         me = self.ctx.node
         watched = {me, *live}
@@ -122,9 +136,84 @@ class _SpannerNode(NodeProgram):
         return tuple(sorted(self.edges))
 
 
+def _spanner_rounds(g, delta, seed):
+    """Round kernel of _SpannerNode: the same coins give the same broadcasts,
+    in the same rounds and source order, and the same outputs."""
+    n, L = g.n, label_bits(g.n)
+    indptr, nbr, _ = g.csr()
+    src = slot_sources(indptr)
+    slot_key = src * n + nbr  # ascending
+    p = n ** (-1.0 / delta)
+    vertices = np.arange(n)
+    cluster = vertices.copy()  # -1 once dropped
+    live = np.ones(len(nbr), dtype=bool)
+    kept = []  # (owner, other end) arrays of the retained edges
+    for rnd in range(2, 2 * delta - 1, 2):
+        # coin round: the surviving centers re-sample themselves
+        centers = np.flatnonzero(cluster == vertices)
+        heads = centers[uniform_each(seed, "coin", centers, rnd - 1) < p]
+        yield heads, np.ones(len(heads), dtype=np.int64), NONE, NONE, NONE
+        # membership round: stay, move through the least live neighbor in a
+        # sampled cluster, or drop
+        sampled = np.zeros(n + 1, dtype=bool)  # cluster -1 reads the False at n
+        sampled[heads] = True
+        stay = sampled[cluster]
+        cand = np.flatnonzero(live & sampled[cluster[nbr]] & ~stay[src])
+        first = cand[first_per_key(src[cand])]
+        movers, via = src[first], nbr[first]
+        alive = cluster >= 0
+        drop = alive & ~stay
+        drop[movers] = False
+        kept.append(_one_edge_per_cluster(drop, cluster, src, nbr, live, n))
+        yield (np.flatnonzero(alive), np.where(drop, 1, 2 * L)[alive],
+               NONE, NONE, NONE)
+        # every vertex replays the round: each mover retains its witness
+        # edge, and the witness does too if it still saw the mover as live
+        back = live[np.searchsorted(slot_key, via * n + movers)]
+        kept += [(movers, via), (via[back], movers[back])]
+        prev = cluster
+        cluster = prev.copy()
+        cluster[movers] = prev[via]
+        cluster[drop] = -1
+        into = np.full(n, -2)  # a mover's new cluster; -2 matches no cluster
+        into[movers] = cluster[movers]
+        live &= ~(drop[src] | drop[nbr]
+                  | (into[src] == prev[nbr]) | (into[nbr] == prev[src]))
+    kept.append(_one_edge_per_cluster(cluster >= 0, cluster, src, nbr, live, n))
+    yield NONE, NONE, NONE, NONE, NONE  # the final pass: all halt
+    return _edge_outputs(n, kept)
+
+
+def _one_edge_per_cluster(who, cluster, src, nbr, live, n):
+    """_keep_one_edge_per_cluster for every vertex of the mask `who`: its
+    least live neighbor in every adjacent cluster but its own, as (owner,
+    other end) arrays."""
+    c = cluster[nbr]
+    s = np.flatnonzero(live & who[src] & (c >= 0) & (c != cluster[src]))
+    first = s[first_per_key(src[s] * n + c[s])]
+    return src[first], nbr[first]
+
+
+def _edge_outputs(n, kept):
+    """Each vertex's retained edges as _SpannerNode.output gives them, from
+    (owner, other end) arrays that may repeat an edge."""
+    owner = np.concatenate([o for o, _ in kept])
+    other = np.concatenate([x for _, x in kept])
+    key = np.minimum(owner, other) * n + np.maximum(owner, other)
+    order = np.lexsort((key, owner))
+    owner, key = owner[order], key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (key[1:] != key[:-1])
+    owner, key = owner[new], key[new]
+    pairs = list(zip((key // n).tolist(), (key % n).tolist()))
+    cuts = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    return [tuple(pairs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def spanner_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("spanner", lambda: _SpannerNode(cfg.delta))
+    return Program("spanner", lambda: _SpannerNode(cfg.delta),
+                   kernel=lambda g, seed: _spanner_rounds(g, cfg.delta, seed))
 
 
 def spanner_union(outputs):

@@ -5,10 +5,21 @@ per edge, tagging the last one.  Once a vertex has the full lists of all
 its neighbors it tests for a triangle through itself and broadcasts one
 boolean; everyone halts after hearing all n verdict bits and outputs their
 disjunction.
+
+The engine runs the round kernel `_triangle_rounds`.  Every message is fixed
+by the CSR: in round r each vertex of degree at least r sends its r-th
+neighbor to all its neighbors, and a vertex sends its verdict the round
+after it and all its neighbors have sent their last id.  The disjunction of
+the verdicts is whether the graph has a triangle, which the kernel finds as
+one wedge whose closing edge is a CSR slot.  The per-vertex `_TriangleNode`
+stays as its reference.
 """
+
+import numpy as np
 
 from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, Unicast
 from ..graphs import label_bits
+from .slots import NONE, slot_sources
 
 
 class _TriangleNode(NodeProgram):
@@ -56,5 +67,43 @@ class _TriangleNode(NodeProgram):
         return self.any_triangle
 
 
+def _triangle_rounds(g):
+    """Round kernel of _TriangleNode: the same messages in the same rounds
+    and order (unicasts by source, then destination), and the same
+    outputs."""
+    n, L = g.n, label_bits(g.n)
+    indptr, nbr, _ = g.csr()
+    src = slot_sources(indptr)
+    deg = np.diff(indptr)
+    # vertex v's verdict round: after its own last id and its neighbors' last
+    top = deg.copy()
+    np.maximum.at(top, src, deg[nbr])
+    verdict = top + 1
+    slots = np.arange(len(nbr))
+    for rnd in range(1, int(verdict.max()) + 1):
+        slots = slots[deg[src[slots]] >= rnd]
+        bs = np.flatnonzero(verdict == rnd)
+        yield (bs, np.ones(len(bs), dtype=np.int64), src[slots], nbr[slots],
+               np.full(len(slots), L + 1))
+    yield NONE, NONE, NONE, NONE, NONE  # every verdict heard: all halt
+    return [_has_triangle(n, indptr, src, nbr)] * n
+
+
+def _has_triangle(n, indptr, src, nbr):
+    """Whether some wedge v < u < w, over slots v -> u and u -> w, closes:
+    whether v -> w is a slot too."""
+    up = src < nbr
+    lo = indptr[1:] - np.bincount(src[up], minlength=n)  # first upward slot
+    v, u = src[up], nbr[up]
+    # u's upward slots lo[u]..indptr[u+1], one run per slot v -> u, end to end
+    count = indptr[u + 1] - lo[u]
+    shift = np.repeat(lo[u] - (np.cumsum(count) - count), count)
+    key = np.repeat(v, count) * n + nbr[shift + np.arange(len(shift))]
+    slot_key = src * n + nbr  # ascending
+    at = np.minimum(np.searchsorted(slot_key, key), len(slot_key) - 1)
+    return bool(np.any(slot_key[at] == key))
+
+
 def triangle_program() -> Program:
-    return Program("triangle", _TriangleNode)
+    return Program("triangle", _TriangleNode,
+                   kernel=lambda g, _seed: _triangle_rounds(g))

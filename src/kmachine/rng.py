@@ -46,6 +46,12 @@ def uniform(seed: int, tag: str, *parts: int) -> float:
     return (derive(seed, tag, *parts) >> 11) * 2.0 ** -53
 
 
+def uniform_each(seed: int, tag: str, xs, *parts: int) -> np.ndarray:
+    """[uniform(seed, tag, x, *parts) for x in xs] as a float64 array."""
+    keys = np.array(derive_each(seed, tag, xs, *parts), dtype=np.uint64)
+    return (keys >> np.uint64(11)) * 2.0 ** -53
+
+
 def make_random(seed: int, tag: str, *parts: int) -> random.Random:
     return random.Random(derive(seed, tag, *parts))
 

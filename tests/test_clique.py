@@ -1,8 +1,11 @@
 import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmachine.acceptance import fidelity_instances
 from kmachine.clique import (
@@ -16,16 +19,19 @@ from kmachine.clique import (
     RoundLimitExceeded,
     RoundRecord,
     Unicast,
+    _vertex_rounds,
     run_clique,
 )
 from kmachine.graphs import Graph, generate
 from kmachine.harness import (
     ExperimentConfig,
+    Instance,
     default_stverify_candidate,
     make_program,
     run_cell,
 )
 from kmachine.programs import (
+    CLIQUE_ALGORITHMS,
     AlgoConfig,
     ConfigError,
     bfs_program,
@@ -448,6 +454,76 @@ def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
     for alg, inst, s in runs:
         prog = make_program(alg, inst, AlgoConfig())
         _assert_kernel_matches_reference(inst.graph, prog, s)
+
+
+# the algorithms whose program runs a round kernel; every other program
+# runs one state machine per vertex
+_KERNEL_ALGORITHMS = {"pagerank", "mst", "conn", "stverify", "mis", "triangle",
+                      "spanner"}
+
+
+@pytest.mark.parametrize("alg", sorted(CLIQUE_ALGORITHMS))
+def test_every_kernel_matches_reference_on_fidelity_instances(alg):
+    runs = [(inst, s) for a, inst, s in fidelity_instances(7) if a == alg]
+    assert len(runs) == 20
+    progs = [make_program(alg, inst, AlgoConfig()) for inst, _ in runs]
+    # a program that gains or loses a kernel must show up here
+    assert {p.kernel is not None for p in progs} == {alg in _KERNEL_ALGORITHMS}
+    if alg in _KERNEL_ALGORITHMS:
+        for (inst, s), prog in zip(runs, progs):
+            _assert_kernel_matches_reference(inst.graph, prog, s)
+
+
+@st.composite
+def _edge_case_graphs(draw):
+    """Graphs on 1..40 vertices: edgeless, a star or a clique on a prefix of
+    the vertices (the rest isolated), or G(n, p)."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["edgeless", "star", "clique", "gnp"]))
+    if shape == "gnp":
+        p = draw(st.sampled_from([0.05, 0.15, 0.4, 0.9]))
+        return generate("gnp", n, draw(st.integers(0, 2**16)), p=p)
+    size = draw(st.integers(1, n)) if shape != "edgeless" else 1
+    if shape == "star":
+        return Graph(n, [(0, b, 1) for b in range(1, size)])
+    return Graph(n, [(a, b, 1) for a in range(size) for b in range(a + 1, size)])
+
+
+def _assert_spanner_live_sets_stay_symmetric(g, program, seed):
+    """After every round of the deep-copied reference, u is in v's live set
+    exactly when v is in u's: _apply_round and the spanner kernel rely on
+    it."""
+    nodes = []
+
+    def node():
+        nodes.append(copy.deepcopy(program.node()))
+        return nodes[-1]
+
+    for _ in _vertex_rounds(g, node, seed):
+        pairs = {(v.ctx.node, u) for v in nodes for u in v.live}
+        assert pairs == {(u, v) for v, u in pairs}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_edge_case_graphs(), st.integers(0, 2**31))
+def test_kernels_match_reference_on_edge_case_graphs(g, seed):
+    for phases in (1, 2, None):
+        prog = luby_mis_program(AlgoConfig(mis_max_phases=phases))
+        _assert_kernel_matches_reference(g, prog, seed)
+    _assert_kernel_matches_reference(g, triangle_program(), seed)
+    for delta in sorted({1, 2, 3, max(1, math.ceil(math.log2(g.n)))}):
+        prog = spanner_program(AlgoConfig(delta=delta))
+        _assert_kernel_matches_reference(g, prog, seed)
+        _assert_spanner_live_sets_stay_symmetric(g, prog, seed)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_spanner_kernel_matches_reference_at_the_logsp_delta(n):
+    # logsp's delta = ceil(log2 n): many iterations, so each round's live
+    # slots and clusters carry into the next
+    prog = spanner_program(AlgoConfig(delta=math.ceil(math.log2(n))))
+    for seed in range(3):
+        _assert_kernel_matches_reference(generate("gnp", n, seed, p=0.1), prog, seed)
 
 
 def _tied_weight_graphs():

@@ -59,8 +59,8 @@ def test_forest_on_disconnected():
 def test_forest_does_not_depend_on_the_batch_size(monkeypatch):
     graphs = [generate("random_weighted", 40, s, p=0.3, wmax=9) for s in range(4)]
     graphs += [generate("gnp", 64, 1, p=0.02), Graph(1, []), Graph(3, [(0, 1, 1)])]
-    want = [minimum_spanning_forest(g) for g in graphs]
-    for batch in (1, 2, 7):
+    want = [_textbook_kruskal(g) for g in graphs]
+    for batch in (1, 2, 7, oracles._KRUSKAL_BATCH):
         monkeypatch.setattr(oracles, "_KRUSKAL_BATCH", batch)
         assert [minimum_spanning_forest(g) for g in graphs] == want
 

@@ -16,6 +16,7 @@ from kmachine.rng import (
     token_layout_fits,
     token_uniforms,
     uniform,
+    uniform_each,
 )
 
 # any warning fails a test here, so no uint64 overflow warning escapes
@@ -49,6 +50,15 @@ def test_uniform_is_the_scaled_batch_key():
         coins = [uniform(seed, "coin", v, rnd) for v in vs]
         assert coins == [(key >> 11) * 2.0**-53 for key in keys]
         assert all(0.0 <= c < 1.0 for c in coins)
+
+
+def test_uniform_each_equals_uniform():
+    vs = list(range(300)) + [2**62, -1]
+    for seed, rnd in [(0, 1), (7, 4), (2**63 - 1, 2**62)]:
+        coins = uniform_each(seed, "coin", vs, rnd)
+        assert coins.dtype == np.float64
+        assert coins.tolist() == [uniform(seed, "coin", v, rnd) for v in vs]
+    assert uniform_each(3, "coin", [], 1).tolist() == []
 
 
 def test_splitmix64_known_answers():
