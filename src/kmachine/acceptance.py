@@ -126,13 +126,11 @@ class Battery:
         bad = total = 0
         for algorithm, inst, s in fidelity_instances(self.seed):
             g = inst.graph
-            cfg = AlgoConfig()
-            prog_a = make_program(algorithm, inst, cfg)
-            prog_b = make_program(algorithm, inst, cfg)
+            prog = make_program(algorithm, inst, AlgoConfig())
             out_k, _, _ = run_on_kmachines(
-                g, prog_a, k=4, mode=natural_mode(algorithm), seed=s
+                g, prog, k=4, mode=natural_mode(algorithm), seed=s
             )
-            out_c, _, _ = run_clique(g, prog_b, s)
+            out_c, _, _ = run_clique(g, prog, s)
             total += 1
             bad += out_k != out_c
         return self._done(

@@ -151,23 +151,8 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-class RoundRecord:
-    __slots__ = ("bcasts", "unis")
-
-    def __init__(self, bcasts, unis):
-        self.bcasts = bcasts  # [(src, bits)]
-        self.unis = unis  # [(src, dst, bits)]
-
-
-_NONE = np.zeros(0, dtype=np.int64)
-_NONE.flags.writeable = False
-
-
-def _columns(pairs, width):
-    if not pairs:
-        return (_NONE,) * width
-    a = np.asarray(pairs, dtype=np.int64)
-    return tuple(a[:, i] for i in range(width))
+NONE = np.zeros(0, dtype=np.int64)  # an empty round column; read-only, so shared
+NONE.flags.writeable = False
 
 
 class CliqueTrace:
@@ -184,20 +169,6 @@ class CliqueTrace:
         self._rounds.append((bs, bb, us, ud, ub))
         self._metrics = None
 
-    def append(self, rec: RoundRecord):
-        self.append_arrays(*_columns(rec.bcasts, 2), *_columns(rec.unis, 3))
-
-    @property
-    def rounds(self):
-        """The rounds as a tuple of RoundRecords of (src, bits) and
-        (src, dst, bits) lists, rebuilt from the arrays on every access;
-        extend the trace with append()."""
-        return tuple(
-            RoundRecord(list(zip(bs.tolist(), bb.tolist())),
-                        list(zip(us.tolist(), ud.tolist(), ub.tolist())))
-            for bs, bb, us, ud, ub in self._rounds
-        )
-
     @property
     def num_rounds(self) -> int:
         return len(self._rounds)
@@ -209,11 +180,11 @@ class CliqueTrace:
     def export_lines(self):
         """Debug dump, one 'round src dst_count bits bcast_flag' per message."""
         lines = []
-        for rnd, rec in enumerate(self.rounds, start=1):
-            for src, bits in rec.bcasts:
-                lines.append(f"{rnd} {src} {self.n - 1} {bits} 1")
-            for src, dst, bits in rec.unis:
-                lines.append(f"{rnd} {src} 1 {bits} 0")
+        for rnd, (bs, bb, us, _, ub) in enumerate(self._rounds, start=1):
+            lines += [f"{rnd} {src} {self.n - 1} {bits} 1"
+                      for src, bits in zip(bs.tolist(), bb.tolist())]
+            lines += [f"{rnd} {src} 1 {bits} 0"
+                      for src, bits in zip(us.tolist(), ub.tolist())]
         return lines
 
 
@@ -396,7 +367,7 @@ def _checked_round(cols, n, cap):
     if any(len(a) and a.dtype.kind not in "iu" for a in cols):
         raise ProgramViolation("round holds non-integer values")
     bs, bb, us, ud, ub = (
-        a.astype(np.int64, copy=False) if len(a) else _NONE for a in cols
+        a.astype(np.int64, copy=False) if len(a) else NONE for a in cols
     )
     if len(bs):
         down = np.zeros(len(bs), dtype=bool)  # a source not above the one before

@@ -10,7 +10,7 @@ derived from that execution.
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -489,11 +489,7 @@ def run_sweep(config: ExperimentConfig, sweep: str = "k"):
     for val in values:
         spec = dict(config.graph)
         spec[key] = val
-        sub = ExperimentConfig(
-            algorithm=config.algorithm, graph=spec, k=config.k,
-            seeds=config.seeds, W=config.W, mode=config.mode, algo=config.algo,
-        )
-        rows.extend(run_experiment(sub))
+        rows.extend(run_experiment(replace(config, graph=spec)))
     rows.sort(key=lambda r: (r["n"], r["k"], r["seed"]))
     return rows
 

@@ -58,7 +58,8 @@ def component_count(g: Graph) -> int:
     u, v, _ = g.edge_arrays()
     dsu = _DSU(g.n)
     for a, b in zip(u.tolist(), v.tolist()):
-        dsu.union(a, b)
+        if dsu.union(a, b) and dsu.count == 1:
+            break
     return dsu.count
 
 
@@ -379,17 +380,18 @@ def validate_mis(instance, members) -> bool:
     inside.  Hypergraphs: no hyperedge fully inside, and adding any outside
     vertex would put some hyperedge fully inside.
     """
-    chosen = set(members)
     if isinstance(instance, Graph):
-        for u, v, _ in instance.edges:
-            if u in chosen and v in chosen:
-                return False
-        for v in range(instance.n):
-            if v in chosen:
-                continue
-            if all(u not in chosen for u, _, _ in instance.neighbors(v)):
-                return False
-        return True
+        n = instance.n
+        chosen = np.zeros(n, dtype=bool)
+        chosen[np.fromiter(members, dtype=np.int64)] = True
+        u, v, _ = instance.edge_arrays()
+        if (chosen[u] & chosen[v]).any():
+            return False
+        covered = chosen.copy()  # chosen, or next to a chosen vertex
+        covered[u[chosen[v]]] = True
+        covered[v[chosen[u]]] = True
+        return bool(covered.all())
+    chosen = set(members)
     if isinstance(instance, Hypergraph):
         for h in instance.hyperedges:
             if all(x in chosen for x in h):

@@ -18,9 +18,9 @@ as its reference.
 
 import numpy as np
 
-from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
-from .slots import NONE, slot_sources
+from .slots import edge_outputs, slot_sources
 
 
 def merge_key(u, v, w):
@@ -221,7 +221,7 @@ def _merge_rounds(g, kind, flags):
         yield everyone, l_bits, NONE, NONE, NONE  # edge counts
     frag = np.arange(n)  # a fragment's label is its smallest vertex
     count = n
-    chosen = [NONE.reshape(2, 0)]
+    chosen = [(NONE, NONE)]  # (owner, other end) arrays, both ends of each pair
     while count > 1:
         yield everyone, l_bits, NONE, NONE, NONE
         # slots inside a fragment stay inside
@@ -239,7 +239,7 @@ def _merge_rounds(g, kind, flags):
         if not len(cs):
             break
         frag, best = _merge(frag, cs, cn, cw)
-        chosen.append(np.sort([cs[best], cn[best]], axis=0))
+        chosen += [(cs[best], cn[best]), (cn[best], cs[best])]
         count = int(np.count_nonzero(frag == everyone))
     yield NONE, NONE, NONE, NONE, NONE  # every vertex halts
     spanning = count == 1
@@ -247,7 +247,7 @@ def _merge_rounds(g, kind, flags):
         return [(count, spanning)] * n
     if kind == "stverify":
         return [(spanning and ends == 2 * (n - 1), ends // 2, spanning)] * n
-    return _mst_outputs(n, np.concatenate(chosen, axis=1), spanning)
+    return [(pairs, spanning) for pairs in edge_outputs(n, chosen)]
 
 
 def _keep_crossing(frag, src, nbr, w):
@@ -284,18 +284,6 @@ def _merge(frag, cs, cn, cw):
         while not np.array_equal(root[root], root):
             root = root[root]
     return root[frag], best
-
-
-def _mst_outputs(n, chosen, spanning):
-    """_FragmentNode's mst outputs from the (2, k) array of chosen (min, max)
-    pairs: per vertex, its incident pairs sorted, and the spanning flag."""
-    a, b = np.unique(chosen, axis=1)
-    owner = np.concatenate([a, b])
-    a, b = np.concatenate([a, a]), np.concatenate([b, b])
-    order = np.lexsort((b, a, owner))
-    pairs = list(zip(a[order].tolist(), b[order].tolist()))
-    cuts = np.searchsorted(owner[order], np.arange(n + 1)).tolist()
-    return [(tuple(pairs[lo:hi]), spanning) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def mst_program() -> Program:

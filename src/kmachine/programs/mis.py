@@ -17,11 +17,11 @@ stays as its reference.
 
 import numpy as np
 
-from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig
-from .slots import NONE, slot_sources
+from .slots import slot_sources
 
 
 def default_phase_budget(n: int) -> int:

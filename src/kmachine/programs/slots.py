@@ -1,4 +1,4 @@
-"""CSR slot arrays the round kernels share.
+"""Helpers the round kernels share: CSR slot arrays and edge outputs.
 
 A kernel holds a vertex's view of its edges as the CSR slots of g.csr():
 slot i is the directed edge src[i] -> nbr[i], and the slots ascend by
@@ -7,9 +7,6 @@ incident tuple.
 """
 
 import numpy as np
-
-NONE = np.zeros(0, dtype=np.int64)  # an empty round column
-NONE.flags.writeable = False
 
 
 def slot_sources(indptr):
@@ -21,3 +18,19 @@ def first_per_key(key):
     """The index of the first occurrence of each distinct value of `key`,
     in ascending order of the values."""
     return np.unique(key, return_index=True)[1]
+
+
+def edge_outputs(n, kept):
+    """Per vertex, the sorted tuple of distinct (min, max) pairs it owns,
+    from a list of (owner, other end) arrays that may repeat an edge."""
+    owner = np.concatenate([o for o, _ in kept])
+    other = np.concatenate([x for _, x in kept])
+    key = np.minimum(owner, other) * n + np.maximum(owner, other)
+    order = np.lexsort((key, owner))
+    owner, key = owner[order], key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (key[1:] != key[:-1])
+    owner, key = owner[new], key[new]
+    pairs = list(zip((key // n).tolist(), (key % n).tolist()))
+    cuts = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    return [tuple(pairs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]

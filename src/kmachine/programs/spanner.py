@@ -30,12 +30,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, run_clique
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
 from ..machines import BCAST, price, random_vertex_partitions
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig
-from .slots import NONE, first_per_key, slot_sources
+from .slots import edge_outputs, first_per_key, slot_sources
 
 
 class _SpannerNode(NodeProgram):
@@ -181,7 +181,7 @@ def _spanner_rounds(g, delta, seed):
                   | (into[src] == prev[nbr]) | (into[nbr] == prev[src]))
     kept.append(_one_edge_per_cluster(cluster >= 0, cluster, src, nbr, live, n))
     yield NONE, NONE, NONE, NONE, NONE  # the final pass: all halt
-    return _edge_outputs(n, kept)
+    return edge_outputs(n, kept)
 
 
 def _one_edge_per_cluster(who, cluster, src, nbr, live, n):
@@ -192,22 +192,6 @@ def _one_edge_per_cluster(who, cluster, src, nbr, live, n):
     s = np.flatnonzero(live & who[src] & (c >= 0) & (c != cluster[src]))
     first = s[first_per_key(src[s] * n + c[s])]
     return src[first], nbr[first]
-
-
-def _edge_outputs(n, kept):
-    """Each vertex's retained edges as _SpannerNode.output gives them, from
-    (owner, other end) arrays that may repeat an edge."""
-    owner = np.concatenate([o for o, _ in kept])
-    other = np.concatenate([x for _, x in kept])
-    key = np.minimum(owner, other) * n + np.maximum(owner, other)
-    order = np.lexsort((key, owner))
-    owner, key = owner[order], key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (key[1:] != key[:-1])
-    owner, key = owner[new], key[new]
-    pairs = list(zip((key // n).tolist(), (key % n).tolist()))
-    cuts = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    return [tuple(pairs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def spanner_program(cfg: AlgoConfig) -> Program:

@@ -17,9 +17,9 @@ stays as its reference.
 
 import numpy as np
 
-from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program, Unicast
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, Unicast
 from ..graphs import label_bits
-from .slots import NONE, slot_sources
+from .slots import slot_sources
 
 
 class _TriangleNode(NodeProgram):

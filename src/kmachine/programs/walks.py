@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..clique import HALT, SILENT, NodeProgram, Program, Unicast
+from ..clique import HALT, NONE, SILENT, NodeProgram, Program, Unicast
 from ..rng import token_layout_fits, token_uniforms
 from .config import AlgoConfig, ConfigError
 
@@ -105,7 +105,6 @@ def _pagerank_rounds(g, cfg, shape, seed):
     give the same messages in the same order (by source, then destination)
     and the same outputs.  Tokens are numbered vertex by vertex."""
     n = g.n
-    none = np.zeros(0, dtype=np.int64)
     indptr, nbr, _ = g.csr()
     deg = np.diff(indptr)
     here = np.full(n, shape.per_node, dtype=np.int64)
@@ -127,9 +126,9 @@ def _pagerank_rounds(g, cfg, shape, seed):
             crossed[slot] = True
         slot = np.flatnonzero(crossed)  # ascending: by source, then destination
         src = np.searchsorted(indptr, slot, side="right") - 1
-        yield none, none, src, nbr[slot], np.full(len(slot), shape.bits)
+        yield NONE, NONE, src, nbr[slot], np.full(len(slot), shape.bits)
     visits += here
-    yield none, none, none, none, none  # the budget round: all halt in silence
+    yield NONE, NONE, NONE, NONE, NONE  # the budget round: all halt in silence
     return (cfg.gamma * visits / shape.total).tolist()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kmachine.acceptance import fidelity_instances
 from kmachine.clique import (
     HALT,
+    NONE,
     SILENT,
     Broadcast,
     CliqueMetrics,
@@ -17,7 +18,6 @@ from kmachine.clique import (
     Program,
     ProgramViolation,
     RoundLimitExceeded,
-    RoundRecord,
     Unicast,
     _vertex_rounds,
     run_clique,
@@ -67,6 +67,11 @@ class _OneUnicast(NodeProgram):
 
 def _prog(cls):
     return Program("t", cls)
+
+
+def _columns(trace):
+    """Every round's five columns as lists, to compare traces with ==."""
+    return [[col.tolist() for col in cols] for cols in trace.round_arrays()]
 
 
 def test_broadcast_once_metrics():
@@ -144,8 +149,8 @@ def test_message_conservation():
     g = generate("cycle", 5, 0)
     outs, trace, _ = run_clique(g, _prog(_Recorder), seed=0)
     # every unicast recorded at round r shows up in exactly one inbox at r+1
-    for rnd, rec in enumerate(trace.rounds, start=1):
-        for src, dst, bits in rec.unis:
+    for rnd, (_, _, us, ud, _) in enumerate(trace.round_arrays(), start=1):
+        for src, dst in zip(us.tolist(), ud.tolist()):
             entries = [
                 (r, u) for seen in outs for (r, _, unis) in seen for u in unis
                 if r == rnd + 1 and u == (src, ("r", rnd))
@@ -165,11 +170,11 @@ def test_metrics_recompute_from_trace():
     _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
     assert CliqueMetrics.from_trace(trace) == met
     # independent tallies
-    b = sum(len(r.bcasts) for r in trace.rounds)
-    u = sum(len(r.unis) for r in trace.rounds)
+    b = sum(len(bs) for bs, _, _, _, _ in trace.round_arrays())
+    u = sum(len(us) for _, _, us, _, _ in trace.round_arrays())
     assert met.broadcasts == b
     assert met.messages == u + b * (g.n - 1)
-    assert met.rounds == len(trace.rounds)
+    assert met.rounds == len(trace.round_arrays())
 
 
 class _Forever(NodeProgram):
@@ -252,7 +257,7 @@ def test_vertex_payload_sizes_are_checked_as_integers():
         with pytest.raises(ProgramViolation, match="^round holds non-integer values$"):
             run_clique(g, shout(bits), seed=0)
     _, trace, _ = run_clique(g, shout(np.int64(4)), seed=0)
-    assert trace.rounds[0].bcasts == [(0, 4), (1, 4), (2, 4)]
+    assert _columns(trace)[0][:2] == [[0, 1, 2], [4, 4, 4]]
 
 
 def test_trace_export_format():
@@ -349,9 +354,8 @@ def _assert_kernel_matches_reference(g, program, seed, **kw):
     out, trace, met = run_clique(g, program, seed, **kw)
     ref_out, ref_trace, ref_met = run_clique(g, _reference(program), seed, **kw)
     assert trace.export_lines() == ref_trace.export_lines()
-    # export_lines() leaves out destinations; compare every (src, dst, bits)
-    assert [r.unis for r in trace.rounds] == [r.unis for r in ref_trace.rounds]
-    assert [r.bcasts for r in trace.rounds] == [r.bcasts for r in ref_trace.rounds]
+    # export_lines() leaves out destinations; compare every column
+    assert _columns(trace) == _columns(ref_trace)
     assert repr(out) == repr(ref_out)
     assert met == ref_met
     return trace
@@ -432,7 +436,7 @@ def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
             run_clique(g, p, 3, max_rounds=12)
         traces.append(e.value.trace)
     assert traces[0].num_rounds == traces[1].num_rounds == 12
-    assert [r.unis for r in traces[0].rounds] == [r.unis for r in traces[1].rounds]
+    assert _columns(traces[0]) == _columns(traces[1])
 
 
 def test_fragment_kernels_match_reference_on_fidelity_instances():
@@ -556,9 +560,7 @@ def test_broadcast_programs_keep_no_shared_state_on_fidelity_instances():
         prog = make_program(alg, inst, AlgoConfig())
         out, trace, _ = run_clique(inst.graph, prog, s)
         iso_out, iso_trace, _ = run_clique(inst.graph, _reference(prog), s)
-        assert [(r.bcasts, r.unis) for r in trace.rounds] == [
-            (r.bcasts, r.unis) for r in iso_trace.rounds
-        ]
+        assert _columns(trace) == _columns(iso_trace)
         assert repr(out) == repr(iso_out)
 
 
@@ -609,9 +611,7 @@ def test_fragment_kernel_round_limit_keeps_the_partial_trace():
                 run_clique(g, p, 3, max_rounds=4)
             traces.append(e.value.trace)
         assert traces[0].num_rounds == traces[1].num_rounds == 4
-        assert [r.bcasts for r in traces[0].rounds] == [
-            r.bcasts for r in traces[1].rounds
-        ]
+        assert _columns(traces[0]) == _columns(traces[1])
 
 
 _E = []  # an empty column
@@ -639,8 +639,11 @@ def test_kernel_messages_are_recorded_in_order():
     assert trace.export_lines() == [
         "1 1 3 6 1", "1 3 3 7 1", "1 0 1 4 0", "1 2 1 5 0", "3 3 1 2 0",
     ]
-    assert [r.bcasts for r in trace.rounds] == [[(1, 6), (3, 7)], [], []]
-    assert [r.unis for r in trace.rounds] == [[(0, 3, 4), (2, 1, 5)], [], [(3, 0, 2)]]
+    assert _columns(trace) == [
+        [[1, 3], [6, 7], [0, 2], [3, 1], [4, 5]],
+        [[], [], [], [], []],
+        [[], [], [3], [0], [2]],
+    ]
     assert (met.rounds, met.broadcasts, met.unicasts, met.payload_bits) == (
         3, 2, 3, 24,
     )
@@ -689,6 +692,6 @@ def test_metrics_are_cached_until_the_trace_grows():
     g = generate("gnp", 24, 1, p=0.3)
     _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
     assert CliqueMetrics.from_trace(trace) is met
-    trace.append(RoundRecord([(0, 3)], []))
+    trace.append_arrays(np.array([0]), np.array([3]), NONE, NONE, NONE)
     grown = CliqueMetrics.from_trace(trace)
     assert (grown.rounds, grown.broadcasts) == (met.rounds + 1, met.broadcasts + 1)

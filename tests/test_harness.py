@@ -461,6 +461,22 @@ def test_one_engine_driver_and_one_algorithm_table():
                    for t in text.values())
 
 
+def test_one_round_format_and_one_edge_output_builder():
+    text = _source_texts()
+    # a trace is its round arrays: no record view, no list-based append
+    (clique_text,) = [t for p, t in text.items() if p.name == "clique.py"]
+    assert not any("RoundRecord" in t for t in text.values())
+    assert not any(f"def {name}(" in clique_text
+                   for name in ("append", "rounds", "_columns"))
+    # the read-only empty column is defined once, where the round format is
+    empty = re.compile(r"^\s*\w+ = np\.zeros\(0, dtype=np\.int64\)", re.M)
+    assert [p.name for p, t in text.items() if empty.search(t)] == ["clique.py"]
+    assert len(empty.findall(clique_text)) == 1
+    # one builder of per-vertex edge tuples, shared by the MST and spanner
+    assert not any("_mst_outputs" in t or "_edge_outputs" in t for t in text.values())
+    assert sum(t.count("def edge_outputs(") for t in text.values()) == 1
+
+
 def test_bellman_ford_broadcast_bound_holds_above_512():
     from kmachine.clique import CliqueMetrics
     from kmachine.graphs import generate

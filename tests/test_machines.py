@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmachine.clique import CliqueTrace, RoundRecord, run_clique
+from kmachine.clique import NONE, CliqueTrace, run_clique
 from kmachine.graphs import Graph, generate, label_bits
 from kmachine.machines import (
     ConversionError,
@@ -147,7 +147,7 @@ def test_mapping_bounds_golden():
 
 def _single_unicast_trace(n, bits):
     tr = CliqueTrace(n)
-    tr.append(RoundRecord([], [(0, 1, bits)]))
+    tr.append_arrays(NONE, NONE, np.array([0]), np.array([1]), np.array([bits]))
     return tr
 
 
@@ -162,14 +162,14 @@ def test_p2p_charging_rule():
 
 def test_broadcast_charging_rule():
     tr = CliqueTrace(16)
-    tr.append(RoundRecord([(0, 8)], []))
+    tr.append_arrays(np.array([0]), np.array([8]), NONE, NONE, NONE)
     part = Partition(k=4, home=np.arange(16) % 4)
     rep = convert_broadcast(tr, part, 16)
     assert rep.km_rounds == 1
     assert rep.max_link_bits == 12  # 8 payload + 4 source id bits
     empty = CliqueTrace(16)
     for _ in range(5):
-        empty.append(RoundRecord([], []))
+        empty.append_arrays(NONE, NONE, NONE, NONE, NONE)
     assert convert_broadcast(empty, part, 16).km_rounds == 0
     with pytest.raises(ConversionError):
         convert_broadcast(_single_unicast_trace(16, 8), part, 16)
@@ -179,7 +179,7 @@ def test_broadcast_charges_only_machines_with_vertices():
     # one 8-bit broadcast plus a 2-bit source id: no copy goes to a machine
     # that hosts no vertex, so with every vertex on machine 0 nothing is paid
     tr = CliqueTrace(4)
-    tr.append(RoundRecord([(0, 8)], []))
+    tr.append_arrays(np.array([0]), np.array([8]), NONE, NONE, NONE)
     alone = Partition(k=4, home=np.zeros(4, dtype=np.int64))
     rep = convert_broadcast(tr, alone, 4)
     assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
@@ -239,8 +239,8 @@ def test_ledger_conservation():
     # independent total: every cross-machine unicast pays bits + header
     hdr = 2 * label_bits(g.n)
     want = 0
-    for rec in trace.rounds:
-        for src, dst, bits in rec.unis:
+    for _, _, us, ud, ub in trace.round_arrays():
+        for src, dst, bits in zip(us.tolist(), ud.tolist(), ub.tolist()):
             if part.home[src] != part.home[dst]:
                 want += bits + hdr
     assert rep.total_bits == want
@@ -257,8 +257,8 @@ def test_identity_partition_matches_per_node_loads():
     rep = convert_p2p(trace, part, 8)
     hdr = 2 * label_bits(n)
     want = np.zeros((n, n), dtype=np.int64)
-    for rec in trace.rounds:
-        for src, dst, bits in rec.unis:
+    for _, _, us, ud, ub in trace.round_arrays():
+        for src, dst, bits in zip(us.tolist(), ud.tolist(), ub.tolist()):
             want[src, dst] += bits + hdr
     assert (rep.per_link_bits == want + want.T).all()
 

@@ -137,6 +137,46 @@ def test_validate_mis_examples():
     assert not validate_mis(h, {0, 1, 2})
 
 
+@st.composite
+def _graph_and_members(draw):
+    """A graph on 1..9 vertices (edgeless, a clique, or any edge set, where
+    isolated vertices are common), its adjacency sets, and a vertex set:
+    a greedy maximal independent set in a random order, that set with one
+    vertex flipped in or out (never maximal independent), or any set."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shape = draw(st.sampled_from(["edgeless", "clique", "any"]))
+    if shape == "edgeless":
+        pairs = []
+    elif shape == "any" and pairs:
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = Graph(n, [(u, v, 1) for u, v in pairs])
+    adj = {v: set() for v in range(n)}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    kind = draw(st.sampled_from(["greedy", "flipped", "any"]))
+    if kind == "any":
+        return g, adj, set(draw(st.lists(st.integers(0, n - 1))))
+    members = set()
+    for v in draw(st.permutations(range(n))):
+        if not adj[v] & members:
+            members.add(v)
+    if kind == "flipped":
+        members ^= {draw(st.integers(0, n - 1))}
+    return g, adj, members
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_graph_and_members())
+def test_validate_mis_matches_brute_force(case):
+    g, adj, members = case
+    independent = all(not adj[v] & members for v in members)
+    maximal = all(v in members or adj[v] & members for v in adj)
+    assert validate_mis(g, members) == (independent and maximal)
+    assert validate_mis(g, sorted(members)) == (independent and maximal)
+
+
 def test_all_pairs():
     path = Graph(3, [(0, 1, 1), (1, 2, 1)])
     d, h = all_pairs_distances(path)

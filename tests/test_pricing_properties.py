@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmachine.clique import CliqueMetrics, CliqueTrace, RoundRecord
+from kmachine.clique import CliqueMetrics, CliqueTrace
 from kmachine.graphs import label_bits
 from kmachine.machines import Partition, price
 
@@ -24,16 +24,19 @@ def priced(draw, broadcast_only=False, k=None):
     trace = CliqueTrace(n)
     for _ in range(draw(st.integers(0, 4))):
         senders = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        bcasts = [(v, draw(BITS)) for v in sorted(senders)]
-        unis = []
+        bs = sorted(senders)
+        bb = [draw(BITS) for _ in bs]
+        pairs = []
         if not broadcast_only:
             pairs = draw(st.lists(
                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                 .filter(lambda p: p[0] != p[1]),
                 unique=True, max_size=2 * n,
             ))
-            unis = [(s, d, draw(BITS)) for s, d in pairs]
-        trace.append(RoundRecord(bcasts, unis))
+        us, ud = [s for s, _ in pairs], [d for _, d in pairs]
+        ub = [draw(BITS) for _ in pairs]
+        cols = (bs, bb, us, ud, ub)
+        trace.append_arrays(*(np.array(c, dtype=np.int64) for c in cols))
     k = k or draw(st.integers(1, n))
     home = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return trace, Partition(k=k, home=np.array(home, dtype=np.int64))
@@ -102,14 +105,16 @@ def _per_message(trace, part, W, mode):
     hdr = label_bits(n) if mode == "bcast" else 2 * label_bits(n)
     km_rounds = machine_rounds = 0
     links = [[0] * k for _ in range(k)]
-    for rec in trace.rounds:
+    for bs, bb, us, ud, ub in trace.round_arrays():
+        bcasts = list(zip(bs.tolist(), bb.tolist()))
         load = [[0] * k for _ in range(k)]
         if mode == "bcast":  # one copy to some vertex of each occupied machine
-            sends = [(src, home.index(q), bits) for src, bits in rec.bcasts
+            sends = [(src, home.index(q), bits) for src, bits in bcasts
                      for q in set(home)]
         else:
-            sends = [(src, dst, bits) for src, bits in rec.bcasts
-                     for dst in range(n) if dst != src] + rec.unis
+            sends = [(src, dst, bits) for src, bits in bcasts
+                     for dst in range(n) if dst != src]
+            sends += zip(us.tolist(), ud.tolist(), ub.tolist())
         for src, dst, bits in sends:
             p, q = home[src], home[dst]
             if p != q:
