@@ -158,7 +158,9 @@ def sim_report(n, part, W, mode, loads, bound):
 
 
 def _round_loads(trace: CliqueTrace, part: Partition, hdr: int, fan: np.ndarray):
-    """Per clique round, the directed link load of its messages.
+    """Per clique round that sends a message, the directed link load of its
+    messages; a silent round loads no link, so it adds nothing to the ledger
+    and is skipped.
 
     Each inter-machine unicast adds its payload + hdr bits on its link; each
     broadcast from machine p adds its payload + hdr bits, times fan[q], on
@@ -167,6 +169,8 @@ def _round_loads(trace: CliqueTrace, part: Partition, hdr: int, fan: np.ndarray)
     k = part.k
     home = part.home
     for bs, bb, us, ud, ub in trace.round_arrays():
+        if not (len(bs) or len(us)):
+            continue
         if len(bs):
             per_m = np.zeros(k, dtype=np.int64)
             np.add.at(per_m, home[bs], bb + hdr)

@@ -15,10 +15,16 @@ Each token's fate comes from its own two uniforms (rng.token_uniforms),
 keyed by (seed, round, vertex, token index): it dies if u1 < gamma, else it
 hops to CSR slot indptr[v] + floor(u2 * degree); a token on an isolated
 vertex dies.  The engine runs the round kernel `_pagerank_rounds`, which
-moves every token of a round at once and marks the CSR slots its tokens
-crossed in one boolean mask over the 2m slots; the marked slots, in
-ascending order, are the round's messages.  The per-vertex `_PageRankNode`
-draws the same uniforms for its own tokens and stays as its reference.
+moves every token of a round at once.  The distinct CSR slots its tokens
+crossed, in ascending order, are the round's messages.  A round with fewer
+tokens than slots sorts its hop slots and keeps the first of each run; as
+tokens are numbered vertex by vertex, the hop vertices in token order are
+the sorted slots' sources.  A round with at least as many tokens as slots
+marks its hop slots in one boolean mask over the 2m slots instead.  Once no
+token is left to move, the kernel yields the empty rounds left up to the
+budget without drawing or touching a per-vertex or per-slot array.  The
+per-vertex `_PageRankNode` draws the same uniforms for its own tokens and
+stays as its reference.
 """
 
 import math
@@ -96,7 +102,9 @@ class _PageRankNode(NodeProgram):
         return self.cfg.gamma * self.visits / self.shape.total
 
 
-# tokens the kernel draws at once, which keeps its scratch arrays small
+# tokens the kernel draws at once, which keeps its scratch arrays small; a
+# round that sorts its hop slots also keeps them, with their sources and
+# its tokens' vertices, but it holds fewer tokens than the 2m slots
 _CHUNK = 1 << 12
 
 
@@ -109,26 +117,54 @@ def _pagerank_rounds(g, cfg, shape, seed):
     deg = np.diff(indptr)
     here = np.full(n, shape.per_node, dtype=np.int64)
     visits = np.zeros(n, dtype=np.int64)
-    for rnd in range(1, shape.budget):
+    rnd = 1
+    while rnd < shape.budget:
         visits += here
         held = np.where(deg > 0, here, 0)  # tokens on isolated vertices die
         ends = np.cumsum(held)
         firsts, count = ends - held, int(ends[-1])
+        if not count:
+            break  # no token moves again: the rest are empty rounds
         here = np.zeros(n, dtype=np.int64)
-        crossed = np.zeros(len(nbr), dtype=bool)  # per CSR slot: a token crossed it
+        sparse = count < len(nbr)
+        if sparse:
+            hop_slots, hop_srcs = [], []
+            vertex = np.repeat(np.arange(n), held)  # per token: fewer than 2m
+        else:
+            crossed = np.zeros(len(nbr), dtype=bool)  # per CSR slot: a token crossed it
         for lo in range(0, count, _CHUNK):
             t = np.arange(lo, min(lo + _CHUNK, count))
-            v = np.searchsorted(ends, t, side="right")  # the token's vertex
+            if sparse:
+                v = vertex[lo:lo + _CHUNK]
+            else:
+                v = np.searchsorted(ends, t, side="right")  # the token's vertex
             u1, u2 = token_uniforms(seed, rnd, v, t - firsts[v])
-            v, u2 = v[u1 >= cfg.gamma], u2[u1 >= cfg.gamma]
+            hops = u1 >= cfg.gamma
+            v, u2 = v[hops], u2[hops]
             slot = indptr[v] + (u2 * deg[v]).astype(np.int64)
             here += np.bincount(nbr[slot], minlength=n)
-            crossed[slot] = True
-        slot = np.flatnonzero(crossed)  # ascending: by source, then destination
-        src = np.searchsorted(indptr, slot, side="right") - 1
+            if sparse:
+                hop_slots.append(slot)
+                hop_srcs.append(v)
+            else:
+                crossed[slot] = True
+        if sparse:
+            # the hop vertices ascend in token order and each vertex's slots
+            # are one ascending range, so they are the sorted slots' sources
+            slot, src = np.concatenate(hop_slots), np.concatenate(hop_srcs)
+            slot.sort()
+            first = np.ones(len(slot), dtype=bool)
+            first[1:] = slot[1:] != slot[:-1]
+            slot, src = slot[first], src[first]
+        else:
+            slot = np.flatnonzero(crossed)  # ascending: by source, then destination
+            src = np.searchsorted(indptr, slot, side="right") - 1
         yield NONE, NONE, src, nbr[slot], np.full(len(slot), shape.bits)
-    visits += here
-    yield NONE, NONE, NONE, NONE, NONE  # the budget round: all halt in silence
+        rnd += 1
+    else:
+        visits += here
+    for _ in range(rnd, shape.budget + 1):  # the last is the budget round: all halt
+        yield NONE, NONE, NONE, NONE, NONE
     return (cfg.gamma * visits / shape.total).tolist()
 
 

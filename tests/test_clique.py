@@ -45,6 +45,8 @@ from kmachine.programs import (
     triangle_program,
 )
 from kmachine.programs import fragments, walks
+from kmachine.programs.walks import walk_shape
+from kmachine.rng import token_uniforms
 
 
 class _ShoutOnce(NodeProgram):
@@ -397,11 +399,35 @@ def test_pagerank_kernel_matches_reference_without_edges():
 
 
 def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
-    # chunks of 7 tokens split every vertex's batch of 40
+    # chunks of 7 tokens split vertices' batches; 40 tokens per vertex start
+    # with more tokens than CSR slots (the slot mask), 4 with fewer (the sort)
     monkeypatch.setattr(walks, "_CHUNK", 7)
     g = generate("gnp", 24, 4, p=0.3)
-    prog = pagerank_program(AlgoConfig(tokens_per_node=40))
-    _assert_kernel_matches_reference(g, prog, 2)
+    assert 24 * 4 < len(g.csr()[1]) < 24 * 40
+    for tokens in (40, 4):
+        prog = pagerank_program(AlgoConfig(tokens_per_node=tokens))
+        _assert_kernel_matches_reference(g, prog, 2)
+
+
+def test_pagerank_kernel_draws_nothing_after_the_last_token(monkeypatch):
+    drawn = []  # the round of every token_uniforms call
+
+    def spy(seed, rnd, v, i):
+        drawn.append(rnd)
+        return token_uniforms(seed, rnd, v, i)
+
+    monkeypatch.setattr(walks, "token_uniforms", spy)
+    g = generate("gnp", 32, 1, p=0.2)
+    assert (np.diff(g.csr()[0]) > 0).all()  # no isolated vertex: every token is drawn
+    cfg = AlgoConfig(gamma=0.5)
+    _, trace, _ = run_clique(g, pagerank_program(cfg), 3)
+    assert trace.num_rounds == walk_shape(g.n, cfg).budget
+    # a round starts with a token somewhere if it is the first round or
+    # follows a round in which a token hopped
+    hopped = [r for r, (_, _, us, _, _) in enumerate(trace.round_arrays(), start=1)
+              if len(us)]
+    assert set(drawn) == {1} | {r + 1 for r in hopped}
+    assert max(drawn) < trace.num_rounds - 1  # the walk ended well before the budget
 
 
 def test_walk_token_overflow_is_rejected_before_any_round():
@@ -519,6 +545,10 @@ def test_kernels_match_reference_on_edge_case_graphs(g, seed):
         prog = spanner_program(AlgoConfig(delta=delta))
         _assert_kernel_matches_reference(g, prog, seed)
         _assert_spanner_live_sets_stay_symmetric(g, prog, seed)
+    for tokens in (1, None, 40):
+        # at n = 2 the default cap of 4 bits cannot hold 40 tokens' counts
+        prog = pagerank_program(AlgoConfig(tokens_per_node=tokens))
+        _assert_kernel_matches_reference(g, prog, seed, payload_cap_c=16)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

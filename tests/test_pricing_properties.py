@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmachine.clique import CliqueMetrics, CliqueTrace
+from kmachine.clique import NONE, CliqueMetrics, CliqueTrace
 from kmachine.graphs import label_bits
 from kmachine.machines import Partition, price
 
@@ -136,3 +136,23 @@ def test_pricing_matches_per_message_charging(case, W):
         rep = price(trace, part, W, mode=mode)
         got = (rep.km_rounds, rep.machine_rounds, rep.per_link_bits.tolist(), rep.total_bits)
         assert got == _per_message(trace, part, W, mode)
+
+
+@SETTINGS
+@given(priced(), st.lists(st.integers(0, 4), max_size=6), st.integers(1, 64))
+def test_silent_rounds_change_no_cost(case, gaps, W):
+    # an empty round goes before round index `at` of each gap, or after the
+    # last round; bound_rounds moves with T_C, so it is left out
+    trace, part = case
+    rounds = list(trace.round_arrays())
+    for at in sorted(gaps, reverse=True):
+        rounds.insert(min(at, trace.num_rounds), (NONE,) * 5)
+    padded = CliqueTrace(trace.n)
+    for cols in rounds:
+        padded.append_arrays(*cols)
+    for mode in _modes(trace):
+        a, b = price(trace, part, W, mode=mode), price(padded, part, W, mode=mode)
+        assert (a.km_rounds, a.machine_rounds, a.total_bits) == (
+            b.km_rounds, b.machine_rounds, b.total_bits)
+        assert (a.per_link_bits == b.per_link_bits).all()
+        assert (a.per_machine_bits == b.per_machine_bits).all()
