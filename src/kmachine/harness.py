@@ -199,9 +199,8 @@ def default_stverify_candidate(g: Graph, seed: int):
 
 def _validate_bfs(inst, cfg, outputs, metrics):
     g = inst.graph
-    want = oracles.bfs_distances(g, cfg.source)
-    got = [d for d, _ in outputs]
-    ok = got == want
+    dist, parent = oracles.bfs_tree(g, cfg.source)
+    ok = list(outputs) == list(zip(dist, parent))
     ok &= metrics.broadcasts <= g.n + 1
     return ok, {"kind": "bfs"}
 
@@ -210,10 +209,30 @@ def _validate_bf(inst, cfg, outputs, metrics):
     g = inst.graph
     want, hops = oracles.single_source_distances(g, cfg.source)
     got = [d for d, _ in outputs]
-    ok = got == want
+    ok = got == want and _sssp_parents_ok(g, cfg.source, want, outputs)
     # an estimate improves only up to its fewest-hop minimum-weight path
     ok &= metrics.broadcasts <= g.n * max(1, max(hops)) + g.n
     return ok, {"kind": "bf_sssp"}
+
+
+def _sssp_parents_ok(g, source, dist, outputs):
+    """Whether the source and every unreached vertex have parent None and
+    every other vertex v a neighbour p with dist[p] + w(p, v) == dist[v]."""
+    indptr, nbr, eidx = g.csr()
+    cuts, nbrs = indptr.tolist(), nbr.tolist()
+    weights = g.edge_arrays()[2][eidx].tolist()
+    for v, (d, parent) in enumerate(outputs):
+        if v == source or d == math.inf:
+            if parent is not None:
+                return False
+            continue
+        try:
+            slot = nbrs.index(parent, cuts[v], cuts[v + 1])
+        except ValueError:  # not a neighbour of v
+            return False
+        if dist[parent] + weights[slot] != d:
+            return False
+    return True
 
 
 def _validate_mst(inst, cfg, outputs, metrics):

@@ -170,6 +170,9 @@ def prim_mst(g: Graph):
 def single_source_distances(g: Graph, src: int):
     """Dijkstra with (weight, hop) keys: exact distances plus the fewest
     edges used by any minimum-weight path."""
+    indptr, nbr, eidx = g.csr()
+    cuts, nbrs = indptr.tolist(), nbr.tolist()
+    weights = g.edge_arrays()[2][eidx].tolist()
     inf = math.inf
     dist = [inf] * g.n
     hops = [0] * g.n
@@ -183,7 +186,8 @@ def single_source_distances(g: Graph, src: int):
         done[v] = True
         dist[v], hops[v] = d, h
         nh = h + 1
-        for u, w, _ in g.neighbors(v):
+        lo, hi = cuts[v], cuts[v + 1]
+        for u, w in zip(nbrs[lo:hi], weights[lo:hi]):
             nd = d + w
             # (nd, nh) < (dist[u], hops[u]), without building the tuples
             if not done[u] and (nd < dist[u] or nd == dist[u] and nh < hops[u]):
@@ -192,22 +196,28 @@ def single_source_distances(g: Graph, src: int):
     return dist, hops
 
 
-def bfs_distances(g: Graph, src: int):
-    """Hop distances from src; unreachable vertices get inf."""
+def bfs_tree(g: Graph, src: int):
+    """Hop distances from src (inf when unreachable) and parents: a reached
+    vertex's smallest-id neighbour one hop closer, None at src and at
+    unreachable vertices."""
+    indptr, nbr, _ = g.csr()
+    cuts, nbrs = indptr.tolist(), nbr.tolist()
     dist = [math.inf] * g.n
+    parent = [None] * g.n
     dist[src] = 0
     frontier = [src]
     d = 0
     while frontier:
         d += 1
         nxt = []
-        for v in frontier:
-            for u, _, _ in g.neighbors(v):
+        for v in frontier:  # ascending: the first to reach u is its least
+            for u in nbrs[cuts[v]:cuts[v + 1]]:
                 if dist[u] == math.inf:
                     dist[u] = d
+                    parent[u] = v
                     nxt.append(u)
-        frontier = nxt
-    return dist
+        frontier = sorted(nxt)
+    return dist, parent
 
 
 def _closure(g: Graph, unit: bool = False):

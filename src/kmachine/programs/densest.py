@@ -7,11 +7,22 @@ degrees it heard and tracks for itself which iteration had the densest
 active set; once the active set has no edges the process stops and every
 vertex reports the best density and whether it belonged to that best
 iterate.
+
+The engine runs the round kernel `_peel_rounds`, which advances every vertex
+of a round at once.  It keeps one active flag per vertex and the CSR slots
+whose two ends are both active: a vertex's active degree is its count of
+such slots, and twice the active edge count is their number.  The cut round
+compares each active degree with the same float threshold the reference
+computes, and updates the best iterate by integer cross-multiplication.  The
+per-vertex `_PeelNode` stays as its reference.
 """
 
-from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
+import numpy as np
+
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 from .config import AlgoConfig
+from .slots import broadcasts, slot_sources
 
 
 class _PeelNode(NodeProgram):
@@ -60,6 +71,43 @@ class _PeelNode(NodeProgram):
         return (m2 / (2.0 * size), member)
 
 
+def _peel_rounds(g, eps):
+    """Round kernel of _PeelNode: the same broadcasts in the same rounds and
+    order, and the same outputs."""
+    n, L = g.n, label_bits(g.n)
+    indptr, nbr, _ = g.csr()
+    src = slot_sources(indptr)
+    active = np.ones(n, dtype=bool)
+    left_at = np.zeros(n, dtype=np.int64)  # 0: still active
+    best = (0, 1, 1)  # (m2, size, iteration), as each vertex keeps it
+    iteration = 0
+    while True:
+        iteration += 1
+        # degree round: the slots between active vertices are the active edges
+        keep = active[src] & active[nbr]
+        src, nbr = src[keep], nbr[keep]
+        yield broadcasts(active, L)
+        # cut round
+        m2, size = len(src), int(np.count_nonzero(active))
+        if not size:
+            break
+        if m2 * best[1] > best[0] * size:
+            best = (m2, size, iteration)
+        if not m2:
+            break
+        degree = np.bincount(src, minlength=n)
+        out = active & (degree < (1.0 + eps) * (m2 / size))
+        left_at[out] = iteration
+        active &= ~out
+        yield broadcasts(out, 1)
+    yield NONE, NONE, NONE, NONE, NONE  # the cut round in which all halt
+    m2, size, best_iter = best
+    density = m2 / (2.0 * size)
+    member = (left_at == 0) | (left_at >= best_iter)
+    return [(density, x) for x in member.tolist()]
+
+
 def densest_subgraph_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("densest", lambda: _PeelNode(cfg.eps))
+    return Program("densest", lambda: _PeelNode(cfg.eps),
+                   kernel=lambda g, _seed: _peel_rounds(g, cfg.eps))

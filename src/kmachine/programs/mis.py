@@ -21,7 +21,7 @@ from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig
-from .slots import slot_sources
+from .slots import broadcasts, slot_sources
 
 
 def default_phase_budget(n: int) -> int:
@@ -100,14 +100,14 @@ def _luby_rounds(g, max_phases, seed):
         tossing = np.flatnonzero(alive & (d > 0))
         coins = uniform_each(seed, "coin", tossing, rnd)
         marked[tossing] = coins < 0.5 / d[tossing]
-        yield _broadcasts(marked, L)
+        yield broadcasts(marked, L)
         # resolve: a marked vertex loses to a marked neighbor of larger (d, id)
         rnd += 1
         prio = d * n + np.arange(n)
         beaten = marked[src] & marked[nbr] & (prio[nbr] > prio[src])
         win = marked.copy()
         win[src[beaten]] = False
-        yield _broadcasts(win, 1)
+        yield broadcasts(win, 1)
         in_set |= win
         alive &= ~win
         if not alive.any():
@@ -116,20 +116,13 @@ def _luby_rounds(g, max_phases, seed):
         rnd += 1
         out = np.zeros(n, dtype=bool)
         out[src[win[nbr]]] = True
-        yield _broadcasts(out, 1)
+        yield broadcasts(out, 1)
         alive &= ~out
         if not alive.any():
             break
     else:
         yield NONE, NONE, NONE, NONE, NONE  # over budget: the rest fail
     return list(zip(in_set.tolist(), alive.tolist()))
-
-
-def _broadcasts(senders, bits):
-    """The round in which every vertex of the mask `senders` broadcasts
-    `bits` bits."""
-    bs = np.flatnonzero(senders)
-    return bs, np.full(len(bs), bits), NONE, NONE, NONE
 
 
 def luby_mis_program(cfg: AlgoConfig) -> Program:

@@ -3,13 +3,32 @@
 Both programs exploit the complete communication graph: every announcement
 reaches every vertex, so a vertex halts either once its own answer is fixed
 or once a globally visible silent round shows that no announcements remain.
+
+The engine runs a round kernel for each, over the CSR slots of g.csr().
+`_bfs_rounds` is level-synchronous: in round r the vertices at distance r-1
+announce, and an unreached vertex with a CSR slot to an announcer is
+reached, its parent the least such neighbour.  `_bellman_ford_rounds`
+relaxes, in each round, the slots to the vertices that announced in the
+last one; per vertex the least (distance + weight, neighbour) wins, a
+strictly smaller distance is announced in L + max(1, bit length) bits,
+and a tie only moves an already set parent to a lower id.  Distances are
+int64 while n times the largest weight fits, else Python ints in the same
+arrays, and bit lengths are exact either way.  Both kernels end with one
+empty round after the first round in which nobody announces, since every
+vertex still running then halts at once.  The per-vertex `_BfsNode` and
+`_BellmanFordNode` stay as their references.
 """
 
 import math
 
-from ..clique import HALT, SILENT, Broadcast, NodeProgram, Program
+import numpy as np
+
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 from .config import AlgoConfig
+from .slots import broadcasts, slot_sources
+
+_POW2 = np.int64(1) << np.arange(63)  # 1, 2, 4, ..., 2**62
 
 
 class _BfsNode(NodeProgram):
@@ -50,9 +69,42 @@ class _BfsNode(NodeProgram):
         return (self.dist, self.parent)
 
 
+def _bfs_rounds(g, source):
+    """Round kernel of _BfsNode: the same announcements in the same rounds
+    and order, and the same outputs."""
+    n, bits = g.n, 3 * label_bits(g.n)
+    indptr, nbr, _ = g.csr()
+    src = slot_sources(indptr)
+    dist = np.full(n, -1)  # -1: not reached
+    parent = np.full(n, -1)  # -1: None
+    dist[source] = 0
+    frontier = np.zeros(n, dtype=bool)  # the vertices that announced last round
+    frontier[source] = True
+    live = ~frontier  # the vertices not yet reached, which are still running
+    yield broadcasts(frontier, bits)
+    level = 0
+    while live.any():
+        if not frontier.any():
+            yield NONE, NONE, NONE, NONE, NONE  # nobody announced: all halt
+            break
+        # a live vertex's parent is its least neighbour that announced
+        hit = frontier[nbr] & live[src]
+        via = np.full(n, n)
+        np.minimum.at(via, src[hit], nbr[hit])
+        frontier = via < n
+        level += 1
+        dist[frontier] = level
+        parent[frontier] = via[frontier]
+        live &= ~frontier
+        yield broadcasts(frontier, bits)
+    return [(math.inf if d < 0 else d, None if p < 0 else p)
+            for d, p in zip(dist.tolist(), parent.tolist())]
+
+
 def bfs_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("bfs", lambda: _BfsNode(cfg.source))
+    return Program("bfs", lambda: _BfsNode(cfg.source),
+                   kernel=lambda g, _seed: _bfs_rounds(g, cfg.source))
 
 
 class _BellmanFordNode(NodeProgram):
@@ -102,6 +154,59 @@ class _BellmanFordNode(NodeProgram):
         return (self.dist, self.parent)
 
 
+def _bellman_ford_rounds(g, source):
+    """Round kernel of _BellmanFordNode: the same announcements in the same
+    rounds and order, and the same outputs."""
+    n, L = g.n, label_bits(g.n)
+    indptr, nbr, eidx = g.csr()
+    src = slot_sources(indptr)
+    weight = g.edge_arrays()[2][eidx]
+    # a tentative distance is the length of a simple path, at most
+    # (n - 1) * max weight, so `far` stands above every distance and every
+    # candidate; past int64 the same arithmetic runs on Python ints
+    far = n * int(weight.max(initial=0)) + 1
+    exact = np.int64 if far < 2**63 else object
+    weight = weight.astype(exact)
+    dist = np.full(n, far, dtype=exact)  # far: not reached
+    parent = np.full(n, -1)  # -1: None
+    dist[source] = 0
+    sent = np.zeros(n, dtype=bool)  # the vertices that announced last round
+    sent[source] = True
+    yield _announce(sent, dist, L)
+    while sent.any():
+        hit = sent[nbr]
+        v, u = src[hit], nbr[hit]
+        cand = dist[u] + weight[hit]
+        # per vertex the least (cand, u) over the slots to the announcers
+        least = np.full(n, far, dtype=exact)
+        np.minimum.at(least, v, cand)
+        at = cand == least[v]
+        via = np.full(n, n)
+        np.minimum.at(via, v[at], u[at])
+        sent = least < dist
+        # a tie moves a set parent to a lower id; -1 (None) is below them all
+        moved = sent | (least == dist) & (via < parent)
+        parent[moved] = via[moved]
+        dist[sent] = least[sent]
+        yield _announce(sent, dist, L)
+    yield NONE, NONE, NONE, NONE, NONE  # nobody announced: all halt
+    return [(math.inf if d == far else d, None if p < 0 else p)
+            for d, p in zip(dist.tolist(), parent.tolist())]
+
+
+def _announce(sent, dist, L):
+    """The round in which the vertices of the mask `sent` broadcast their
+    distance d in L + max(1, d.bit_length()) bits."""
+    bs = np.flatnonzero(sent)
+    d = dist[bs]
+    if d.dtype == object:
+        size = np.array([x.bit_length() for x in d.tolist()], dtype=np.int64)
+    else:
+        size = np.searchsorted(_POW2, d, side="right")  # exact bit lengths
+    return bs, L + np.maximum(size, 1), NONE, NONE, NONE
+
+
 def bellman_ford_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("bf_sssp", lambda: _BellmanFordNode(cfg.source))
+    return Program("bf_sssp", lambda: _BellmanFordNode(cfg.source),
+                   kernel=lambda g, _seed: _bellman_ford_rounds(g, cfg.source))

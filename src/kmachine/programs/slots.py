@@ -1,4 +1,5 @@
-"""Helpers the round kernels share: CSR slot arrays and edge outputs.
+"""Helpers the round kernels share: CSR slot arrays, broadcast rounds and
+edge outputs.
 
 A kernel holds a vertex's view of its edges as the CSR slots of g.csr():
 slot i is the directed edge src[i] -> nbr[i], and the slots ascend by
@@ -7,6 +8,8 @@ incident tuple.
 """
 
 import numpy as np
+
+from ..clique import NONE
 
 
 def slot_sources(indptr):
@@ -18,6 +21,13 @@ def first_per_key(key):
     """The index of the first occurrence of each distinct value of `key`,
     in ascending order of the values."""
     return np.unique(key, return_index=True)[1]
+
+
+def broadcasts(senders, bits):
+    """The round in which every vertex of the mask `senders` broadcasts
+    `bits` bits."""
+    bs = np.flatnonzero(senders)
+    return bs, np.full(len(bs), bits), NONE, NONE, NONE
 
 
 def edge_outputs(n, kept):

@@ -34,6 +34,7 @@ from kmachine.programs import (
     CLIQUE_ALGORITHMS,
     AlgoConfig,
     ConfigError,
+    bellman_ford_program,
     bfs_program,
     conn_program,
     densest_subgraph_program,
@@ -465,6 +466,52 @@ def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
     assert _columns(traces[0]) == _columns(traces[1])
 
 
+@pytest.mark.parametrize("max_rounds", [1, 4, 7])
+def test_distance_and_peeling_kernels_round_limit_keeps_the_partial_trace(max_rounds):
+    # the three programs take 8, 10 and 12 rounds here
+    g = generate("random_weighted", 64, 2, p=0.05, wmax=9)
+    progs = [bfs_program(AlgoConfig(source=5)),
+             bellman_ford_program(AlgoConfig(source=5)),
+             densest_subgraph_program(AlgoConfig(eps=0.1))]
+    for prog in progs:
+        traces = []
+        for p in (prog, _reference(prog)):
+            with pytest.raises(RoundLimitExceeded) as e:
+                run_clique(g, p, 0, max_rounds=max_rounds)
+            traces.append(e.value.trace)
+        assert traces[0].num_rounds == traces[1].num_rounds == max_rounds
+        assert _columns(traces[0]) == _columns(traces[1])
+
+
+_W = 2**50 + 12345
+
+
+@pytest.mark.parametrize("edges, far", [
+    # distances 2**53 - 8 and 2**53 - 1 in int64, where a float log2 rounds
+    # the bit length up to 54
+    ([(v, v + 1, 2**50 - 1) for v in range(8)] + [(8, 9, 7)],
+     {8: 2**53 - 8, 9: 2**53 - 1}),
+    # n * max weight passes 2**63, so distances are Python ints; zero
+    # weights and ties move parents only to lower ids
+    ([(0, 1, _W), (1, 2, _W), (0, 2, 2 * _W + 1), (2, 3, 0), (3, 4, _W - 1),
+      (0, 4, 3 * _W), (1, 4, 2 * _W)],
+     {2: 2 * _W, 3: 2 * _W, 4: 3 * _W - 1}),
+])
+def test_bellman_ford_kernel_keeps_large_distances_exact(edges, far):
+    g = Graph(5000, edges)
+    prog = bellman_ford_program(AlgoConfig(source=0))
+    errors = []
+    for p in (prog, _reference(prog)):
+        with pytest.raises(ProgramViolation) as e:  # over the cap of 4 * 13 bits
+            run_clique(g, p, 0)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+    _assert_kernel_matches_reference(g, prog, 0, payload_cap_c=16)
+    out = run_clique(g, prog, 0, payload_cap_c=16)[0]
+    assert {v: out[v][0] for v in far} == far
+    assert out[-1] == (math.inf, None)
+
+
 def test_fragment_kernels_match_reference_on_fidelity_instances():
     runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
             if alg in ("mst", "conn", "stverify")]
@@ -489,7 +536,7 @@ def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
 # the algorithms whose program runs a round kernel; every other program
 # runs one state machine per vertex
 _KERNEL_ALGORITHMS = {"pagerank", "mst", "conn", "stverify", "mis", "triangle",
-                      "spanner"}
+                      "spanner", "bfs", "bf_sssp", "densest"}
 
 
 @pytest.mark.parametrize("alg", sorted(CLIQUE_ALGORITHMS))
@@ -549,6 +596,24 @@ def test_kernels_match_reference_on_edge_case_graphs(g, seed):
         # at n = 2 the default cap of 4 bits cannot hold 40 tokens' counts
         prog = pagerank_program(AlgoConfig(tokens_per_node=tokens))
         _assert_kernel_matches_reference(g, prog, seed, payload_cap_c=16)
+    for source in sorted({0, g.n - 1}):
+        cfg = AlgoConfig(source=source)
+        _assert_kernel_matches_reference(g, bfs_program(cfg), seed)
+        for h in (_with_weights(g, 1, seed), _with_weights(g, 9, seed)):
+            # at n = 2 the default cap of 4 bits holds distances up to 7
+            _assert_kernel_matches_reference(h, bellman_ford_program(cfg), seed,
+                                             payload_cap_c=16)
+    for eps in (0.1, 0.5, 2.0):
+        prog = densest_subgraph_program(AlgoConfig(eps=eps))
+        _assert_kernel_matches_reference(g, prog, seed)
+
+
+def _with_weights(g, wmax, seed):
+    """g's edges with weights drawn from 0..wmax: zero weights included,
+    which no generator makes."""
+    u, v, _ = g.edge_arrays()
+    w = np.random.default_rng(seed).integers(0, wmax + 1, size=g.m)
+    return Graph(g.n, np.column_stack([u, v, w]))
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

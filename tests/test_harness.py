@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from kmachine.cli import main as cli_main
-from kmachine.graphs import GraphError
+from kmachine.clique import run_clique
+from kmachine.graphs import Graph, GraphError
 from kmachine.harness import (
     CSV_HEADER,
     VALIDATORS,
@@ -17,6 +19,7 @@ from kmachine.harness import (
     config_from_mapping,
     fit_scaling,
     format_csv,
+    make_program,
     rows_from_result,
     run_cell,
     run_experiment,
@@ -482,13 +485,54 @@ def test_bellman_ford_broadcast_bound_holds_above_512():
     from kmachine.graphs import generate
 
     g = generate("path", 600, 0)  # from vertex 0 the farthest is 599 hops
-    outputs = [(d, None) for d in range(g.n)]
+    outputs = [(0, None)] + [(d, d - 1) for d in range(1, g.n)]
     bound = 600 * 599 + 600
     check = VALIDATORS["bf_sssp"]
     for broadcasts, want in ((bound, True), (bound + 1, False)):
         metrics = CliqueMetrics(1, 0, broadcasts, 0, 0, 0)
         ok, _ = check(Instance(graph=g), AlgoConfig(source=0), outputs, metrics)
         assert ok == want
+
+
+def _distance_cell(algorithm, g, source=0):
+    cfg = AlgoConfig(source=source)
+    outputs, _, metrics = run_clique(g, make_program(algorithm, Instance(graph=g), cfg), 0)
+    return cfg, outputs, metrics
+
+
+@pytest.mark.parametrize("algorithm", ["bfs", "bf_sssp"])
+def test_distance_checks_read_the_parents(algorithm):
+    # 0-1-2-3 and 0-4-3: 3 is two hops away through 2 or 4; 5 is unreachable
+    g = Graph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1), (4, 3, 2)])
+    cfg, outputs, metrics = _distance_cell(algorithm, g)
+    check = VALIDATORS[algorithm]
+    assert check(Instance(graph=g), cfg, outputs, metrics)[0]
+    assert outputs[0] == (0, None) and outputs[5][1] is None
+    wrong = {
+        "source has a parent": {0: (0, 1)},
+        "unreached has a parent": {5: (math.inf, 4)},
+        "reached has none": {1: (1, None)},
+        "not a neighbour": {2: (2, 0)},
+        "not one edge closer": {1: (1, 2)},
+    }
+    for why, change in wrong.items():
+        bad = [change.get(v, out) for v, out in enumerate(outputs)]
+        assert not check(Instance(graph=g), cfg, bad, metrics)[0], why
+
+
+def test_bfs_check_wants_the_least_closer_neighbour():
+    # 3 is two hops from 0 through both 1 and 2; its parent must be 1
+    g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+    cfg, outputs, metrics = _distance_cell("bfs", g)
+    assert outputs[3] == (2, 1)
+    check = VALIDATORS["bfs"]
+    assert check(Instance(graph=g), cfg, outputs, metrics)[0]
+    outputs[3] = (2, 2)
+    assert not check(Instance(graph=g), cfg, outputs, metrics)[0]
+    # shortest paths accept either: 2 lies on a minimum-weight path too
+    cfg, sssp, metrics = _distance_cell("bf_sssp", g)
+    sssp[3] = (2, 2)
+    assert VALIDATORS["bf_sssp"](Instance(graph=g), cfg, sssp, metrics)[0]
 
 
 def test_distance_checks_do_not_import_scipy_sparse(child_env):

@@ -23,7 +23,7 @@ from kmachine.machines import (
     run_on_kmachines,
     sim_report,
 )
-from kmachine.oracles import bfs_distances
+from kmachine.oracles import bfs_tree
 from kmachine.programs import AlgoConfig, bfs_program, mst_program, pagerank_program
 
 
@@ -290,7 +290,7 @@ def test_fidelity_composition():
     out_k, rep, _ = run_on_kmachines(g, bfs_program(AlgoConfig()), k=4, mode="bcast", seed=6)
     out_c, _, _ = run_clique(g, bfs_program(AlgoConfig()), seed=6)
     assert out_k == out_c
-    assert [d for d, _ in out_k] == bfs_distances(g, 0)
+    assert [d for d, _ in out_k] == bfs_tree(g, 0)[0]
 
 
 def test_mst_rounds_decrease_with_k():

@@ -11,7 +11,7 @@ from kmachine.graphs import Graph, generate, inf_weight, random_uniform_hypergra
 from kmachine.oracles import (
     OracleError,
     all_pairs_distances,
-    bfs_distances,
+    bfs_tree,
     brute_densest,
     densest_via_flow,
     exact_pagerank,
@@ -210,7 +210,7 @@ def test_all_pairs_rows_match_single_source():
             assert dist[src].tolist() == d
             assert hops[src, reach].tolist() == np.asarray(h)[reach].tolist()
             assert np.isinf(hops[src, ~reach]).all()
-        hop_diam = max(max(bfs_distances(g, src)) for src in range(g.n))
+        hop_diam = max(max(bfs_tree(g, src)[0]) for src in range(g.n))
         assert graph_stats(g)[2] == hop_diam
         disconnected += math.isinf(hop_diam)
     assert disconnected >= 3
@@ -245,9 +245,20 @@ def test_distances_cross_check_scipy():
     assert np.allclose(np.asarray(got, dtype=float), want)
 
 
+def test_bfs_tree_parents_are_the_least_closer_neighbours():
+    for seed in range(6):
+        g = generate("gnp", 40, seed, p=0.06)  # sparse: some unreachable
+        dist, parent = bfs_tree(g, 3)
+        for v in range(g.n):
+            closer = [u for u, _, _ in g.neighbors(v) if dist[u] == dist[v] - 1]
+            reached = v != 3 and dist[v] < math.inf
+            assert parent[v] == (min(closer) if reached else None)
+
+
 def test_bfs_and_structure_helpers():
     g = generate("cycle", 6, 0)
-    assert bfs_distances(g, 0) == [0, 1, 2, 3, 2, 1]
+    # 3 is three hops away through 2 and through 4: its parent is 2
+    assert bfs_tree(g, 0) == ([0, 1, 2, 3, 2, 1], [None, 0, 1, 2, 5, 0])
     assert is_connected(g)
     assert not is_spanning_tree(g)  # n edges, has a cycle
     assert is_spanning_tree(generate("path", 6, 0))

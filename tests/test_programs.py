@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kmachine import oracles
+from kmachine.acceptance import fidelity_instances
 from kmachine.clique import Broadcast, Program, run_clique
 from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
 from kmachine.programs import (
@@ -22,6 +23,7 @@ from kmachine.programs import (
     st_verify_program,
     triangle_program,
 )
+from kmachine.harness import make_program
 from kmachine.programs.spanner import _SpannerNode
 
 
@@ -49,11 +51,7 @@ def test_bfs_matches_oracle():
     for seed in range(8):
         g = generate("gnp", 128, seed, p=0.1)
         out, _, met = _run(g, bfs_program(AlgoConfig(source=0)), seed=seed)
-        want = oracles.bfs_distances(g, 0)
-        got = [d for d, _ in out]
-        assert all(
-            (math.isinf(a) and math.isinf(b)) or a == b for a, b in zip(got, want)
-        )
+        assert out == list(zip(*oracles.bfs_tree(g, 0)))  # parents too
         assert met.broadcasts <= g.n + 1
         assert met.unicasts == 0
 
@@ -305,6 +303,59 @@ def test_spanner_membership_fields_fit_their_bits():
             _run(g, Program("spanner", lambda: _Recorded(delta)), seed=n + delta)
             assert all(0 <= x < n for _, fields in sent for x in fields)
             assert any(via == me for me, (_, via) in sent)  # some vertex stays
+
+
+def _field(x, width):
+    """x as a width-bit binary field; it must fit."""
+    assert 0 <= x < 1 << width, (x, width)
+    return format(x, f"0{width}b")
+
+
+# a wire format per program: encode(round, payload, bits, L) -> bit string,
+# decode(round, bit string, L) -> payload.  No tag bits: a receiver tells
+# message kinds apart by round and length only.
+_CODECS = {
+    # (id, dist, parent), L bits each
+    "bfs": (lambda rnd, p, bits, L: "".join(_field(x, L) for x in p),
+            lambda rnd, s, L: tuple(int(s[i:i + L], 2) for i in range(0, len(s), L))),
+    # (id, dist): L bits of id, the rest of the message is dist
+    "bf_sssp": (lambda rnd, p, bits, L: _field(p[0], L) + _field(p[1], bits - L),
+                lambda rnd, s, L: (int(s[:L], 2), int(s[L:], 2))),
+    # an odd round carries degrees in L bits, an even one 1-bit leaves
+    "densest": (lambda rnd, p, bits, L: _field(p[1], L) if rnd % 2 else "1",
+                lambda rnd, s, L: ("deg", int(s, 2)) if rnd % 2 else ("out",)),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_CODECS))
+def test_reference_payload_fields_fit_their_bits(algorithm):
+    encode, decode = _CODECS[algorithm]
+    runs = [(inst, s) for a, inst, s in fidelity_instances(7) if a == algorithm]
+    assert len(runs) == 20
+    for inst, seed in runs:
+        prog = make_program(algorithm, inst, AlgoConfig())
+        sent = []
+
+        def node():
+            vertex = prog.node()
+            step = vertex.step
+
+            def recorded(rnd, inbox):
+                act = step(rnd, inbox)
+                if isinstance(act, Broadcast):
+                    sent.append((rnd, act.payload, act.bits))
+                return act
+
+            vertex.step = recorded
+            return vertex
+
+        _run(inst.graph, Program(prog.name, node), seed)
+        assert sent
+        L = label_bits(inst.graph.n)
+        for rnd, payload, bits in sent:
+            wire = encode(rnd, payload, bits, L)
+            assert len(wire) <= bits
+            assert decode(rnd, wire, L) == payload
 
 
 def test_logapprox_paths():
