@@ -158,16 +158,31 @@ NONE.flags.writeable = False
 class CliqueTrace:
     """Full message record of an execution, one entry per executed round,
     stored as int64 arrays (bcast_src, bcast_bits, uni_src, uni_dst,
-    uni_bits)."""
+    uni_bits), with the totals CliqueMetrics reports, counted as each
+    round is stored."""
 
     def __init__(self, n: int):
         self.n = n
         self._rounds = []
-        self._metrics = None
+        self.broadcasts = 0
+        self.unicasts = 0
+        self.payload_bits = 0
+        self.comm_degree = 0
 
     def append_arrays(self, bs, bb, us, ud, ub):
         self._rounds.append((bs, bb, us, ud, ub))
-        self._metrics = None
+        if not (len(bs) or len(us)):
+            return
+        self.broadcasts += len(bs)
+        self.unicasts += len(us)
+        self.payload_bits += int(bb.sum()) + int(ub.sum())
+        # a vertex's degree is len(bs) (every broadcast reaches it or leaves
+        # it), n - 2 more per broadcast of its own, and the unicasts it sends
+        # and receives; sources may repeat in hand-built rounds
+        own = np.bincount(bs)
+        deg = np.bincount(np.concatenate((us, ud)), minlength=len(own))
+        deg[:len(own)] += (self.n - 2) * own
+        self.comm_degree = max(self.comm_degree, len(bs) + int(deg.max()))
 
     @property
     def num_rounds(self) -> int:
@@ -207,41 +222,14 @@ class CliqueMetrics:
 
     @staticmethod
     def from_trace(trace: CliqueTrace) -> "CliqueMetrics":
-        """The trace's metrics, computed once and cached on the trace."""
-        if trace._metrics is None:
-            trace._metrics = CliqueMetrics._compute(trace)
-        return trace._metrics
-
-    @staticmethod
-    def _compute(trace: CliqueTrace) -> "CliqueMetrics":
-        n = trace.n
-        uni = 0
-        bc = 0
-        bits = 0
-        dprime = 0
-        for bs, bb, us, ud, ub in trace.round_arrays():
-            bc += len(bs)
-            uni += len(us)
-            bits += int(bb.sum()) + int(ub.sum())
-            if not (len(bs) or len(us)):
-                continue
-            sent = np.zeros(n, dtype=np.int64)
-            recv = np.zeros(n, dtype=np.int64)
-            if len(bs):
-                np.add.at(sent, bs, n - 1)
-                recv += len(bs)
-                np.subtract.at(recv, bs, 1)  # a broadcast skips its source
-            if len(us):
-                np.add.at(sent, us, 1)
-                np.add.at(recv, ud, 1)
-            dprime = max(dprime, int((sent + recv).max()))
+        """The totals the trace counted as it stored each round."""
         return CliqueMetrics(
             rounds=trace.num_rounds,
-            messages=uni + bc * (n - 1),
-            broadcasts=bc,
-            comm_degree=dprime,
-            unicasts=uni,
-            payload_bits=bits,
+            messages=trace.unicasts + trace.broadcasts * (trace.n - 1),
+            broadcasts=trace.broadcasts,
+            comm_degree=trace.comm_degree,
+            unicasts=trace.unicasts,
+            payload_bits=trace.payload_bits,
         )
 
 

@@ -216,8 +216,10 @@ def _validate_bf(inst, cfg, outputs, metrics):
 
 
 def _sssp_parents_ok(g, source, dist, outputs):
-    """Whether the source and every unreached vertex have parent None and
-    every other vertex v a neighbour p with dist[p] + w(p, v) == dist[v]."""
+    """Whether the source and every unreached vertex have parent None,
+    every other vertex v a neighbour p with dist[p] + w(p, v) == dist[v],
+    and every parent chain reaches the source (zero weights could close a
+    cycle of locally valid parents)."""
     indptr, nbr, eidx = g.csr()
     cuts, nbrs = indptr.tolist(), nbr.tolist()
     weights = g.edge_arrays()[2][eidx].tolist()
@@ -232,6 +234,17 @@ def _sssp_parents_ok(g, source, dist, outputs):
             return False
         if dist[parent] + weights[slot] != d:
             return False
+    rooted = {source}  # vertices whose parent chain reaches the source
+    for v, (d, _) in enumerate(outputs):
+        if d == math.inf:
+            continue
+        chain = set()
+        while v not in rooted:
+            if v in chain:
+                return False
+            chain.add(v)
+            v = outputs[v][1]
+        rooted |= chain
     return True
 
 

@@ -11,11 +11,13 @@ reached, its parent the least such neighbour.  `_bellman_ford_rounds`
 relaxes, in each round, the slots to the vertices that announced in the
 last one; per vertex the least (distance + weight, neighbour) wins, a
 strictly smaller distance is announced in L + max(1, bit length) bits,
-and a tie only moves an already set parent to a lower id.  Distances are
-int64 while n times the largest weight fits, else Python ints in the same
-arrays, and bit lengths are exact either way.  Both kernels end with one
-empty round after the first round in which nobody announces, since every
-vertex still running then halts at once.  The per-vertex `_BfsNode` and
+and a tie only moves an already set parent to a lower-id announcer that
+is strictly closer (over an edge of positive weight), so parents form a
+tree even where edges weigh 0.  Distances are int64 while n times the
+largest weight fits, else Python ints in the same arrays, and bit
+lengths are exact either way.  Both kernels end with one empty round
+after the first round in which nobody announces, since every vertex
+still running then halts at once.  The per-vertex `_BfsNode` and
 `_BellmanFordNode` stay as their references.
 """
 
@@ -131,13 +133,14 @@ class _BellmanFordNode(NodeProgram):
             if w is None:
                 continue
             cand = d + w
-            if cand < self.dist or (cand == self.dist and self._better_parent(vid)):
-                if cand < self.dist:
-                    improved = True
-                    self.dist = cand
-                    self.parent = vid
-                elif vid < self.parent:
-                    self.parent = vid
+            if cand < self.dist:
+                improved = True
+                self.dist = cand
+                self.parent = vid
+            elif cand == self.dist and w > 0 and vid < self.parent:
+                # a tie moves the parent only to a strictly closer announcer,
+                # so zero-weight edges close no cycle of parents
+                self.parent = vid
         if improved:
             self.sent_last = True
             bits = self.L + max(1, int(self.dist).bit_length())
@@ -146,9 +149,6 @@ class _BellmanFordNode(NodeProgram):
         if rnd >= 2 and not inbox.broadcasts and not prev_sent:
             return HALT
         return SILENT
-
-    def _better_parent(self, vid):
-        return self.parent is not None and vid < self.parent
 
     def output(self):
         return (self.dist, self.parent)
@@ -180,11 +180,13 @@ def _bellman_ford_rounds(g, source):
         # per vertex the least (cand, u) over the slots to the announcers
         least = np.full(n, far, dtype=exact)
         np.minimum.at(least, v, cand)
-        at = cand == least[v]
+        sent = least < dist
+        # the least announcer giving `least`; on a tie only a strictly
+        # closer one (w > 0), and a tie moves a set parent to a lower id
+        # (-1, None, is below them all)
+        at = (cand == least[v]) & (sent[v] | (weight[hit] > 0))
         via = np.full(n, n)
         np.minimum.at(via, v[at], u[at])
-        sent = least < dist
-        # a tie moves a set parent to a lower id; -1 (None) is below them all
         moved = sent | (least == dist) & (via < parent)
         parent[moved] = via[moved]
         dist[sent] = least[sent]

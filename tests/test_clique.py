@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kmachine.clique import (
     SILENT,
     Broadcast,
     CliqueMetrics,
+    CliqueTrace,
     NodeProgram,
     Program,
     ProgramViolation,
@@ -168,16 +170,63 @@ def test_message_conservation():
                 assert payload[1] == rnd - 1
 
 
+def _hand_trace(n, *rounds):
+    """A trace of the given rounds, appended as they are, unchecked."""
+    trace = CliqueTrace(n)
+    for cols in rounds:
+        trace.append_arrays(*(np.array(c, dtype=np.int64) for c in cols))
+    return trace
+
+
 def test_metrics_recompute_from_trace():
     g = generate("gnp", 24, 1, p=0.3)
     _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
     assert CliqueMetrics.from_trace(trace) == met
-    # independent tallies
-    b = sum(len(bs) for bs, _, _, _, _ in trace.round_arrays())
-    u = sum(len(us) for _, _, us, _, _ in trace.round_arrays())
-    assert met.broadcasts == b
-    assert met.messages == u + b * (g.n - 1)
-    assert met.rounds == len(trace.round_arrays())
+    _, walks_trace, _ = run_clique(g, pagerank_program(AlgoConfig()), seed=4)
+    traces = [
+        trace,  # broadcasts only
+        walks_trace,  # unicasts only
+        _hand_trace(
+            5,
+            ([0, 3], [4, 6], [1, 2, 4], [3, 0, 3], [2, 2, 5]),  # both kinds
+            (_E, _E, _E, _E, _E),  # silent
+            ([2, 2], [3, 3], _E, _E, _E),  # one source broadcasts twice
+            ([4], [1], [0], [4], [7]),  # a broadcaster also receives
+            ([1], [2], [1], [3], [1]),  # a broadcaster also sends
+        ),
+        _hand_trace(1, ([0], [3], _E, _E, _E), (_E, _E, _E, _E, _E)),
+        _hand_trace(2, ([0, 1], [2, 2], [0], [1], [3]), ([1], [2], [1], [0], [1])),
+    ]
+    for tr in traces:
+        n = tr.n
+        met = CliqueMetrics.from_trace(tr)
+        # independent tallies, one message at a time
+        b = u = bits = dprime = 0
+        for bs, bb, us, ud, ub in tr.round_arrays():
+            degree = Counter()  # messages each vertex sends or is sent
+            for src, size in zip(bs.tolist(), bb.tolist()):
+                b += 1
+                bits += size
+                for dst in range(n):
+                    if dst != src:
+                        degree[src] += 1
+                        degree[dst] += 1
+            for src, dst, size in zip(us.tolist(), ud.tolist(), ub.tolist()):
+                u += 1
+                bits += size
+                degree[src] += 1
+                degree[dst] += 1
+            dprime = max(dprime, *degree.values(), 0)
+        assert met.broadcasts == b
+        assert met.unicasts == u
+        assert met.messages == u + b * (n - 1)
+        assert met.rounds == len(tr.round_arrays())
+        assert met.comm_degree == dprime
+        assert met.payload_bits == bits
+    assert CliqueMetrics.from_trace(trace).broadcasts > 0
+    assert CliqueMetrics.from_trace(walks_trace).unicasts > 0
+    # the twice-broadcasting source of n = 5 sends 2 * 4 and hears nothing else
+    assert [CliqueMetrics.from_trace(t).comm_degree for t in traces[2:]] == [8, 0, 3]
 
 
 class _Forever(NodeProgram):
@@ -783,10 +832,10 @@ def test_kernel_round_budget():
     assert e.value.trace.num_rounds == 10
 
 
-def test_metrics_are_cached_until_the_trace_grows():
+def test_metrics_follow_the_trace_as_it_grows():
     g = generate("gnp", 24, 1, p=0.3)
     _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
-    assert CliqueMetrics.from_trace(trace) is met
+    assert CliqueMetrics.from_trace(trace) == met
     trace.append_arrays(np.array([0]), np.array([3]), NONE, NONE, NONE)
     grown = CliqueMetrics.from_trace(trace)
     assert (grown.rounds, grown.broadcasts) == (met.rounds + 1, met.broadcasts + 1)

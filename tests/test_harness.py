@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -478,6 +479,39 @@ def test_one_round_format_and_one_edge_output_builder():
     # one builder of per-vertex edge tuples, shared by the MST and spanner
     assert not any("_mst_outputs" in t or "_edge_outputs" in t for t in text.values())
     assert sum(t.count("def edge_outputs(") for t in text.values()) == 1
+    # the round totals are counted once, as append_arrays stores each round:
+    # no second pass over the trace and no cache of its result
+    second_pass = re.compile(r"\b_compute\(|\b_metrics\b")
+    assert not any(second_pass.search(t) for t in text.values())
+    assert _comm_degree_writers(text) == ["clique.py:append_arrays"]
+
+
+def _comm_degree_writers(text):
+    """The functions, as file:name, that give comm_degree a computed value:
+    an assignment or keyword other than a constant or a copy of another
+    object's comm_degree."""
+    writers = set()
+    for path, t in text.items():
+        for fn in ast.walk(ast.parse(t)):
+            if isinstance(fn, ast.FunctionDef):
+                writers.update(f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                               if _writes_comm_degree(node))
+    return sorted(writers)
+
+
+def _writes_comm_degree(node):
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        named = any(getattr(t, "attr", getattr(t, "id", None)) == "comm_degree"
+                    for t in targets)
+        value = node.value
+    elif isinstance(node, ast.keyword):
+        named, value = node.arg == "comm_degree", node.value
+    else:
+        return False
+    if not named or value is None or isinstance(value, ast.Constant):
+        return False
+    return not (isinstance(value, ast.Attribute) and value.attr == "comm_degree")
 
 
 def test_bellman_ford_broadcast_bound_holds_above_512():
@@ -518,6 +552,20 @@ def test_distance_checks_read_the_parents(algorithm):
     for why, change in wrong.items():
         bad = [change.get(v, out) for v, out in enumerate(outputs)]
         assert not check(Instance(graph=g), cfg, bad, metrics)[0], why
+
+
+def test_zero_weight_edges_close_no_cycle_of_parents():
+    # 2 is reached through 3, then 1 through 2 over a zero-weight edge; 1's
+    # announcement then ties at 2, whose parent must not move to the lower
+    # id 1, since 1 -> 2 -> 1 would never reach the source
+    g = Graph(4, [(0, 3, 1), (2, 3, 0), (1, 2, 0)])
+    cfg, outputs, metrics = _distance_cell("bf_sssp", g)
+    assert outputs == [(0, None), (1, 2), (1, 3), (1, 0)]
+    check = VALIDATORS["bf_sssp"]
+    assert check(Instance(graph=g), cfg, outputs, metrics)[0]
+    # each parent of the cycle is locally valid; the chain check refuses it
+    cycle = [(0, None), (1, 2), (1, 1), (1, 0)]
+    assert not check(Instance(graph=g), cfg, cycle, metrics)[0]
 
 
 def test_bfs_check_wants_the_least_closer_neighbour():
