@@ -32,39 +32,45 @@ class GraphError(ValueError):
 class Graph:
     """Immutable undirected weighted graph on vertices 0..n-1.
 
-    Held as read-only int64 (u, v, w) edge arrays, normalised so u < v and
-    kept in input order.  The CSR and the Python views `edges` and
-    `neighbors` are built from them on first use and cached.
+    Held as one read-only (3, m) int64 block whose rows are the (u, v, w)
+    edge arrays, normalised so u < v and kept in input order.  The CSR and
+    the Python views `edges` and `neighbors` are built from them on first
+    use and cached.
     """
 
-    __slots__ = ("n", "_arrays", "_csr", "_edges", "_nbrs")
+    __slots__ = ("n", "_arrays", "_ascending", "_csr", "_edges", "_nbrs")
 
     def __init__(self, n: int, edges):
-        """edges: an iterable of (u, v, w) triples or an (m, 3) int array."""
+        """edges: an iterable of (u, v, w) integer triples or an (m, 3)
+        integer array.  Float, string and other non-integer fields are
+        rejected, not cast."""
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        try:
-            arr = np.array(edges, dtype=np.int64)
-        except OverflowError:
-            raise GraphError("edge field outside the int64 range")
-        if arr.size == 0:
-            arr = arr.reshape(0, 3)
-        if arr.ndim != 2 or arr.shape[1] != 3:
+        rows = _integer_rows(edges)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
             raise GraphError("edges must be (u, v, w) triples")
-        u, v, w = arr.T
-        a, b, w = np.minimum(u, v), np.maximum(u, v), w.copy()
-        bad = (u == v) | (a < 0) | (b >= n) | (w < 0) | (w >= inf_weight(n))
-        key = a * n + b
-        if np.count_nonzero(bad):
-            _reject(n, u, v, w, key, int(bad.argmax()))
-        if not (key[1:] > key[:-1]).all():  # strictly ascending keys are distinct
-            ordered = np.sort(key)
-            if np.count_nonzero(ordered[1:] == ordered[:-1]):
-                _reject(n, u, v, w, key, len(a))
+        # the graph's one copy of its input: a row per field, oriented in place
+        block = np.array(rows.T, dtype=np.int64, order="C")
+        u, v, w = block
+        swap = u > v
+        if swap.any():
+            u[swap], v[swap] = v[swap], u[swap]
+        bad = (u == v) | (u < 0) | (v >= n) | (w < 0) | (w >= inf_weight(n))
+        if bad.any():
+            _reject(n, rows, int(bad.argmax()))
+        key = u * n
+        key += v
+        ascending = bool((key[1:] > key[:-1]).all())
+        if not ascending:  # strictly ascending keys are distinct
+            key.sort()
+            if (key[1:] == key[:-1]).any():
+                _reject(n, rows, len(rows))
+        block.setflags(write=False)
         self.n = n
-        self._arrays = _frozen(a, b, w)
+        self._arrays = tuple(block)
+        self._ascending = ascending
         self._csr = None
         self._edges = None
         self._nbrs = None
@@ -104,20 +110,7 @@ class Graph:
         order of neighbors(v), and eidx holds each slot's edge index."""
         if self._csr is None:
             a, b, _ = self._arrays
-            n, m = self.n, len(a)
-            others = np.concatenate([b, a])
-            slot_key = np.concatenate([a, b])
-            slot_key *= n
-            slot_key += others
-            order = slot_key.argsort()
-            del slot_key
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n),
-                      out=indptr[1:])
-            nbr = others[order]
-            del others
-            order %= max(m, 1)
-            self._csr = _frozen(indptr, nbr, order)
+            self._csr = _frozen(*_build_csr(self.n, a, b, self._ascending))
         return self._csr
 
     def edge_arrays(self):
@@ -126,7 +119,9 @@ class Graph:
 
     def max_degree(self) -> int:
         u, v, _ = self._arrays
-        return int(np.bincount(np.concatenate([u, v]), minlength=self.n).max())
+        degree = np.bincount(u, minlength=self.n)
+        degree += np.bincount(v, minlength=self.n)
+        return int(degree.max())
 
     def __eq__(self, other):
         return (
@@ -148,10 +143,35 @@ def _frozen(*arrays):
     return arrays
 
 
-def _reject(n, u, v, w, key, stop):
+def _integer_rows(edges) -> np.ndarray:
+    """edges as an integer numpy array, without casting other fields."""
+    if isinstance(edges, np.ndarray):
+        rows = edges
+    else:
+        edges = list(edges)
+        try:
+            rows = np.array(edges)
+        except ValueError:  # ragged rows
+            raise GraphError("edges must be (u, v, w) triples")
+    if rows.dtype.kind in "biu":
+        if rows.dtype.kind == "u" and rows.size and rows.max() > np.iinfo(np.int64).max:
+            raise GraphError("edge field outside the int64 range")
+        return rows
+    # not an integer dtype: a non-integer field, or an int numpy could not fit
+    for x in np.array(edges, dtype=object).ravel().tolist():
+        if not isinstance(x, (int, np.integer)):
+            raise GraphError(f"edge field {x!r} is not an integer")
+    try:
+        return np.array(edges, dtype=np.int64)
+    except OverflowError:
+        raise GraphError("edge field outside the int64 range")
+
+
+def _reject(n, rows, stop):
     """Raise the error of the first faulty edge in input order: a duplicate
-    of an earlier edge among the valid first `stop`, else edge `stop`."""
-    head = key[:stop]
+    of an earlier edge among the valid first `stop` rows, else row `stop`."""
+    u, v, w = np.asarray(rows, dtype=np.int64).T
+    head = np.minimum(u[:stop], v[:stop]) * n + np.maximum(u[:stop], v[:stop])
     order = np.argsort(head, kind="stable")
     later = order[1:][head[order][1:] == head[order][:-1]]
     if len(later):
@@ -163,6 +183,46 @@ def _reject(n, u, v, w, key, stop):
     if not (0 <= uu < n and 0 <= vv < n):
         raise GraphError(f"edge ({uu},{vv}) out of range for n={n}")
     raise GraphError(f"weight {ww} outside [0, {inf_weight(n)}) for n={n}")
+
+
+def _build_csr(n, a, b, ascending):
+    """(indptr, nbr, eidx) of the edges (a, b), a < b, ascending by (a, b)
+    if `ascending`.
+
+    Vertex x's row holds its reverse neighbours (edges (a, x)), then its
+    forward ones (edges (x, b)); both parts ascend, since a < x < b.  For
+    edges ascending by (a, b), the forward slots take b and the edge index
+    in edge order, and the reverse slots take a and the edge index in the
+    stable order of b.  Other input is put in key order by one argsort of
+    its m keys.  The peak is 5.25 words per edge above the graph, the four
+    kept words included (6.25 for input out of key order); an argsort of
+    2m slot keys took 6.
+    """
+    m = len(a)
+    deg_fwd = np.bincount(a, minlength=n)
+    deg_rev = np.bincount(b, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg_fwd + deg_rev, out=indptr[1:])
+    is_fwd = np.repeat(np.tile([False, True], n), np.column_stack([deg_rev, deg_fwd]).ravel())
+    del deg_fwd, deg_rev
+    narrow = b.astype(np.uint16) if n <= 1 << 16 else b  # uint16 sorts by radix
+    if ascending:
+        order = None
+        rev = np.argsort(narrow, kind="stable")
+    else:
+        order = (a * n + b).argsort()
+        rev = order[np.argsort(narrow[order], kind="stable")]
+    del narrow
+    nbr = np.empty(2 * m, dtype=np.int64)
+    nbr[is_fwd] = b if order is None else b[order]
+    rev_slots = np.logical_not(is_fwd, out=is_fwd)
+    nbr[rev_slots] = a[rev]
+    eidx = np.empty(2 * m, dtype=np.int64)
+    eidx[rev_slots] = rev
+    del rev
+    is_fwd = np.logical_not(rev_slots, out=rev_slots)
+    eidx[is_fwd] = np.arange(m) if order is None else order
+    return indptr, nbr, eidx
 
 
 class Hypergraph:
@@ -259,14 +319,18 @@ def dump_edge_list(g: Graph) -> str:
 
 
 def _pairs_from_indices(idx: np.ndarray, n: int):
-    """(u, v) of the pair indices idx in the lexicographic order
-    (0,1),(0,2),..,(0,n-1),(1,2),..; v is computed in place over idx."""
+    """(u, v) of the ascending pair indices idx in the lexicographic order
+    (0,1),(0,2),..,(0,n-1),(1,2),..; v is computed in place over idx.
+
+    Row u's pairs start at index start[u]; one search of the n-1 row starts
+    in idx counts each row's pairs, and v = idx - start[u] + u + 1.
+    """
     rows = np.arange(n - 1, dtype=np.int64)
     start = rows * n - rows * (rows + 1) // 2  # index of the pair (u, u+1)
-    u = start.searchsorted(idx, side="right") - 1
-    idx -= start[u]
-    idx += u
-    idx += 1
+    counts = np.diff(idx.searchsorted(start), append=len(idx))
+    u = np.repeat(rows, counts)
+    start -= rows + 1
+    idx -= np.repeat(start, counts)
     return u, idx
 
 
@@ -281,14 +345,24 @@ def _gnp_edges(n: int, p: float, rng):
     pos = -1
     while pos < total:
         want = int((total - pos) * p * 1.1) + 64
-        gaps = rng.geometric(p, size=want)
-        idx = pos + np.cumsum(gaps)
-        inside = idx[idx < total]
-        picked.append(inside)
-        if len(inside) < len(idx):
+        idx = rng.geometric(p, size=want)
+        np.cumsum(idx, out=idx)
+        idx += pos
+        cut = idx.searchsorted(total)
+        picked.append(idx[:cut])
+        if cut < want:
             break
         pos = int(idx[-1])
-    return _pairs_from_indices(np.concatenate(picked), n)
+    idx = picked[0] if len(picked) == 1 else np.concatenate(picked)
+    del picked
+    return _pairs_from_indices(idx, n)
+
+
+def _edge_rows(u, v, w):
+    """(m, 3) view of a fresh (3, m) block, which Graph copies row by row."""
+    block = np.empty((3, len(u)), dtype=np.int64)
+    block[0], block[1], block[2] = u, v, w
+    return block.T
 
 
 def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -> Graph:
@@ -322,8 +396,7 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
             if i + cols < n:
                 edges.append((i, i + cols, 1))
     elif model == "gnp":
-        u, v = _gnp_edges(n, p, make_np_rng(seed, "gen-gnp", n))
-        edges = np.column_stack([u, v, np.ones_like(u)])
+        edges = _edge_rows(*_gnp_edges(n, p, make_np_rng(seed, "gen-gnp", n)), 1)
     elif model == "random_weighted":
         if wmax is None or wmax < 1:
             raise GraphError("random_weighted needs wmax >= 1")
@@ -331,7 +404,8 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
             raise GraphError(f"wmax {wmax} too large for n={n}")
         rng = make_np_rng(seed, "gen-rw", n)
         u, v = _gnp_edges(n, p, rng)
-        edges = np.column_stack([u, v, rng.integers(1, wmax + 1, size=len(u))])
+        edges = _edge_rows(u, v, rng.integers(1, wmax + 1, size=len(u)))
+        del u, v
     else:
         raise GraphError(f"unknown model {model!r}")
     return Graph(n, edges)

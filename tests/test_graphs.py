@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmachine.graphs import (
     GadgetSpec,
@@ -284,19 +286,43 @@ def test_array_and_list_inputs_build_the_same_graph():
     assert h.edges == g.edges
 
 
+def _pair_index(u, v, n):
+    return u * n - u * (u + 1) // 2 + v - u - 1
+
+
+def _check_pairs(pairs, n):
+    """Decode the ascending indices of `pairs` and compare, pair for pair."""
+    pairs = sorted(pairs)
+    idx = np.array([_pair_index(u, v, n) for u, v in pairs], dtype=np.int64)
+    assert (np.diff(idx) > 0).all()
+    u, v = _pairs_from_indices(idx, n)
+    assert u.dtype == v.dtype == np.int64
+    assert list(zip(u.tolist(), v.tolist())) == pairs
+
+
 def test_pair_indices_decode_exactly():
     for n in range(1, 65):
         u, v = _pairs_from_indices(np.arange(n * (n - 1) // 2), n)
         assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
     for n in (2**16, 2**20):
         total = n * (n - 1) // 2
-        idx, want = [total - 1], [(n - 2, n - 1)]
+        pairs = [(n - 2, n - 1)]
         for r in (1, 2, 3, n // 3, n // 2, n - 3, n - 2):
             start = r * n - r * (r + 1) // 2
-            idx += [start - 1, start]
-            want += [(r - 1, n - 1), (r, r + 1)]
-        u, v = _pairs_from_indices(np.array(idx, dtype=np.int64), n)
-        assert list(zip(u.tolist(), v.tolist())) == want
+            assert _pair_index(r - 1, n - 1, n) == start - 1 and _pair_index(r, r + 1, n) == start
+            pairs += [(r - 1, n - 1), (r, r + 1)]
+        assert _pair_index(n - 2, n - 1, n) == total - 1
+        _check_pairs(set(pairs), n)
+        # rows without pairs first, in the middle and last
+        mid = n // 2
+        _check_pairs([(1, 2), (1, n - 1), (mid - 1, n - 1), (mid + 1, mid + 2), (n - 4, n - 3)], n)
+    rng = np.random.default_rng(5)
+    for n in range(2, 40):
+        every = list(itertools.combinations(range(n), 2))
+        for size in (0, 1, len(every) // 7, len(every) // 2):
+            picked = rng.choice(len(every), size=size, replace=False)
+            _check_pairs([every[i] for i in picked], n)
+        _check_pairs([p for p in every if p[0] not in (0, n // 2, n - 2)], n)
 
 
 def test_csr_matches_neighbors():
@@ -326,3 +352,102 @@ def test_csr_matches_neighbors():
             assert all(v in g.edges[ei][:2] for _, _, ei in nb)
         assert g.max_degree() == max(g.degree(v) for v in range(g.n))
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m == 2 * len(g.edges)
+
+
+def _reference_csr(n, rows):
+    """The 2m-slot-key CSR and the min/max orientation, as built before the
+    merge construction: the reference for csr() and edge_arrays()."""
+    u, v, w = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    a, b = np.minimum(u, v), np.maximum(u, v)
+    others = np.concatenate([b, a])
+    order = (np.concatenate([a, b]) * n + others).argsort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
+    return (indptr, others[order], order % max(len(a), 1)), (a, b, w)
+
+
+def _assert_matches_reference(n, rows):
+    g = Graph(n, rows)
+    want_csr, want_arrays = _reference_csr(n, rows)
+    for got, want in zip(g.csr() + g.edge_arrays(), want_csr + want_arrays):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert g.max_degree() == int(np.diff(want_csr[0]).max())
+
+
+@st.composite
+def _edge_cases(draw):
+    n = draw(st.integers(1, 40))
+    every = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(every), unique=True, max_size=150)) if every else []
+    if draw(st.booleans()):
+        chosen.sort()  # ascending keys, the generators' order
+    rows = []
+    for u, v in chosen:
+        flip = draw(st.booleans())
+        rows.append((v, u) if flip else (u, v))
+    weights = draw(st.lists(st.integers(0, inf_weight(n) - 1), min_size=len(rows),
+                            max_size=len(rows)))
+    return n, [(u, v, w) for (u, v), w in zip(rows, weights)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_edge_cases())
+def test_csr_matches_the_slot_key_reference(case):
+    n, rows = case
+    _assert_matches_reference(n, rows)
+    _assert_matches_reference(n, np.array(rows, dtype=np.int64).reshape(-1, 3))
+
+
+def test_csr_matches_the_slot_key_reference_on_large_labels():
+    n = 70000  # labels past the uint16 sort keys
+    rng = np.random.default_rng(11)
+    keys = np.unique(rng.integers(0, n * (n - 1) // 2, size=3000))
+    a, b = _pairs_from_indices(keys.copy(), n)
+    rows = np.column_stack([a, b, rng.integers(0, 100, size=len(a))])
+    assert b.max() > 1 << 16 and a.min() < 1 << 16
+    _assert_matches_reference(n, rows)  # ascending
+    shuffled = rows[rng.permutation(len(rows))]
+    flip = rng.random(len(rows)) < 0.5
+    shuffled[flip, :2] = shuffled[flip, 1::-1]
+    _assert_matches_reference(n, shuffled)
+    _assert_matches_reference(n, np.zeros((0, 3), dtype=np.int64))
+    _assert_matches_reference(1, [])
+
+
+def test_generation_and_csr_memory_per_edge():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = generate("gnp", 2048, 1, p=0.1)
+        generate_peak = tracemalloc.get_traced_memory()[1]
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g.csr()
+        csr_peak = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    word_per_edge = 8 * g.m
+    assert generate_peak <= 8 * word_per_edge  # 12.3 with column_stack and strided copies
+    assert csr_peak <= 6.5 * word_per_edge  # 6.0 with the 2m-key argsort
+
+
+def test_constructor_rejects_non_integer_fields():
+    for edges in ([(0, 1, 2.7), (1, 2.9, 1)], [(0, 1, 1.0)], np.array([[0.0, 1.0, 0.5]]),
+                  [(0, 1, "5")], np.array([["0", "1", "1"]]), [(0, 1, None)],
+                  np.array([[0, 1, 1]], dtype=object) * 1.5):
+        with pytest.raises(GraphError, match="is not an integer$"):
+            Graph(3, edges)
+    want = ((0, 1, 2), (1, 2, 1))
+    for edges in ([(0, 1, 2), (2, 1, 1)], [(np.int64(1), 0, 2), (2, 1, True)],
+                  np.array([[0, 1, 2], [2, 1, 1]], dtype=np.int32),
+                  np.array([[1, 0, 2], [1, 2, 1]], dtype=np.uint64),
+                  np.array([[0, 1, 2], [2, 1, 1]], dtype=object)):
+        assert Graph(3, edges).edges == want
+    for edges in ([(0, 1, 2**63)], [(0, 1, 2**64)], np.array([[0, 1, 2**63]], dtype=np.uint64),
+                  np.array([[0, 1, 2**70]], dtype=object)):
+        with pytest.raises(GraphError, match="^edge field outside the int64 range$"):
+            Graph(3, edges)
+    for edges in ([(0, 1, 1), (1, 2)], [(0, 1)], np.zeros((2, 4), dtype=np.int64)):
+        with pytest.raises(GraphError, match="^edges must be"):
+            Graph(3, edges)
