@@ -101,8 +101,8 @@ class Inbox:
 class NodeCtx:
     """Per-vertex view handed to start() by the per-vertex scheduler:
     identity, size, incident edges and the run seed, from which the program
-    draws its own randomness through kmachine.rng (for example
-    rng.uniform(seed, "coin", node, rnd))."""
+    draws its own randomness through kmachine.rng (a vertex's coin
+    rng.uniform(seed, "coin", node, rnd) is output `node` of a stream)."""
 
     node: int
     n: int

@@ -91,6 +91,10 @@ class ExperimentConfig:
             )
         if self.algorithm == "hmis" and min(self.k) < 2:
             raise HarnessError(f"hmis needs at least 2 machines, got k={min(self.k)}")
+        unread = sorted(set(self.graph) - {"hyper", "n", "hyperedges", "arity"})
+        if self.algorithm == "hmis" and unread:
+            raise HarnessError(f"hmis builds a random hypergraph from n, hyperedges "
+                               f"and arity and reads no graph {', '.join(unread)}")
         if self.mode == BCAST and natural_mode(self.algorithm) == P2P:
             raise HarnessError(
                 f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"

@@ -39,12 +39,12 @@ class Partition:
 
 def random_vertex_partitions(g: Graph, ks, seed: int) -> list:
     """One partition per machine count in `ks`, each assigning every vertex
-    an independent uniform home machine.  A vertex's key does not depend on
-    k, so the keys are derived once and reduced mod each k."""
+    an independent uniform home machine.  Vertex v's key is output v of one
+    stream (rng.derive_each), derived once for every k and reduced mod k."""
     for k in ks:
         if k < 1 or k > g.n:
             raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    keys = np.array(derive_each(seed, "rvp", range(g.n)), dtype=np.uint64)
+    keys = derive_each(seed, "rvp", np.arange(g.n))
     return [Partition(k=k, home=(keys % np.uint64(k)).astype(np.int64), seed=seed)
             for k in ks]
 

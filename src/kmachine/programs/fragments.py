@@ -20,7 +20,7 @@ import numpy as np
 
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
-from .slots import edge_outputs, slot_sources
+from .slots import bit_lengths, edge_outputs, slot_sources
 
 
 def merge_key(u, v, w):
@@ -180,8 +180,6 @@ class _FragmentNode(NodeProgram):
         return (ok, self.count_total // 2, history.count == 1)
 
 
-# powers of two below 2**63: a count of those <= w is w.bit_length()
-_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
 # slots per block in _merge_rounds.  It works on blocks so that, but for
 # one sort order, its slot-length arrays are the few it keeps for the whole
 # run: slot-length temporaries, made and freed every round, fragment the
@@ -232,7 +230,7 @@ def _merge_rounds(g, kind, flags):
         first = start[start < np.searchsorted(src, everyone, side="right")]
         cs, cn, cw = src[first], nbr[first], w[first]
         if kind == "mst":
-            bits = L + np.maximum(1, np.searchsorted(_POW2, cw, side="right"))
+            bits = L + np.maximum(1, bit_lengths(cw))
         else:
             bits = np.full(len(cs), L)
         yield cs, bits, NONE, NONE, NONE

@@ -3,9 +3,10 @@
 Phases take three broadcast rounds: marked vertices announce their current
 active degree; marked vertices without a higher-priority marked neighbor
 (priority: larger degree, then larger id) join the set and announce it;
-their neighbors announce that they drop out.  A vertex leaves the
-execution the moment its own membership is settled.  A vertex of active
-degree d marks itself if rng.uniform(seed, "coin", v, round) < 1/(2d).
+their neighbors announce that they drop out.  A vertex leaves the execution
+the moment its own membership is settled.  A vertex of active degree d marks
+itself if rng.uniform(seed, "coin", v, round) < 1/(2d): output v of the
+round's coin stream, which the kernel draws for all vertices at once.
 
 The engine runs the round kernel `_luby_rounds`, which advances every vertex
 of a round at once over the CSR slots whose two ends are both still live.

@@ -28,9 +28,7 @@ import numpy as np
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 from .config import AlgoConfig
-from .slots import broadcasts, slot_sources
-
-_POW2 = np.int64(1) << np.arange(63)  # 1, 2, 4, ..., 2**62
+from .slots import bit_lengths, broadcasts, slot_sources
 
 
 class _BfsNode(NodeProgram):
@@ -204,7 +202,7 @@ def _announce(sent, dist, L):
     if d.dtype == object:
         size = np.array([x.bit_length() for x in d.tolist()], dtype=np.int64)
     else:
-        size = np.searchsorted(_POW2, d, side="right")  # exact bit lengths
+        size = bit_lengths(d)
     return bs, L + np.maximum(size, 1), NONE, NONE, NONE
 
 

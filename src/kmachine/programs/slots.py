@@ -11,6 +11,14 @@ import numpy as np
 
 from ..clique import NONE
 
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 1, 2, ..., 2**62
+
+
+def bit_lengths(x):
+    """The exact bit length of each non-negative int64 of x: the count of
+    powers of two below 2**63 that are at most it."""
+    return np.searchsorted(_POW2, x, side="right")
+
 
 def slot_sources(indptr):
     """The source vertex of every CSR slot, ascending."""

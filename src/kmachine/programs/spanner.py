@@ -2,12 +2,13 @@
 
 delta-1 iterations of two broadcast rounds each: surviving cluster centers
 that re-sample themselves (probability n^(-1/delta), by the center's
-rng.uniform(seed, "coin", center, round)) announce it, then each
-vertex announces its new membership.  A vertex next to a sampled cluster
-joins it through one retained edge; a vertex next to none retains one edge
-into every adjacent cluster and drops out.  Retained edges double as the
-cluster trees, which is what caps the stretch.  A final local pass joins
-each surviving vertex to every adjacent residual cluster.
+rng.uniform(seed, "coin", center, round), output `center` of the round's
+coin stream) announce it, then each vertex announces its new membership.
+A vertex next to a sampled cluster joins it through one retained edge; a
+vertex next to none retains one edge into every adjacent cluster and drops
+out.  Retained edges double as the cluster trees, which is what caps the
+stretch.  A final local pass joins each surviving vertex to every adjacent
+residual cluster.
 
 Membership broadcasts carry the witness edge (a vertex that stays in its
 sampled cluster names itself as the witness), so each vertex replays the
@@ -34,7 +35,7 @@ from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_cl
 from ..graphs import Graph, label_bits
 from ..machines import BCAST, price, random_vertex_partitions
 from ..rng import uniform, uniform_each
-from .config import AlgoConfig
+from .config import AlgoConfig, ConfigError
 from .slots import edge_outputs, first_per_key, slot_sources
 
 
@@ -249,7 +250,7 @@ def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
     local and free.  Each report's `bound_ok` judges the spanner phase alone.
     """
     if any(w != 1 for _, _, w in g.edges):
-        raise ValueError("approximate shortest paths expects a unit-weight graph")
+        raise ConfigError("approximate shortest paths expects a unit-weight graph")
     n = g.n
     L = label_bits(n)
     parts = random_vertex_partitions(g, ks, seed)

@@ -3,6 +3,10 @@
 Every random draw in the simulator is keyed by (seed, domain tag, integers),
 so executions are reproducible regardless of scheduling or call order.  Each
 program draws its own from the run seed (ctx.seed, or kernel(g, seed)).
+A per-element draw (a vertex's home or coin, a walk token's uniforms) is
+splitmix64's output at the element's counter in the stream keyed by
+`derive`, as in Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
+(SC 2011): any subset of elements can be drawn at once, in any order.
 """
 
 import hashlib
@@ -12,44 +16,11 @@ import struct
 import numpy as np
 
 
-def _prefix(seed: int, tag: str):
-    h = hashlib.blake2b(digest_size=8)
-    h.update(tag.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(struct.pack(">q", seed))
-    return h
-
-
 def derive(seed: int, tag: str, *parts: int) -> int:
     """Derive a 64-bit integer from a seed, a domain tag and integer parts."""
-    h = _prefix(seed, tag)
-    for p in parts:
-        h.update(struct.pack(">q", p))
+    h = hashlib.blake2b(tag.encode("utf-8") + b"\x00", digest_size=8)
+    h.update(struct.pack(f">{1 + len(parts)}q", seed, *parts))
     return int.from_bytes(h.digest(), "big")
-
-
-def derive_each(seed: int, tag: str, xs, *parts: int) -> list:
-    """[derive(seed, tag, x, *parts) for x in xs], hashing the shared prefix
-    once."""
-    base = _prefix(seed, tag)
-    fmt = struct.Struct(f">{1 + len(parts)}q")
-    digests = []
-    for x in xs:
-        h = base.copy()
-        h.update(fmt.pack(x, *parts))
-        digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype=">u8").tolist()
-
-
-def uniform(seed: int, tag: str, *parts: int) -> float:
-    """A uniform in [0, 1): the top 53 bits of derive(seed, tag, *parts)."""
-    return (derive(seed, tag, *parts) >> 11) * 2.0 ** -53
-
-
-def uniform_each(seed: int, tag: str, xs, *parts: int) -> np.ndarray:
-    """[uniform(seed, tag, x, *parts) for x in xs] as a float64 array."""
-    keys = np.array(derive_each(seed, tag, xs, *parts), dtype=np.uint64)
-    return (keys >> np.uint64(11)) * 2.0 ** -53
 
 
 def make_random(seed: int, tag: str, *parts: int) -> random.Random:
@@ -60,17 +31,12 @@ def make_np_rng(seed: int, tag: str, *parts: int) -> np.random.Generator:
     return np.random.default_rng(derive(seed, tag, *parts))
 
 
-# Counter-based token draws, in the style of Salmon et al., "Parallel Random
-# Numbers: As Easy as 1, 2, 3" (SC 2011): a token's uniforms are a fixed
-# function of (seed, round, vertex, token index), so any subset of tokens
-# can be drawn at once, in any order.  The mixer is splitmix64 (Steele, Lea
-# and Flood, OOPSLA 2014): its k-th output from state s is its finalizer
-# applied to s + k * golden gamma, mod 2**64.
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014): its k-th output from
+# state s is its finalizer applied to s + k * golden gamma, mod 2**64.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S = {b: np.uint64(b) for b in (1, 11, 27, 30, 31)}
-_UNIT = 2.0 ** -53
 
 # A token's counter is (vertex << TOKEN_BITS) | token index, and it takes
 # outputs 2c+1 and 2c+2 of the round's stream; counters below 2**63 keep
@@ -87,6 +53,30 @@ def splitmix64(state: int, steps) -> np.ndarray:
     z = (z ^ (z >> _S[30])) * _MIX1
     z = (z ^ (z >> _S[27])) * _MIX2
     return z ^ (z >> _S[31])
+
+
+def _unit(keys: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each uint64 key, scaled to [0, 1)."""
+    return (keys >> _S[11]) * 2.0 ** -53
+
+
+def derive_each(seed: int, tag: str, xs, *parts: int) -> np.ndarray:
+    """Output number x of splitmix64's stream keyed by derive(seed, tag,
+    *parts), for each x in xs (int64 counters, taken mod 2**64), as a uint64
+    array.  The gamma is odd and every finalizer step is invertible, so the
+    output is a bijection of the counter: distinct xs get distinct keys."""
+    steps = np.asarray(xs, dtype=np.int64).astype(np.uint64)
+    return splitmix64(derive(seed, tag, *parts), steps)
+
+
+def uniform_each(seed: int, tag: str, xs, *parts: int) -> np.ndarray:
+    """derive_each(seed, tag, xs, *parts) scaled to uniforms in [0, 1)."""
+    return _unit(derive_each(seed, tag, xs, *parts))
+
+
+def uniform(seed: int, tag: str, x: int, *parts: int) -> float:
+    """uniform_each(seed, tag, [x], *parts)[0]."""
+    return float(uniform_each(seed, tag, [x], *parts)[0])
 
 
 def token_layout_fits(n: int, tokens: int) -> bool:
@@ -107,6 +97,4 @@ def token_uniforms(seed: int, rnd: int, v, i):
     2c+2 of splitmix64's stream keyed by derive(seed, "token", rnd)."""
     key = derive(seed, "token", rnd)
     first = (token_counters(v, i) << _S[1]) + _S[1]
-    u1 = (splitmix64(key, first) >> _S[11]) * _UNIT
-    u2 = (splitmix64(key, first + _S[1]) >> _S[11]) * _UNIT
-    return u1, u2
+    return _unit(splitmix64(key, first)), _unit(splitmix64(key, first + _S[1]))

@@ -326,8 +326,9 @@ def test_trace_export_format():
 # speed-ups must keep every message and output byte-identical.  The MST
 # digest dates from the first engine; the PageRank digest was re-pinned when
 # walk tokens began drawing counter-keyed uniforms (rng.token_uniforms); the
-# MIS and spanner digests date from per-vertex coins drawn as
-# rng.uniform(seed, "coin", vertex, round); the densest digest was measured
+# MIS and spanner digests were re-pinned when a vertex's coin
+# rng.uniform(seed, "coin", vertex, round) became output `vertex` of the
+# round's splitmix64 coin stream; the densest digest was measured
 # while every densest vertex still read one shared mirror; the triangle
 # digest was measured on the per-vertex program alone.
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def test_golden_trace_mis():
     g = generate("gnp", 64, 3, p=0.2)
     outputs, trace, _ = run_clique(g, luby_mis_program(AlgoConfig()), 5)
     assert _trace_digest(outputs, trace) == (
-        "1a1877864666fe595209d630a75d4a5014ab12acd2ed167f8d5bba80c9f68966"
+        "8ca8c856c150f63725c7d0c906201050210f231ca0a9956823171c512b4c46a6"
     )
 
 
@@ -370,7 +371,7 @@ def test_golden_trace_spanner():
     g = generate("random_weighted", 48, 5, p=0.3, wmax=60)
     outputs, trace, _ = run_clique(g, spanner_program(AlgoConfig(delta=3)), 5)
     assert _trace_digest(outputs, trace) == (
-        "6badd3e10f83e0b5877a23bc0be09d1d8acf21f39a4c541eafb9476644ce1bb0"
+        "2c76d0c4d0db3e788b7e1135cd163b49ac78421beaa5435140226b16d72c1667"
     )
 
 

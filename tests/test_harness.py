@@ -71,6 +71,7 @@ _HYPER = {"algorithm": "hmis", "n": 16}
 _RW = {"algorithm": "mst", "model": "random_weighted", "n": 16, "p": 0.3, "wmax": 5}
 _PR = {"algorithm": "pagerank", "model": "gnp", "n": 16, "p": 0.3}
 _DENSE = {"algorithm": "densest", "model": "gnp", "n": 16, "p": 0.3}
+_LOGSP_RW = {"algorithm": "logsp", "model": "random_weighted", "n": 16, "p": 0.3, "wmax": 5}
 
 
 @pytest.mark.parametrize("base, bad, error", [
@@ -90,6 +91,13 @@ _DENSE = {"algorithm": "densest", "model": "gnp", "n": 16, "p": 0.3}
     (_DENSE, {"eps": True}, ConfigError),
     (_DENSE, {"eps": float("nan")}, ConfigError),
     (_HYPER, {"hyperedges": -3}, GraphError),
+    # hmis builds its own hypergraph: a graph key it would not read is refused
+    (_HYPER, {"file": "g.edges"}, HarnessError),
+    (_HYPER, {"gadget": "conn", "b": 8}, HarnessError),
+    (_HYPER, {"model": "gnp", "p": 0.3}, HarnessError),
+    (_HYPER, {"wmax": 5}, HarnessError),
+    (_HYPER, {"feasible": True}, HarnessError),
+    (_LOGSP_RW, {}, ConfigError),
 ])
 def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
     def no_engine(*args, **kwargs):
@@ -97,6 +105,7 @@ def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
 
     monkeypatch.setattr("kmachine.harness.run_clique", no_engine)
     monkeypatch.setattr("kmachine.harness.hmis_kmachine", no_engine)
+    monkeypatch.setattr("kmachine.programs.spanner.run_clique", no_engine)
     with pytest.raises(error):
         run_experiment(config_from_mapping({**base, "k": [2], "seeds": [1], **bad}))
 
@@ -292,16 +301,27 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
-def test_cli_bad_config_is_one_line_and_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"algorithm": "mis", "model": "gnp", "n": [16, 32], "p": 0.3},
+                 "graph n is a list of sizes", id="list_of_sizes"),
+    pytest.param(_LOGSP_RW, "approximate shortest paths expects a unit-weight graph",
+                 id="logsp_weighted"),
+    pytest.param({"algorithm": "hmis", "file": "g.edges"},
+                 "hmis builds a random hypergraph", id="hmis_file"),
+    pytest.param({"algorithm": "hmis", "n": 16, "model": "gnp", "p": 0.3},
+                 "hmis builds a random hypergraph", id="hmis_model"),
+])
+def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.edges").write_text("n 3\n0 1 1\n1 2 1\n")
     conf = tmp_path / "exp.json"
-    conf.write_text(json.dumps(
-        {"algorithm": "mis", "model": "gnp", "n": [16, 32], "p": 0.3}
-    ))
+    conf.write_text(json.dumps(doc))
     rc = cli_main(["run", "--config", str(conf)])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err.startswith("kmachine: error: graph n is a list of sizes")
+    assert captured.err.startswith(f"kmachine: error: {message}")
     assert captured.err.count("\n") == 1
 
 
@@ -384,13 +404,14 @@ def test_cli_sweep_over_n(tmp_path, capsys):
 # rows of a logsp cell and one hmis ledger, pinned before the pricing code
 # was shared between the harness, the spanner pipeline and hmis; the logsp
 # rows were re-pinned when the spanner's cluster coins became
-# rng.uniform(seed, "coin", vertex, round)
+# rng.uniform(seed, "coin", vertex, round), and the logsp rows and the hmis
+# ledger again when partitions and coins became splitmix64 stream outputs
 LOGSP_ROWS = (
     "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,max_link_bits,"
     "max_machine_bits,success\n"
-    "48,214,2,7,bcast,logsp,3,0,0,0,0,528,4699,4699,true\n"
-    "48,214,4,7,bcast,logsp,3,0,0,0,0,295,2675,7693,true\n"
-    "48,214,8,7,bcast,logsp,3,0,0,0,0,174,1795,10105,true\n"
+    "48,214,2,7,bcast,logsp,3,0,0,0,0,489,4070,4070,true\n"
+    "48,214,4,7,bcast,logsp,3,0,0,0,0,270,2305,6470,true\n"
+    "48,214,8,7,bcast,logsp,3,0,0,0,0,160,1443,8594,true\n"
 )
 
 
@@ -421,15 +442,15 @@ def test_hmis_ledger_matches_pinned_values():
 
     h = random_uniform_hypergraph(48, 96, 3, 5)
     flags, rep, part = hmis_kmachine(h, 4, seed=5)
-    assert sum(flags) == 24
+    assert sum(flags) == 26
     assert (rep.n, rep.k, rep.W, rep.mode) == (48, 4, 6, "direct")
-    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 53, 1416)
+    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 54, 1416)
     assert rep.per_link_bits.tolist() == [
-        [0, 250, 250, 250], [250, 0, 222, 222], [250, 222, 0, 222], [250, 222, 222, 0]]
-    assert rep.per_machine_bits.tolist() == [750, 694, 694, 694]
+        [0, 257, 250, 236], [257, 0, 236, 222], [250, 236, 0, 215], [236, 222, 215, 0]]
+    assert rep.per_machine_bits.tolist() == [743, 715, 701, 673]
     assert rep.bound_rounds == 7985.102370422146
     assert rep.bound_ok and rep.success
-    assert part.home.tolist()[:12] == [0, 1, 0, 0, 1, 0, 3, 0, 2, 2, 0, 0]
+    assert part.home.tolist()[:12] == [1, 0, 2, 2, 0, 3, 3, 1, 2, 1, 1, 3]
 
 
 def _source_texts():
@@ -447,6 +468,15 @@ def test_one_partition_derivation_and_one_report_builder():
     assert sum(t.count("SimReport(") for t in text.values()) == 1
     assert sum(t.count("machine_rounds +=") for t in text.values()) == 1
     assert not any("_cell_graph" in t for t in text.values())
+    # one per-element draw scheme: derive's single blake2b keys splitmix64
+    # streams, which run only in rng.py; no per-vertex hash loop is left
+    (rng_text,) = [t for p, t in text.items() if p.name == "rng.py"]
+    derive_body = rng_text.split("\ndef derive(")[1].split("\ndef ")[0]
+    assert sum(t.count("blake2b(") for t in text.values()) == 1
+    assert derive_body.count("blake2b(") == 1
+    assert not any("struct.Struct(" in t for t in text.values())
+    assert ".copy()" not in rng_text
+    assert [p.name for p, t in text.items() if "splitmix64(" in t] == ["rng.py"]
 
 
 def test_one_engine_driver_and_one_algorithm_table():
@@ -479,6 +509,10 @@ def test_one_round_format_and_one_edge_output_builder():
     # one builder of per-vertex edge tuples, shared by the MST and spanner
     assert not any("_mst_outputs" in t or "_edge_outputs" in t for t in text.values())
     assert sum(t.count("def edge_outputs(") for t in text.values()) == 1
+    # one exact bit-length table, shared by the path and merge kernels
+    pow2 = re.compile(r"^_POW2 = ", re.M)
+    assert [p.name for p, t in text.items() if pow2.search(t)] == ["slots.py"]
+    assert not any("searchsorted(_POW2" in t for p, t in text.items() if p.name != "slots.py")
     # the round totals are counted once, as append_arrays stores each round:
     # no second pass over the trace and no cache of its result
     second_pass = re.compile(r"\b_compute\(|\b_metrics\b")

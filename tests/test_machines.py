@@ -42,14 +42,15 @@ def test_rvp_basics():
 
 
 def test_rvp_golden_digest():
-    # homes pinned before the keys were derived once for every k
+    # homes re-pinned when a vertex's key became output v of the seed's
+    # splitmix64 stream, in place of one hash per vertex
     h = hashlib.sha256()
     g = Graph(300, [])
     for k in (1, 2, 3, 7, 32, 300):
         for seed in (0, 11, -5, 2**40):
             h.update(random_vertex_partition(g, k, seed).home.astype("<i8").tobytes())
     assert h.hexdigest() == (
-        "a265ca4a0a9631e0bef337e92b947b8ccf84c703594c9dfc9c81525c0bd0c48e"
+        "c2ec47e9aaf47c25a78788b9cc353d62c418905541fa0331529e46743430c975"
     )
 
 
@@ -132,16 +133,17 @@ def test_mapping_bounds_match_a_per_edge_count(case):
 
 
 def test_mapping_bounds_golden():
-    # pinned before the link count moved to one bincount over every edge
+    # pinned before the link count moved to one bincount over every edge;
+    # re-pinned when the homes became splitmix64 stream outputs
     got = []
     for seed in (0, 1, 2):
         g = generate("gnp", 2048, seed, p=0.1)
         for part in random_vertex_partitions(g, (4, 8, 16), seed):
             got.append(check_mapping_bounds(g, part))
     assert got == [
-        (535, 27415), (273, 7342), (143, 2053),
-        (527, 27060), (291, 7762), (164, 2336),
-        (539, 28042), (274, 7363), (152, 2181),
+        (545, 28105), (282, 7627), (145, 2037),
+        (553, 28431), (278, 7593), (148, 2079),
+        (549, 28837), (289, 8040), (155, 2319),
     ]
 
 

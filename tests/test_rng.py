@@ -1,11 +1,13 @@
-"""The batch derivation reproduces the one-at-a-time one bit for bit, a
-vertex's coin is the top 53 bits of its derived key, and the counter-based
-token draws are splitmix64, numbered without aliasing and distributed as the
-walk needs."""
+"""Every per-element key is an output of a splitmix64 stream keyed by
+derive: a vertex's key is its counter's output, distinct counters give
+distinct keys, a coin is the top 53 bits of the key, and the walk tokens'
+draws are numbered without aliasing and distributed as the walk needs."""
 
 import numpy as np
 import pytest
 
+from kmachine.graphs import Graph
+from kmachine.machines import random_vertex_partition
 from kmachine.rng import (
     MAX_TOKEN_VERTICES,
     MAX_TOKENS,
@@ -24,29 +26,43 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 
 def test_derive_each_equals_derive():
-    xs = [0, 1, 5, 4095, -7, 2**62]
+    # output x mod 2**64 of the stream keyed by derive(seed, tag, *parts)
+    xs = [0, 1, 5, 4095, -7, 2**62, -2**63, 2**63 - 1]
     for seed, tag, parts in [
         (0, "node", (1,)), (12345, "node", (77,)), (-3, "x", (-1,)),
         (9, "rvp", ()), (2**40, "rvp", ()), (4, "y", (3, -2**63)),
     ]:
-        ref = [derive(seed, tag, x, *parts) for x in xs]
-        assert derive_each(seed, tag, xs, *parts) == ref
+        ref = splitmix64(derive(seed, tag, *parts), [x % 2**64 for x in xs])
+        keys = derive_each(seed, tag, xs, *parts)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == ref.tolist()
+        assert derive_each(seed, tag, np.array(xs), *parts).tolist() == ref.tolist()
+    assert derive_each(3, "rvp", []).tolist() == []
+
+
+def test_distinct_counters_get_distinct_keys():
+    # the stream is a bijection of its counter, so no vertex layout aliases
+    xs = np.concatenate([np.arange(2**16), [0, 2**63 - 1, -1, -2**63]])
+    for seed, tag, parts in [(0, "rvp", ()), (7, "coin", (3,)), (-2**63, "coin", (2**62,))]:
+        keys = derive_each(seed, tag, xs, *parts)
+        assert len(np.unique(keys)) == 2**16 + 3  # 0 appears twice
 
 
 def test_uniform_known_answers():
+    # re-pinned when vertex keys became splitmix64 outputs of derive's stream
     assert [uniform(*key) for key in [
         (0, "coin", 0, 1), (7, "coin", 3, 4), (-5, "coin", 2**40, 1),
         (2**63 - 1, "coin", -2**63, 2**62),
     ]] == [
-        0.22587737721715484, 0.9739854863023589, 0.037745683004077546,
-        0.23965087466990698,
+        0.7724732850539779, 0.37900160492274704, 0.8281002964122143,
+        0.5039272488660271,
     ]
 
 
 def test_uniform_is_the_scaled_batch_key():
     vs = list(range(300)) + [2**62, -1]
     for seed, rnd in [(0, 1), (7, 4), (2**63 - 1, 2**62)]:
-        keys = derive_each(seed, "coin", vs, rnd)
+        keys = derive_each(seed, "coin", vs, rnd).tolist()
         coins = [uniform(seed, "coin", v, rnd) for v in vs]
         assert coins == [(key >> 11) * 2.0**-53 for key in keys]
         assert all(0.0 <= c < 1.0 for c in coins)
@@ -61,12 +77,45 @@ def test_uniform_each_equals_uniform():
     assert uniform_each(3, "coin", [], 1).tolist() == []
 
 
+def _chi2(counts):
+    expect = counts.sum() / len(counts)
+    return float(((counts - expect) ** 2 / expect).sum())
+
+
+def test_homes_and_coins_are_uniform():
+    n = 10**5
+    for seed in (1, 2):
+        homes = random_vertex_partition(Graph(n, []), 7, seed).machine_counts()
+        assert homes.sum() == n
+        assert _chi2(homes) < 27.9  # the 0.9999 quantile, 6 degrees of freedom
+        for rnd in (1, 2):
+            coins = uniform_each(seed, "coin", np.arange(n), rnd)
+            bins = np.bincount((coins * 16).astype(np.int64), minlength=16)
+            assert len(bins) == 16
+            assert _chi2(bins) < 44.3  # the 0.9999 quantile, 15 degrees of freedom
+
+
 def test_splitmix64_known_answers():
     # the reference outputs of splitmix64 seeded with 1234567
     assert splitmix64(1234567, np.arange(1, 6)).tolist() == [
         6457827717110365317, 3203168211198807973, 9817491932198370423,
         4593380528125082431, 16408922859458223821,
     ]
+
+
+def test_token_uniforms_known_answers():
+    # pinned when the walk tokens were the only splitmix64 stream; drawing
+    # vertex keys from the same scheme must leave these bits alone
+    for (seed, rnd, v, i), want1, want2 in [
+        ((0, 1, [0, 1, 2], [0, 0, 5]),
+         [0.4905664457988056, 0.4225325581423677, 0.9443393387614838],
+         [0.3208441662789594, 0.22316079485150386, 0.2798063451735936]),
+        ((2**63 - 1, 2**62, [2**31 - 1], [2**32 - 1]),
+         [0.01891964236428123], [0.8206040745922758]),
+        ((-5, 3, [7], [0]), [0.9412983141547796], [0.22095501542876994]),
+    ]:
+        u1, u2 = token_uniforms(seed, rnd, np.array(v), np.array(i))
+        assert (u1.tolist(), u2.tolist()) == (want1, want2)
 
 
 def _extreme_pairs():
