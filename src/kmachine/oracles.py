@@ -98,7 +98,11 @@ def kruskal_mst(g: Graph):
     return weight, chosen
 
 
-_KRUSKAL_BATCH = 1 << 12
+def _kruskal_batch(n):
+    """Edges per batch: n or more, so that the O(n) root refresh stays a
+    fraction of the batch's union loop, and small graphs, whose first batch
+    is unfiltered, send few more than n edges through that loop."""
+    return max(64, n)
 
 
 def minimum_spanning_forest(g: Graph):
@@ -115,9 +119,7 @@ def minimum_spanning_forest(g: Graph):
     dsu = _DSU(g.n)
     weight = 0
     chosen = set()
-    # a batch holds n/8 edges or more, so that the O(n) root refresh stays
-    # a fraction of the batch's union loop on long sparse graphs
-    step = max(_KRUSKAL_BATCH, g.n >> 3)
+    step = _kruskal_batch(g.n)
     for lo in range(0, g.m, step):
         batch = order[lo:lo + step]
         # every vertex's root, by pointer jumping on the DSU's parents

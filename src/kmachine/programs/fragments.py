@@ -10,10 +10,11 @@ so the optimum is unique; the connectivity variant forces unit weights and
 only reports the surviving fragment count.
 
 The engine runs the round kernel `_merge_rounds`, which advances every
-vertex of a round at once: it sorts the CSR slots by (source, merge_key)
-once, and each candidate round drops the slots inside a fragment and takes
-every vertex's first remaining slot.  The per-vertex `_FragmentNode` stays
-as its reference.
+vertex of a round at once: it sorts the CSR slots once by (source, weight),
+which the CSR's ascending neighbours make (source, merge_key) order; each
+candidate round takes every vertex's first slot, and each merge then drops
+the slots inside a fragment.  The per-vertex `_FragmentNode` stays as its
+reference.
 """
 
 import numpy as np
@@ -200,17 +201,14 @@ def _merge_rounds(g, kind, flags):
         keep = np.isin(eidx, np.fromiter(flags, np.int64, len(flags)))
         src, nbr, w = src[keep], nbr[keep], w[keep]
     ends = len(src)  # flagged edge endpoints, which stverify counts
-    # stable, so equal keys keep the neighbor order _own_candidate scans in.
-    # src is sorted, so each block of whole sources sorts on its own, and
-    # src keeps its order
+    # into (source, merge_key) order: one source's slots ascend by neighbour,
+    # and for neighbours u1 < u2 of s, (min(s,u1), max(s,u1)) < (min(s,u2),
+    # max(s,u2)) wherever s lies, so a stable sort by (source, weight) does
+    # it.  src is sorted, so each block of whole sources sorts on its own
     order = np.empty(len(src), dtype=np.int64)
     cuts = np.append(np.searchsorted(src, src[::_BLOCK]), len(src)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
-        b = slice(lo, hi)
-        kw, kmin, kmax = merge_key(src[b], nbr[b], w[b])
-        # both ends lie in [0, n) and n**2 < 2**63, so kmin * n + kmax packs
-        # the pair into one int64 exactly, in the pair's order: three passes
-        order[b] = lo + np.lexsort((kmin * n + kmax, kw, src[b]))
+        order[lo:hi] = lo + np.lexsort((w[lo:hi], src[lo:hi]))
     nbr = nbr[order]
     w = w[order]
     del order  # the generator lives through every round
@@ -222,10 +220,8 @@ def _merge_rounds(g, kind, flags):
     chosen = [(NONE, NONE)]  # (owner, other end) arrays, both ends of each pair
     while count > 1:
         yield everyone, l_bits, NONE, NONE, NONE
-        # slots inside a fragment stay inside
-        live = _keep_crossing(frag, src, nbr, w)
-        src, nbr, w = src[:live], nbr[:live], w[:live]
-        # each source's first slot
+        # each source's first slot; all cross, as no edge is a loop and each
+        # merge drops the slots inside a fragment
         start = np.searchsorted(src, everyone)
         first = start[start < np.searchsorted(src, everyone, side="right")]
         cs, cn, cw = src[first], nbr[first], w[first]
@@ -239,6 +235,9 @@ def _merge_rounds(g, kind, flags):
         frag, best = _merge(frag, cs, cn, cw)
         chosen += [(cs[best], cn[best]), (cn[best], cs[best])]
         count = int(np.count_nonzero(frag == everyone))
+        if count > 1:
+            live = _keep_crossing(frag, src, nbr, w)
+            src, nbr, w = src[:live], nbr[:live], w[:live]
     yield NONE, NONE, NONE, NONE, NONE  # every vertex halts
     spanning = count == 1
     if kind == "conn":

@@ -656,6 +656,12 @@ def test_kernels_match_reference_on_edge_case_graphs(g, seed):
     for eps in (0.1, 0.5, 2.0):
         prog = densest_subgraph_program(AlgoConfig(eps=eps))
         _assert_kernel_matches_reference(g, prog, seed)
+    for h in (_with_weights(g, 1, seed), _with_weights(g, 9, seed)):
+        # at n = 2 the default cap of 4 bits holds weights up to 7
+        _assert_kernel_matches_reference(h, mst_program(), seed, payload_cap_c=16)
+    _assert_kernel_matches_reference(g, conn_program(), seed)
+    prog = st_verify_program(default_stverify_candidate(g, seed))
+    _assert_kernel_matches_reference(g, prog, seed)
 
 
 def _with_weights(g, wmax, seed):

@@ -250,14 +250,17 @@ def test_fit_needs_three_points():
 
 
 def test_corrupted_tie_break_is_caught(monkeypatch):
-    # break the program's edge ordering while the oracle keeps the true one;
-    # ties on an unweighted cycle then pick a different tree
-    import kmachine.programs.fragments as frag
+    # hand the program each vertex's neighbours in descending order, the
+    # order its tie-break reads, while the oracle keeps the true one; ties
+    # on an unweighted cycle then pick a different tree
+    csr = Graph.csr
 
-    monkeypatch.setattr(
-        frag, "merge_key",
-        lambda u, v, w: (w, -np.minimum(u, v), -np.maximum(u, v)),
-    )
+    def descending(g):
+        indptr, nbr, eidx = csr(g)
+        order = np.lexsort((-nbr, np.repeat(np.arange(g.n), np.diff(indptr))))
+        return indptr, nbr[order], eidx[order]
+
+    monkeypatch.setattr(Graph, "csr", descending)
     cfg = ExperimentConfig(
         algorithm="mst", graph={"model": "cycle", "n": 16}, k=[2], seeds=[3]
     )

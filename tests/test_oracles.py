@@ -60,8 +60,8 @@ def test_forest_does_not_depend_on_the_batch_size(monkeypatch):
     graphs = [generate("random_weighted", 40, s, p=0.3, wmax=9) for s in range(4)]
     graphs += [generate("gnp", 64, 1, p=0.02), Graph(1, []), Graph(3, [(0, 1, 1)])]
     want = [_textbook_kruskal(g) for g in graphs]
-    for batch in (1, 2, 7, oracles._KRUSKAL_BATCH):
-        monkeypatch.setattr(oracles, "_KRUSKAL_BATCH", batch)
+    for batch in (lambda n: 1, lambda n: 2, lambda n: 7, oracles._kruskal_batch):
+        monkeypatch.setattr(oracles, "_kruskal_batch", batch)
         assert [minimum_spanning_forest(g) for g in graphs] == want
 
 
@@ -94,9 +94,9 @@ def _tied_graph(draw):
 @given(_tied_graph())
 def test_forest_matches_textbook_kruskal(g):
     want = _textbook_kruskal(g)
-    for batch in (1, 3, oracles._KRUSKAL_BATCH):
+    for batch in (lambda n: 1, lambda n: 3, oracles._kruskal_batch):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracles, "_KRUSKAL_BATCH", batch)
+            mp.setattr(oracles, "_kruskal_batch", batch)
             assert minimum_spanning_forest(g) == want
 
 

@@ -314,16 +314,27 @@ def _field(x, width):
 # a wire format per program: encode(round, payload, bits, L) -> bit string,
 # decode(round, bit string, L) -> payload.  No tag bits: a receiver tells
 # message kinds apart by round and length only.
+_L_FIELDS = (lambda rnd, p, bits, L: "".join(_field(x, L) for x in p),
+             lambda rnd, s, L: tuple(int(s[i:i + L], 2) for i in range(0, len(s), L)))
 _CODECS = {
     # (id, dist, parent), L bits each
-    "bfs": (lambda rnd, p, bits, L: "".join(_field(x, L) for x in p),
-            lambda rnd, s, L: tuple(int(s[i:i + L], 2) for i in range(0, len(s), L))),
+    "bfs": _L_FIELDS,
     # (id, dist): L bits of id, the rest of the message is dist
     "bf_sssp": (lambda rnd, p, bits, L: _field(p[0], L) + _field(p[1], bits - L),
                 lambda rnd, s, L: (int(s[:L], 2), int(s[L:], 2))),
     # an odd round carries degrees in L bits, an even one 1-bit leaves
     "densest": (lambda rnd, p, bits, L: _field(p[1], L) if rnd % 2 else "1",
                 lambda rnd, s, L: ("deg", int(s, 2)) if rnd % 2 else ("out",)),
+    # an odd round carries a fragment label in L bits, an even one the
+    # candidate (endpoint, w): L bits of endpoint, the rest of the message w
+    "mst": (lambda rnd, p, bits, L:
+            _field(p[0], L) + ("" if rnd % 2 else _field(p[1], bits - L)),
+            lambda rnd, s, L:
+            (int(s[:L], 2),) + (() if rnd % 2 else (int(s[L:], 2),))),
+    # labels, candidate endpoints and stverify's round-1 edge count: each
+    # message is one L-bit field, whatever its round
+    "conn": _L_FIELDS,
+    "stverify": _L_FIELDS,
 }
 
 
