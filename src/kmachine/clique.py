@@ -345,6 +345,8 @@ def _checked_round(cols, n, cap):
     arrays, after the model's checks on every message, vectorized; the
     first offending broadcast, else unicast, raises."""
     cols = [np.asarray(a) for a in cols]
+    if _plainly_valid(cols, n, cap):
+        return tuple(a if len(a) else NONE for a in cols)
     if (len(cols) != 5 or any(a.ndim != 1 for a in cols)
             or len(cols[1]) != len(cols[0])
             or not len(cols[2]) == len(cols[3]) == len(cols[4])):
@@ -383,6 +385,31 @@ def _checked_round(cols, n, cap):
              lambda i: f"vertex {us[i]}: payload size {ub[i]} outside [1, {cap}]"),
         ])
     return bs, bb, us, ud, ub
+
+
+def _plainly_valid(cols, n, cap):
+    """Whether a round passes every check of _checked_round as it stands,
+    by a few whole-column tests: int64 columns of matching lengths, sources,
+    destinations and bits in range, no message to its own source, and
+    strictly ascending broadcast sources and (source, destination) keys.
+    False only sends the round to the per-message checks, which name the
+    first fault or pass it."""
+    if len(cols) != 5 or any(a.ndim != 1 or len(a) and a.dtype != np.int64
+                             for a in cols):
+        return False
+    bs, bb, us, ud, ub = cols
+    if len(bb) != len(bs) or not len(us) == len(ud) == len(ub):
+        return False
+    if len(bs) and not (0 <= bs[0] and bs[-1] < n and (bs[1:] > bs[:-1]).all()
+                        and 1 <= bb.min() and bb.max() <= cap):
+        return False
+    if len(us):
+        if not (0 <= us.min() and us.max() < n and 0 <= ud.min() and ud.max() < n
+                and 1 <= ub.min() and ub.max() <= cap):
+            return False
+        key = us * n + ud
+        return not (ud == us).any() and bool((key[1:] > key[:-1]).all())
+    return True
 
 
 def _raise_first(checks):

@@ -129,8 +129,9 @@ def link_bandwidth(n: int, W: int = None) -> int:
 def sim_report(n, part, W, mode, loads, bound):
     """The ledger of an execution from its per-round directed link loads.
 
-    Each load is a (k, k) int64 matrix with a zero diagonal whose (p, q)
-    entry is the bits machine p sends machine q in that round.  The round
+    `loads` yields blocks of consecutive rounds' loads: each an (R, k, k)
+    int64 array, or one round's (k, k), whose [r, p, q] entry is the bits
+    machine p sends machine q in round r, with a zero diagonal.  A round
     costs ceil(max entry / W) km_rounds and ceil(max over machines of bits
     sent plus received / (k W)) machine_rounds.
     """
@@ -138,10 +139,12 @@ def sim_report(n, part, W, mode, loads, bound):
     link_dir = np.zeros((k, k), dtype=np.int64)
     km_rounds = 0
     machine_rounds = 0
-    for load in loads:
-        km_rounds += -(-int(load.max()) // W)
-        machine_rounds += -(-int((load.sum(axis=1) + load.sum(axis=0)).max()) // (k * W))
-        link_dir += load
+    for block in loads:
+        block = block.reshape(-1, k, k)
+        busy = (block.sum(axis=2) + block.sum(axis=1)).max(axis=1)
+        km_rounds += _ceil_div_sum(block.max(axis=(1, 2)), W)
+        machine_rounds += _ceil_div_sum(busy, k * W)
+        link_dir += block.sum(axis=0)
     return SimReport(
         n=n,
         k=k,
@@ -157,30 +160,72 @@ def sim_report(n, part, W, mode, loads, bound):
     )
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _ceil_div_sum(x, d):
+    """The sum of ceil(x / d) over an int64 array x >= 0, for a positive
+    int d of any size (every x is at most int64's max, so a larger d
+    divides like it)."""
+    return int((-(-x // min(d, _INT64_MAX))).sum())
+
+
+# A pricing block holds one round of at least _BLOCK_MESSAGES messages, or
+# consecutive smaller rounds up to that many messages in all and at most
+# _BLOCK_CELLS load entries, so a block's scratch stays small at any k.
+_BLOCK_MESSAGES = 1 << 12
+_BLOCK_CELLS = 1 << 16
+
+
 def _round_loads(trace: CliqueTrace, part: Partition, hdr: int, fan: np.ndarray):
-    """Per clique round that sends a message, the directed link load of its
-    messages; a silent round loads no link, so it adds nothing to the ledger
-    and is skipped.
+    """The directed link loads of the clique rounds that send a message, in
+    blocks of consecutive such rounds (see sim_report); a silent round
+    loads no link, so it adds nothing to the ledger and is skipped.
 
     Each inter-machine unicast adds its payload + hdr bits on its link; each
     broadcast from machine p adds its payload + hdr bits, times fan[q], on
-    every link p->q.  Traffic between co-located vertices is free.
+    every link p->q.  Traffic between co-located vertices is free.  Loads
+    are summed in int64, so they are exact.
     """
-    k = part.k
-    home = part.home
-    for bs, bb, us, ud, ub in trace.round_arrays():
-        if not (len(bs) or len(us)):
-            continue
-        if len(bs):
-            per_m = np.zeros(k, dtype=np.int64)
-            np.add.at(per_m, home[bs], bb + hdr)
-            load = np.outer(per_m, fan)
+    k, home = part.k, part.home
+    home_k = home * k
+    most = max(1, _BLOCK_CELLS // (k * k))  # rounds in a block of small rounds
+
+    def load(rounds):
+        if len(rounds) == 1:
+            bs, bb, us, ud, ub = rounds[0]  # as they are: no copy
+            rb = ru = 0
         else:
-            load = np.zeros((k, k), dtype=np.int64)
+            bs, bb, us, ud, ub = (np.concatenate(c) for c in zip(*rounds))
+            at = np.arange(len(rounds))
+            rb = np.repeat(at * k, [len(r[0]) for r in rounds])
+            ru = np.repeat(at * (k * k), [len(r[2]) for r in rounds])
+        if len(bs):
+            per_m = np.zeros(len(rounds) * k, dtype=np.int64)
+            np.add.at(per_m, rb + home[bs], bb + hdr)
+            out = per_m.reshape(-1, k, 1) * fan
+        else:
+            out = np.zeros((len(rounds), k, k), dtype=np.int64)
         if len(us):
-            np.add.at(load.reshape(-1), home[us] * k + home[ud], ub + hdr)
-        np.fill_diagonal(load, 0)
-        yield load
+            np.add.at(out.reshape(-1), ru + home_k[us] + home[ud], ub + hdr)
+        out.reshape(len(rounds), -1)[:, ::k + 1] = 0
+        return out
+
+    block, size = [], 0
+    for cols in trace.round_arrays():
+        msgs = len(cols[0]) + len(cols[2])
+        if not msgs:
+            continue
+        if msgs >= _BLOCK_MESSAGES and block:  # a large round is a block alone
+            yield load(block)
+            block, size = [], 0
+        block.append(cols)
+        size += msgs
+        if size >= _BLOCK_MESSAGES or len(block) == most:
+            yield load(block)
+            block, size = [], 0
+    if block:
+        yield load(block)
 
 
 def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:

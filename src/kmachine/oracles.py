@@ -308,27 +308,25 @@ def exact_pagerank(g: Graph, gamma: float, tol: float = 1e-10, max_iters: int = 
 
 
 def brute_densest(g: Graph):
-    """Exhaustive max of internal-edges/size over nonempty vertex subsets."""
+    """Exhaustive max of internal-edges/size over nonempty vertex subsets.
+    The first best subset, in bitmask order, wins a tie ({0} on a graph
+    without edges)."""
     if g.n > BRUTE_DENSEST_MAX_N:
         raise OracleError(f"brute_densest capped at n={BRUTE_DENSEST_MAX_N}")
-    adj_mask = [0] * g.n
-    for u, v, _ in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    best_cnt, best_size = 0, 1
-    best_set = frozenset([0])
-    # incremental internal edge counts over the subset lattice
-    edges_in = [0]
-    for s in range(1, 1 << g.n):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        cnt = edges_in[rest] + bin(adj_mask[low] & rest).count("1")
-        edges_in.append(cnt)
-        size = bin(s).count("1")
-        if cnt * best_size > best_cnt * size:  # cnt/size beats the best, exactly
-            best_cnt, best_size = cnt, size
-            best_set = frozenset(i for i in range(g.n) if s >> i & 1)
-    return Fraction(best_cnt, best_size), best_set
+    n = g.n
+    subsets = np.arange(1, 1 << n, dtype=np.int64)
+    edges_in = np.zeros(len(subsets), dtype=np.int64)
+    u, v, _ = g.edge_arrays()
+    for ends in ((1 << u) | (1 << v)).tolist():
+        edges_in += (subsets & ends) == ends
+    size = np.zeros(len(subsets), dtype=np.int64)
+    for i in range(n):
+        size += (subsets >> i) & 1
+    # edges_in / size times lcm(1..n) is an exact integer
+    best = int((edges_in * (math.lcm(*range(1, n + 1)) // size)).argmax())
+    s = best + 1
+    return (Fraction(int(edges_in[best]), int(size[best])),
+            frozenset(i for i in range(n) if s >> i & 1))
 
 
 def densest_via_flow(g: Graph):

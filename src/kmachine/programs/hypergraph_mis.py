@@ -28,12 +28,14 @@ def hmis_round_bound(n: int, k: int) -> float:
 
 
 def _schedule_loads(k, owned_counts, count_bits, pair_bits):
-    """The directed link load of every step of the schedule.
+    """The directed link load of every step of the schedule, in blocks of
+    steps (see machines.sim_report).
 
     First the all-to-all exchange of vertex counts; then, per batch of an
     owner's pairs, the owner's step (one pair on each of `width` links) and
     the forwarding step (every receiver sends its pair on all its links).
-    All full-width batches of an owner share the same two step loads.
+    All full-width batches of an owner share the same two step loads, so
+    they come as one block.
     """
     counts = np.full((k, k), count_bits, dtype=np.int64)
     np.fill_diagonal(counts, 0)
@@ -48,9 +50,8 @@ def _schedule_loads(k, owned_counts, count_bits, pair_bits):
             forward = np.zeros((k, k), dtype=np.int64)
             forward[receivers] = pair_bits
             forward[receivers, receivers] = 0
-            for _ in range(batches):
-                yield send
-                yield forward
+            if batches:
+                yield np.tile((send, forward), (batches, 1, 1))
 
 
 def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):

@@ -15,16 +15,19 @@ Each token's fate comes from its own two uniforms (rng.token_uniforms),
 keyed by (seed, round, vertex, token index): it dies if u1 < gamma, else it
 hops to CSR slot indptr[v] + floor(u2 * degree); a token on an isolated
 vertex dies.  The engine runs the round kernel `_pagerank_rounds`, which
-moves every token of a round at once.  The distinct CSR slots its tokens
-crossed, in ascending order, are the round's messages.  A round with fewer
-tokens than slots sorts its hop slots and keeps the first of each run; as
+moves every token of a round at once and draws the same uniforms fused
+(rng.token_bases, rng.token_hops): one splitmix64 state per vertex and
+round, the death test on u1's integer bits, and u2 only for the tokens that
+hop.  The distinct CSR slots its tokens crossed, in ascending order, are
+the round's messages.  A round with fewer tokens than slots draws all of
+them in one pass, sorts its hop slots and keeps the first of each run; as
 tokens are numbered vertex by vertex, the hop vertices in token order are
 the sorted slots' sources.  A round with at least as many tokens as slots
-marks its hop slots in one boolean mask over the 2m slots instead.  Once no
-token is left to move, the kernel yields the empty rounds left up to the
-budget without drawing or touching a per-vertex or per-slot array.  The
-per-vertex `_PageRankNode` draws the same uniforms for its own tokens and
-stays as its reference.
+draws them in chunks of _CHUNK and marks its hop slots in one boolean mask
+over the 2m slots instead.  Once no token is left to move, the kernel
+yields the empty rounds left up to the budget without drawing or touching
+a per-vertex or per-slot array.  The per-vertex `_PageRankNode` draws
+rng.token_uniforms for its own tokens and stays as its reference.
 """
 
 import math
@@ -33,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..clique import HALT, NONE, SILENT, NodeProgram, Program, Unicast
-from ..rng import token_layout_fits, token_uniforms
+from ..rng import (token_bases, token_hops, token_layout_fits, token_uniforms,
+                   unit_threshold)
 from .config import AlgoConfig, ConfigError
 
 
@@ -102,9 +106,8 @@ class _PageRankNode(NodeProgram):
         return self.cfg.gamma * self.visits / self.shape.total
 
 
-# tokens the kernel draws at once, which keeps its scratch arrays small; a
-# round that sorts its hop slots also keeps them, with their sources and
-# its tokens' vertices, but it holds fewer tokens than the 2m slots
+# tokens a round with at least as many tokens as CSR slots draws at once,
+# which keeps its scratch arrays O(m + _CHUNK) however many tokens it holds
 _CHUNK = 1 << 12
 
 
@@ -115,6 +118,16 @@ def _pagerank_rounds(g, cfg, shape, seed):
     n = g.n
     indptr, nbr, _ = g.csr()
     deg = np.diff(indptr)
+    fdeg = deg.astype(np.float64)  # u2 * deg as the reference computes it
+    threshold = unit_threshold(cfg.gamma)
+
+    def hop_slots(bases, v, t):
+        """The CSR slots crossed by the tokens numbered t (on vertices v)
+        that hop, and those tokens' vertices."""
+        hops, u2 = token_hops(bases[v], t, threshold)
+        v = v[hops]
+        return indptr[v] + (u2 * fdeg[v]).astype(np.int64), v
+
     here = np.full(n, shape.per_node, dtype=np.int64)
     visits = np.zeros(n, dtype=np.int64)
     rnd = 1
@@ -125,38 +138,24 @@ def _pagerank_rounds(g, cfg, shape, seed):
         firsts, count = ends - held, int(ends[-1])
         if not count:
             break  # no token moves again: the rest are empty rounds
-        here = np.zeros(n, dtype=np.int64)
-        sparse = count < len(nbr)
-        if sparse:
-            hop_slots, hop_srcs = [], []
-            vertex = np.repeat(np.arange(n), held)  # per token: fewer than 2m
-        else:
-            crossed = np.zeros(len(nbr), dtype=bool)  # per CSR slot: a token crossed it
-        for lo in range(0, count, _CHUNK):
-            t = np.arange(lo, min(lo + _CHUNK, count))
-            if sparse:
-                v = vertex[lo:lo + _CHUNK]
-            else:
-                v = np.searchsorted(ends, t, side="right")  # the token's vertex
-            u1, u2 = token_uniforms(seed, rnd, v, t - firsts[v])
-            hops = u1 >= cfg.gamma
-            v, u2 = v[hops], u2[hops]
-            slot = indptr[v] + (u2 * deg[v]).astype(np.int64)
-            here += np.bincount(nbr[slot], minlength=n)
-            if sparse:
-                hop_slots.append(slot)
-                hop_srcs.append(v)
-            else:
-                crossed[slot] = True
-        if sparse:
+        bases = token_bases(seed, rnd, firsts)
+        if count < len(nbr):  # fewer tokens than slots: all in one pass
+            slot, src = hop_slots(bases, np.repeat(np.arange(n), held), np.arange(count))
+            here = np.bincount(nbr[slot], minlength=n)
             # the hop vertices ascend in token order and each vertex's slots
             # are one ascending range, so they are the sorted slots' sources
-            slot, src = np.concatenate(hop_slots), np.concatenate(hop_srcs)
             slot.sort()
             first = np.ones(len(slot), dtype=bool)
             first[1:] = slot[1:] != slot[:-1]
             slot, src = slot[first], src[first]
         else:
+            here = np.zeros(n, dtype=np.int64)
+            crossed = np.zeros(len(nbr), dtype=bool)  # per CSR slot: a token crossed it
+            for lo in range(0, count, _CHUNK):
+                t = np.arange(lo, min(lo + _CHUNK, count))
+                slot, _ = hop_slots(bases, np.searchsorted(ends, t, side="right"), t)
+                here += np.bincount(nbr[slot], minlength=n)
+                crossed[slot] = True
             slot = np.flatnonzero(crossed)  # ascending: by source, then destination
             src = np.searchsorted(indptr, slot, side="right") - 1
         yield NONE, NONE, src, nbr[slot], np.full(len(slot), shape.bits)

@@ -34,9 +34,10 @@ def make_np_rng(seed: int, tag: str, *parts: int) -> np.random.Generator:
 # splitmix64 (Steele, Lea and Flood, OOPSLA 2014): its k-th output from
 # state s is its finalizer applied to s + k * golden gamma, mod 2**64.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN2 = np.uint64(2 * 0x9E3779B97F4A7C15 % 2**64)  # two steps
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_S = {b: np.uint64(b) for b in (1, 11, 27, 30, 31)}
+_S = {b: np.uint64(b) for b in (1, 2, 11, 27, 30, 31)}
 
 # A token's counter is (vertex << TOKEN_BITS) | token index, and it takes
 # outputs 2c+1 and 2c+2 of the round's stream; counters below 2**63 keep
@@ -49,15 +50,20 @@ MAX_TOKENS = 1 << TOKEN_BITS
 def splitmix64(state: int, steps) -> np.ndarray:
     """Outputs number `steps` (a uint64 array) of splitmix64's stream from
     `state`, in wrapping uint64 array arithmetic."""
-    z = np.uint64(state) + np.array(steps, dtype=np.uint64, ndmin=1) * _GOLDEN
+    return _mix(np.uint64(state) + np.array(steps, dtype=np.uint64, ndmin=1) * _GOLDEN)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of each uint64 state."""
     z = (z ^ (z >> _S[30])) * _MIX1
     z = (z ^ (z >> _S[27])) * _MIX2
     return z ^ (z >> _S[31])
 
 
 def _unit(keys: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each uint64 key, scaled to [0, 1)."""
-    return (keys >> _S[11]) * 2.0 ** -53
+    """The top 53 bits of each uint64 key, scaled to [0, 1).  The explicit
+    cast is exact and much faster than the mixed-type multiply's own."""
+    return (keys >> _S[11]).astype(np.float64) * 2.0 ** -53
 
 
 def derive_each(seed: int, tag: str, xs, *parts: int) -> np.ndarray:
@@ -98,3 +104,32 @@ def token_uniforms(seed: int, rnd: int, v, i):
     key = derive(seed, "token", rnd)
     first = (token_counters(v, i) << _S[1]) + _S[1]
     return _unit(splitmix64(key, first)), _unit(splitmix64(key, first + _S[1]))
+
+
+def unit_threshold(x) -> int:
+    """ceil(x * 2**53) for a real x (a float, a numpy float or a Fraction),
+    exactly: a uniform of this module, b * 2**-53 for the 53-bit integer b,
+    is >= x iff b >= unit_threshold(x)."""
+    num, den = x.as_integer_ratio()
+    return -((-num << 53) // den)
+
+
+def token_bases(seed: int, rnd: int, firsts) -> np.ndarray:
+    """Per vertex v, the uint64 state from which token_hops draws round
+    `rnd` for the tokens numbered t = firsts[v] + i, i its token index:
+    base[v] + 2t * golden gamma is the state of output 2c+1 of
+    token_uniforms' stream for the token's counter c."""
+    firsts = np.asarray(firsts, dtype=np.int64).astype(np.uint64)
+    v = np.arange(len(firsts), dtype=np.uint64)
+    steps = (v << np.uint64(TOKEN_BITS + 1)) + _S[1] - firsts * _S[2]
+    return np.uint64(derive(seed, "token", rnd)) + steps * _GOLDEN
+
+
+def token_hops(bases, t, threshold: int):
+    """token_uniforms fused for the tokens numbered t (int64), each with its
+    vertex's token_bases entry in `bases`.  Returns (hops, u2): the mask of
+    tokens with u1 >= gamma, tested as integers against threshold =
+    unit_threshold(gamma), and u2 of the hopping tokens only."""
+    z = bases + t.astype(np.uint64) * _GOLDEN2
+    hops = (_mix(z) >> _S[11]) >= np.uint64(threshold)
+    return hops, _unit(_mix(z[hops] + _GOLDEN))

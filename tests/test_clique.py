@@ -2,12 +2,14 @@ import copy
 import hashlib
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmachine import clique
 from kmachine.acceptance import fidelity_instances
 from kmachine.clique import (
     HALT,
@@ -49,7 +51,7 @@ from kmachine.programs import (
 )
 from kmachine.programs import fragments, walks
 from kmachine.programs.walks import walk_shape
-from kmachine.rng import token_uniforms
+from kmachine.rng import token_bases
 
 
 class _ShoutOnce(NodeProgram):
@@ -312,6 +314,86 @@ def test_vertex_payload_sizes_are_checked_as_integers():
     assert _columns(trace)[0][:2] == [[0, 1, 2], [4, 4, 4]]
 
 
+# faults _round_with_faults puts in a valid round's messages ("shuffle"
+# reorders the unicasts, which leaves the round valid), then the forms it
+# hands the columns over in: all but "int64" and "lists" are faults
+_ROUND_FAULTS = ["shuffle", "bad_source", "bad_destination", "self", "repeat",
+                 "bcast_order", "bits_0", "bits_over"]
+_ROUND_FORMS = ["int64", "int32", "lists", "bool", "float", "short", "ndim"]
+
+
+@st.composite
+def _round_with_faults(draw):
+    """(columns, n, cap, faults): a valid round on 2..12 vertices with at
+    least one unicast and up to two drawn faults put in, in turn, handed
+    over in a drawn form."""
+    n, cap = draw(st.integers(2, 12)), draw(st.integers(1, 16))
+    bits = st.integers(1, cap)
+    bs = sorted(draw(st.sets(st.integers(0, n - 1))))
+    pairs = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=3 * n)))
+    cols = [np.array(c, dtype=np.int64) for c in (
+        bs, [draw(bits) for _ in bs], [s for s, _ in pairs], [d for _, d in pairs],
+        [draw(bits) for _ in pairs])]
+    faults = [draw(st.sampled_from(_ROUND_FAULTS))
+              for _ in range(draw(st.sampled_from([1, 2, 0])))]
+    for fault in faults:
+        first = draw(st.sampled_from([0, 2] if fault in ("bad_source", "bits_0", "bits_over")
+                                     else [0] if fault == "bcast_order" else [2]))
+        group = slice(first, 2 if first == 0 else 5)
+        if not len(cols[first]):
+            continue
+        at = draw(st.integers(0, len(cols[first]) - 1))
+        if fault == "shuffle":
+            order = list(draw(st.permutations(range(len(cols[2])))))
+            cols[group] = [c[order] for c in cols[group]]
+        elif fault == "bad_source":
+            cols[first][at] = draw(st.sampled_from([-1, n, n + 5, -2**40]))
+        elif fault == "bad_destination":
+            cols[3][at] = draw(st.sampled_from([-1, n, 2**40]))
+        elif fault == "self":
+            cols[3][at] = cols[2][at]
+        elif fault in ("repeat", "bcast_order"):  # a message sent twice
+            cols[group] = [np.insert(c, at, c[at]) for c in cols[group]]
+        else:
+            cols[group][-1][at] = 0 if fault == "bits_0" else cap + 1
+    # half the rounds are int64 arrays, the only form the whole-column tests take
+    form = draw(st.one_of(st.just("int64"), st.sampled_from(_ROUND_FORMS[1:])))
+    c = draw(st.integers(0, 4))
+    if form == "int32":
+        cols = [a.astype(np.int32) for a in cols]
+    elif form == "lists":  # as the per-vertex scheduler yields them
+        cols = [a.tolist() for a in cols]
+    elif form in ("bool", "float"):
+        cols[c] = cols[c].astype(bool if form == "bool" else float)
+    elif form == "short":
+        cols[c] = cols[c][:-1]
+    elif form == "ndim":
+        cols[c] = cols[c].reshape(1, -1)
+    return cols, n, cap, faults + [form]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_round_with_faults())
+def test_whole_column_round_checks_agree_with_the_per_message_checks(case):
+    # a round passed by the whole-column tests comes back as the same arrays
+    # the per-message checks return, and any other round gets the same
+    # verdict and text from them
+    cols, n, cap, faults = case
+    if faults == ["int64"]:
+        assert clique._plainly_valid(cols, n, cap)
+    outcomes = []
+    for fast in (clique._plainly_valid, lambda *_: False):
+        with mock.patch.object(clique, "_plainly_valid", fast):
+            try:
+                got = clique._checked_round(cols, n, cap)
+                outcomes.append([(a.dtype.str, a.tolist()) for a in got])
+            except ProgramViolation as e:
+                outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_trace_export_format():
     g = generate("path", 3, 0)
     _, trace, _ = run_clique(g, _prog(_OneUnicast), seed=0)
@@ -450,8 +532,9 @@ def test_pagerank_kernel_matches_reference_without_edges():
 
 
 def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
-    # chunks of 7 tokens split vertices' batches; 40 tokens per vertex start
-    # with more tokens than CSR slots (the slot mask), 4 with fewer (the sort)
+    # 40 tokens per vertex start with more tokens than CSR slots, so the
+    # round draws in chunks (here of 7 tokens, which split vertices'
+    # batches) into the slot mask; 4 start with fewer and draw in one pass
     monkeypatch.setattr(walks, "_CHUNK", 7)
     g = generate("gnp", 24, 4, p=0.3)
     assert 24 * 4 < len(g.csr()[1]) < 24 * 40
@@ -461,13 +544,13 @@ def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
 
 
 def test_pagerank_kernel_draws_nothing_after_the_last_token(monkeypatch):
-    drawn = []  # the round of every token_uniforms call
+    drawn = []  # the round of every token_bases call: one per round that draws
 
-    def spy(seed, rnd, v, i):
+    def spy(seed, rnd, firsts):
         drawn.append(rnd)
-        return token_uniforms(seed, rnd, v, i)
+        return token_bases(seed, rnd, firsts)
 
-    monkeypatch.setattr(walks, "token_uniforms", spy)
+    monkeypatch.setattr(walks, "token_bases", spy)
     g = generate("gnp", 32, 1, p=0.2)
     assert (np.diff(g.csr()[0]) > 0).all()  # no isolated vertex: every token is drawn
     cfg = AlgoConfig(gamma=0.5)
@@ -477,7 +560,7 @@ def test_pagerank_kernel_draws_nothing_after_the_last_token(monkeypatch):
     # follows a round in which a token hopped
     hopped = [r for r, (_, _, us, _, _) in enumerate(trace.round_arrays(), start=1)
               if len(us)]
-    assert set(drawn) == {1} | {r + 1 for r in hopped}
+    assert drawn == sorted({1} | {r + 1 for r in hopped})
     assert max(drawn) < trace.num_rounds - 1  # the walk ended well before the budget
 
 

@@ -233,6 +233,19 @@ def test_sim_report_charges_each_round_by_its_worst_link(k, W, loads, km, mr, li
     assert rep.bound_ok == (km <= 10)
 
 
+def test_sim_report_charges_a_block_round_by_round():
+    # one (R, k, k) block costs what its rounds cost one by one; a W past
+    # int64 still prices, every loaded round at one round
+    part = Partition(k=4, home=np.arange(4))
+    loads = [_load(4, {(0, 1): 50}), _load(4, {}), _load(4, {(1, 0): 10, (2, 3): 13})]
+    for W, km, mr in [(6, 12, 4), (2**70, 2, 2)]:
+        reports = [sim_report(4, part, W, "direct", blocks, 10.0)
+                   for blocks in (iter(loads), iter([np.stack(loads)]))]
+        for rep in reports:
+            assert (rep.km_rounds, rep.machine_rounds) == (km, mr)
+            assert rep.per_link_bits.tolist() == reports[0].per_link_bits.tolist()
+
+
 def test_ledger_conservation():
     g = generate("gnp", 64, 2, p=0.2)
     _, trace, _ = run_clique(g, pagerank_program(AlgoConfig()), seed=2)

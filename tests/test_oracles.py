@@ -119,6 +119,36 @@ def test_brute_densest_examples():
         brute_densest(generate("cycle", 23, 0))
 
 
+def _brute_densest_loop(g):
+    """brute_densest as a loop over the subset lattice, which keeps the
+    first subset strictly denser than every one before it."""
+    adj_mask = [0] * g.n
+    for u, v, _ in g.edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    best_cnt, best_size = 0, 1
+    best_set = frozenset([0])
+    edges_in = [0]
+    for s in range(1, 1 << g.n):
+        low = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        cnt = edges_in[rest] + bin(adj_mask[low] & rest).count("1")
+        edges_in.append(cnt)
+        size = bin(s).count("1")
+        if cnt * best_size > best_cnt * size:
+            best_cnt, best_size = cnt, size
+            best_set = frozenset(i for i in range(g.n) if s >> i & 1)
+    return Fraction(best_cnt, best_size), best_set
+
+
+def test_brute_densest_matches_the_subset_loop():
+    graphs = [Graph(1, []), Graph(5, []), generate("clique", 6, 0), generate("star", 7, 0)]
+    graphs += [generate("gnp", n, seed, p=p) for n in range(1, 11) for seed in range(3)
+               for p in (0.1, 0.5, 0.9)]
+    for g in graphs:
+        assert brute_densest(g) == _brute_densest_loop(g)
+
+
 def test_brute_densest_agrees_with_flow():
     for seed in range(6):
         g = generate("gnp", 10, seed, p=0.4)

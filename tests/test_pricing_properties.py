@@ -5,12 +5,16 @@ per vertex) and unicasts (at most one per ordered pair), with payloads of
 1..64 bits, priced on an arbitrary vertex -> machine assignment.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmachine.clique import NONE, CliqueMetrics, CliqueTrace
 from kmachine.graphs import label_bits
+from kmachine import machines
 from kmachine.machines import Partition, price
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -18,11 +22,12 @@ BITS = st.integers(1, 64)
 
 
 @st.composite
-def priced(draw, broadcast_only=False, k=None):
-    """(trace, partition) on 2..10 vertices."""
+def priced(draw, broadcast_only=False, k=None, rounds=4):
+    """(trace, partition) on 2..10 vertices, with up to `rounds` rounds;
+    k = "n" puts them on n machines."""
     n = draw(st.integers(2, 10))
     trace = CliqueTrace(n)
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, rounds))):
         senders = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         bs = sorted(senders)
         bb = [draw(BITS) for _ in bs]
@@ -37,7 +42,7 @@ def priced(draw, broadcast_only=False, k=None):
         ub = [draw(BITS) for _ in pairs]
         cols = (bs, bb, us, ud, ub)
         trace.append_arrays(*(np.array(c, dtype=np.int64) for c in cols))
-    k = k or draw(st.integers(1, n))
+    k = n if k == "n" else k or draw(st.integers(1, n))
     home = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return trace, Partition(k=k, home=np.array(home, dtype=np.int64))
 
@@ -136,6 +141,46 @@ def test_pricing_matches_per_message_charging(case, W):
         rep = price(trace, part, W, mode=mode)
         got = (rep.km_rounds, rep.machine_rounds, rep.per_link_bits.tolist(), rep.total_bits)
         assert got == _per_message(trace, part, W, mode)
+
+
+# (messages, load entries) a pricing block may reach: every round a block
+# alone, the whole trace one block, and rounds split by the entry cap (at
+# k = n = 10 a block holds two rounds)
+BLOCK_BUDGETS = {"round_alone": (1, 1 << 16), "one_block": (1 << 62, 1 << 62),
+                 "entry_cap": (1 << 62, 200)}
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS.values(), ids=BLOCK_BUDGETS)
+@SETTINGS
+@given(st.one_of(priced(rounds=8), priced(broadcast_only=True, rounds=8),
+                 priced(k=1, rounds=8), priced(k="n", rounds=8)),
+       st.integers(1, 64))
+def test_block_budgets_do_not_change_the_charges(budget, case, W):
+    trace, part = case
+    messages, cells = budget
+    with mock.patch.object(machines, "_BLOCK_MESSAGES", messages), \
+            mock.patch.object(machines, "_BLOCK_CELLS", cells):
+        for mode in _modes(trace):
+            rep = price(trace, part, W, mode=mode)
+            got = (rep.km_rounds, rep.machine_rounds, rep.per_link_bits.tolist(),
+                   rep.total_bits)
+            assert got == _per_message(trace, part, W, mode)
+
+
+def test_pricing_blocks_keep_their_budgets():
+    # 150 one-message rounds either side of one of 5000 messages, at k = 64:
+    # a block of small rounds holds at most 2**16 / 64**2 = 16 of them, and
+    # the large round is a block alone
+    n, k = 128, 64
+    trace = CliqueTrace(n)
+    one = [np.array([0]), np.array([1]), np.array([3])]
+    pairs = np.flatnonzero(~np.eye(n, dtype=bool).reshape(-1))[:5000]
+    for r in range(301):
+        uni = [pairs // n, pairs % n, np.full(5000, 3)] if r == 150 else one
+        trace.append_arrays(NONE, NONE, *uni)
+    part = Partition(k=k, home=np.arange(n) % k)
+    blocks = [b.shape[0] for b in machines._round_loads(trace, part, 14, part.machine_counts())]
+    assert blocks == ([16] * 9 + [6]) + [1] + ([16] * 9 + [6])
 
 
 @SETTINGS

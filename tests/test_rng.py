@@ -3,6 +3,8 @@ derive: a vertex's key is its counter's output, distinct counters give
 distinct keys, a coin is the top 53 bits of the key, and the walk tokens'
 draws are numbered without aliasing and distributed as the walk needs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,12 @@ from kmachine.rng import (
     derive,
     derive_each,
     splitmix64,
+    token_bases,
     token_counters,
+    token_hops,
     token_layout_fits,
     token_uniforms,
+    unit_threshold,
     uniform,
     uniform_each,
 )
@@ -116,6 +121,34 @@ def test_token_uniforms_known_answers():
     ]:
         u1, u2 = token_uniforms(seed, rnd, np.array(v), np.array(i))
         assert (u1.tolist(), u2.tolist()) == (want1, want2)
+
+
+# the reset probabilities the fused walk draws are checked at: the extremes
+# of the open unit interval, and each kind of real the config accepts
+GAMMAS = [2.0**-53, 0.15, 0.5, 1 - 2.0**-53, np.float32(0.15), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS, ids=repr)
+def test_unit_threshold_is_the_exact_ceiling(gamma):
+    b = unit_threshold(gamma)
+    below, at = np.array([b - 1, b], dtype=np.uint64) * 2.0**-53
+    assert not below >= gamma and at >= gamma
+
+
+@pytest.mark.parametrize("gamma", GAMMAS, ids=repr)
+def test_fused_token_draws_equal_token_uniforms(gamma):
+    # token numbers t = firsts[v] + i, with vertex first numbers at the
+    # corners of the token layout
+    firsts = np.array([0, 5, MAX_TOKENS - 40, 9, 2**31])
+    r = np.random.default_rng(3)
+    v = np.sort(r.integers(0, len(firsts), 4000))
+    i = r.integers(0, 32, 4000)
+    for seed, rnd in [(0, 1), (2**63 - 1, 2**62), (-5, 3)]:
+        u1, u2 = token_uniforms(seed, rnd, v, i)
+        hops, w2 = token_hops(token_bases(seed, rnd, firsts)[v], firsts[v] + i,
+                              unit_threshold(gamma))
+        assert (hops == (u1 >= gamma)).all()
+        assert w2.tolist() == u2[hops].tolist()
 
 
 def _extreme_pairs():
