@@ -10,18 +10,21 @@ so the optimum is unique; the connectivity variant forces unit weights and
 only reports the surviving fragment count.
 
 The engine runs the round kernel `_merge_rounds`, which advances every
-vertex of a round at once: it sorts the CSR slots once by (source, weight),
-which the CSR's ascending neighbours make (source, merge_key) order; each
-candidate round takes every vertex's first slot, and each merge then drops
-the slots inside a fragment.  The per-vertex `_FragmentNode` stays as its
-reference.
+vertex of a round at once over narrow slot columns: source and neighbour
+ids in int32, plus a weight column only where the edge weights differ.  It
+sorts the slots once by (source, weight), which the CSR's ascending
+neighbours make (source, merge_key) order, and skips the sort when every
+edge weighs the same; each candidate round takes every vertex's first slot,
+and each merge then drops the slots inside a fragment.  What it yields and
+returns is int64, as the engine's whole-column round check wants.  The
+per-vertex `_FragmentNode` stays as its reference.
 """
 
 import numpy as np
 
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
-from .slots import bit_lengths, edge_outputs, slot_sources
+from .slots import bit_lengths, edge_outputs
 
 
 def merge_key(u, v, w):
@@ -181,11 +184,11 @@ class _FragmentNode(NodeProgram):
         return (ok, self.count_total // 2, history.count == 1)
 
 
-# slots per block in _merge_rounds.  It works on blocks so that, but for
-# one sort order, its slot-length arrays are the few it keeps for the whole
-# run: slot-length temporaries, made and freed every round, fragment the
-# malloc heap, and a run's peak memory then varies by megabytes with the
-# graph.
+# slots per block in _merge_rounds's weight sort and compaction.  They work
+# on blocks so that the kernel's slot-length arrays are the narrow columns it
+# keeps for the whole run: slot-length temporaries, made and freed every
+# round, fragment the malloc heap and fault in fresh pages, and a run's peak
+# memory then varies by megabytes with the graph.
 _BLOCK = 1 << 13
 
 
@@ -195,24 +198,29 @@ def _merge_rounds(g, kind, flags):
     candidate's edge-index set, else None."""
     n, L = g.n, label_bits(g.n)
     indptr, nbr, eidx = g.csr()
-    src = slot_sources(indptr)
-    w = g.edge_arrays()[2][eidx] if kind == "mst" else np.ones_like(nbr)
+    # vertex ids in int32 where every id, and n itself, fits; slot_sources
+    # stays int64 for the kernels that multiply its ids by n
+    ids = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    cols = [np.repeat(np.arange(n, dtype=ids), np.diff(indptr)),  # source
+            nbr.astype(ids)]  # neighbour
     if flags is not None:
-        keep = np.isin(eidx, np.fromiter(flags, np.int64, len(flags)))
-        src, nbr, w = src[keep], nbr[keep], w[keep]
-    ends = len(src)  # flagged edge endpoints, which stverify counts
-    # into (source, merge_key) order: one source's slots ascend by neighbour,
-    # and for neighbours u1 < u2 of s, (min(s,u1), max(s,u1)) < (min(s,u2),
-    # max(s,u2)) wherever s lies, so a stable sort by (source, weight) does
-    # it.  src is sorted, so each block of whole sources sorts on its own
-    order = np.empty(len(src), dtype=np.int64)
-    cuts = np.append(np.searchsorted(src, src[::_BLOCK]), len(src)).tolist()
-    for lo, hi in zip(cuts, cuts[1:]):
-        order[lo:hi] = lo + np.lexsort((w[lo:hi], src[lo:hi]))
-    nbr = nbr[order]
-    w = w[order]
-    del order  # the generator lives through every round
+        f = np.fromiter(flags, np.int64, len(flags))
+        flagged = np.zeros(g.m, dtype=bool)
+        flagged[f[(f >= 0) & (f < g.m)]] = True
+        keep = flagged[eidx]
+        cols = [a[keep] for a in cols]
+    ends = len(cols[0])  # flagged edge endpoints, which stverify counts
+    weights = g.edge_arrays()[2] if kind == "mst" else NONE
+    if len(weights) and weights.min() < weights.max():
+        cols.append(_weight_sorted(*cols, eidx, weights))
+        const_bits = None
+    else:
+        # one weight for every edge (unit for conn and stverify): the CSR
+        # order already is (source, merge_key) order
+        w = int(weights[0]) if len(weights) else 1
+        const_bits = L + max(1, w.bit_length()) if kind == "mst" else L
     everyone, l_bits = np.arange(n), np.full(n, L)
+    bounds = np.arange(n + 1, dtype=ids)  # int32 needles: no int64 copy of src
     if kind == "stverify":
         yield everyone, l_bits, NONE, NONE, NONE  # edge counts
     frag = np.arange(n)  # a fragment's label is its smallest vertex
@@ -222,13 +230,14 @@ def _merge_rounds(g, kind, flags):
         yield everyone, l_bits, NONE, NONE, NONE
         # each source's first slot; all cross, as no edge is a loop and each
         # merge drops the slots inside a fragment
-        start = np.searchsorted(src, everyone)
-        first = start[start < np.searchsorted(src, everyone, side="right")]
-        cs, cn, cw = src[first], nbr[first], w[first]
-        if kind == "mst":
+        cuts = np.searchsorted(cols[0], bounds)
+        first = cuts[:-1][cuts[:-1] < cuts[1:]]
+        cs, cn = (a[first].astype(np.int64) for a in cols[:2])
+        if const_bits is None:
+            cw = cols[2][first]
             bits = L + np.maximum(1, bit_lengths(cw))
         else:
-            bits = np.full(len(cs), L)
+            cw, bits = None, np.full(len(cs), const_bits)
         yield cs, bits, NONE, NONE, NONE
         if not len(cs):
             break
@@ -236,9 +245,10 @@ def _merge_rounds(g, kind, flags):
         chosen += [(cs[best], cn[best]), (cn[best], cs[best])]
         count = int(np.count_nonzero(frag == everyone))
         if count > 1:
-            live = _keep_crossing(frag, src, nbr, w)
-            src, nbr, w = src[:live], nbr[:live], w[:live]
+            live = _keep_crossing(frag, cols)
+            cols = [a[:live] for a in cols]
     yield NONE, NONE, NONE, NONE, NONE  # every vertex halts
+    del cols  # free the slots before the outputs are built
     spanning = count == 1
     if kind == "conn":
         return [(count, spanning)] * n
@@ -247,16 +257,35 @@ def _merge_rounds(g, kind, flags):
     return [(pairs, spanning) for pairs in edge_outputs(n, chosen)]
 
 
-def _keep_crossing(frag, src, nbr, w):
+def _weight_sorted(src, nbr, eidx, weights):
+    """Sort the slots into (source, merge_key) order, nbr in place, and
+    return their weight column.
+
+    One source's slots ascend by neighbour, and for neighbours u1 < u2 of s,
+    (min(s,u1), max(s,u1)) < (min(s,u2), max(s,u2)) wherever s lies, so a
+    stable sort by (source, weight) does it.  src is sorted, so each block
+    of whole sources sorts on its own."""
+    w = np.empty(len(src), dtype=np.int64)
+    cuts = np.append(np.searchsorted(src, src[::_BLOCK]), len(src)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        wb = weights[eidx[lo:hi]]
+        order = np.lexsort((wb, src[lo:hi]))
+        nbr[lo:hi] = nbr[lo:hi][order]
+        w[lo:hi] = wb[order]
+    return w
+
+
+def _keep_crossing(frag, cols):
     """Move the slots whose two ends lie in different fragments, in order,
-    to the front of src, nbr and w, in place and a block at a time; return
-    how many there are."""
+    to the front of every column of cols (source, neighbour and maybe
+    weight), in place and a block at a time; return how many there are."""
+    src, nbr = cols[:2]
     kept = 0
     for lo in range(0, len(src), _BLOCK):
         b = slice(lo, lo + _BLOCK)
         cross = frag[src[b]] != frag[nbr[b]]
         k = int(np.count_nonzero(cross))
-        for a in (src, nbr, w):
+        for a in cols:
             a[kept:kept + k] = a[b][cross]  # kept <= lo: nothing unread is overwritten
         kept += k
     return kept
@@ -265,9 +294,13 @@ def _keep_crossing(frag, src, nbr, w):
 def _merge(frag, cs, cn, cw):
     """One merge phase from the candidates (cs, cn, cw), as
     _MergeHistory.apply does it: the new labels, and the indices of the
-    candidates chosen as their fragments' cheapest."""
+    candidates chosen as their fragments' cheapest.  cw is None when every
+    edge weighs the same: the endpoints alone then order the candidates."""
     fa = frag[cs]
-    order = np.lexsort((*merge_key(cs, cn, cw)[::-1], fa))
+    key = merge_key(cs, cn, cw)
+    if cw is None:
+        key = key[1:]
+    order = np.lexsort((*key[::-1], fa))
     best = order[np.flatnonzero(np.diff(fa[order], prepend=-1))]
     x, y = frag[cs[best]], frag[cn[best]]
     # hook each root under the smallest root it meets, then compress, until

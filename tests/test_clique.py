@@ -26,7 +26,7 @@ from kmachine.clique import (
     _vertex_rounds,
     run_clique,
 )
-from kmachine.graphs import Graph, generate
+from kmachine.graphs import Graph, generate, inf_weight, label_bits
 from kmachine.harness import (
     ExperimentConfig,
     Instance,
@@ -684,6 +684,25 @@ def test_every_kernel_matches_reference_on_fidelity_instances(alg):
             _assert_kernel_matches_reference(inst.graph, prog, s)
 
 
+def test_every_kernel_round_takes_the_whole_column_check(monkeypatch):
+    # a kernel that yields int32 or unsorted columns still runs correctly, on
+    # the per-message checks, so only this spy sees it leave the fast path
+    verdicts = Counter()
+    plainly_valid = clique._plainly_valid
+
+    def spy(cols, n, cap):
+        ok = plainly_valid(cols, n, cap)
+        verdicts[alg, ok] += 1
+        return ok
+
+    monkeypatch.setattr(clique, "_plainly_valid", spy)
+    for alg, inst, s in fidelity_instances(7):
+        if alg in _KERNEL_ALGORITHMS:
+            run_clique(inst.graph, make_program(alg, inst, AlgoConfig()), s)
+    assert {a for a, _ in verdicts} == _KERNEL_ALGORITHMS
+    assert not [key for key in verdicts if not key[1]], verdicts
+
+
 @st.composite
 def _edge_case_graphs(draw):
     """Graphs on 1..40 vertices: edgeless, a star or a clique on a prefix of
@@ -774,6 +793,15 @@ def _tied_weight_graphs():
     return graphs
 
 
+def _constant_weight_graphs(n):
+    """Graphs on n vertices whose edges all weigh 0, 5 or inf_weight(n) - 1:
+    the kernel keeps no weight column and reads the constant instead.  One
+    base graph is connected, the other (p = 0.04) falls apart."""
+    bases = [generate("gnp", n, 3, p=0.3), generate("gnp", n, 4, p=0.04)]
+    return [(c, Graph(n, [(u, v, c) for u, v, _ in b.edges]))
+            for c in (0, 5, inf_weight(n) - 1) for b in bases]
+
+
 @pytest.mark.parametrize("block", [1, 5, fragments._BLOCK])
 def test_fragment_kernels_match_reference_on_tied_weights(monkeypatch, block):
     monkeypatch.setattr(fragments, "_BLOCK", block)
@@ -782,6 +810,30 @@ def test_fragment_kernels_match_reference_on_tied_weights(monkeypatch, block):
         candidate = default_stverify_candidate(g, i)
         for prog in (mst_program(), conn_program(), st_verify_program(candidate)):
             _assert_kernel_matches_reference(g, prog, i)
+    n = 48
+    L = label_bits(n)
+    for i, (c, g) in enumerate(_constant_weight_graphs(n)):
+        candidate = default_stverify_candidate(g, i)
+        for prog in (mst_program(), conn_program(), st_verify_program(candidate)):
+            # inf_weight(n) - 1 takes 4L bits, and a candidate L more
+            trace = _assert_kernel_matches_reference(g, prog, i, payload_cap_c=5)
+            bits = set(np.concatenate([cols[1] for cols in trace.round_arrays()]).tolist())
+            # label rounds take L bits; mst's candidates carry the constant
+            want = max(1, c.bit_length()) if prog.name == "mst" else 0
+            assert bits == {L, L + want}
+
+
+def test_fragment_kernel_matches_reference_on_weights_wider_than_int32():
+    # at n = 300 weights reach 2**36 - 2, beside int32 vertex ids, and ties
+    # at the top of the range still go to the endpoints
+    n = 300
+    g = generate("gnp", n, 2, p=0.05)
+    top = inf_weight(n) - 1
+    rng = np.random.default_rng(2)
+    for w in (rng.integers(top - 2, top + 1, size=g.m), rng.integers(0, top + 1, size=g.m)):
+        u, v, _ = g.edge_arrays()
+        h = Graph(n, np.column_stack([u, v, w]))
+        _assert_kernel_matches_reference(h, mst_program(), 2, payload_cap_c=5)
 
 
 def test_broadcast_programs_keep_no_shared_state_on_fidelity_instances():

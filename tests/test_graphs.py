@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmachine.clique import run_clique
 from kmachine.graphs import (
     GadgetSpec,
     Graph,
@@ -24,6 +25,7 @@ from kmachine.graphs import (
 )
 from kmachine.graphs import _pairs_from_indices
 from kmachine.oracles import graph_stats, is_connected, is_spanning_tree
+from kmachine.programs import conn_program, mst_program
 
 
 def test_load_basic():
@@ -430,6 +432,25 @@ def test_generation_and_csr_memory_per_edge():
     word_per_edge = 8 * g.m
     assert generate_peak <= 8 * word_per_edge  # 12.3 with column_stack and strided copies
     assert csr_peak <= 6.5 * word_per_edge  # 6.0 with the 2m-key argsort
+
+
+@pytest.mark.parametrize("model, extra, limit", [("gnp", {}, 12),
+                                                 ("random_weighted", {"wmax": 1000}, 20)])
+def test_fragment_kernel_memory_per_slot(model, extra, limit):
+    import tracemalloc
+
+    g = generate(model, 4096, 1, p=0.02, **extra)
+    g.csr()
+    for prog in (mst_program(), conn_program()):
+        tracemalloc.start()
+        try:
+            run_clique(g, prog, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 40.0 with five int64 slot columns; int32 ids and no weight column
+        # where every edge weighs the same take 10.2, an int64 weight column 18.9
+        assert peak <= limit * 2 * g.m, (prog.name, peak / (2 * g.m))
 
 
 def test_constructor_rejects_non_integer_fields():

@@ -331,6 +331,10 @@ _CODECS = {
             _field(p[0], L) + ("" if rnd % 2 else _field(p[1], bits - L)),
             lambda rnd, s, L:
             (int(s[:L], 2),) + (() if rnd % 2 else (int(s[L:], 2),))),
+    # a mark round (rnd % 3 == 1) carries the active degree in L bits, a
+    # resolve round a 1-bit win and a deactivate round a 1-bit out
+    "mis": (lambda rnd, p, bits, L: _field(p[1], L) if rnd % 3 == 1 else "1",
+            lambda rnd, s, L: (("mark", int(s, 2)), ("win",), ("out",))[(rnd - 1) % 3]),
     # labels, candidate endpoints and stverify's round-1 edge count: each
     # message is one L-bit field, whatever its round
     "conn": _L_FIELDS,
