@@ -23,12 +23,11 @@ from .harness import (
     fit_scaling,
     format_csv,
     make_program,
-    natural_mode,
     rows_from_result,
     run_cell,
 )
 from .machines import check_mapping_bounds, random_vertex_partition, run_on_kmachines
-from .programs import AlgoConfig
+from .programs import ALGORITHMS, AlgoConfig
 from .rng import derive
 
 
@@ -128,7 +127,7 @@ class Battery:
             g = inst.graph
             prog = make_program(algorithm, inst, AlgoConfig())
             out_k, _, _ = run_on_kmachines(
-                g, prog, k=4, mode=natural_mode(algorithm), seed=s
+                g, prog, k=4, mode=ALGORITHMS[algorithm].mode, seed=s
             )
             out_c, _, _ = run_clique(g, prog, s)
             total += 1

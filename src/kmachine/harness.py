@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracles
-from .clique import CliqueMetrics, run_clique
+from .clique import CliqueMetrics
 from .graphs import (
     Graph,
     gadget_feasible,
@@ -26,14 +26,8 @@ from .graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from .machines import BCAST, P2P, price, random_vertex_partitions
-from .programs import (
-    CLIQUE_ALGORITHMS,
-    AlgoConfig,
-    default_tokens_per_node,
-    hmis_kmachine,
-    logapprox_shortest_paths,
-)
+from .machines import BCAST, P2P
+from .programs import ALGORITHMS, AlgoConfig, default_tokens_per_node
 from .programs.config import is_int, is_real
 
 CSV_HEADER = (
@@ -58,10 +52,9 @@ class ExperimentConfig:
     out: str = None
 
     def validate(self):
-        from .programs import ALGORITHM_NAMES
-
-        if self.algorithm not in ALGORITHM_NAMES:
+        if not (isinstance(self.algorithm, str) and self.algorithm in ALGORITHMS):
             raise HarnessError(f"unknown algorithm {self.algorithm!r}")
+        entry = ALGORITHMS[self.algorithm]
         if not self.seeds:
             raise HarnessError("need at least one seed")
         for seed in self.seeds:
@@ -84,18 +77,23 @@ class ExperimentConfig:
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
         if self.mode not in (None, P2P, BCAST):
             raise HarnessError(f"mode must be {P2P!r} or {BCAST!r}, got {self.mode!r}")
-        if self.mode is not None and self.algorithm in ("hmis", "logsp"):
+        if self.mode is not None and entry.mode is None:
             raise HarnessError(
                 f"{self.algorithm} runs at machine level and prices itself; "
                 f"it takes no mode, got {self.mode!r}"
             )
-        if self.algorithm == "hmis" and min(self.k) < 2:
-            raise HarnessError(f"hmis needs at least 2 machines, got k={min(self.k)}")
-        unread = sorted(set(self.graph) - {"hyper", "n", "hyperedges", "arity"})
-        if self.algorithm == "hmis" and unread:
-            raise HarnessError(f"hmis builds a random hypergraph from n, hyperedges "
-                               f"and arity and reads no graph {', '.join(unread)}")
-        if self.mode == BCAST and natural_mode(self.algorithm) == P2P:
+        if min(self.k) < entry.min_k:
+            raise HarnessError(f"{self.algorithm} needs at least {entry.min_k} "
+                               f"machines, got k={min(self.k)}")
+        hyper_keys = {"hyper", "hyperedges", "arity"}
+        unread = sorted(set(self.graph) - hyper_keys - {"n"} if entry.hyper
+                        else hyper_keys & set(self.graph))
+        if unread:
+            builds = ("builds a random hypergraph from n, hyperedges and arity"
+                      if entry.hyper else "runs on a graph")
+            raise HarnessError(f"{self.algorithm} {builds} and reads no graph "
+                               f"{', '.join(unread)}")
+        if self.mode == BCAST and entry.mode == P2P:
             raise HarnessError(
                 f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"
             )
@@ -158,7 +156,14 @@ class Instance:
     expect: object = None  # known ground truth, when the generator implies one
 
 
-def build_instance(spec: dict, seed: int, algorithm: str = None) -> Instance:
+def build_instance(spec: dict, seed: int, algorithm: str) -> Instance:
+    if ALGORITHMS[algorithm].hyper:
+        n = spec["n"]
+        return Instance(
+            graph=random_uniform_hypergraph(
+                n, spec.get("hyperedges", 2 * n), spec.get("arity", 3), seed
+            )
+        )
     if "file" in spec:
         with open(spec["file"]) as fh:
             return Instance(graph=load_edge_list(fh.read()))
@@ -170,13 +175,6 @@ def build_instance(spec: dict, seed: int, algorithm: str = None) -> Instance:
         g = generate_gadget(gs)
         cand = tuple(range(g.m)) if kind == "STVERIFY" else None
         return Instance(graph=g, candidate=cand, expect=gadget_feasible(gs))
-    if spec.get("hyper") or algorithm == "hmis":
-        n = spec["n"]
-        return Instance(
-            graph=random_uniform_hypergraph(
-                n, spec.get("hyperedges", 2 * n), spec.get("arity", 3), seed
-            )
-        )
     g = generate(spec["model"], spec["n"], seed, p=spec.get("p"), wmax=spec.get("wmax"))
     cand = None
     if algorithm == "stverify":
@@ -353,6 +351,23 @@ def _validate_triangle(inst, cfg, outputs, metrics):
     return ok, {"kind": "triangle", "answer": want}
 
 
+def _validate_hmis(inst, cfg, outputs, metrics):
+    # the outputs are the membership flags at every k
+    ok = all(oracles.validate_mis(inst.graph, [v for v, f in enumerate(flags) if f])
+             for flags in outputs.values())
+    return ok, {"kind": "hmis"}
+
+
+def _validate_logsp(inst, cfg, outputs, metrics):
+    g = inst.graph
+    dist, _ = oracles.all_pairs_distances(g)
+    est = np.array(outputs, dtype=float)
+    bound = 2 * max(1, math.ceil(math.log2(max(2, g.n)))) - 1
+    # an unreachable pair passes only with an infinite estimate
+    ok = bool(((dist <= est) & (est <= bound * dist)).all())
+    return ok, {"kind": "logsp"}
+
+
 VALIDATORS = {
     "bfs": _validate_bfs,
     "bf_sssp": _validate_bf,
@@ -364,6 +379,8 @@ VALIDATORS = {
     "spanner": _validate_spanner,
     "densest": _validate_densest,
     "triangle": _validate_triangle,
+    "hmis": _validate_hmis,
+    "logsp": _validate_logsp,
 }
 
 
@@ -373,24 +390,7 @@ VALIDATORS = {
 
 
 def make_program(algorithm: str, inst: Instance, cfg: AlgoConfig):
-    return CLIQUE_ALGORITHMS[algorithm][0](inst, cfg)
-
-
-def natural_mode(algorithm: str) -> str:
-    """The mode a clique algorithm is priced in: "bcast" for the programs
-    that never send a unicast, "p2p" otherwise."""
-    return CLIQUE_ALGORITHMS[algorithm][1]
-
-
-def _engine_budget(algorithm: str, inst: Instance, cfg: AlgoConfig):
-    from .programs import default_phase_budget, walk_shape
-
-    n = inst.graph.n
-    if algorithm == "pagerank":
-        return walk_shape(n, cfg).budget + 2
-    if algorithm == "mis":
-        return 3 * (cfg.mis_max_phases or default_phase_budget(n)) + 6
-    return None
+    return ALGORITHMS[algorithm].program(inst, cfg)
 
 
 @dataclass
@@ -412,53 +412,18 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
     instance comes from the config's graph spec unless one is given."""
     config.validate()
     algorithm = config.algorithm
+    entry = ALGORITHMS[algorithm]
     if inst is None:
         inst = build_instance(config.graph, seed, algorithm)
-    g = inst.graph
-    if algorithm == "hmis":
-        reports = {}
-        for k in config.k:
-            flags, rep, _ = hmis_kmachine(g, k, config.W, seed)
-            members = [v for v, f in enumerate(flags) if f]
-            rep.success = oracles.validate_mis(g, members) and rep.bound_ok
-            reports[k] = rep
-        valid = all(rep.success for rep in reports.values())
-        return RunResult(
-            algorithm, seed, inst, flags, _empty_metrics(), valid,
-            {"kind": "hmis"}, reports,
-        )
-    if algorithm == "logsp":
-        res = logapprox_shortest_paths(g, config.k, config.W, seed, config.algo)
-        dist, _ = oracles.all_pairs_distances(g)
-        est = np.array(res.estimates, dtype=float)
-        bound = 2 * max(1, math.ceil(math.log2(max(2, g.n)))) - 1
-        # an unreachable pair passes only with an infinite estimate
-        valid = bool(((dist <= est) & (est <= bound * dist)).all())
-        for rep in res.reports.values():
-            rep.success = valid
-        return RunResult(
-            algorithm, seed, inst, res.estimates, _empty_metrics(), valid,
-            {"kind": "logsp"}, res.reports,
-        )
-
-    config.algo.validate(g.n)
-    parts = random_vertex_partitions(g, config.k, seed)
-    program = make_program(algorithm, inst, config.algo)
-    outputs, trace, metrics = run_clique(
-        g, program, seed, max_rounds=_engine_budget(algorithm, inst, config.algo)
-    )
+    config.algo.validate(inst.graph.n)
+    outputs, metrics, reports = entry.run(inst, config.k, config.W, config.mode, seed,
+                                          config.algo)
     valid, details = VALIDATORS[algorithm](inst, config.algo, outputs, metrics)
-    if natural_mode(algorithm) == BCAST and metrics.unicasts:
+    if entry.mode == BCAST and metrics.unicasts:
         valid = False
-    mode = config.mode or natural_mode(algorithm)
-    reports = {p.k: price(trace, p, config.W, mode=mode) for p in parts}
     for rep in reports.values():
         rep.success = valid and rep.bound_ok
     return RunResult(algorithm, seed, inst, outputs, metrics, valid, details, reports)
-
-
-def _empty_metrics():
-    return CliqueMetrics(0, 0, 0, 0, 0, 0)
 
 
 def _instance_m(inst: Instance) -> int:

@@ -177,17 +177,24 @@ _BLOCK_MESSAGES = 1 << 12
 _BLOCK_CELLS = 1 << 16
 
 
-def _round_loads(trace: CliqueTrace, part: Partition, hdr: int, fan: np.ndarray):
+def round_loads(trace: CliqueTrace, part: Partition, mode: str):
     """The directed link loads of the clique rounds that send a message, in
     blocks of consecutive such rounds (see sim_report); a silent round
     loads no link, so it adds nothing to the ledger and is skipped.
 
     Each inter-machine unicast adds its payload + hdr bits on its link; each
     broadcast from machine p adds its payload + hdr bits, times fan[q], on
-    every link p->q.  Traffic between co-located vertices is free.  Loads
-    are summed in int64, so they are exact.
+    every link p->q.  In `p2p` mode hdr is two ids and fan[q] the vertices
+    on machine q; in `bcast` mode hdr is one id and fan[q] is 1 if machine
+    q hosts a vertex, else 0.  Traffic between co-located vertices is free.
+    Loads are summed in int64, so they are exact.
     """
     k, home = part.k, part.home
+    counts = part.machine_counts()
+    if check_mode(mode) == P2P:
+        hdr, fan = 2 * label_bits(trace.n), counts
+    else:
+        hdr, fan = label_bits(trace.n), (counts > 0).astype(np.int64)
     home_k = home * k
     most = max(1, _BLOCK_CELLS // (k * k))  # rounds in a block of small rounds
 
@@ -237,9 +244,8 @@ def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     """
     n = trace.n
     W = link_bandwidth(n, W)
-    loads = _round_loads(trace, part, 2 * label_bits(n), part.machine_counts())
     bound = point_to_point_bound(n, part.k, W, CliqueMetrics.from_trace(trace))
-    return sim_report(n, part, W, P2P, loads, bound)
+    return sim_report(n, part, W, P2P, round_loads(trace, part, P2P), bound)
 
 
 def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
@@ -255,10 +261,8 @@ def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     metrics = CliqueMetrics.from_trace(trace)
     if metrics.unicasts:
         raise ConversionError("broadcast pricing given a unicast message")
-    fan = (part.machine_counts() > 0).astype(np.int64)
-    loads = _round_loads(trace, part, label_bits(n), fan)
     bound = broadcast_bound(n, part.k, W, metrics)
-    return sim_report(n, part, W, BCAST, loads, bound)
+    return sim_report(n, part, W, BCAST, round_loads(trace, part, BCAST), bound)
 
 
 def check_mode(mode: str) -> str:

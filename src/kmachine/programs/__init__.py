@@ -1,5 +1,9 @@
 """The algorithm suite, each entry addressable by a stable string name."""
 
+from dataclasses import dataclass
+
+from ..clique import CliqueMetrics, run_clique
+from ..machines import BCAST, P2P, price, random_vertex_partitions
 from .config import AlgoConfig, ConfigError
 from .densest import densest_subgraph_program
 from .fragments import conn_program, merge_key, mst_program, st_verify_program
@@ -20,47 +24,70 @@ from .walks import (
     walk_shape,
 )
 
-# name -> (builder(instance, cfg) -> Program, natural pricing mode).  The
-# instance is the harness's: its graph, plus stverify's candidate edges.
-# "bcast" marks the programs that never send a unicast.
-CLIQUE_ALGORITHMS = {
-    "bfs": (lambda inst, cfg: bfs_program(cfg), "bcast"),
-    "mst": (lambda inst, cfg: mst_program(), "bcast"),
-    "conn": (lambda inst, cfg: conn_program(), "bcast"),
-    "stverify": (lambda inst, cfg: st_verify_program(inst.candidate or ()), "bcast"),
-    "bf_sssp": (lambda inst, cfg: bellman_ford_program(cfg), "bcast"),
-    "pagerank": (lambda inst, cfg: pagerank_program(cfg), "p2p"),
-    "mis": (lambda inst, cfg: luby_mis_program(cfg), "bcast"),
-    "spanner": (lambda inst, cfg: spanner_program(cfg), "bcast"),
-    "densest": (lambda inst, cfg: densest_subgraph_program(cfg), "bcast"),
-    "triangle": (lambda inst, cfg: triangle_program(), "p2p"),
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One entry of ALGORITHMS: how a cell of the algorithm runs and what
+    its config may hold.
+
+    A clique algorithm has a `program(instance, cfg) -> Program` (the
+    instance is the harness's: its graph, plus stverify's candidate edges),
+    the `mode` it is priced in ("bcast" marks the programs that never send a
+    unicast) and `budget(n, cfg)`, the engine's round limit (None: the
+    engine's own).  A machine-level algorithm has a `runner(graph, ks, W,
+    seed, cfg)` that runs and prices itself, and takes no mode.  `min_k` is
+    the fewest machines it runs on; `hyper` marks an algorithm whose instance
+    is a random hypergraph.
+    """
+
+    program: object = None
+    mode: str = None
+    budget: object = lambda n, cfg: None
+    runner: object = None
+    min_k: int = 1
+    hyper: bool = False
+
+    def run(self, inst, ks, W, mode, seed, cfg):
+        """(outputs, CliqueMetrics, {k: SimReport}) of one cell: a clique
+        execution priced in `mode` (None: the natural one) at every k."""
+        if self.runner is not None:
+            return self.runner(inst.graph, ks, W, seed, cfg)
+        parts = random_vertex_partitions(inst.graph, ks, seed)
+        outputs, trace, metrics = run_clique(inst.graph, self.program(inst, cfg), seed,
+                                             max_rounds=self.budget(inst.graph.n, cfg))
+        mode = mode or self.mode
+        return outputs, metrics, {p.k: price(trace, p, W, mode=mode) for p in parts}
+
+
+def _run_hmis(h, ks, W, seed, cfg):
+    """The membership flags at every k (each k places the vertices anew),
+    zero clique metrics, since no clique runs, and the schedule's ledgers."""
+    flags, reports = {}, {}
+    for k in ks:
+        flags[k], reports[k], _ = hmis_kmachine(h, k, W, seed)
+    return flags, CliqueMetrics(0, 0, 0, 0, 0, 0), reports
+
+
+def _run_logsp(g, ks, W, seed, cfg):
+    res = logapprox_shortest_paths(g, ks, W, seed, cfg)
+    return res.estimates, res.metrics, res.reports
+
+
+ALGORITHMS = {
+    "bfs": Algorithm(lambda inst, cfg: bfs_program(cfg), BCAST),
+    "mst": Algorithm(lambda inst, cfg: mst_program(), BCAST),
+    "conn": Algorithm(lambda inst, cfg: conn_program(), BCAST),
+    "stverify": Algorithm(lambda inst, cfg: st_verify_program(inst.candidate or ()),
+                          BCAST),
+    "bf_sssp": Algorithm(lambda inst, cfg: bellman_ford_program(cfg), BCAST),
+    "pagerank": Algorithm(lambda inst, cfg: pagerank_program(cfg), P2P,
+                          budget=lambda n, cfg: walk_shape(n, cfg).budget + 2),
+    "mis": Algorithm(lambda inst, cfg: luby_mis_program(cfg), BCAST,
+                     budget=lambda n, cfg:
+                     3 * (cfg.mis_max_phases or default_phase_budget(n)) + 6),
+    "spanner": Algorithm(lambda inst, cfg: spanner_program(cfg), BCAST),
+    "densest": Algorithm(lambda inst, cfg: densest_subgraph_program(cfg), BCAST),
+    "triangle": Algorithm(lambda inst, cfg: triangle_program(), P2P),
+    "hmis": Algorithm(runner=_run_hmis, min_k=2, hyper=True),
+    "logsp": Algorithm(runner=_run_logsp),
 }
-
-ALGORITHM_NAMES = sorted(CLIQUE_ALGORITHMS) + ["hmis", "logsp"]
-
-__all__ = [
-    "AlgoConfig",
-    "ConfigError",
-    "CLIQUE_ALGORITHMS",
-    "ALGORITHM_NAMES",
-    "ApproxPathsResult",
-    "bfs_program",
-    "bellman_ford_program",
-    "conn_program",
-    "densest_subgraph_program",
-    "default_phase_budget",
-    "default_tokens_per_node",
-    "hmis_kmachine",
-    "hmis_round_bound",
-    "logapprox_shortest_paths",
-    "luby_mis_program",
-    "merge_key",
-    "mst_program",
-    "pagerank_program",
-    "spanner_program",
-    "spanner_union",
-    "st_verify_program",
-    "triangle_program",
-    "walk_round_budget",
-    "walk_shape",
-]

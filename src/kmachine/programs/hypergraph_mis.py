@@ -61,24 +61,13 @@ def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):
     n = h.n
     W = link_bandwidth(n, W)
     part = random_vertex_partition(h, k, seed)
-    home = part.home
-    owned = [[] for _ in range(k)]
-    for v in range(n):
-        owned[home[v]].append(v)
-
-    status = [None] * n
-    for machine in range(k):
-        for v in owned[machine]:
-            blocked = False
-            for hi in h.incident[v]:
-                members = h.hyperedges[hi]
-                if all(status[x] == 1 for x in members if x != v):
-                    blocked = True
-                    break
-            status[v] = 0 if blocked else 1
-
-    loads = _schedule_loads(k, [len(o) for o in owned], max(1, n.bit_length()),
+    # machine by machine, each its vertices in id order: a vertex joins
+    # unless some hyperedge's other members have all joined already
+    flags = [False] * n
+    for v in np.argsort(part.home, kind="stable").tolist():
+        flags[v] = not any(all(flags[x] for x in h.hyperedges[hi] if x != v)
+                           for hi in h.incident[v])
+    loads = _schedule_loads(k, part.machine_counts().tolist(), max(1, n.bit_length()),
                             label_bits(n) + 1)
     report = sim_report(n, part, W, "direct", loads, hmis_round_bound(n, k))
-    flags = [s == 1 for s in status]
     return flags, report, part

@@ -28,12 +28,15 @@ reference.
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique
+from ..clique import (HALT, NONE, SILENT, Broadcast, CliqueMetrics, NodeProgram, Program,
+                      run_clique)
 from ..graphs import Graph, label_bits
-from ..machines import BCAST, price, random_vertex_partitions
+from ..machines import (BCAST, broadcast_bound, link_bandwidth, random_vertex_partitions,
+                        round_loads, sim_report)
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig, ConfigError
 from .slots import edge_outputs, first_per_key, slot_sources
@@ -217,8 +220,8 @@ def spanner_union(outputs):
 class ApproxPathsResult:
     estimates: list  # n x n distance estimates
     spanner_edges: list
-    reports: dict  # k -> SimReport; km_rounds includes shipping
-    ship_rounds: dict  # k -> rounds charged for shipping the spanner
+    metrics: CliqueMetrics  # the spanner's clique execution
+    reports: dict  # k -> SimReport of the spanner's rounds and the ship step
 
 
 def _bfs_matrix(n, edges):
@@ -244,24 +247,35 @@ def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
                              cfg: AlgoConfig = None):
     """Whole-graph distance estimates within factor 2*ceil(log2 n)-1.
 
-    Builds the spanner with delta = ceil(log2 n) once, then at every machine
-    count in `ks` prices it in broadcast mode and charges shipping every
-    spanner edge to one machine; the exact solve on the collected spanner is
-    local and free.  Each report's `bound_ok` judges the spanner phase alone.
+    Builds the spanner with delta = ceil(log2 n) once.  At every machine
+    count in `ks` its rounds are priced in broadcast mode and followed by one
+    ship step that collects the spanner at machine 0: an edge with an
+    endpoint on machine 0 is already there, and every other edge goes
+    straight there, 3L bits from the home of its smaller endpoint.  The
+    exact solve on the collected spanner is local and free.  One
+    `sim_report` prices both phases, so km_rounds, the bit columns and
+    bound_ok cover the whole run; the bound is the spanner's broadcast bound
+    plus a ship term, 16 log^2 n ceil(|E| 3L / W).
     """
     if any(w != 1 for _, _, w in g.edges):
         raise ConfigError("approximate shortest paths expects a unit-weight graph")
     n = g.n
     L = label_bits(n)
+    W = link_bandwidth(n, W)
     parts = random_vertex_partitions(g, ks, seed)
     delta = max(1, math.ceil(math.log2(max(2, n))))
     cfg = replace(cfg or AlgoConfig(), delta=delta)
-    outputs, trace, _ = run_clique(g, spanner_program(cfg), seed)
+    outputs, trace, metrics = run_clique(g, spanner_program(cfg), seed)
     edges = spanner_union(outputs)
-    reports, ship_rounds = {}, {}
+    low, high = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    ship_bound = 16.0 * max(1.0, math.log2(n)) ** 2 * math.ceil(len(edges) * 3 * L / W)
+    reports = {}
     for part in parts:
-        rep = price(trace, part, W, mode=BCAST)
-        ship = math.ceil(len(edges) * 3 * L / (part.k * rep.W))
-        rep.km_rounds += ship
-        reports[part.k], ship_rounds[part.k] = rep, ship
-    return ApproxPathsResult(_bfs_matrix(n, edges), edges, reports, ship_rounds)
+        home = part.home
+        far = (home[low] != 0) & (home[high] != 0)  # not yet on machine 0
+        ship = np.zeros((part.k, part.k), dtype=np.int64)
+        ship[:, 0] = 3 * L * np.bincount(home[low[far]], minlength=part.k)
+        loads = chain(round_loads(trace, part, BCAST), [ship])
+        bound = broadcast_bound(n, part.k, W, metrics) + ship_bound
+        reports[part.k] = sim_report(n, part, W, BCAST, loads, bound)
+    return ApproxPathsResult(_bfs_matrix(n, edges), edges, metrics, reports)

@@ -35,7 +35,7 @@ from kmachine.harness import (
     run_cell,
 )
 from kmachine.programs import (
-    CLIQUE_ALGORITHMS,
+    ALGORITHMS,
     AlgoConfig,
     ConfigError,
     bellman_ford_program,
@@ -672,7 +672,7 @@ _KERNEL_ALGORITHMS = {"pagerank", "mst", "conn", "stverify", "mis", "triangle",
                       "spanner", "bfs", "bf_sssp", "densest"}
 
 
-@pytest.mark.parametrize("alg", sorted(CLIQUE_ALGORITHMS))
+@pytest.mark.parametrize("alg", sorted(a for a, e in ALGORITHMS.items() if e.program))
 def test_every_kernel_matches_reference_on_fidelity_instances(alg):
     runs = [(inst, s) for a, inst, s in fidelity_instances(7) if a == alg]
     assert len(runs) == 20

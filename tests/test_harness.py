@@ -98,16 +98,35 @@ _LOGSP_RW = {"algorithm": "logsp", "model": "random_weighted", "n": 16, "p": 0.3
     (_HYPER, {"wmax": 5}, HarnessError),
     (_HYPER, {"feasible": True}, HarnessError),
     (_LOGSP_RW, {}, ConfigError),
+    # a graph algorithm reads no hypergraph key
+    ({**_RW, "algorithm": "mst"}, {"arity": 3, "hyperedges": 40}, HarnessError),
+    ({**_GNP, "algorithm": "logsp"}, {"arity": 3}, HarnessError),
 ])
 def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
     def no_engine(*args, **kwargs):
         raise AssertionError("the engine ran on a bad config")
 
-    monkeypatch.setattr("kmachine.harness.run_clique", no_engine)
-    monkeypatch.setattr("kmachine.harness.hmis_kmachine", no_engine)
+    monkeypatch.setattr("kmachine.programs.run_clique", no_engine)
+    monkeypatch.setattr("kmachine.programs.hmis_kmachine", no_engine)
     monkeypatch.setattr("kmachine.programs.spanner.run_clique", no_engine)
     with pytest.raises(error):
         run_experiment(config_from_mapping({**base, "k": [2], "seeds": [1], **bad}))
+
+
+@pytest.mark.parametrize("graph", [
+    {"hyper": True, "n": 16},
+    {"model": "gnp", "n": 16, "p": 0.3, "hyper": False},
+    {"model": "gnp", "n": 16, "p": 0.3, "hyperedges": 40},
+])
+def test_hypergraph_keys_on_a_graph_algorithm_fail_before_running(graph, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran on a bad config")
+
+    monkeypatch.setattr("kmachine.programs.run_clique", no_engine)
+    monkeypatch.setattr("kmachine.harness.random_uniform_hypergraph", no_engine)
+    cfg = ExperimentConfig(algorithm="mst", graph=graph, k=[2], seeds=[1])
+    with pytest.raises(HarnessError, match="mst runs on a graph and reads no graph hyper"):
+        run_cell(cfg, 1)
 
 
 @pytest.mark.parametrize("doc", [
@@ -181,7 +200,7 @@ def test_more_machines_than_vertices_rejected_before_running(monkeypatch):
     def engine(*args, **kwargs):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr("kmachine.harness.run_clique", engine)
+    monkeypatch.setattr("kmachine.programs.run_clique", engine)
     cfg = ExperimentConfig(
         algorithm="bfs", graph={"model": "gnp", "n": 32, "p": 0.2}, k=[4, 40],
         seeds=[1],
@@ -194,7 +213,7 @@ def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatc
     def engine(*args, **kwargs):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr("kmachine.harness.run_clique", engine)
+    monkeypatch.setattr("kmachine.programs.run_clique", engine)
     with pytest.raises(HarnessError):
         config_from_mapping(
             {"algorithm": "pagerank", "model": "cycle", "n": 16, "mode": "bcast"}
@@ -220,7 +239,7 @@ def test_non_integer_algo_values_rejected_before_running(algorithm, key, value,
     def engine(*args, **kwargs):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr("kmachine.harness.run_clique", engine)
+    monkeypatch.setattr("kmachine.programs.run_clique", engine)
     cfg = ExperimentConfig(
         algorithm=algorithm, graph={"model": "gnp", "n": 32, "p": 0.2}, k=[2],
         seeds=[1], algo=AlgoConfig(**{key: value}),
@@ -408,13 +427,15 @@ def test_cli_sweep_over_n(tmp_path, capsys):
 # was shared between the harness, the spanner pipeline and hmis; the logsp
 # rows were re-pinned when the spanner's cluster coins became
 # rng.uniform(seed, "coin", vertex, round), and the logsp rows and the hmis
-# ledger again when partitions and coins became splitmix64 stream outputs
+# ledger again when partitions and coins became splitmix64 stream outputs;
+# the logsp rows once more when they took the spanner's clique metrics and
+# its shipping became one priced step of direct sends to machine 0
 LOGSP_ROWS = (
     "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,max_link_bits,"
     "max_machine_bits,success\n"
-    "48,214,2,7,bcast,logsp,3,0,0,0,0,489,4070,4070,true\n"
-    "48,214,4,7,bcast,logsp,3,0,0,0,0,270,2305,6470,true\n"
-    "48,214,8,7,bcast,logsp,3,0,0,0,0,160,1443,8594,true\n"
+    "48,214,2,7,bcast,logsp,3,11,12408,264,94,382,4538,4538,true\n"
+    "48,214,4,7,bcast,logsp,3,11,12408,264,94,273,2670,7100,true\n"
+    "48,214,8,7,bcast,logsp,3,11,12408,264,94,194,1897,9308,true\n"
 )
 
 
@@ -437,6 +458,43 @@ def test_logsp_cell_runs_the_spanner_once(monkeypatch):
     res = run_cell(cfg, 3)
     assert calls == [3]
     assert format_csv(rows_from_result(res)) == LOGSP_ROWS
+
+
+def test_logsp_ledger_is_the_spanner_and_one_ship_step():
+    from kmachine.graphs import generate, label_bits
+    from kmachine.machines import convert_broadcast, random_vertex_partitions
+    from kmachine.programs import logapprox_shortest_paths, spanner_program
+
+    g = generate("gnp", 32, 3, p=0.3)
+    ks = [1, 2, 4, 8, 16]
+    res = logapprox_shortest_paths(g, ks, seed=3)
+    _, trace, metrics = run_clique(g, spanner_program(AlgoConfig(delta=5)), 3)
+    assert res.metrics == metrics and len(res.spanner_edges) == 92
+    L = label_bits(g.n)
+    for part in random_vertex_partitions(g, ks, 3):
+        rep, alone = res.reports[part.k], convert_broadcast(trace, part, None)
+        # every edge with no endpoint on machine 0 goes straight there, 3L
+        # bits from its smaller endpoint's home, in one extra step
+        ship = np.zeros(part.k, dtype=np.int64)
+        for a, b in res.spanner_edges:
+            if part.home[a] and part.home[b]:
+                ship[part.home[a]] += 3 * L
+        assert rep.total_bits == alone.total_bits + int(ship.sum())
+        assert rep.km_rounds == alone.km_rounds + -(-int(ship.max()) // rep.W)
+        assert rep.per_link_bits[1:, 0].tolist() == (
+            alone.per_link_bits[1:, 0] + ship[1:]).tolist()
+        assert rep.bound_ok
+    assert res.reports[1].km_rounds == res.reports[1].max_link_bits == 0
+
+
+def test_logsp_bound_holds_on_the_battery_shape():
+    cfg = ExperimentConfig(algorithm="logsp", graph={"model": "gnp", "n": 32, "p": 0.3},
+                           k=[1, 2, 4, 8, 16], seeds=[0])
+    for seed in range(5):
+        res = run_cell(cfg, seed)
+        assert res.valid and res.metrics.rounds > 0
+        assert all(rep.bound_ok and rep.success for rep in res.reports.values())
+        assert res.reports[1].km_rounds == res.reports[1].total_bits == 0
 
 
 def test_hmis_ledger_matches_pinned_values():
@@ -496,6 +554,33 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert not any(re.search(r"class _\w*Shared\b", t) for t in text.values())
     assert not any(".build(" in t or "wrong number of vertices" in t
                    for t in text.values())
+    # one ledger: only sim_report adds to km_rounds
+    (machines_text,) = [t for p, t in text.items() if p.name == "machines.py"]
+    sim_report = machines_text.split("\ndef sim_report(")[1].split("\ndef ")[0]
+    assert sum(t.count("km_rounds +=") for t in text.values()) == 1
+    assert sim_report.count("km_rounds +=") == 1
+    # one table of algorithms, which the harness reads without naming any
+    from kmachine.programs import ALGORITHMS
+
+    tables = sorted((p.name, node.targets[0].id) for p, t in text.items()
+                    for node in ast.parse(t).body
+                    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                    and any(isinstance(key, ast.Constant) and key.value in ALGORITHMS
+                            for key in node.value.keys))
+    assert tables == [("__init__.py", "ALGORITHMS"), ("harness.py", "VALIDATORS")]
+    assert set(VALIDATORS) == set(ALGORITHMS)
+    assert not any(name in t for t in text.values() for name in (
+        "CLIQUE_ALGORITHMS", "ALGORITHM_NAMES", "_engine_budget", "_empty_metrics",
+        "ship_rounds"))
+    (harness_text,) = [t for p, t in text.items() if p.name == "harness.py"]
+    tree = ast.parse(harness_text)
+    (config,) = [c for c in tree.body if isinstance(c, ast.ClassDef)
+                 and c.name == "ExperimentConfig"]
+    bodies = [fn for fn in [*tree.body, *config.body] if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("run_cell", "validate")]
+    assert len(bodies) == 2
+    assert not [node.value for fn in bodies for node in ast.walk(fn)
+                if isinstance(node, ast.Constant) and node.value in ALGORITHMS]
 
 
 def test_one_round_format_and_one_edge_output_builder():

@@ -179,7 +179,7 @@ def test_pricing_blocks_keep_their_budgets():
         uni = [pairs // n, pairs % n, np.full(5000, 3)] if r == 150 else one
         trace.append_arrays(NONE, NONE, *uni)
     part = Partition(k=k, home=np.arange(n) % k)
-    blocks = [b.shape[0] for b in machines._round_loads(trace, part, 14, part.machine_counts())]
+    blocks = [b.shape[0] for b in machines.round_loads(trace, part, "p2p")]
     assert blocks == ([16] * 9 + [6]) + [1] + ([16] * 9 + [6])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from kmachine import oracles
 from kmachine.acceptance import fidelity_instances
-from kmachine.clique import Broadcast, Program, run_clique
+from kmachine.clique import Broadcast, Program, Unicast, run_clique
 from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
 from kmachine.programs import (
     AlgoConfig,
@@ -24,6 +24,7 @@ from kmachine.programs import (
     triangle_program,
 )
 from kmachine.harness import make_program
+from kmachine.machines import convert_broadcast, random_vertex_partition
 from kmachine.programs.spanner import _SpannerNode
 
 
@@ -339,6 +340,18 @@ _CODECS = {
     # message is one L-bit field, whatever its round
     "conn": _L_FIELDS,
     "stverify": _L_FIELDS,
+    # an (L+1)-bit unicast (vid, last): L bits of neighbour id and the last
+    # flag; the 1-bit verdict broadcast ("tri", found)
+    "triangle": (lambda rnd, p, bits, L: str(int(p[1])) if p[0] == "tri"
+                 else _field(p[0], L) + str(int(p[1])),
+                 lambda rnd, s, L: ("tri", s == "1") if len(s) == 1
+                 else (int(s[:L], 2), s[L] == "1")),
+    # an odd round carries the 1-bit coin, an even one the 1-bit drop or a
+    # 2L-bit membership (cluster, via)
+    "spanner": (lambda rnd, p, bits, L:
+                "1" if p[0] != "m" else _field(p[1], L) + _field(p[2], L),
+                lambda rnd, s, L: (("c",) if rnd % 2 else ("d",)) if len(s) == 1
+                else ("m", int(s[:L], 2), int(s[L:], 2))),
 }
 
 
@@ -359,6 +372,8 @@ def test_reference_payload_fields_fit_their_bits(algorithm):
                 act = step(rnd, inbox)
                 if isinstance(act, Broadcast):
                     sent.append((rnd, act.payload, act.bits))
+                elif isinstance(act, Unicast):
+                    sent.extend((rnd, payload, bits) for _, payload, bits in act.sends)
                 return act
 
             vertex.step = recorded
@@ -390,7 +405,10 @@ def test_logapprox_paths():
     bound = 2 * math.ceil(math.log2(64)) - 1
     off = ~np.eye(64, dtype=bool)
     assert (est3[off] <= bound * d3[off]).all()
-    assert res3.ship_rounds[8] > 0  # shipping was charged
+    # shipping is charged: the whole run costs more than the spanner alone
+    _, trace, _ = _run(clique, spanner_program(AlgoConfig(delta=6)), seed=3)
+    spanner_only = convert_broadcast(trace, random_vertex_partition(clique, 8, 3), None)
+    assert res3.reports[8].km_rounds > spanner_only.km_rounds
 
 
 # -- densest subgraph ----------------------------------------------------------
