@@ -15,6 +15,7 @@ from kmachine import (
     generate,
     logapprox_shortest_paths,
     pagerank_program,
+    random_vertex_partition,
     run_clique,
     spanner_program,
     spanner_union,
@@ -45,12 +46,13 @@ for delta in (2, 3, 6):
         f"worst stretch {stretch:.2f} (cap {2 * delta - 1})"
     )
 
-res = logapprox_shortest_paths(g, [8], seed=2)
+est, _, reports = logapprox_shortest_paths(g, [random_vertex_partition(g, 8, seed=2)],
+                                           seed=2)
 d, _ = all_pairs_distances(g)
-est = np.asarray(res.estimates)
+est = np.asarray(est)
 ratio = float((est[d > 0] / d[d > 0]).max())
 print(
     f"\ncollected-spanner distances: worst ratio {ratio:.2f} "
     f"(cap {2 * math.ceil(math.log2(g.n)) - 1}), "
-    f"{res.reports[8].km_rounds} machine rounds including shipping"
+    f"{reports[8].km_rounds} machine rounds including shipping"
 )

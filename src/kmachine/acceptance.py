@@ -145,7 +145,8 @@ class Battery:
             n = sizes[i % len(sizes)]
             s = _seed(self.seed, "mst", i)
             g = _connected_graph("random_weighted", n, s, p=0.3, wmax=1000)
-            ok += self._cell("mst", {}, s, [4], inst=Instance(graph=g)).valid
+            spec = {"model": "random_weighted", "n": n, "p": 0.3, "wmax": 1000}
+            ok += self._cell("mst", spec, s, [4], inst=Instance(graph=g)).valid
         if ok < 100:
             fails.append(f"mst {ok}/100")
         for name, count, spec_fn in (

@@ -17,6 +17,7 @@ import numpy as np
 from . import oracles
 from .clique import CliqueMetrics
 from .graphs import (
+    GADGET_KINDS,
     Graph,
     gadget_feasible,
     generate,
@@ -38,6 +39,18 @@ CSV_HEADER = (
 
 class HarnessError(ValueError):
     pass
+
+
+# (keys it needs, keys it may take) of each instance family: a graph spec names
+# its family by `file`, `gadget` or `model`, a `hyper` algorithm builds "hyper"
+GRAPH_FAMILIES = {
+    **{model: (("model", "n"), ()) for model in ("path", "cycle", "star", "clique", "grid")},
+    "gnp": (("model", "n", "p"), ()),
+    "random_weighted": (("model", "n", "p", "wmax"), ()),
+    "file": (("file",), ()),
+    "gadget": (("gadget", "b"), ("feasible",)),
+    "hyper": (("n",), ("hyper", "hyperedges", "arity")),
+}
 
 
 @dataclass
@@ -68,6 +81,8 @@ class ExperimentConfig:
                 raise HarnessError(f"graph {key} must be an int, got {value!r}")
         if self.graph.get("p") is not None and not is_real(self.graph["p"]):
             raise HarnessError(f"graph p must be a real number, got {self.graph['p']!r}")
+        if not isinstance(self.graph.get("feasible", False), bool):
+            raise HarnessError(f"graph feasible must be a bool, got {self.graph['feasible']!r}")
         if not self.k:
             raise HarnessError("need at least one machine count")
         for k in self.k:
@@ -85,14 +100,23 @@ class ExperimentConfig:
         if min(self.k) < entry.min_k:
             raise HarnessError(f"{self.algorithm} needs at least {entry.min_k} "
                                f"machines, got k={min(self.k)}")
-        hyper_keys = {"hyper", "hyperedges", "arity"}
-        unread = sorted(set(self.graph) - hyper_keys - {"n"} if entry.hyper
-                        else hyper_keys & set(self.graph))
+        # refused in turn: unread graph keys, missing ones, an unknown gadget;
+        # a spec of no known family reads like a model's (generate checks the name)
+        family = ("hyper" if entry.hyper else "file" if "file" in self.graph
+                  else "gadget" if "gadget" in self.graph else self.graph.get("model"))
+        known = isinstance(family, str) and family in GRAPH_FAMILIES
+        need, may = GRAPH_FAMILIES[family] if known else (("model", "n"), ("p", "wmax"))
+        unread = sorted(set(self.graph) - {*need, *may})
         if unread:
             builds = ("builds a random hypergraph from n, hyperedges and arity"
                       if entry.hyper else "runs on a graph")
             raise HarnessError(f"{self.algorithm} {builds} and reads no graph "
                                f"{', '.join(unread)}")
+        missing = [key for key in need if key not in self.graph]
+        if missing:
+            raise HarnessError(f"the graph spec needs {', '.join(missing)}")
+        if family == "gadget" and str(self.graph["gadget"]).upper() not in GADGET_KINDS:
+            raise HarnessError(f"unknown gadget {self.graph['gadget']!r}")
         if self.mode == BCAST and entry.mode == P2P:
             raise HarnessError(
                 f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"
@@ -106,8 +130,7 @@ def _positive_int(x) -> bool:
 
 
 _FLAT_ALGO_KEYS = ("source", "gamma", "tokens_per_node", "eps", "delta", "mis_max_phases")
-_FLAT_GRAPH_KEYS = ("model", "file", "gadget", "n", "p", "wmax", "b", "feasible",
-                    "hyperedges", "arity")
+_FLAT_GRAPH_KEYS = {key for need, may in GRAPH_FAMILIES.values() for key in (*need, *may)}
 
 
 def config_from_mapping(doc: dict) -> ExperimentConfig:
@@ -159,26 +182,22 @@ class Instance:
 def build_instance(spec: dict, seed: int, algorithm: str) -> Instance:
     if ALGORITHMS[algorithm].hyper:
         n = spec["n"]
-        return Instance(
-            graph=random_uniform_hypergraph(
-                n, spec.get("hyperedges", 2 * n), spec.get("arity", 3), seed
-            )
-        )
+        m, arity = spec.get("hyperedges", 2 * n), spec.get("arity", 3)
+        return Instance(graph=random_uniform_hypergraph(n, m, arity, seed))
     if "file" in spec:
-        with open(spec["file"]) as fh:
-            return Instance(graph=load_edge_list(fh.read()))
+        try:
+            with open(spec["file"]) as fh:
+                return Instance(graph=load_edge_list(fh.read()))
+        except OSError as exc:
+            raise HarnessError(f"cannot read graph file {spec['file']!r}: {exc.strerror}")
     if "gadget" in spec:
-        kind = {"st_lower": "ST_LOWER", "stverify": "STVERIFY", "conn": "CONN"}[
-            spec["gadget"].lower()
-        ]
+        kind = spec["gadget"].upper()
         gs = random_gadget_spec(kind, spec["b"], seed, feasible=spec.get("feasible"))
         g = generate_gadget(gs)
         cand = tuple(range(g.m)) if kind == "STVERIFY" else None
         return Instance(graph=g, candidate=cand, expect=gadget_feasible(gs))
     g = generate(spec["model"], spec["n"], seed, p=spec.get("p"), wmax=spec.get("wmax"))
-    cand = None
-    if algorithm == "stverify":
-        cand = default_stverify_candidate(g, seed)
+    cand = default_stverify_candidate(g, seed) if algorithm == "stverify" else None
     return Instance(graph=g, candidate=cand)
 
 

@@ -10,12 +10,7 @@ from .fragments import conn_program, merge_key, mst_program, st_verify_program
 from .hypergraph_mis import hmis_kmachine, hmis_round_bound
 from .mis import default_phase_budget, luby_mis_program
 from .paths import bellman_ford_program, bfs_program
-from .spanner import (
-    ApproxPathsResult,
-    logapprox_shortest_paths,
-    spanner_program,
-    spanner_union,
-)
+from .spanner import logapprox_shortest_paths, spanner_program, spanner_union
 from .triangle import triangle_program
 from .walks import (
     default_tokens_per_node,
@@ -34,10 +29,10 @@ class Algorithm:
     instance is the harness's: its graph, plus stverify's candidate edges),
     the `mode` it is priced in ("bcast" marks the programs that never send a
     unicast) and `budget(n, cfg)`, the engine's round limit (None: the
-    engine's own).  A machine-level algorithm has a `runner(graph, ks, W,
-    seed, cfg)` that runs and prices itself, and takes no mode.  `min_k` is
-    the fewest machines it runs on; `hyper` marks an algorithm whose instance
-    is a random hypergraph.
+    engine's own).  A machine-level algorithm has a `runner(graph, parts, W,
+    seed, cfg)` that runs on its own schedule, prices exactly the partitions
+    it is handed, and takes no mode.  `min_k` is the fewest machines it runs
+    on; `hyper` marks an algorithm whose instance is a random hypergraph.
     """
 
     program: object = None
@@ -49,28 +44,23 @@ class Algorithm:
 
     def run(self, inst, ks, W, mode, seed, cfg):
         """(outputs, CliqueMetrics, {k: SimReport}) of one cell: a clique
-        execution priced in `mode` (None: the natural one) at every k."""
-        if self.runner is not None:
-            return self.runner(inst.graph, ks, W, seed, cfg)
+        execution priced in `mode` (None: the natural one), or the runner's,
+        on one placement per k, drawn first so a bad k runs nothing."""
         parts = random_vertex_partitions(inst.graph, ks, seed)
+        if self.runner is not None:
+            return self.runner(inst.graph, parts, W, seed, cfg)
         outputs, trace, metrics = run_clique(inst.graph, self.program(inst, cfg), seed,
                                              max_rounds=self.budget(inst.graph.n, cfg))
         mode = mode or self.mode
         return outputs, metrics, {p.k: price(trace, p, W, mode=mode) for p in parts}
 
 
-def _run_hmis(h, ks, W, seed, cfg):
-    """The membership flags at every k (each k places the vertices anew),
-    zero clique metrics, since no clique runs, and the schedule's ledgers."""
+def _run_hmis(h, parts, W, seed, cfg):
+    """The flags at every k, zero clique metrics (no clique runs), the ledgers."""
     flags, reports = {}, {}
-    for k in ks:
-        flags[k], reports[k], _ = hmis_kmachine(h, k, W, seed)
+    for part in parts:
+        flags[part.k], reports[part.k] = hmis_kmachine(h, part, W)
     return flags, CliqueMetrics(0, 0, 0, 0, 0, 0), reports
-
-
-def _run_logsp(g, ks, W, seed, cfg):
-    res = logapprox_shortest_paths(g, ks, W, seed, cfg)
-    return res.estimates, res.metrics, res.reports
 
 
 ALGORITHMS = {
@@ -89,5 +79,6 @@ ALGORITHMS = {
     "densest": Algorithm(lambda inst, cfg: densest_subgraph_program(cfg), BCAST),
     "triangle": Algorithm(lambda inst, cfg: triangle_program(), P2P),
     "hmis": Algorithm(runner=_run_hmis, min_k=2, hyper=True),
-    "logsp": Algorithm(runner=_run_logsp),
+    # looked up per call, so a tracer that rebinds the name sees the call
+    "logsp": Algorithm(runner=lambda *args: logapprox_shortest_paths(*args)),
 }

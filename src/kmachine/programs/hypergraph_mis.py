@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ..graphs import Hypergraph, label_bits
-from ..machines import link_bandwidth, random_vertex_partition, sim_report
+from ..machines import Partition, link_bandwidth, sim_report
 
 
 def hmis_round_bound(n: int, k: int) -> float:
@@ -54,20 +54,19 @@ def _schedule_loads(k, owned_counts, count_bits, pair_bits):
                 yield np.tile((send, forward), (batches, 1, 1))
 
 
-def hmis_kmachine(h: Hypergraph, k: int, W: int = None, seed: int = 0):
-    """Returns (per-vertex membership flags, SimReport, Partition)."""
-    if k < 2:
+def hmis_kmachine(h: Hypergraph, part: Partition, W: int = None):
+    """Returns (per-vertex membership flags, SimReport) of the schedule run
+    and priced on the placement `part`."""
+    if part.k < 2:
         raise ValueError("need at least 2 machines")
     n = h.n
     W = link_bandwidth(n, W)
-    part = random_vertex_partition(h, k, seed)
     # machine by machine, each its vertices in id order: a vertex joins
     # unless some hyperedge's other members have all joined already
     flags = [False] * n
     for v in np.argsort(part.home, kind="stable").tolist():
         flags[v] = not any(all(flags[x] for x in h.hyperedges[hi] if x != v)
                            for hi in h.incident[v])
-    loads = _schedule_loads(k, part.machine_counts().tolist(), max(1, n.bit_length()),
+    loads = _schedule_loads(part.k, part.machine_counts().tolist(), max(1, n.bit_length()),
                             label_bits(n) + 1)
-    report = sim_report(n, part, W, "direct", loads, hmis_round_bound(n, k))
-    return flags, report, part
+    return flags, sim_report(n, part, W, "direct", loads, hmis_round_bound(n, part.k))

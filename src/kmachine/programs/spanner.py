@@ -27,16 +27,14 @@ reference.
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 
-from ..clique import (HALT, NONE, SILENT, Broadcast, CliqueMetrics, NodeProgram, Program,
-                      run_clique)
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
-from ..machines import (BCAST, broadcast_bound, link_bandwidth, random_vertex_partitions,
-                        round_loads, sim_report)
+from ..machines import BCAST, broadcast_bound, link_bandwidth, round_loads, sim_report
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig, ConfigError
 from .slots import edge_outputs, first_per_key, slot_sources
@@ -216,14 +214,6 @@ def spanner_union(outputs):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ApproxPathsResult:
-    estimates: list  # n x n distance estimates
-    spanner_edges: list
-    metrics: CliqueMetrics  # the spanner's clique execution
-    reports: dict  # k -> SimReport of the spanner's rounds and the ship step
-
-
 def _bfs_matrix(n, edges):
     adj = [[] for _ in range(n)]
     for a, b in edges:
@@ -243,12 +233,13 @@ def _bfs_matrix(n, edges):
     return mat
 
 
-def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
+def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0,
                              cfg: AlgoConfig = None):
-    """Whole-graph distance estimates within factor 2*ceil(log2 n)-1.
+    """Whole-graph distance estimates within factor 2*ceil(log2 n)-1, as
+    (n x n estimates, the spanner's CliqueMetrics, {k: SimReport}).
 
-    Builds the spanner with delta = ceil(log2 n) once.  At every machine
-    count in `ks` its rounds are priced in broadcast mode and followed by one
+    Builds the spanner with delta = ceil(log2 n) once.  On every partition
+    in `parts` its rounds are priced in broadcast mode and followed by one
     ship step that collects the spanner at machine 0: an edge with an
     endpoint on machine 0 is already there, and every other edge goes
     straight there, 3L bits from the home of its smaller endpoint.  The
@@ -262,7 +253,6 @@ def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
     n = g.n
     L = label_bits(n)
     W = link_bandwidth(n, W)
-    parts = random_vertex_partitions(g, ks, seed)
     delta = max(1, math.ceil(math.log2(max(2, n))))
     cfg = replace(cfg or AlgoConfig(), delta=delta)
     outputs, trace, metrics = run_clique(g, spanner_program(cfg), seed)
@@ -278,4 +268,4 @@ def logapprox_shortest_paths(g: Graph, ks, W: int = None, seed: int = 0,
         loads = chain(round_loads(trace, part, BCAST), [ship])
         bound = broadcast_bound(n, part.k, W, metrics) + ship_bound
         reports[part.k] = sim_report(n, part, W, BCAST, loads, bound)
-    return ApproxPathsResult(_bfs_matrix(n, edges), edges, metrics, reports)
+    return _bfs_matrix(n, edges), metrics, reports

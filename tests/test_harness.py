@@ -72,6 +72,23 @@ _RW = {"algorithm": "mst", "model": "random_weighted", "n": 16, "p": 0.3, "wmax"
 _PR = {"algorithm": "pagerank", "model": "gnp", "n": 16, "p": 0.3}
 _DENSE = {"algorithm": "densest", "model": "gnp", "n": 16, "p": 0.3}
 _LOGSP_RW = {"algorithm": "logsp", "model": "random_weighted", "n": 16, "p": 0.3, "wmax": 5}
+_FILE = {"algorithm": "mst", "file": "g.edges"}
+# graph specs refused before anything runs, each with the start of its message
+_BAD_GRAPH_SPECS = [
+    ({"algorithm": "mst", "model": "cycle"}, "the graph spec needs n"),
+    ({"algorithm": "conn", "gadget": "conn"}, "the graph spec needs b"),
+    ({"algorithm": "mst", "n": 16}, "the graph spec needs model"),
+    ({**_GADGET, "gadget": "ladder"}, "unknown gadget 'ladder'"),
+    ({**_FILE, "file": "missing.edges"}, "cannot read graph file 'missing.edges'"),
+    ({**_GNP, "b": 8}, "mis runs on a graph and reads no graph b"),
+    ({**_GNP, "wmax": 5}, "mis runs on a graph and reads no graph wmax"),
+    ({**_GNP, "feasible": True}, "mis runs on a graph and reads no graph feasible"),
+    ({"algorithm": "mst", "model": "path", "n": 16, "p": 0.3},
+     "mst runs on a graph and reads no graph p"),
+    ({**_GADGET, "n": 16}, "mst runs on a graph and reads no graph n"),
+    ({**_FILE, "model": "gnp", "n": 16}, "mst runs on a graph and reads no graph model, n"),
+    ({**_GADGET, "feasible": "yes"}, "graph feasible must be a bool"),
+]
 
 
 @pytest.mark.parametrize("base, bad, error", [
@@ -101,6 +118,7 @@ _LOGSP_RW = {"algorithm": "logsp", "model": "random_weighted", "n": 16, "p": 0.3
     # a graph algorithm reads no hypergraph key
     ({**_RW, "algorithm": "mst"}, {"arity": 3, "hyperedges": 40}, HarnessError),
     ({**_GNP, "algorithm": "logsp"}, {"arity": 3}, HarnessError),
+    *[(doc, {}, HarnessError) for doc, _ in _BAD_GRAPH_SPECS],
 ])
 def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
     def no_engine(*args, **kwargs):
@@ -158,6 +176,7 @@ def test_unknown_mode_rejected():
 def test_hmis_rejects_a_mode(mode):
     doc = {"algorithm": "hmis", "n": 16, "hyperedges": 20, "arity": 3}
     config_from_mapping(doc)
+    assert config_from_mapping({**doc, "hyper": True}).graph["hyper"] is True
     with pytest.raises(HarnessError):
         config_from_mapping({**doc, "mode": mode})
 
@@ -196,17 +215,28 @@ def test_machine_counts_must_be_positive_ints(k):
         config_from_mapping({"algorithm": "mst", "model": "cycle", "n": 8, "k": k})
 
 
-def test_more_machines_than_vertices_rejected_before_running(monkeypatch):
-    def engine(*args, **kwargs):
-        raise AssertionError("the engine ran")
+@pytest.mark.parametrize("algorithm, graph", [
+    ("bfs", {"model": "gnp", "n": 32, "p": 0.2}),
+    ("hmis", {"n": 32}),
+])
+def test_more_machines_than_vertices_rejected_before_running(algorithm, graph,
+                                                             monkeypatch):
+    import kmachine.programs as programs
 
-    monkeypatch.setattr("kmachine.programs.run_clique", engine)
-    cfg = ExperimentConfig(
-        algorithm="bfs", graph={"model": "gnp", "n": 32, "p": 0.2}, k=[4, 40],
-        seeds=[1],
-    )
+    calls = []
+
+    def spy(real):
+        def run(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return run
+
+    for name in ("run_clique", "hmis_kmachine"):
+        monkeypatch.setattr(programs, name, spy(getattr(programs, name)))
+    cfg = ExperimentConfig(algorithm=algorithm, graph=graph, k=[4, 40], seeds=[1])
     with pytest.raises(ConversionError):
         run_cell(cfg, 1)
+    assert calls == []  # every k is placed before anything runs
 
 
 def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatch):
@@ -332,6 +362,7 @@ def test_cli_sweep(tmp_path, capsys):
                  "hmis builds a random hypergraph", id="hmis_file"),
     pytest.param({"algorithm": "hmis", "n": 16, "model": "gnp", "p": 0.3},
                  "hmis builds a random hypergraph", id="hmis_model"),
+    *_BAD_GRAPH_SPECS,
 ])
 def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
                                                monkeypatch):
@@ -463,20 +494,21 @@ def test_logsp_cell_runs_the_spanner_once(monkeypatch):
 def test_logsp_ledger_is_the_spanner_and_one_ship_step():
     from kmachine.graphs import generate, label_bits
     from kmachine.machines import convert_broadcast, random_vertex_partitions
-    from kmachine.programs import logapprox_shortest_paths, spanner_program
+    from kmachine.programs import logapprox_shortest_paths, spanner_program, spanner_union
 
     g = generate("gnp", 32, 3, p=0.3)
-    ks = [1, 2, 4, 8, 16]
-    res = logapprox_shortest_paths(g, ks, seed=3)
-    _, trace, metrics = run_clique(g, spanner_program(AlgoConfig(delta=5)), 3)
-    assert res.metrics == metrics and len(res.spanner_edges) == 92
+    parts = random_vertex_partitions(g, [1, 2, 4, 8, 16], 3)
+    _, got_metrics, reports = logapprox_shortest_paths(g, parts, seed=3)
+    outputs, trace, metrics = run_clique(g, spanner_program(AlgoConfig(delta=5)), 3)
+    edges = spanner_union(outputs)
+    assert got_metrics == metrics and len(edges) == 92
     L = label_bits(g.n)
-    for part in random_vertex_partitions(g, ks, 3):
-        rep, alone = res.reports[part.k], convert_broadcast(trace, part, None)
+    for part in parts:
+        rep, alone = reports[part.k], convert_broadcast(trace, part, None)
         # every edge with no endpoint on machine 0 goes straight there, 3L
         # bits from its smaller endpoint's home, in one extra step
         ship = np.zeros(part.k, dtype=np.int64)
-        for a, b in res.spanner_edges:
+        for a, b in edges:
             if part.home[a] and part.home[b]:
                 ship[part.home[a]] += 3 * L
         assert rep.total_bits == alone.total_bits + int(ship.sum())
@@ -484,7 +516,7 @@ def test_logsp_ledger_is_the_spanner_and_one_ship_step():
         assert rep.per_link_bits[1:, 0].tolist() == (
             alone.per_link_bits[1:, 0] + ship[1:]).tolist()
         assert rep.bound_ok
-    assert res.reports[1].km_rounds == res.reports[1].max_link_bits == 0
+    assert reports[1].km_rounds == reports[1].max_link_bits == 0
 
 
 def test_logsp_bound_holds_on_the_battery_shape():
@@ -499,10 +531,12 @@ def test_logsp_bound_holds_on_the_battery_shape():
 
 def test_hmis_ledger_matches_pinned_values():
     from kmachine.graphs import random_uniform_hypergraph
+    from kmachine.machines import random_vertex_partition
     from kmachine.programs import hmis_kmachine
 
     h = random_uniform_hypergraph(48, 96, 3, 5)
-    flags, rep, part = hmis_kmachine(h, 4, seed=5)
+    part = random_vertex_partition(h, 4, 5)
+    flags, rep = hmis_kmachine(h, part)
     assert sum(flags) == 26
     assert (rep.n, rep.k, rep.W, rep.mode) == (48, 4, 6, "direct")
     assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 54, 1416)
@@ -571,7 +605,14 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert set(VALIDATORS) == set(ALGORITHMS)
     assert not any(name in t for t in text.values() for name in (
         "CLIQUE_ALGORITHMS", "ALGORITHM_NAMES", "_engine_budget", "_empty_metrics",
-        "ship_rounds"))
+        "ship_rounds", "ApproxPathsResult", "_run_logsp"))
+    # one placement per cell: under programs/ only Algorithm.run draws one
+    placing = [(p.name, fn.name) for p, t in text.items() if p.parent.name == "programs"
+               for fn in ast.walk(ast.parse(t)) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(name, ast.Name)
+                       and name.id.startswith("random_vertex_partition")
+                       for name in ast.walk(fn))]
+    assert placing == [("__init__.py", "run")]
     (harness_text,) = [t for p, t in text.items() if p.name == "harness.py"]
     tree = ast.parse(harness_text)
     (config,) = [c for c in tree.body if isinstance(c, ast.ClassDef)

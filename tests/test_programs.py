@@ -196,14 +196,16 @@ def test_mis_valid_on_random():
 def test_hmis_examples():
     h = random_uniform_hypergraph(6, 3, 2, 0)
     h_empty = type(h)(6, [])
-    flags, _, _ = hmis_kmachine(h_empty, 2, seed=0)
+    flags, _ = hmis_kmachine(h_empty, random_vertex_partition(h_empty, 2, 0))
     assert all(flags)
     h1 = type(h)(3, [(0, 1, 2)])
-    flags1, _, _ = hmis_kmachine(h1, 2, seed=1)
+    flags1, _ = hmis_kmachine(h1, random_vertex_partition(h1, 2, 1))
     assert sum(flags1) == 2
+    with pytest.raises(ValueError):
+        hmis_kmachine(h1, random_vertex_partition(h1, 1, 1))
     for seed in range(8):
         hh = random_uniform_hypergraph(64, 128, 3, seed)
-        flags2, rep, _ = hmis_kmachine(hh, 4, seed=seed)
+        flags2, rep = hmis_kmachine(hh, random_vertex_partition(hh, 4, seed))
         members = [v for v, f in enumerate(flags2) if f]
         assert oracles.validate_mis(hh, members)
         assert rep.bound_ok
@@ -390,25 +392,25 @@ def test_reference_payload_fields_fit_their_bits(algorithm):
 
 def test_logapprox_paths():
     tree = generate("path", 24, 0)
-    res = logapprox_shortest_paths(tree, [4], seed=1)
+    est, _, _ = logapprox_shortest_paths(tree, [random_vertex_partition(tree, 4, 1)], seed=1)
     d, _ = oracles.all_pairs_distances(tree)
-    assert (np.asarray(res.estimates) == d).all()
+    assert (np.asarray(est) == d).all()
     cyc = generate("cycle", 64, 0)
-    res2 = logapprox_shortest_paths(cyc, [4], seed=2)
-    est = np.asarray(res2.estimates)
+    est2, _, _ = logapprox_shortest_paths(cyc, [random_vertex_partition(cyc, 4, 2)], seed=2)
     d2, _ = oracles.all_pairs_distances(cyc)
-    assert (est >= d2 - 1e-9).all()
+    assert (np.asarray(est2) >= d2 - 1e-9).all()
     clique = generate("clique", 64, 0)
-    res3 = logapprox_shortest_paths(clique, [8], seed=3)
-    est3 = np.asarray(res3.estimates)
+    part = random_vertex_partition(clique, 8, 3)
+    est3, _, reports = logapprox_shortest_paths(clique, [part], seed=3)
+    est3 = np.asarray(est3)
     d3, _ = oracles.all_pairs_distances(clique)
     bound = 2 * math.ceil(math.log2(64)) - 1
     off = ~np.eye(64, dtype=bool)
     assert (est3[off] <= bound * d3[off]).all()
     # shipping is charged: the whole run costs more than the spanner alone
     _, trace, _ = _run(clique, spanner_program(AlgoConfig(delta=6)), seed=3)
-    spanner_only = convert_broadcast(trace, random_vertex_partition(clique, 8, 3), None)
-    assert res3.reports[8].km_rounds > spanner_only.km_rounds
+    spanner_only = convert_broadcast(trace, part, None)
+    assert reports[8].km_rounds > spanner_only.km_rounds
 
 
 # -- densest subgraph ----------------------------------------------------------
@@ -547,7 +549,7 @@ def test_zero_weight_edges():
 def test_hmis_arity_two_matches_graph_mis():
     for seed in range(5):
         h = random_uniform_hypergraph(40, 80, 2, 700 + seed)
-        flags, _, _ = hmis_kmachine(h, 5, seed=seed)
+        flags, _ = hmis_kmachine(h, random_vertex_partition(h, 5, seed))
         members = [v for v, f in enumerate(flags) if f]
         g = Graph(40, [(a, b, 1) for a, b in h.hyperedges])
         assert oracles.validate_mis(g, members)
