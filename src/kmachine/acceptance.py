@@ -83,6 +83,10 @@ def fidelity_instances(base_seed: int):
             yield algorithm, Instance(graph=g, candidate=cand), s
 
 
+def _rows(results):
+    return [row for res in results for row in rows_from_result(res)]
+
+
 class Battery:
     """Runs the criteria in order, accumulating rows for the CSV."""
 
@@ -91,7 +95,7 @@ class Battery:
         self.echo = echo or (lambda s: None)
         self.rows = []
         self.results = []
-        self.reports = []  # (algorithm, SimReport) for the bound criterion
+        self.reports = []  # every SimReport, for the bound criterion
         self.mis_phase_counts = []
         self.mis_budget_n = 256
 
@@ -99,8 +103,7 @@ class Battery:
 
     def _remember(self, res: RunResult):
         self.rows.extend(rows_from_result(res))
-        for rep in res.reports.values():
-            self.reports.append((res.algorithm, rep))
+        self.reports.extend(res.reports.values())
         return res
 
     def _cell(self, algorithm, graph_spec, seed, k_list, inst=None, **algo):
@@ -139,16 +142,22 @@ class Battery:
 
     def crit_2_correctness(self):
         fails = []
+
+        def tally(label, results):
+            got = sum(res.valid for res in results)
+            if got < len(results):
+                fails.append(f"{label} {got}/{len(results)}")
+
         sizes = [16, 24, 32, 48, 64, 96, 128, 192, 256, 40]
-        ok = 0
+        mst = []
         for i in range(100):  # spanning tree weight / edge-set agreement
             n = sizes[i % len(sizes)]
             s = _seed(self.seed, "mst", i)
             g = _connected_graph("random_weighted", n, s, p=0.3, wmax=1000)
             spec = {"model": "random_weighted", "n": n, "p": 0.3, "wmax": 1000}
-            ok += self._cell("mst", spec, s, [4], inst=Instance(graph=g)).valid
-        if ok < 100:
-            fails.append(f"mst {ok}/100")
+            mst.append(self._cell("mst", spec, s, [4], inst=Instance(graph=g)))
+        tally("mst", mst)
+        families = {}
         for name, count, spec_fn in (
             ("bfs", 50,
              lambda i: {"model": "gnp", "n": [32, 48, 64, 96, 128][i % 5], "p": 0.1}),
@@ -156,60 +165,36 @@ class Battery:
              lambda i: {"model": "random_weighted",
                         "n": [32, 48, 64, 96, 128][i % 5], "p": 0.3, "wmax": 100}),
             ("triangle", 50, lambda i: {"model": "gnp", "n": 64, "p": 0.2}),
+            ("mis", 100, lambda i: {"model": "gnp", "n": self.mis_budget_n, "p": 0.1}),
+            ("hmis", 50,
+             lambda i: {"hyper": True, "n": 64, "hyperedges": 128, "arity": 3}),
         ):
-            got = 0
-            for i in range(count):
-                got += self._cell(name, spec_fn(i), _seed(self.seed, name, i), [4]).valid
-            if got < count:
-                fails.append(f"{name} {got}/{count}")
-        got = 0  # MIS validity; phase counts feed criterion 8
-        for i in range(100):
-            res = self._cell("mis", {"model": "gnp", "n": 256, "p": 0.1},
-                             _seed(self.seed, "mis", i), [4])
-            got += res.valid
-            self.mis_phase_counts.append(res.details["phases"])
-        if got < 100:
-            fails.append(f"mis {got}/100")
-        got = 0
-        for i in range(50):
-            got += self._cell(
-                "hmis", {"hyper": True, "n": 64, "hyperedges": 128, "arity": 3},
-                _seed(self.seed, "hmis", i), [4],
-            ).valid
-        if got < 50:
-            fails.append(f"hmis {got}/50")
-        got = total = 0
+            families[name] = [self._cell(name, spec_fn(i), _seed(self.seed, name, i), [4])
+                              for i in range(count)]
+            tally(name, families[name])
+        # phase counts feed criterion 8
+        self.mis_phase_counts = [res.details["phases"] for res in families["mis"]]
+        spanner = []
         for fixed_delta in (2, None):
             for i in range(10):
                 n = [32, 64, 128][i % 3]
                 d = fixed_delta or max(1, math.ceil(math.log2(n)))
-                res = self._cell("spanner", {"model": "gnp", "n": n, "p": 0.3},
-                                 _seed(self.seed, "spanner", i, d), [4], delta=d)
-                got += res.valid
-                total += 1
-        if got < total:
-            fails.append(f"spanner {got}/{total}")
-        got = 0
-        for i in range(100):
-            res = self._cell(
-                "densest",
-                {"model": "gnp", "n": 6 + (i % 7), "p": [0.3, 0.5, 0.7][i % 3]},
-                _seed(self.seed, "densest", i), [2],
-            )
-            got += res.valid
-        if got < 100:
-            fails.append(f"densest {got}/100")
-        got = total = 0
+                spanner.append(self._cell("spanner", {"model": "gnp", "n": n, "p": 0.3},
+                                          _seed(self.seed, "spanner", i, d), [4],
+                                          delta=d))
+        tally("spanner", spanner)
+        tally("densest", [
+            self._cell("densest",
+                       {"model": "gnp", "n": 6 + (i % 7), "p": [0.3, 0.5, 0.7][i % 3]},
+                       _seed(self.seed, "densest", i), [2])
+            for i in range(100)
+        ])
+        gadgets = []
         for i in range(50):  # gadget families, both answers exercised
-            got += self._cell("stverify", {"gadget": "stverify", "b": 16,
-                                           "feasible": i % 2 == 0},
-                              _seed(self.seed, "gadget-st", i), [4]).valid
-            got += self._cell("conn", {"gadget": "conn", "b": 32,
-                                       "feasible": i % 2 == 0},
-                              _seed(self.seed, "gadget-conn", i), [4]).valid
-            total += 2
-        if got < total:
-            fails.append(f"gadgets {got}/{total}")
+            for name, b, tag in (("stverify", 16, "gadget-st"), ("conn", 32, "gadget-conn")):
+                spec = {"gadget": name, "b": b, "feasible": i % 2 == 0}
+                gadgets.append(self._cell(name, spec, _seed(self.seed, tag, i), [4]))
+        tally("gadgets", gadgets)
         return self._done(
             2, "oracle agreement", not fails,
             "all oracle checks passed" if not fails else "; ".join(fails),
@@ -237,63 +222,50 @@ class Battery:
         )
 
     def crit_4_bounds(self):
-        conv = [(a, r) for a, r in self.reports if r.mode in ("p2p", "bcast")]
-        bad = sum(1 for _, r in conv if not r.bound_ok)
+        conv = [r for r in self.reports if r.mode in ("p2p", "bcast")]
+        bad = sum(1 for r in conv if not r.bound_ok)
         return self._done(
             4, "pricing bounds on every run", bad == 0,
             f"{len(conv) - bad}/{len(conv)} conversions within the explicit bounds",
         )
 
     def crit_5_mst_scaling(self):
-        rows = []
-        valid = True
-        for i in range(5):
-            res = self._cell("mst", {"model": "gnp", "n": 4096, "p": 0.02},
-                             _seed(self.seed, "mstscale", i), [2, 4, 8, 16, 32])
-            valid &= res.valid
-            rows.extend(rows_from_result(res))
-        fit = fit_scaling(rows, "k")
-        ok = valid and -1.3 <= fit.slope <= -0.7 and fit.r2 >= 0.9
+        results = [self._cell("mst", {"model": "gnp", "n": 4096, "p": 0.02},
+                              _seed(self.seed, "mstscale", i), [2, 4, 8, 16, 32])
+                   for i in range(5)]
+        fit = fit_scaling(_rows(results), "k")
+        ok = (all(res.valid for res in results)
+              and -1.3 <= fit.slope <= -0.7 and fit.r2 >= 0.9)
         return self._done(
             5, "tree-merge scaling in k", ok,
             f"slope {fit.slope:.3f}, R^2 {fit.r2:.3f}",
         )
 
     def crit_6_pagerank_scaling(self):
-        rows = []
-        valid = True
-        for i in range(5):
-            res = self._cell("pagerank", {"model": "gnp", "n": 4096, "p": 0.02},
-                             _seed(self.seed, "prscale", i), [2, 4, 8, 16, 32],
-                             gamma=0.15)
-            valid &= res.valid
-            rows.extend(rows_from_result(res))
-        fit = fit_scaling(rows, "k")
-        halves = []
-        for i in range(5):
-            res = self._cell("pagerank", {"model": "gnp", "n": 4096, "p": 0.02},
-                             _seed(self.seed, "prscale", i), [8], gamma=0.075)
-            valid &= res.valid
-            halves.append(res.reports[8].km_rounds)
-        base = [r["km_rounds"] for r in rows if r["k"] == 8]
-        ratio = statistics.median(halves) / max(1, statistics.median(base))
-        ok = valid and -1.3 <= fit.slope <= -0.7 and ratio >= 1.5
+        spec = {"model": "gnp", "n": 4096, "p": 0.02}
+        results = [self._cell("pagerank", spec, _seed(self.seed, "prscale", i),
+                              [2, 4, 8, 16, 32], gamma=0.15)
+                   for i in range(5)]
+        fit = fit_scaling(_rows(results), "k")
+        halves = [self._cell("pagerank", spec, _seed(self.seed, "prscale", i), [8],
+                             gamma=0.075)
+                  for i in range(5)]
+        base = [res.reports[8].km_rounds for res in results]
+        ratio = (statistics.median([res.reports[8].km_rounds for res in halves])
+                 / max(1, statistics.median(base)))
+        ok = (all(res.valid for res in results + halves)
+              and -1.3 <= fit.slope <= -0.7 and ratio >= 1.5)
         return self._done(
             6, "walk scaling in k and gamma", ok,
             f"slope {fit.slope:.3f}, R^2 {fit.r2:.3f}, gamma-halving ratio {ratio:.2f}",
         )
 
     def crit_7_gadget_growth(self):
-        rows = []
-        valid = True
-        for b in (512, 1024, 2048, 4096):
-            for i in range(5):
-                res = self._cell("mst", {"gadget": "st_lower", "b": b},
-                                 _seed(self.seed, "stlower", b, i), [8])
-                valid &= res.valid
-                rows.extend(rows_from_result(res))
-        fit = fit_scaling(rows, "n")
-        ok = valid and 0.7 <= fit.slope <= 1.3
+        results = [self._cell("mst", {"gadget": "st_lower", "b": b},
+                              _seed(self.seed, "stlower", b, i), [8])
+                   for b in (512, 1024, 2048, 4096) for i in range(5)]
+        fit = fit_scaling(_rows(results), "n")
+        ok = all(res.valid for res in results) and 0.7 <= fit.slope <= 1.3
         return self._done(
             7, "hard-instance growth in n", ok,
             f"slope {fit.slope:.3f}, R^2 {fit.r2:.3f}",
@@ -312,31 +284,26 @@ class Battery:
     def crit_9_pagerank_accuracy(self):
         n = 64
         tokens = math.ceil(100 * math.log2(n))
-        worst_l1 = worst_sum = 0.0
-        ok = True
-        for i in range(20):
-            res = self._cell("pagerank", {"model": "gnp", "n": n, "p": 0.2},
-                             _seed(self.seed, "pracc", i), [4],
-                             gamma=0.15, tokens_per_node=tokens)
-            ok &= res.valid
-            worst_l1 = max(worst_l1, res.details["l1"])
-            worst_sum = max(worst_sum, abs(res.details["sum"] - 1.0))
+        results = [self._cell("pagerank", {"model": "gnp", "n": n, "p": 0.2},
+                              _seed(self.seed, "pracc", i), [4],
+                              gamma=0.15, tokens_per_node=tokens)
+                   for i in range(20)]
+        worst_l1 = max(res.details["l1"] for res in results)
+        worst_sum = max(abs(res.details["sum"] - 1.0) for res in results)
+        ok = all(res.valid for res in results)
         return self._done(
             9, "walk estimates near the power-iteration fixpoint", ok,
             f"worst L1 {worst_l1:.4f} (cap 0.1), worst |sum-1| {worst_sum:.5f}",
         )
 
     def crit_10_hmis_rounds(self):
-        ok = True
-        worst = 0.0
-        for k in (4, 8, 16):
-            for i in range(10):
-                res = self._cell("hmis", {"hyper": True, "n": 1024,
-                                          "hyperedges": 2048, "arity": 3},
-                                 _seed(self.seed, "hmisbig", k, i), [k])
-                rep = res.reports[k]
-                ok &= res.valid and rep.bound_ok
-                worst = max(worst, rep.km_rounds / rep.bound_rounds)
+        results = [self._cell("hmis", {"hyper": True, "n": 1024,
+                                       "hyperedges": 2048, "arity": 3},
+                              _seed(self.seed, "hmisbig", k, i), [k])
+                   for k in (4, 8, 16) for i in range(10)]
+        reports = [rep for res in results for rep in res.reports.values()]
+        ok = all(res.valid for res in results) and all(rep.bound_ok for rep in reports)
+        worst = max(rep.km_rounds / rep.bound_rounds for rep in reports)
         return self._done(
             10, "hypergraph set rounds within bound", ok,
             f"worst rounds/bound ratio {worst:.4f}",

@@ -67,12 +67,8 @@ def cmd_gen(args):
 
 
 def _config_from_args(args):
-    overrides = {
-        k: getattr(args, k, None)
-        for k in ("algorithm", "n", "p", "wmax", "model", "b", "k", "seeds",
-                  "W", "mode", "gamma", "tokens_per_node", "eps", "delta",
-                  "source", "out")
-    }
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "sweep", "fn")}
     return load_config(args.config, overrides)
 
 

@@ -26,7 +26,7 @@ def inf_weight(n: int, c: int = WEIGHT_POLY_C) -> int:
 
 
 class GraphError(ValueError):
-    pass
+    row = None  # the index of the faulty input edge, when one edge is at fault
 
 
 class Graph:
@@ -168,21 +168,26 @@ def _integer_rows(edges) -> np.ndarray:
 
 
 def _reject(n, rows, stop):
-    """Raise the error of the first faulty edge in input order: a duplicate
-    of an earlier edge among the valid first `stop` rows, else row `stop`."""
+    """Raise the error of the first faulty edge in input order, its index as
+    the error's `row`: a duplicate of an earlier edge among the valid first
+    `stop` rows, else row `stop`."""
     u, v, w = np.asarray(rows, dtype=np.int64).T
     head = np.minimum(u[:stop], v[:stop]) * n + np.maximum(u[:stop], v[:stop])
     order = np.argsort(head, kind="stable")
     later = order[1:][head[order][1:] == head[order][:-1]]
     if len(later):
-        a, b = divmod(int(head[later.min()]), n)
-        raise GraphError(f"duplicate edge ({a},{b})")
-    uu, vv, ww = int(u[stop]), int(v[stop]), int(w[stop])
-    if uu == vv:
-        raise GraphError(f"self-loop at vertex {uu}")
-    if not (0 <= uu < n and 0 <= vv < n):
-        raise GraphError(f"edge ({uu},{vv}) out of range for n={n}")
-    raise GraphError(f"weight {ww} outside [0, {inf_weight(n)}) for n={n}")
+        stop = int(later.min())
+        error = GraphError("duplicate edge (%d,%d)" % divmod(int(head[stop]), n))
+    else:
+        uu, vv, ww = int(u[stop]), int(v[stop]), int(w[stop])
+        if uu == vv:
+            error = GraphError(f"self-loop at vertex {uu}")
+        elif not (0 <= uu < n and 0 <= vv < n):
+            error = GraphError(f"edge ({uu},{vv}) out of range for n={n}")
+        else:
+            error = GraphError(f"weight {ww} outside [0, {inf_weight(n)}) for n={n}")
+    error.row = stop
+    raise error
 
 
 def _build_csr(n, a, b, ascending):
@@ -261,12 +266,13 @@ class Hypergraph:
 def load_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
-    Raises GraphError with the offending line number on malformed lines,
-    out-of-range vertices, duplicate edges or self-loops.
+    Raises GraphError with the offending line number on malformed lines and
+    on every edge `Graph` refuses: self-loops, out-of-range vertices or
+    weights, and duplicate edges.
     """
     n = None
     edges = []
-    seen = {}
+    lines = []  # the line of each edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -285,24 +291,19 @@ def load_edge_list(text: str) -> Graph:
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 'u v' or 'u v w'")
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = int(parts[2]) if len(parts) == 3 else 1
+            edge = (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1)
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer field")
-        if u == v:
-            raise GraphError(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"line {lineno}: vertex id out of range (n={n})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphError(
-                f"line {lineno}: duplicate edge {key} (first at line {seen[key]})"
-            )
-        seen[key] = lineno
-        edges.append((u, v, w))
+        if not all(-2**63 <= x < 2**63 for x in edge):
+            raise GraphError(f"line {lineno}: edge field outside the int64 range")
+        edges.append(edge)
+        lines.append(lineno)
     if n is None:
         raise GraphError("missing 'n <count>' header")
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except GraphError as exc:  # every field fits int64, so exc.row is set
+        raise GraphError(f"line {lines[exc.row]}: {exc}") from None
 
 
 def dump_edge_list(g: Graph) -> str:
@@ -365,10 +366,13 @@ def _edge_rows(u, v, w):
     return block.T
 
 
+MODELS = ("cycle", "path", "star", "clique", "grid", "gnp", "random_weighted")
+
+
 def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -> Graph:
     """Deterministic graph generator.
 
-    model is one of cycle | path | star | clique | grid | gnp | random_weighted.
+    model is one of MODELS.
     gnp needs p; random_weighted needs p and wmax.  Identical arguments always
     produce the identical edge sequence.
     """

@@ -10,7 +10,7 @@ derived from that execution.
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import oracles
 from .clique import CliqueMetrics
 from .graphs import (
     GADGET_KINDS,
+    MODELS,
     Graph,
     gadget_feasible,
     generate,
@@ -44,7 +45,7 @@ class HarnessError(ValueError):
 # (keys it needs, keys it may take) of each instance family: a graph spec names
 # its family by `file`, `gadget` or `model`, a `hyper` algorithm builds "hyper"
 GRAPH_FAMILIES = {
-    **{model: (("model", "n"), ()) for model in ("path", "cycle", "star", "clique", "grid")},
+    **{model: (("model", "n"), ()) for model in MODELS},
     "gnp": (("model", "n", "p"), ()),
     "random_weighted": (("model", "n", "p", "wmax"), ()),
     "file": (("file",), ()),
@@ -83,6 +84,9 @@ class ExperimentConfig:
             raise HarnessError(f"graph p must be a real number, got {self.graph['p']!r}")
         if not isinstance(self.graph.get("feasible", False), bool):
             raise HarnessError(f"graph feasible must be a bool, got {self.graph['feasible']!r}")
+        for key in ("model", "file"):
+            if not isinstance(self.graph.get(key, ""), str):
+                raise HarnessError(f"graph {key} must be a string, got {self.graph[key]!r}")
         if not self.k:
             raise HarnessError("need at least one machine count")
         for k in self.k:
@@ -100,12 +104,15 @@ class ExperimentConfig:
         if min(self.k) < entry.min_k:
             raise HarnessError(f"{self.algorithm} needs at least {entry.min_k} "
                                f"machines, got k={min(self.k)}")
-        # refused in turn: unread graph keys, missing ones, an unknown gadget;
-        # a spec of no known family reads like a model's (generate checks the name)
+        # refused in turn: an unknown model, unread graph keys, missing ones, an
+        # unknown gadget; a spec that names no family reads like a model's
         family = ("hyper" if entry.hyper else "file" if "file" in self.graph
-                  else "gadget" if "gadget" in self.graph else self.graph.get("model"))
-        known = isinstance(family, str) and family in GRAPH_FAMILIES
-        need, may = GRAPH_FAMILIES[family] if known else (("model", "n"), ("p", "wmax"))
+                  else "gadget" if "gadget" in self.graph else "model")
+        if family == "model":  # the model names the family
+            family = self.graph.get("model")
+            if family is not None and family not in MODELS:
+                raise HarnessError(f"unknown model {family!r}")
+        need, may = GRAPH_FAMILIES[family] if family else (("model", "n"), ("p", "wmax"))
         unread = sorted(set(self.graph) - {*need, *may})
         if unread:
             builds = ("builds a random hypergraph from n, hyperedges and arity"
@@ -129,7 +136,7 @@ def _positive_int(x) -> bool:
     return is_int(x) and x >= 1
 
 
-_FLAT_ALGO_KEYS = ("source", "gamma", "tokens_per_node", "eps", "delta", "mis_max_phases")
+_FLAT_ALGO_KEYS = {f.name for f in fields(AlgoConfig)}
 _FLAT_GRAPH_KEYS = {key for need, may in GRAPH_FAMILIES.values() for key in (*need, *may)}
 
 
@@ -440,8 +447,6 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
     valid, details = VALIDATORS[algorithm](inst, config.algo, outputs, metrics)
     if entry.mode == BCAST and metrics.unicasts:
         valid = False
-    for rep in reports.values():
-        rep.success = valid and rep.bound_ok
     return RunResult(algorithm, seed, inst, outputs, metrics, valid, details, reports)
 
 
@@ -470,7 +475,7 @@ def rows_from_result(res: RunResult) -> list:
                 "km_rounds": rep.km_rounds,
                 "max_link_bits": rep.max_link_bits,
                 "max_machine_bits": rep.max_machine_bits,
-                "success": rep.success,
+                "success": res.valid and rep.bound_ok,
             }
         )
     return rows

@@ -31,7 +31,6 @@ class Partition:
 
     k: int
     home: np.ndarray
-    seed: int = 0
 
     def machine_counts(self) -> np.ndarray:
         return np.bincount(self.home, minlength=self.k)
@@ -45,8 +44,7 @@ def random_vertex_partitions(g: Graph, ks, seed: int) -> list:
         if k < 1 or k > g.n:
             raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     keys = derive_each(seed, "rvp", np.arange(g.n))
-    return [Partition(k=k, home=(keys % np.uint64(k)).astype(np.int64), seed=seed)
-            for k in ks]
+    return [Partition(k=k, home=(keys % np.uint64(k)).astype(np.int64)) for k in ks]
 
 
 def random_vertex_partition(g: Graph, k: int, seed: int) -> Partition:
@@ -86,7 +84,6 @@ class SimReport:
     total_bits: int
     bound_rounds: float
     bound_ok: bool
-    success: bool = True
 
     @property
     def max_link_bits(self) -> int:
@@ -97,12 +94,16 @@ class SimReport:
         return int(self.per_machine_bits.max()) if self.per_machine_bits.size else 0
 
 
+def bound_scale(n: int) -> float:
+    """The explicit constant of every round bound: 16 log^2 n, at least 16."""
+    return 16.0 * max(1.0, math.log2(n)) ** 2
+
+
 def point_to_point_bound(n: int, k: int, W: int, metrics: CliqueMetrics) -> float:
     """Explicit-constant round bound for point-to-point pricing."""
     L = label_bits(n)
-    lg2 = max(1.0, math.log2(n)) ** 2
     per_round = math.ceil(metrics.comm_degree * 3 * L / (k * W))
-    return 16.0 * lg2 * (
+    return bound_scale(n) * (
         metrics.messages * 3 * L / (k * k * W)
         + metrics.rounds * per_round
         + metrics.rounds
@@ -112,8 +113,7 @@ def point_to_point_bound(n: int, k: int, W: int, metrics: CliqueMetrics) -> floa
 def broadcast_bound(n: int, k: int, W: int, metrics: CliqueMetrics) -> float:
     """Explicit-constant round bound for deduplicated broadcast pricing."""
     L = label_bits(n)
-    lg2 = max(1.0, math.log2(n)) ** 2
-    return 16.0 * lg2 * (metrics.broadcasts * 2 * L / (k * W) + metrics.rounds)
+    return bound_scale(n) * (metrics.broadcasts * 2 * L / (k * W) + metrics.rounds)
 
 
 def link_bandwidth(n: int, W: int = None) -> int:

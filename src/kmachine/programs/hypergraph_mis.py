@@ -14,17 +14,14 @@ each step is one directed link load handed to `machines.sim_report`, which
 charges ceil(worst link load / W) rounds per step.
 """
 
-import math
-
 import numpy as np
 
 from ..graphs import Hypergraph, label_bits
-from ..machines import Partition, link_bandwidth, sim_report
+from ..machines import Partition, bound_scale, link_bandwidth, sim_report
 
 
 def hmis_round_bound(n: int, k: int) -> float:
-    lg2 = max(1.0, math.log2(n)) ** 2
-    return 16.0 * lg2 * (n / k + k)
+    return bound_scale(n) * (n / k + k)
 
 
 def _schedule_loads(k, owned_counts, count_bits, pair_bits):

@@ -34,7 +34,8 @@ import numpy as np
 
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
-from ..machines import BCAST, broadcast_bound, link_bandwidth, round_loads, sim_report
+from ..machines import (BCAST, bound_scale, broadcast_bound, link_bandwidth,
+                        round_loads, sim_report)
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig, ConfigError
 from .slots import edge_outputs, first_per_key, slot_sources
@@ -258,7 +259,7 @@ def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0,
     outputs, trace, metrics = run_clique(g, spanner_program(cfg), seed)
     edges = spanner_union(outputs)
     low, high = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    ship_bound = 16.0 * max(1.0, math.log2(n)) ** 2 * math.ceil(len(edges) * 3 * L / W)
+    ship_bound = bound_scale(n) * math.ceil(len(edges) * 3 * L / W)
     reports = {}
     for part in parts:
         home = part.home

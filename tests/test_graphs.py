@@ -54,6 +54,15 @@ def test_load_errors():
         load_edge_list("0 1\n")
     with pytest.raises(GraphError, match="non-integer"):
         load_edge_list("n 3\n0 x\n")
+    # faults Graph finds name their line too
+    with pytest.raises(GraphError, match=r"^line 2: weight 99 outside \[0, 15\)"):
+        load_edge_list("n 2\n0 1 99\n")
+    with pytest.raises(GraphError, match=r"^line 4: weight -1 outside"):
+        load_edge_list("n 3\n0 1\n# c\n1 2 -1\n")
+    with pytest.raises(GraphError, match=r"^line 3: edge field outside the int64 range"):
+        load_edge_list("n 3\n0 1\n1 2 %d\n" % 2**64)
+    with pytest.raises(GraphError, match=r"^line 5: duplicate edge \(0,1\)$"):
+        load_edge_list("n 3\n0 1\n\n1 2\n1 0\n")
 
 
 def test_comments_and_blank_lines():

@@ -61,7 +61,7 @@ def test_rvp_batch_equals_one_at_a_time():
         assert len(parts) == len(ks)
         for k, part in zip(ks, parts):
             one = random_vertex_partition(g, k, seed)
-            assert (part.k, part.seed) == (one.k, one.seed) == (k, seed)
+            assert part.k == one.k == k
             assert part.home.dtype == one.home.dtype == np.int64
             assert (part.home == one.home).all()
 
