@@ -44,7 +44,6 @@ from .machines import (
     price,
     random_vertex_partition,
     random_vertex_partitions,
-    run_on_kmachines,
 )
 from .oracles import graph_stats
 from .programs import (

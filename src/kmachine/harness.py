@@ -142,6 +142,8 @@ _FLAT_GRAPH_KEYS = {key for need, may in GRAPH_FAMILIES.values() for key in (*ne
 
 def config_from_mapping(doc: dict) -> ExperimentConfig:
     """Build a config from a flat key-value document (JSON file or CLI)."""
+    if "algorithm" not in doc:
+        raise HarnessError("the config names no algorithm")
     doc = dict(doc)
     graph = {k: doc.pop(k) for k in list(doc) if k in _FLAT_GRAPH_KEYS}
     algo_kwargs = {k: doc.pop(k) for k in list(doc) if k in _FLAT_ALGO_KEYS}
@@ -167,8 +169,16 @@ def config_from_mapping(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise HarnessError(f"cannot read config file {path!r}: {exc.strerror}")
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise HarnessError(f"config file {path!r} is not JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise HarnessError(f"config file {path!r} holds a JSON {type(doc).__name__}, "
+                           "not an object")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_mapping(doc)
@@ -413,10 +423,6 @@ VALIDATORS = {
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
-
-
-def make_program(algorithm: str, inst: Instance, cfg: AlgoConfig):
-    return ALGORITHMS[algorithm].program(inst, cfg)
 
 
 @dataclass

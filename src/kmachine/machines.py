@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clique import CliqueMetrics, CliqueTrace, run_clique
+from .clique import CliqueMetrics, CliqueTrace
 from .graphs import Graph, label_bits
 from .rng import derive_each
 
@@ -278,25 +278,3 @@ def price(trace: CliqueTrace, part: Partition, W: int = None, *, mode: str) -> S
         return convert_p2p(trace, part, W)
     return convert_broadcast(trace, part, W)
 
-
-def run_on_kmachines(
-    g: Graph,
-    program,
-    k: int,
-    W: int = None,
-    mode: str = BCAST,
-    seed: int = 0,
-    max_rounds: int = None,
-):
-    """Partition, execute on the clique, then price the trace.
-
-    Per-vertex outputs are exactly those of the pure clique execution; the
-    machine network only changes the communication cost accounting.  A bad
-    k, W or mode is rejected before the execution.
-    Returns (outputs, report, metrics).
-    """
-    check_mode(mode)
-    W = link_bandwidth(g.n, W)
-    part = random_vertex_partition(g, k, seed)
-    outputs, trace, metrics = run_clique(g, program, seed, max_rounds=max_rounds)
-    return outputs, price(trace, part, W, mode=mode), metrics

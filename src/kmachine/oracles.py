@@ -329,55 +329,6 @@ def brute_densest(g: Graph):
             frozenset(i for i in range(n) if s >> i & 1))
 
 
-def densest_via_flow(g: Graph):
-    """Exact maximum density via min-cut tests, independent of brute_densest."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    if g.m == 0:
-        return Fraction(0)
-    m = g.m
-    deg = [g.degree(v) for v in range(g.n)]
-    candidates = sorted(
-        {Fraction(p, q) for q in range(1, g.n + 1) for p in range(0, m + 1)}
-    )
-
-    def denser_than(lam: Fraction) -> bool:
-        num, den = lam.numerator, lam.denominator
-        n = g.n
-        s, t = n, n + 1
-        rows, cols, caps = [], [], []
-        for v in range(n):
-            rows.append(s)
-            cols.append(v)
-            caps.append(m * den)
-            rows.append(v)
-            cols.append(t)
-            caps.append(m * den + 2 * num - deg[v] * den)
-        for u, v, _ in g.edges:
-            rows += [u, v]
-            cols += [v, u]
-            caps += [den, den]
-        mat = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2), dtype=np.int32)
-        flow = maximum_flow(mat, s, t).flow_value
-        return flow < m * den * n
-
-    lo, hi = 0, len(candidates) - 1
-    # find the largest candidate strictly below which density still exceeds
-    ans = Fraction(0)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if denser_than(candidates[mid]):
-            ans = candidates[mid]
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    # density exceeds `ans`, does not exceed the next candidate: OPT is the
-    # smallest candidate > ans
-    idx = candidates.index(ans)
-    return candidates[idx + 1] if idx + 1 < len(candidates) else ans
-
-
 # ---------------------------------------------------------------------------
 # independent sets and triangles
 # ---------------------------------------------------------------------------

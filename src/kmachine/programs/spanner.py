@@ -249,7 +249,7 @@ def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0,
     bound_ok cover the whole run; the bound is the spanner's broadcast bound
     plus a ship term, 16 log^2 n ceil(|E| 3L / W).
     """
-    if any(w != 1 for _, _, w in g.edges):
+    if (g.edge_arrays()[2] != 1).any():
         raise ConfigError("approximate shortest paths expects a unit-weight graph")
     n = g.n
     L = label_bits(n)

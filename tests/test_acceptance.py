@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
+from kmachine import acceptance
 from kmachine.acceptance import Battery
+from kmachine.programs import paths
 
 SEED = 7
 
@@ -34,6 +36,23 @@ def _check(battery, cid):
 
 def test_criterion_01_simulation_fidelity(battery):
     _check(battery, 1)
+
+
+def test_criterion_01_catches_a_kernel_fault(monkeypatch):
+    # the outputs stay right, so only a comparison of the traces sees this
+    real = paths._bfs_rounds
+
+    def one_bit_more(g, source):
+        rounds = real(g, source)
+        bs, bb, *unicasts = next(rounds)
+        yield (bs, bb + 1, *unicasts)  # the source's announcement, still under the cap
+        return (yield from rounds)
+
+    monkeypatch.setattr(acceptance, "FIDELITY_ALGORITHMS", ("bfs",))
+    monkeypatch.setattr(paths, "_bfs_rounds", one_bit_more)
+    res = Battery(seed=SEED, echo=lambda line: None).crit_1_fidelity()
+    assert not res.passed
+    assert res.summary.startswith("0/20 "), res.summary
 
 
 def test_criterion_02_oracle_agreement(battery):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmachine import clique
-from kmachine.acceptance import fidelity_instances
+from kmachine.acceptance import fidelity_instances, per_vertex_reference
 from kmachine.clique import (
     HALT,
     NONE,
@@ -31,7 +31,6 @@ from kmachine.harness import (
     ExperimentConfig,
     Instance,
     default_stverify_candidate,
-    make_program,
     run_cell,
 )
 from kmachine.programs import (
@@ -478,29 +477,16 @@ def test_golden_trace_densest():
 # ---------------------------------------------------------------------------
 
 
-def _reference(program):
-    """The same program without its kernel: one state machine per vertex,
-    each a deep copy, so no two vertices can share an object."""
-    return Program(program.name, lambda: copy.deepcopy(program.node()))
-
-
 def _assert_kernel_matches_reference(g, program, seed, **kw):
     assert program.kernel is not None
     out, trace, met = run_clique(g, program, seed, **kw)
-    ref_out, ref_trace, ref_met = run_clique(g, _reference(program), seed, **kw)
+    ref_out, ref_trace, ref_met = run_clique(g, per_vertex_reference(program), seed, **kw)
     assert trace.export_lines() == ref_trace.export_lines()
     # export_lines() leaves out destinations; compare every column
     assert _columns(trace) == _columns(ref_trace)
     assert repr(out) == repr(ref_out)
     assert met == ref_met
     return trace
-
-
-def test_pagerank_kernel_matches_reference_on_fidelity_instances():
-    runs = [(inst, s) for alg, inst, s in fidelity_instances(7) if alg == "pagerank"]
-    assert runs
-    for inst, s in runs:
-        _assert_kernel_matches_reference(inst.graph, pagerank_program(AlgoConfig()), s)
 
 
 @pytest.mark.parametrize("n, tokens", [(64, 600), (32, None)])
@@ -567,7 +553,7 @@ def test_pagerank_kernel_draws_nothing_after_the_last_token(monkeypatch):
 def test_walk_token_overflow_is_rejected_before_any_round():
     g = generate("path", 4, 0)
     prog = pagerank_program(AlgoConfig(tokens_per_node=2**31))  # 2**33 tokens
-    for p in (prog, _reference(prog)):
+    for p in (prog, per_vertex_reference(prog)):
         with pytest.raises(ConfigError, match="token counters"):
             run_clique(g, p, 0)
     cfg = ExperimentConfig("pagerank", {"model": "path", "n": 4}, [2], [0],
@@ -580,7 +566,7 @@ def test_pagerank_kernel_payload_over_cap_is_a_violation():
     g = generate("gnp", 16, 2, p=0.4)
     prog = pagerank_program(AlgoConfig(tokens_per_node=10**6))  # 24-bit counts
     errors = []
-    for p in (prog, _reference(prog)):
+    for p in (prog, per_vertex_reference(prog)):
         with pytest.raises(ProgramViolation) as e:
             run_clique(g, p, 5)
         errors.append(str(e.value))
@@ -591,7 +577,7 @@ def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
     g = generate("gnp", 32, 1, p=0.2)
     prog = pagerank_program(AlgoConfig())
     traces = []
-    for p in (prog, _reference(prog)):
+    for p in (prog, per_vertex_reference(prog)):
         with pytest.raises(RoundLimitExceeded) as e:
             run_clique(g, p, 3, max_rounds=12)
         traces.append(e.value.trace)
@@ -608,7 +594,7 @@ def test_distance_and_peeling_kernels_round_limit_keeps_the_partial_trace(max_ro
              densest_subgraph_program(AlgoConfig(eps=0.1))]
     for prog in progs:
         traces = []
-        for p in (prog, _reference(prog)):
+        for p in (prog, per_vertex_reference(prog)):
             with pytest.raises(RoundLimitExceeded) as e:
                 run_clique(g, p, 0, max_rounds=max_rounds)
             traces.append(e.value.trace)
@@ -634,7 +620,7 @@ def test_bellman_ford_kernel_keeps_large_distances_exact(edges, far):
     g = Graph(5000, edges)
     prog = bellman_ford_program(AlgoConfig(source=0))
     errors = []
-    for p in (prog, _reference(prog)):
+    for p in (prog, per_vertex_reference(prog)):
         with pytest.raises(ProgramViolation) as e:  # over the cap of 4 * 13 bits
             run_clique(g, p, 0)
         errors.append(str(e.value))
@@ -645,15 +631,6 @@ def test_bellman_ford_kernel_keeps_large_distances_exact(edges, far):
     assert out[-1] == (math.inf, None)
 
 
-def test_fragment_kernels_match_reference_on_fidelity_instances():
-    runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
-            if alg in ("mst", "conn", "stverify")]
-    assert len(runs) == 60
-    for alg, inst, s in runs:
-        prog = make_program(alg, inst, AlgoConfig())
-        _assert_kernel_matches_reference(inst.graph, prog, s)
-
-
 @pytest.mark.parametrize("block", [1, 5])
 def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
     # blocks far under a vertex's slot count: the sort's blocks still hold
@@ -662,7 +639,7 @@ def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
     runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
             if alg in ("mst", "conn", "stverify")]
     for alg, inst, s in runs:
-        prog = make_program(alg, inst, AlgoConfig())
+        prog = ALGORITHMS[alg].program(inst, AlgoConfig())
         _assert_kernel_matches_reference(inst.graph, prog, s)
 
 
@@ -674,14 +651,12 @@ _KERNEL_ALGORITHMS = {"pagerank", "mst", "conn", "stverify", "mis", "triangle",
 
 @pytest.mark.parametrize("alg", sorted(a for a, e in ALGORITHMS.items() if e.program))
 def test_every_kernel_matches_reference_on_fidelity_instances(alg):
-    runs = [(inst, s) for a, inst, s in fidelity_instances(7) if a == alg]
+    # criterion 1 compares each of these kernels with its reference on the
+    # same instances; a program that gains or loses a kernel must show up here
+    runs = [inst for a, inst, _ in fidelity_instances(7) if a == alg]
     assert len(runs) == 20
-    progs = [make_program(alg, inst, AlgoConfig()) for inst, _ in runs]
-    # a program that gains or loses a kernel must show up here
+    progs = [ALGORITHMS[alg].program(inst, AlgoConfig()) for inst in runs]
     assert {p.kernel is not None for p in progs} == {alg in _KERNEL_ALGORITHMS}
-    if alg in _KERNEL_ALGORITHMS:
-        for (inst, s), prog in zip(runs, progs):
-            _assert_kernel_matches_reference(inst.graph, prog, s)
 
 
 def test_every_kernel_round_takes_the_whole_column_check(monkeypatch):
@@ -698,7 +673,7 @@ def test_every_kernel_round_takes_the_whole_column_check(monkeypatch):
     monkeypatch.setattr(clique, "_plainly_valid", spy)
     for alg, inst, s in fidelity_instances(7):
         if alg in _KERNEL_ALGORITHMS:
-            run_clique(inst.graph, make_program(alg, inst, AlgoConfig()), s)
+            run_clique(inst.graph, ALGORITHMS[alg].program(inst, AlgoConfig()), s)
     assert {a for a, _ in verdicts} == _KERNEL_ALGORITHMS
     assert not [key for key in verdicts if not key[1]], verdicts
 
@@ -843,9 +818,9 @@ def test_broadcast_programs_keep_no_shared_state_on_fidelity_instances():
             if alg in ("densest", "spanner")]
     assert len(runs) == 40
     for alg, inst, s in runs:
-        prog = make_program(alg, inst, AlgoConfig())
+        prog = ALGORITHMS[alg].program(inst, AlgoConfig())
         out, trace, _ = run_clique(inst.graph, prog, s)
-        iso_out, iso_trace, _ = run_clique(inst.graph, _reference(prog), s)
+        iso_out, iso_trace, _ = run_clique(inst.graph, per_vertex_reference(prog), s)
         assert _columns(trace) == _columns(iso_trace)
         assert repr(out) == repr(iso_out)
 
@@ -880,7 +855,7 @@ def test_fragment_kernel_payload_over_cap_is_a_violation():
     g = Graph(16, [(0, 1, 2**12), (1, 2, 3), (2, 3, 5)])
     prog = mst_program()
     errors = []
-    for p in (prog, _reference(prog)):
+    for p in (prog, per_vertex_reference(prog)):
         with pytest.raises(ProgramViolation) as e:
             run_clique(g, p, 0)
         errors.append(str(e.value))
@@ -892,7 +867,7 @@ def test_fragment_kernel_round_limit_keeps_the_partial_trace():
     progs = [mst_program(), conn_program(), st_verify_program(range(g.m))]
     for prog in progs:
         traces = []
-        for p in (prog, _reference(prog)):
+        for p in (prog, per_vertex_reference(prog)):
             with pytest.raises(RoundLimitExceeded) as e:
                 run_clique(g, p, 3, max_rounds=4)
             traces.append(e.value.trace)

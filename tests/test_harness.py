@@ -20,14 +20,13 @@ from kmachine.harness import (
     config_from_mapping,
     fit_scaling,
     format_csv,
-    make_program,
     rows_from_result,
     run_cell,
     run_experiment,
     run_sweep,
 )
 from kmachine.machines import ConversionError
-from kmachine.programs import AlgoConfig, ConfigError
+from kmachine.programs import ALGORITHMS, AlgoConfig, ConfigError
 
 
 def test_csv_header_exact():
@@ -382,6 +381,28 @@ def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param(None, "cannot read config file", id="missing_file"),
+    pytest.param('{"algorithm": "mst",', "is not JSON", id="malformed_json"),
+    pytest.param(b'{"algorithm": "\xff"}', "is not JSON", id="not_utf8"),
+    pytest.param('["mst"]', "holds a JSON list, not an object", id="top_level_list"),
+    pytest.param('{"model": "cycle", "n": 8}', "the config names no algorithm",
+                 id="no_algorithm"),
+])
+def test_cli_bad_config_file_is_one_line_and_exit_2(text, message, tmp_path, capsys):
+    conf = tmp_path / "exp.json"
+    if isinstance(text, str):
+        conf.write_text(text)
+    elif text is not None:
+        conf.write_bytes(text)
+    rc = cli_main(["run", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("kmachine: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_override_flags_all_reach_the_config(tmp_path, monkeypatch):
     conf = tmp_path / "exp.json"
     conf.write_text(json.dumps({"algorithm": "mis", "model": "cycle", "n": 8}))
@@ -621,8 +642,6 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert sum(t.count("km_rounds +=") for t in text.values()) == 1
     assert sim_report.count("km_rounds +=") == 1
     # one table of algorithms, which the harness reads without naming any
-    from kmachine.programs import ALGORITHMS
-
     tables = sorted((p.name, node.targets[0].id) for p, t in text.items()
                     for node in ast.parse(t).body
                     if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
@@ -632,7 +651,8 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert set(VALIDATORS) == set(ALGORITHMS)
     assert not any(name in t for t in text.values() for name in (
         "CLIQUE_ALGORITHMS", "ALGORITHM_NAMES", "_engine_budget", "_empty_metrics",
-        "ship_rounds", "ApproxPathsResult", "_run_logsp"))
+        "ship_rounds", "ApproxPathsResult", "_run_logsp", "run_on_kmachines",
+        "make_program"))
     # one placement per cell: under programs/ only Algorithm.run draws one
     placing = [(p.name, fn.name) for p, t in text.items() if p.parent.name == "programs"
                for fn in ast.walk(ast.parse(t)) if isinstance(fn, ast.FunctionDef)
@@ -720,7 +740,8 @@ def test_bellman_ford_broadcast_bound_holds_above_512():
 
 def _distance_cell(algorithm, g, source=0):
     cfg = AlgoConfig(source=source)
-    outputs, _, metrics = run_clique(g, make_program(algorithm, Instance(graph=g), cfg), 0)
+    prog = ALGORITHMS[algorithm].program(Instance(graph=g), cfg)
+    outputs, _, metrics = run_clique(g, prog, 0)
     return cfg, outputs, metrics
 
 

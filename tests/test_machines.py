@@ -20,7 +20,6 @@ from kmachine.machines import (
     price,
     random_vertex_partition,
     random_vertex_partitions,
-    run_on_kmachines,
     sim_report,
 )
 from kmachine.oracles import bfs_tree
@@ -300,12 +299,10 @@ def test_explicit_bounds_hold():
         assert rep.bound_ok
 
 
-def test_fidelity_composition():
+def test_bfs_distances_match_bfs_tree():
     g = generate("cycle", 32, 0)
-    out_k, rep, _ = run_on_kmachines(g, bfs_program(AlgoConfig()), k=4, mode="bcast", seed=6)
-    out_c, _, _ = run_clique(g, bfs_program(AlgoConfig()), seed=6)
-    assert out_k == out_c
-    assert [d for d, _ in out_k] == bfs_tree(g, 0)[0]
+    out, _, _ = run_clique(g, bfs_program(AlgoConfig()), seed=6)
+    assert [d for d, _ in out] == bfs_tree(g, 0)[0]
 
 
 def test_mst_rounds_decrease_with_k():
@@ -358,17 +355,3 @@ def test_price_dispatches_and_defaults_bandwidth():
         price(trace, part, mode="direct")
     with pytest.raises(ConversionError):
         price(trace, part, 0, mode="bcast")
-
-
-def test_run_on_kmachines_rejects_bad_mode_before_running(monkeypatch):
-    import kmachine.machines as machines
-
-    def engine(*args, **kwargs):
-        raise AssertionError("the engine ran")
-
-    monkeypatch.setattr(machines, "run_clique", engine)
-    g = generate("cycle", 16, 0)
-    with pytest.raises(ConversionError):
-        run_on_kmachines(g, bfs_program(AlgoConfig()), k=4, mode="foo")
-    with pytest.raises(ConversionError):
-        run_on_kmachines(g, bfs_program(AlgoConfig()), k=17)

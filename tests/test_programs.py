@@ -8,6 +8,7 @@ from kmachine.acceptance import fidelity_instances
 from kmachine.clique import Broadcast, Program, Unicast, run_clique
 from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
 from kmachine.programs import (
+    ALGORITHMS,
     AlgoConfig,
     bellman_ford_program,
     bfs_program,
@@ -23,7 +24,6 @@ from kmachine.programs import (
     st_verify_program,
     triangle_program,
 )
-from kmachine.harness import make_program
 from kmachine.machines import convert_broadcast, random_vertex_partition
 from kmachine.programs.spanner import _SpannerNode
 
@@ -363,7 +363,7 @@ def test_reference_payload_fields_fit_their_bits(algorithm):
     runs = [(inst, s) for a, inst, s in fidelity_instances(7) if a == algorithm]
     assert len(runs) == 20
     for inst, seed in runs:
-        prog = make_program(algorithm, inst, AlgoConfig())
+        prog = ALGORITHMS[algorithm].program(inst, AlgoConfig())
         sent = []
 
         def node():
