@@ -44,15 +44,21 @@ class Graph:
         """edges: an iterable of (u, v, w) integer triples or an (m, 3)
         integer array.  Float, string and other non-integer fields are
         rejected, not cast."""
-        if n < 1:
-            raise GraphError("graph needs at least one vertex")
         rows = _integer_rows(edges)
         if rows.size == 0:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise GraphError("edges must be (u, v, w) triples")
-        # the graph's one copy of its input: a row per field, oriented in place
-        block = np.array(rows.T, dtype=np.int64, order="C")
+        # the public constructor's one copy of its input, a row per field
+        self._adopt(n, np.array(rows.T, dtype=np.int64, order="C"), rows)
+
+    def _adopt(self, n, block, rows):
+        """Every graph's one check path: orient the fresh (3, m) int64
+        `block` in place so u < v, check it, and keep it, frozen, as the
+        graph's edges.  Errors name the faulty row of `rows`, the edges as
+        given."""
+        if n < 1:
+            raise GraphError("graph needs at least one vertex")
         u, v, w = block
         swap = u > v
         if swap.any():
@@ -319,51 +325,60 @@ def dump_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _pairs_from_indices(idx: np.ndarray, n: int):
-    """(u, v) of the ascending pair indices idx in the lexicographic order
-    (0,1),(0,2),..,(0,n-1),(1,2),..; v is computed in place over idx.
+def _pairs_from_indices(block: np.ndarray, n: int):
+    """Decode the ascending pair indices in block[1], in the lexicographic
+    order (0,1),(0,2),..,(0,n-1),(1,2),.., into u in block[0] and v in
+    block[1], in place; block[2] is scratch.
 
-    Row u's pairs start at index start[u]; one search of the n-1 row starts
-    in idx counts each row's pairs, and v = idx - start[u] + u + 1.
+    Row u's pairs start at index start[u]; one search of the row starts in
+    the indices finds where each row's pairs begin, u is the cumulative
+    count of those beginnings, and v = idx - start[u] + u + 1.
     """
+    u, idx, scratch = block
     rows = np.arange(n - 1, dtype=np.int64)
     start = rows * n - rows * (rows + 1) // 2  # index of the pair (u, u+1)
-    counts = np.diff(idx.searchsorted(start), append=len(idx))
-    u = np.repeat(rows, counts)
+    first = idx.searchsorted(start[1:])
+    u.fill(0)
+    np.add.at(u, first[first < len(u)], 1)
+    np.cumsum(u, out=u)
     start -= rows + 1
-    idx -= np.repeat(start, counts)
-    return u, idx
+    np.take(start, u, out=scratch, mode="clip")  # "raise" would buffer a copy
+    idx -= scratch
 
 
-def _gnp_edges(n: int, p: float, rng):
-    """(u, v) int64 arrays of a G(n, p) sample, in lexicographic order."""
+def _gnp_block(n: int, p: float, rng):
+    """A fresh (3, m) int64 block holding the (u, v) of a G(n, p) sample in
+    lexicographic order in rows 0 and 1; row 2 is left for the weights."""
     total = n * (n - 1) // 2
-    if p <= 0.0 or total == 0:
-        return _pairs_from_indices(np.zeros(0, dtype=np.int64), n)
-    if p >= 1.0:
-        return _pairs_from_indices(np.arange(total), n)
     picked = []
-    pos = -1
-    while pos < total:
-        want = int((total - pos) * p * 1.1) + 64
-        idx = rng.geometric(p, size=want)
-        np.cumsum(idx, out=idx)
-        idx += pos
-        cut = idx.searchsorted(total)
-        picked.append(idx[:cut])
-        if cut < want:
-            break
-        pos = int(idx[-1])
-    idx = picked[0] if len(picked) == 1 else np.concatenate(picked)
-    del picked
-    return _pairs_from_indices(idx, n)
+    if total and p >= 1.0:
+        picked.append(np.arange(total))
+    elif total and p > 0.0:
+        pos = -1
+        while pos < total:
+            want = int((total - pos) * p * 1.1) + 64
+            idx = rng.geometric(p, size=want)
+            np.cumsum(idx, out=idx)
+            idx += pos
+            cut = idx.searchsorted(total)
+            picked.append(idx[:cut])
+            if cut < want:
+                break
+            pos = int(idx[-1])
+        del idx
+    block = np.empty((3, sum(map(len, picked))), dtype=np.int64)
+    if picked:
+        np.concatenate(picked, out=block[1])
+    del picked  # the draws go before the graph's checks run
+    _pairs_from_indices(block, n)
+    return block
 
 
-def _edge_rows(u, v, w):
-    """(m, 3) view of a fresh (3, m) block, which Graph copies row by row."""
-    block = np.empty((3, len(u)), dtype=np.int64)
-    block[0], block[1], block[2] = u, v, w
-    return block.T
+def _generated(n, block):
+    """The graph that keeps the generator's fresh block: no second copy."""
+    g = Graph.__new__(Graph)
+    g._adopt(n, block, block.T)
+    return g
 
 
 MODELS = ("cycle", "path", "star", "clique", "grid", "gnp", "random_weighted")
@@ -400,16 +415,18 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
             if i + cols < n:
                 edges.append((i, i + cols, 1))
     elif model == "gnp":
-        edges = _edge_rows(*_gnp_edges(n, p, make_np_rng(seed, "gen-gnp", n)), 1)
+        block = _gnp_block(n, p, make_np_rng(seed, "gen-gnp", n))
+        block[2] = 1
+        return _generated(n, block)
     elif model == "random_weighted":
         if wmax is None or wmax < 1:
             raise GraphError("random_weighted needs wmax >= 1")
         if wmax >= inf_weight(n):
             raise GraphError(f"wmax {wmax} too large for n={n}")
         rng = make_np_rng(seed, "gen-rw", n)
-        u, v = _gnp_edges(n, p, rng)
-        edges = _edge_rows(u, v, rng.integers(1, wmax + 1, size=len(u)))
-        del u, v
+        block = _gnp_block(n, p, rng)
+        block[2] = rng.integers(1, wmax + 1, size=block.shape[1])
+        return _generated(n, block)
     else:
         raise GraphError(f"unknown model {model!r}")
     return Graph(n, edges)
