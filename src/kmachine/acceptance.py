@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import oracles
 from .clique import Program, SimulationError, run_clique
-from .graphs import generate
+from .graphs import generate, label_bits
 from .harness import (
     ExperimentConfig,
     Instance,
@@ -192,7 +192,7 @@ class Battery:
         for fixed_delta in (2, None):
             for i in range(10):
                 n = [32, 64, 128][i % 3]
-                d = fixed_delta or max(1, math.ceil(math.log2(n)))
+                d = fixed_delta or label_bits(n)
                 spanner.append(self._cell("spanner", {"model": "gnp", "n": n, "p": 0.3},
                                           _seed(self.seed, "spanner", i, d), [4],
                                           delta=d))
@@ -230,6 +230,7 @@ class Battery:
                 worst_v = max(worst_v, mv / vb)
                 worst_e = max(worst_e, me / eb)
                 ok &= mv <= vb and me <= eb
+            del g, part  # so the next graph's edge block never meets this one
         return self._done(
             3, "placement concentration", ok,
             f"worst vertex ratio {worst_v:.3f}, worst link ratio {worst_e:.3f}",

@@ -46,8 +46,8 @@ def _add_override_flags(p):
     p.add_argument("--out")
 
 
-def _emit(rows, out):
-    text = format_csv(rows)
+def _emit(text, out):
+    """Write text to the file `out`, else to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -57,12 +57,7 @@ def _emit(rows, out):
 
 def cmd_gen(args):
     g = generate(args.model, args.n, args.seed, p=args.p, wmax=args.wmax)
-    text = dump_edge_list(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dump_edge_list(g), args.out)
     return 0
 
 
@@ -75,7 +70,7 @@ def _config_from_args(args):
 def cmd_run(args):
     cfg = _config_from_args(args)
     rows = run_experiment(cfg)
-    _emit(rows, cfg.out)
+    _emit(format_csv(rows), cfg.out)
     return 0 if all(r["success"] for r in rows) else 1
 
 
@@ -83,7 +78,7 @@ def cmd_sweep(args):
     cfg = _config_from_args(args)
     rows = run_sweep(cfg, args.sweep)
     fit = fit_scaling(rows, args.sweep)
-    _emit(rows, cfg.out)
+    _emit(format_csv(rows), cfg.out)
     print(
         f"# sweep {args.sweep}: slope {fit.slope:.4f}, intercept "
         f"{fit.intercept:.4f}, R^2 {fit.r2:.4f}",

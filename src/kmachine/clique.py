@@ -247,7 +247,6 @@ def run_clique(
     program: Program,
     seed: int,
     max_rounds: int = None,
-    payload_cap_c: int = PAYLOAD_CAP_C,
 ):
     """Execute `program` on graph g over the complete n-vertex network.
 
@@ -263,7 +262,7 @@ def run_clique(
         max_rounds = default_round_budget(n)
     if max_rounds < 1:
         raise SimulationError("max_rounds must be >= 1")
-    cap = payload_cap_c * label_bits(n)
+    cap = PAYLOAD_CAP_C * label_bits(n)
     if program.kernel is not None:
         rounds = program.kernel(g, seed)
     else:
@@ -342,11 +341,12 @@ def _vertex_rounds(g, node, seed):
 
 def _checked_round(cols, n, cap):
     """A round's (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) as int64
-    arrays, after the model's checks on every message, vectorized; the
-    first offending broadcast, else unicast, raises."""
+    arrays, after the model's checks.  Integer columns are cast once (an
+    int64 column is kept as it is) and a few whole-column tests pass a valid
+    round; only a round that fails one builds per-message masks, which raise
+    at the first offending broadcast, else unicast.  Unicasts that are only
+    out of (source, destination) order pass."""
     cols = [np.asarray(a) for a in cols]
-    if _plainly_valid(cols, n, cap):
-        return tuple(a if len(a) else NONE for a in cols)
     if (len(cols) != 5 or any(a.ndim != 1 for a in cols)
             or len(cols[1]) != len(cols[0])
             or not len(cols[2]) == len(cols[3]) == len(cols[4])):
@@ -359,7 +359,8 @@ def _checked_round(cols, n, cap):
     bs, bb, us, ud, ub = (
         a.astype(np.int64, copy=False) if len(a) else NONE for a in cols
     )
-    if len(bs):
+    if len(bs) and not (0 <= bs[0] and bs[-1] < n and (bs[1:] > bs[:-1]).all()
+                        and 1 <= bb.min() and bb.max() <= cap):
         down = np.zeros(len(bs), dtype=bool)  # a source not above the one before
         down[1:] = bs[1:] <= bs[:-1]
         _raise_first([
@@ -372,44 +373,22 @@ def _checked_round(cols, n, cap):
         ])
     if len(us):
         key = us * n + ud
-        dup = np.zeros(len(key), dtype=bool)
-        if (key[1:] <= key[:-1]).any():  # not strictly ascending: look for repeats
-            dup[:] = True
-            dup[np.unique(key, return_index=True)[1]] = False
-        _raise_first([
-            ((us < 0) | (us >= n), lambda i: f"kernel: bad source {us[i]}"),
-            ((ud < 0) | (ud >= n) | (ud == us),
-             lambda i: f"vertex {us[i]}: bad destination {ud[i]}"),
-            (dup, lambda i: f"vertex {us[i]}: two messages to {ud[i]} in one round"),
-            ((ub < 1) | (ub > cap),
-             lambda i: f"vertex {us[i]}: payload size {ub[i]} outside [1, {cap}]"),
-        ])
-    return bs, bb, us, ud, ub
-
-
-def _plainly_valid(cols, n, cap):
-    """Whether a round passes every check of _checked_round as it stands,
-    by a few whole-column tests: int64 columns of matching lengths, sources,
-    destinations and bits in range, no message to its own source, and
-    strictly ascending broadcast sources and (source, destination) keys.
-    False only sends the round to the per-message checks, which name the
-    first fault or pass it."""
-    if len(cols) != 5 or any(a.ndim != 1 or len(a) and a.dtype != np.int64
-                             for a in cols):
-        return False
-    bs, bb, us, ud, ub = cols
-    if len(bb) != len(bs) or not len(us) == len(ud) == len(ub):
-        return False
-    if len(bs) and not (0 <= bs[0] and bs[-1] < n and (bs[1:] > bs[:-1]).all()
-                        and 1 <= bb.min() and bb.max() <= cap):
-        return False
-    if len(us):
         if not (0 <= us.min() and us.max() < n and 0 <= ud.min() and ud.max() < n
-                and 1 <= ub.min() and ub.max() <= cap):
-            return False
-        key = us * n + ud
-        return not (ud == us).any() and bool((key[1:] > key[:-1]).all())
-    return True
+                and 1 <= ub.min() and ub.max() <= cap and not (ud == us).any()
+                and (key[1:] > key[:-1]).all()):
+            dup = np.zeros(len(key), dtype=bool)
+            if (key[1:] <= key[:-1]).any():  # not strictly ascending: look for repeats
+                dup[:] = True
+                dup[np.unique(key, return_index=True)[1]] = False
+            _raise_first([
+                ((us < 0) | (us >= n), lambda i: f"kernel: bad source {us[i]}"),
+                ((ud < 0) | (ud >= n) | (ud == us),
+                 lambda i: f"vertex {us[i]}: bad destination {ud[i]}"),
+                (dup, lambda i: f"vertex {us[i]}: two messages to {ud[i]} in one round"),
+                ((ub < 1) | (ub > cap),
+                 lambda i: f"vertex {us[i]}: payload size {ub[i]} outside [1, {cap}]"),
+            ])
+    return bs, bb, us, ud, ub
 
 
 def _raise_first(checks):

@@ -20,9 +20,9 @@ def label_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def inf_weight(n: int, c: int = WEIGHT_POLY_C) -> int:
+def inf_weight(n: int) -> int:
     """Reserved sentinel for 'infinite weight'; never stored in a graph."""
-    return (1 << (c * label_bits(n))) - 1
+    return (1 << (WEIGHT_POLY_C * label_bits(n))) - 1
 
 
 class GraphError(ValueError):

@@ -398,7 +398,7 @@ def _validate_logsp(inst, cfg, outputs, metrics):
     g = inst.graph
     dist, _ = oracles.all_pairs_distances(g)
     est = np.array(outputs, dtype=float)
-    bound = 2 * max(1, math.ceil(math.log2(max(2, g.n)))) - 1
+    bound = 2 * label_bits(g.n) - 1
     # an unreachable pair passes only with an infinite estimate
     ok = bool(((dist <= est) & (est <= bound * dist)).all())
     return ok, {"kind": "logsp"}

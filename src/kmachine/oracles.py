@@ -275,7 +275,11 @@ def graph_stats(g: Graph):
 # ---------------------------------------------------------------------------
 
 
-def exact_pagerank(g: Graph, gamma: float, tol: float = 1e-10, max_iters: int = 100000):
+PAGERANK_TOL = 1e-10  # stop once an iteration moves pi by at most this in L1
+PAGERANK_MAX_ITERS = 100000
+
+
+def exact_pagerank(g: Graph, gamma: float):
     """Fixpoint of pi = gamma/n + (1-gamma) P^T pi for the uniform-restart
     walk; entries sum to 1 when no vertex is isolated (walk mass at an
     isolated vertex simply dies, matching the token semantics)."""
@@ -288,7 +292,7 @@ def exact_pagerank(g: Graph, gamma: float, tol: float = 1e-10, max_iters: int = 
     np.add.at(deg, v, 1.0)
     safe_deg = np.where(deg > 0, deg, 1.0)
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
+    for _ in range(PAGERANK_MAX_ITERS):
         share = pi / safe_deg
         nxt = np.full(n, gamma / n)
         if g.m:
@@ -296,7 +300,7 @@ def exact_pagerank(g: Graph, gamma: float, tol: float = 1e-10, max_iters: int = 
             np.add.at(flow, v, share[u])
             np.add.at(flow, u, share[v])
             nxt += (1.0 - gamma) * flow
-        if np.abs(nxt - pi).sum() <= tol:
+        if np.abs(nxt - pi).sum() <= PAGERANK_TOL:
             return nxt
         pi = nxt
     return pi

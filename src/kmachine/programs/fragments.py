@@ -16,8 +16,8 @@ sorts the slots once by (source, weight), which the CSR's ascending
 neighbours make (source, merge_key) order, and skips the sort when every
 edge weighs the same; each candidate round takes every vertex's first slot,
 and each merge then drops the slots inside a fragment.  What it yields and
-returns is int64, as the engine's whole-column round check wants.  The
-per-vertex `_FragmentNode` stays as its reference.
+returns is int64; the engine's round check keeps the yielded columns
+without a copy.  The per-vertex `_FragmentNode` stays as its reference.
 """
 
 import numpy as np

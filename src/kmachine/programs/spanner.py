@@ -254,8 +254,7 @@ def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0,
     n = g.n
     L = label_bits(n)
     W = link_bandwidth(n, W)
-    delta = max(1, math.ceil(math.log2(max(2, n))))
-    cfg = replace(cfg or AlgoConfig(), delta=delta)
+    cfg = replace(cfg or AlgoConfig(), delta=L)
     outputs, trace, metrics = run_clique(g, spanner_program(cfg), seed)
     edges = spanner_union(outputs)
     low, high = np.array(edges, dtype=np.int64).reshape(-1, 2).T

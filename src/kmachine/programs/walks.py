@@ -36,13 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ..clique import HALT, NONE, SILENT, NodeProgram, Program, Unicast
+from ..graphs import label_bits
 from ..rng import (token_bases, token_hops, token_layout_fits, token_uniforms,
                    unit_threshold)
 from .config import AlgoConfig, ConfigError
 
 
 def default_tokens_per_node(n: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, n))))
+    return label_bits(n)
 
 
 def walk_round_budget(n: int, total_tokens: int, gamma: float) -> int:

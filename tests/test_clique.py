@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmachine import clique
-from kmachine.acceptance import fidelity_instances, per_vertex_reference
+from kmachine.acceptance import _observed, fidelity_instances, per_vertex_reference
 from kmachine.clique import (
     HALT,
     NONE,
@@ -373,24 +373,68 @@ def _round_with_faults(draw):
     return cols, n, cap, faults + [form]
 
 
+def _first_fault(cols, n, cap):
+    """The text of the first check a round fails, message by message: the
+    columns' shape and type, then each broadcast in turn, then each unicast;
+    None for a valid round."""
+    cols = [np.asarray(a) for a in cols]
+    if (any(a.ndim != 1 for a in cols) or len(cols[0]) != len(cols[1])
+            or not len(cols[2]) == len(cols[3]) == len(cols[4])):
+        return ("kernel round is not (bcast_src, bcast_bits) and "
+                "(uni_src, uni_dst, uni_bits) arrays of equal lengths")
+    if any(len(a) and a.dtype.kind not in "iu" for a in cols):
+        return "round holds non-integer values"
+    bs, bb, us, ud, ub = ([int(x) for x in a] for a in cols)
+    for i, (src, bits) in enumerate(zip(bs, bb)):
+        if not 0 <= src < n:
+            return f"kernel: bad source {src}"
+        if i and src <= bs[i - 1]:
+            return f"kernel: broadcast source {src} not above {bs[i - 1]}"
+        if bits < 1:
+            return f"vertex {src}: bad payload size {bits}"
+        if bits > cap:
+            return f"vertex {src}: payload of {bits} bits exceeds cap {cap}"
+    sent = set()
+    for src, dst, bits in zip(us, ud, ub):
+        if not 0 <= src < n:
+            return f"kernel: bad source {src}"
+        if not 0 <= dst < n or dst == src:
+            return f"vertex {src}: bad destination {dst}"
+        if (src, dst) in sent:
+            return f"vertex {src}: two messages to {dst} in one round"
+        sent.add((src, dst))
+        if not 1 <= bits <= cap:
+            return f"vertex {src}: payload size {bits} outside [1, {cap}]"
+    return None
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(_round_with_faults())
 def test_whole_column_round_checks_agree_with_the_per_message_checks(case):
-    # a round passed by the whole-column tests comes back as the same arrays
-    # the per-message checks return, and any other round gets the same
-    # verdict and text from them
+    # _checked_round gives every round the verdict and text of the
+    # per-message reference; a valid round comes back as int64 arrays of
+    # the same values (an int64 column as the same array), and one whose
+    # unicasts are in ascending (source, destination) order never leaves
+    # the whole-column tests for the per-message masks
     cols, n, cap, faults = case
+    want = _first_fault(cols, n, cap)
     if faults == ["int64"]:
-        assert clique._plainly_valid(cols, n, cap)
-    outcomes = []
-    for fast in (clique._plainly_valid, lambda *_: False):
-        with mock.patch.object(clique, "_plainly_valid", fast):
-            try:
-                got = clique._checked_round(cols, n, cap)
-                outcomes.append([(a.dtype.str, a.tolist()) for a in got])
-            except ProgramViolation as e:
-                outcomes.append(str(e))
-    assert outcomes[0] == outcomes[1]
+        assert want is None
+    with mock.patch.object(clique, "_raise_first", wraps=clique._raise_first) as masks:
+        try:
+            got = clique._checked_round(cols, n, cap)
+        except ProgramViolation as e:
+            assert str(e) == want
+            return
+    assert want is None
+    assert [(a.dtype, a.tolist()) for a in got] == [
+        (np.dtype(np.int64), [int(x) for x in c]) for c in cols]
+    for a, c in zip(got, cols):
+        if isinstance(c, np.ndarray) and c.dtype == np.int64:
+            assert a is (c if len(c) else NONE)
+    pairs = list(zip(got[2].tolist(), got[3].tolist()))
+    if pairs == sorted(pairs):
+        assert not masks.called
 
 
 def test_trace_export_format():
@@ -477,16 +521,17 @@ def test_golden_trace_densest():
 # ---------------------------------------------------------------------------
 
 
-def _assert_kernel_matches_reference(g, program, seed, **kw):
+def _assert_kernel_matches_reference(g, program, seed):
+    # what criterion 1 compares: outputs, every column and the metrics
     assert program.kernel is not None
-    out, trace, met = run_clique(g, program, seed, **kw)
-    ref_out, ref_trace, ref_met = run_clique(g, per_vertex_reference(program), seed, **kw)
-    assert trace.export_lines() == ref_trace.export_lines()
-    # export_lines() leaves out destinations; compare every column
-    assert _columns(trace) == _columns(ref_trace)
-    assert repr(out) == repr(ref_out)
-    assert met == ref_met
-    return trace
+    run = run_clique(g, program, seed)
+    assert _observed(run) == _observed(run_clique(g, per_vertex_reference(program), seed))
+    return run[1]
+
+
+def _cap_c(c):
+    """Widens the payload cap to c * ceil(log2 n) bits for the runs inside."""
+    return mock.patch.object(clique, "PAYLOAD_CAP_C", c)
 
 
 @pytest.mark.parametrize("n, tokens", [(64, 600), (32, None)])
@@ -625,8 +670,9 @@ def test_bellman_ford_kernel_keeps_large_distances_exact(edges, far):
             run_clique(g, p, 0)
         errors.append(str(e.value))
     assert errors[0] == errors[1]
-    _assert_kernel_matches_reference(g, prog, 0, payload_cap_c=16)
-    out = run_clique(g, prog, 0, payload_cap_c=16)[0]
+    with _cap_c(16):
+        _assert_kernel_matches_reference(g, prog, 0)
+        out = run_clique(g, prog, 0)[0]
     assert {v: out[v][0] for v in far} == far
     assert out[-1] == (math.inf, None)
 
@@ -661,22 +707,24 @@ def test_every_kernel_matches_reference_on_fidelity_instances(alg):
 
 
 def test_every_kernel_round_takes_the_whole_column_check(monkeypatch):
-    # a kernel that yields int32 or unsorted columns still runs correctly, on
-    # the per-message checks, so only this spy sees it leave the fast path
-    verdicts = Counter()
-    plainly_valid = clique._plainly_valid
+    # a kernel that yields unsorted unicasts still runs correctly, on the
+    # per-message masks, so only this spy sees a round leave the
+    # whole-column tests
+    masked = Counter()
+    raise_first = clique._raise_first
 
-    def spy(cols, n, cap):
-        ok = plainly_valid(cols, n, cap)
-        verdicts[alg, ok] += 1
-        return ok
+    def spy(checks):
+        masked[alg] += 1
+        return raise_first(checks)
 
-    monkeypatch.setattr(clique, "_plainly_valid", spy)
+    monkeypatch.setattr(clique, "_raise_first", spy)
+    ran = set()
     for alg, inst, s in fidelity_instances(7):
         if alg in _KERNEL_ALGORITHMS:
             run_clique(inst.graph, ALGORITHMS[alg].program(inst, AlgoConfig()), s)
-    assert {a for a, _ in verdicts} == _KERNEL_ALGORITHMS
-    assert not [key for key in verdicts if not key[1]], verdicts
+            ran.add(alg)
+    assert ran == _KERNEL_ALGORITHMS
+    assert not masked, masked
 
 
 @st.composite
@@ -723,20 +771,22 @@ def test_kernels_match_reference_on_edge_case_graphs(g, seed):
     for tokens in (1, None, 40):
         # at n = 2 the default cap of 4 bits cannot hold 40 tokens' counts
         prog = pagerank_program(AlgoConfig(tokens_per_node=tokens))
-        _assert_kernel_matches_reference(g, prog, seed, payload_cap_c=16)
+        with _cap_c(16):
+            _assert_kernel_matches_reference(g, prog, seed)
     for source in sorted({0, g.n - 1}):
         cfg = AlgoConfig(source=source)
         _assert_kernel_matches_reference(g, bfs_program(cfg), seed)
         for h in (_with_weights(g, 1, seed), _with_weights(g, 9, seed)):
             # at n = 2 the default cap of 4 bits holds distances up to 7
-            _assert_kernel_matches_reference(h, bellman_ford_program(cfg), seed,
-                                             payload_cap_c=16)
+            with _cap_c(16):
+                _assert_kernel_matches_reference(h, bellman_ford_program(cfg), seed)
     for eps in (0.1, 0.5, 2.0):
         prog = densest_subgraph_program(AlgoConfig(eps=eps))
         _assert_kernel_matches_reference(g, prog, seed)
     for h in (_with_weights(g, 1, seed), _with_weights(g, 9, seed)):
         # at n = 2 the default cap of 4 bits holds weights up to 7
-        _assert_kernel_matches_reference(h, mst_program(), seed, payload_cap_c=16)
+        with _cap_c(16):
+            _assert_kernel_matches_reference(h, mst_program(), seed)
     _assert_kernel_matches_reference(g, conn_program(), seed)
     prog = st_verify_program(default_stverify_candidate(g, seed))
     _assert_kernel_matches_reference(g, prog, seed)
@@ -792,7 +842,8 @@ def test_fragment_kernels_match_reference_on_tied_weights(monkeypatch, block):
         candidate = default_stverify_candidate(g, i)
         for prog in (mst_program(), conn_program(), st_verify_program(candidate)):
             # inf_weight(n) - 1 takes 4L bits, and a candidate L more
-            trace = _assert_kernel_matches_reference(g, prog, i, payload_cap_c=5)
+            with _cap_c(5):
+                trace = _assert_kernel_matches_reference(g, prog, i)
             bits = set(np.concatenate([cols[1] for cols in trace.round_arrays()]).tolist())
             # label rounds take L bits; mst's candidates carry the constant
             want = max(1, c.bit_length()) if prog.name == "mst" else 0
@@ -809,21 +860,8 @@ def test_fragment_kernel_matches_reference_on_weights_wider_than_int32():
     for w in (rng.integers(top - 2, top + 1, size=g.m), rng.integers(0, top + 1, size=g.m)):
         u, v, _ = g.edge_arrays()
         h = Graph(n, np.column_stack([u, v, w]))
-        _assert_kernel_matches_reference(h, mst_program(), 2, payload_cap_c=5)
-
-
-def test_broadcast_programs_keep_no_shared_state_on_fidelity_instances():
-    # every vertex a deep copy: what a vertex knows of the others it rebuilt
-    # from its own inbox, so the trace and outputs equal the normal run's
-    runs = [(alg, inst, s) for alg, inst, s in fidelity_instances(7)
-            if alg in ("densest", "spanner")]
-    assert len(runs) == 40
-    for alg, inst, s in runs:
-        prog = ALGORITHMS[alg].program(inst, AlgoConfig())
-        out, trace, _ = run_clique(inst.graph, prog, s)
-        iso_out, iso_trace, _ = run_clique(inst.graph, per_vertex_reference(prog), s)
-        assert _columns(trace) == _columns(iso_trace)
-        assert repr(out) == repr(iso_out)
+        with _cap_c(5):
+            _assert_kernel_matches_reference(h, mst_program(), 2)
 
 
 @pytest.mark.parametrize("n, edges, candidate, spanning, tree", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kmachine import oracles
+from kmachine import clique, oracles
 from kmachine.acceptance import fidelity_instances
 from kmachine.clique import Broadcast, Program, Unicast, run_clique
 from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
@@ -28,8 +28,8 @@ from kmachine.machines import convert_broadcast, random_vertex_partition
 from kmachine.programs.spanner import _SpannerNode
 
 
-def _run(g, prog, seed=0, **kw):
-    return run_clique(g, prog, seed, **kw)
+def _run(g, prog, seed=0):
+    return run_clique(g, prog, seed)
 
 
 # -- breadth-first layers ----------------------------------------------------
@@ -136,16 +136,17 @@ def test_stverify_rejects_wrong_count():
 # -- random walks -------------------------------------------------------------
 
 
-def test_pagerank_symmetric_instances():
+def test_pagerank_symmetric_instances(monkeypatch):
     g = generate("cycle", 8, 1)
     cfg = AlgoConfig(gamma=0.2, tokens_per_node=4096)
-    out, _, met = _run(g, pagerank_program(cfg), seed=5, payload_cap_c=6)
+    monkeypatch.setattr(clique, "PAYLOAD_CAP_C", 6)
+    out, _, met = _run(g, pagerank_program(cfg), seed=5)
     assert met.broadcasts == 0
     assert all(abs(x - 0.125) <= 0.02 for x in out)
     g2 = Graph(2, [(0, 1, 1)])
+    monkeypatch.setattr(clique, "PAYLOAD_CAP_C", 14)
     out2, _, _ = _run(
-        g2, pagerank_program(AlgoConfig(gamma=0.2, tokens_per_node=4096)),
-        seed=3, payload_cap_c=14,
+        g2, pagerank_program(AlgoConfig(gamma=0.2, tokens_per_node=4096)), seed=3
     )
     assert all(abs(x - 0.5) <= 0.02 for x in out2)
 
@@ -495,13 +496,14 @@ def test_two_vertices_one_edge():
     assert spanner_union(sp_out) == [(0, 1)]
 
 
-def test_mst_payload_cap_rejects_extreme_weight_at_tiny_n():
+def test_mst_payload_cap_rejects_extreme_weight_at_tiny_n(monkeypatch):
     from kmachine.clique import ProgramViolation
 
     g = Graph(2, [(0, 1, 9)])  # legal weight, but endpoint+weight > 4 bits
     with pytest.raises(ProgramViolation):
         _run(g, mst_program())
-    _run(g, mst_program(), payload_cap_c=5)  # a wider cap accepts it
+    monkeypatch.setattr(clique, "PAYLOAD_CAP_C", 5)  # a wider cap accepts it
+    _run(g, mst_program())
 
 
 def test_stverify_empty_candidate():
