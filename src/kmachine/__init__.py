@@ -45,7 +45,6 @@ from .machines import (
     random_vertex_partition,
     random_vertex_partitions,
 )
-from .oracles import graph_stats
 from .programs import (
     AlgoConfig,
     bellman_ford_program,

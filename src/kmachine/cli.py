@@ -77,8 +77,8 @@ def cmd_run(args):
 def cmd_sweep(args):
     cfg = _config_from_args(args)
     rows = run_sweep(cfg, args.sweep)
+    _emit(format_csv(rows), cfg.out)  # kept even when the rows admit no fit
     fit = fit_scaling(rows, args.sweep)
-    _emit(format_csv(rows), cfg.out)
     print(
         f"# sweep {args.sweep}: slope {fit.slope:.4f}, intercept "
         f"{fit.intercept:.4f}, R^2 {fit.r2:.4f}",

@@ -166,7 +166,6 @@ class CliqueTrace:
         self._rounds = []
         self.broadcasts = 0
         self.unicasts = 0
-        self.payload_bits = 0
         self.comm_degree = 0
 
     def append_arrays(self, bs, bb, us, ud, ub):
@@ -175,7 +174,6 @@ class CliqueTrace:
             return
         self.broadcasts += len(bs)
         self.unicasts += len(us)
-        self.payload_bits += int(bb.sum()) + int(ub.sum())
         # a vertex's degree is len(bs) (every broadcast reaches it or leaves
         # it), n - 2 more per broadcast of its own, and the unicasts it sends
         # and receives; sources may repeat in hand-built rounds
@@ -218,7 +216,6 @@ class CliqueMetrics:
     broadcasts: int
     comm_degree: int
     unicasts: int
-    payload_bits: int
 
     @staticmethod
     def from_trace(trace: CliqueTrace) -> "CliqueMetrics":
@@ -229,7 +226,6 @@ class CliqueMetrics:
             broadcasts=trace.broadcasts,
             comm_degree=trace.comm_degree,
             unicasts=trace.unicasts,
-            payload_bits=trace.payload_bits,
         )
 
 

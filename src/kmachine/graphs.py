@@ -92,10 +92,6 @@ class Graph:
             self._edges = tuple(zip(*(x.tolist() for x in self._arrays)))
         return self._edges
 
-    def degree(self, v: int) -> int:
-        indptr = self.csr()[0]
-        return int(indptr[v + 1] - indptr[v])
-
     def neighbors(self, v: int):
         """(neighbor, weight, edge index) triples incident to v, ascending."""
         if self._nbrs is None:
@@ -128,16 +124,6 @@ class Graph:
         degree = np.bincount(u, minlength=self.n)
         degree += np.bincount(v, minlength=self.n)
         return int(degree.max())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and sorted(self.edges) == sorted(other.edges)
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.edges))))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

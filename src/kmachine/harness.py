@@ -124,10 +124,20 @@ class ExperimentConfig:
             raise HarnessError(f"the graph spec needs {', '.join(missing)}")
         if family == "gadget" and str(self.graph["gadget"]).upper() not in GADGET_KINDS:
             raise HarnessError(f"unknown gadget {self.graph['gadget']!r}")
+        if self.graph.get("hyper", True) is not True:
+            raise HarnessError(f"graph hyper marks a hypergraph and can only be true, "
+                               f"got {self.graph['hyper']!r}")
         if self.mode == BCAST and entry.mode == P2P:
             raise HarnessError(
                 f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"
             )
+        # refused like unread graph keys: a parameter the algorithm never reads
+        unread = [name for name in _FLAT_ALGO_KEYS - set(entry.reads)
+                  if getattr(self.algo, name) != getattr(_DEFAULT_ALGO, name)]
+        if unread:
+            reads = f" (it reads {', '.join(entry.reads)})" if entry.reads else ""
+            raise HarnessError(f"{self.algorithm} reads no {', '.join(sorted(unread))}"
+                               f"{reads}")
         self.algo.validate()
         return self
 
@@ -137,6 +147,7 @@ def _positive_int(x) -> bool:
 
 
 _FLAT_ALGO_KEYS = {f.name for f in fields(AlgoConfig)}
+_DEFAULT_ALGO = AlgoConfig()
 _FLAT_GRAPH_KEYS = {key for need, may in GRAPH_FAMILIES.values() for key in (*need, *may)}
 
 
@@ -550,7 +561,6 @@ class ScalingFit:
     intercept: float
     r2: float
     points: list
-    residuals: list
 
 
 def fit_scaling(rows, sweep: str = "k") -> ScalingFit:
@@ -563,8 +573,12 @@ def fit_scaling(rows, sweep: str = "k") -> ScalingFit:
     if len(groups) < 3:
         raise HarnessError("need at least 3 distinct swept values")
     points = [(val, statistics.median(v)) for val, v in sorted(groups.items())]
+    for val, cost in points:
+        if cost == 0:
+            raise HarnessError(f"the median km_rounds at {sweep}={val} is 0; "
+                               "a log-log fit needs positive costs")
     xs = np.log2([p[0] for p in points])
-    ys = np.log2([max(1e-12, p[1]) for p in points])
+    ys = np.log2([p[1] for p in points])
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(((ys - pred) ** 2).sum())
@@ -576,5 +590,4 @@ def fit_scaling(rows, sweep: str = "k") -> ScalingFit:
         intercept=float(intercept),
         r2=r2,
         points=points,
-        residuals=[float(y - p) for y, p in zip(ys, pred)],
     )

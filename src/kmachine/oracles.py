@@ -81,21 +81,8 @@ def is_spanning_tree(g: Graph, edge_indices=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# minimum spanning tree (two independent implementations)
+# minimum spanning tree
 # ---------------------------------------------------------------------------
-
-
-def _mst_key(u, v, w):
-    # total order on edges: weight, then endpoint pair
-    return (w, min(u, v), max(u, v))
-
-
-def kruskal_mst(g: Graph):
-    """Exact MST under the distinct-key order; (total weight, edge pair set)."""
-    weight, chosen = minimum_spanning_forest(g)
-    if len(chosen) != g.n - 1:
-        raise OracleError("kruskal_mst: graph is disconnected")
-    return weight, chosen
 
 
 def _kruskal_batch(n):
@@ -106,15 +93,17 @@ def _kruskal_batch(n):
 
 
 def minimum_spanning_forest(g: Graph):
-    """Kruskal without the connectivity requirement; spans each component.
+    """Kruskal's minimum spanning forest, one tree per component: (total
+    weight, set of (u, v) edge pairs), under the total edge order (weight,
+    then endpoint pair).  The graph is connected iff it has n - 1 edges.
 
     Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009): the edges go
-    in _mst_key order in batches, and before each batch the edges whose ends
+    in that order in batches, and before each batch the edges whose ends
     already share a component are dropped, so the union loop sees mostly
     edges of the forest.  The scan stops once a spanning tree is complete.
     """
     u, v, w = g.edge_arrays()
-    # u < v, so (w, u * n + v) is _mst_key's order; u * n + v < n**2 < 2**63
+    # u < v, so (w, u * n + v) is the edge order; u * n + v < n**2 < 2**63
     order = np.lexsort((u * g.n + v, w))
     dsu = _DSU(g.n)
     weight = 0
@@ -133,34 +122,6 @@ def minimum_spanning_forest(g: Graph):
                 chosen.add((a, b))
         if len(chosen) == g.n - 1:  # no later edge can join two components
             break
-    return weight, chosen
-
-
-def prim_mst(g: Graph):
-    """Prim's algorithm under the same key order, for cross-checking."""
-    if g.n == 1:
-        return 0, set()
-    in_tree = [False] * g.n
-    heap = []
-    weight = 0
-    chosen = set()
-    in_tree[0] = True
-    for u, w, _ in g.neighbors(0):
-        heapq.heappush(heap, (_mst_key(0, u, w), 0, u, w))
-    added = 1
-    while heap and added < g.n:
-        _, u, v, w = heapq.heappop(heap)
-        if in_tree[v]:
-            continue
-        in_tree[v] = True
-        added += 1
-        weight += w
-        chosen.add((min(u, v), max(u, v)))
-        for x, wx, _ in g.neighbors(v):
-            if not in_tree[x]:
-                heapq.heappush(heap, (_mst_key(v, x, wx), v, x, wx))
-    if added != g.n:
-        raise OracleError("prim_mst: graph is disconnected")
     return weight, chosen
 
 
@@ -222,20 +183,20 @@ def bfs_tree(g: Graph, src: int):
     return dist, parent
 
 
-def _closure(g: Graph, unit: bool = False):
-    """Floyd-Warshall over (n, n) int64 path keys.  An edge's key is w*n + 1
-    (1 when `unit`), and a minimum-key path is simple (h < n), so its key
-    d*n + h gives the minimum weight d and the fewest edges h among
-    minimum-weight paths.  Cost is n^3 whatever the graph."""
+def _closure(g: Graph):
+    """Floyd-Warshall over (n, n) int64 path keys.  An edge's key is w*n + 1,
+    and a minimum-key path is simple (h < n), so its key d*n + h gives the
+    minimum weight d and the fewest edges h among minimum-weight paths.
+    Cost is n^3 whatever the graph."""
     n = g.n
     if n > ALL_PAIRS_MAX_N:
         raise OracleError(f"all-pairs distances capped at n={ALL_PAIRS_MAX_N}")
     u, v, w = g.edge_arrays()
-    top = 1 if unit else int(w.max(initial=0)) * n + 1
+    top = int(w.max(initial=0)) * n + 1
     if (n - 1) * top >= _NO_PATH:
         raise OracleError("path keys overflow: weights too large for all-pairs")
     K = np.full((n, n), _NO_PATH, dtype=np.int64)
-    K[u, v] = K[v, u] = 1 if unit else w * n + 1
+    K[u, v] = K[v, u] = w * n + 1
     np.fill_diagonal(K, 0)
     via = np.empty_like(K)
     for x in range(n):
@@ -250,24 +211,6 @@ def all_pairs_distances(g: Graph):
     dist, hops = np.divmod(K, g.n)
     cut = K == _NO_PATH
     return np.where(cut, np.inf, dist), np.where(cut, np.inf, hops)
-
-
-def shortest_path_diameter(g: Graph) -> int:
-    K = _closure(g)
-    return int((K[K < _NO_PATH] % g.n).max())
-
-
-def graph_stats(g: Graph):
-    """(m, max degree, hop diameter, shortest-path diameter).
-
-    Hop diameter is inf for disconnected graphs.  The shortest-path diameter
-    is the largest, over connected pairs, of the fewest edges on any
-    minimum-weight path.  Cost is two n^3 closures; capped at
-    n = ALL_PAIRS_MAX_N.
-    """
-    H = _closure(g, unit=True)
-    diam = math.inf if (H == _NO_PATH).any() else int(H.max())
-    return g.m, g.max_degree(), diam, shortest_path_diameter(g)
 
 
 # ---------------------------------------------------------------------------

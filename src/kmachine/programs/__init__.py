@@ -32,7 +32,8 @@ class Algorithm:
     engine's own).  A machine-level algorithm has a `runner(graph, parts, W,
     seed, cfg)` that runs on its own schedule, prices exactly the partitions
     it is handed, and takes no mode.  `min_k` is the fewest machines it runs
-    on; `hyper` marks an algorithm whose instance is a random hypergraph.
+    on; `hyper` marks an algorithm whose instance is a random hypergraph;
+    `reads` names the AlgoConfig fields that its cells read.
     """
 
     program: object = None
@@ -41,6 +42,7 @@ class Algorithm:
     runner: object = None
     min_k: int = 1
     hyper: bool = False
+    reads: tuple = ()
 
     def run(self, inst, ks, W, mode, seed, cfg):
         """(outputs, CliqueMetrics, {k: SimReport}) of one cell: a clique
@@ -60,23 +62,27 @@ def _run_hmis(h, parts, W, seed, cfg):
     flags, reports = {}, {}
     for part in parts:
         flags[part.k], reports[part.k] = hmis_kmachine(h, part, W)
-    return flags, CliqueMetrics(0, 0, 0, 0, 0, 0), reports
+    return flags, CliqueMetrics(0, 0, 0, 0, 0), reports
 
 
 ALGORITHMS = {
-    "bfs": Algorithm(lambda inst, cfg: bfs_program(cfg), BCAST),
+    "bfs": Algorithm(lambda inst, cfg: bfs_program(cfg), BCAST, reads=("source",)),
     "mst": Algorithm(lambda inst, cfg: mst_program(), BCAST),
     "conn": Algorithm(lambda inst, cfg: conn_program(), BCAST),
     "stverify": Algorithm(lambda inst, cfg: st_verify_program(inst.candidate or ()),
                           BCAST),
-    "bf_sssp": Algorithm(lambda inst, cfg: bellman_ford_program(cfg), BCAST),
+    "bf_sssp": Algorithm(lambda inst, cfg: bellman_ford_program(cfg), BCAST,
+                         reads=("source",)),
     "pagerank": Algorithm(lambda inst, cfg: pagerank_program(cfg), P2P,
-                          budget=lambda n, cfg: walk_shape(n, cfg).budget + 2),
+                          budget=lambda n, cfg: walk_shape(n, cfg).budget + 2,
+                          reads=("gamma", "tokens_per_node")),
     "mis": Algorithm(lambda inst, cfg: luby_mis_program(cfg), BCAST,
                      budget=lambda n, cfg:
-                     3 * (cfg.mis_max_phases or default_phase_budget(n)) + 6),
-    "spanner": Algorithm(lambda inst, cfg: spanner_program(cfg), BCAST),
-    "densest": Algorithm(lambda inst, cfg: densest_subgraph_program(cfg), BCAST),
+                     3 * (cfg.mis_max_phases or default_phase_budget(n)) + 6,
+                     reads=("mis_max_phases",)),
+    "spanner": Algorithm(lambda inst, cfg: spanner_program(cfg), BCAST, reads=("delta",)),
+    "densest": Algorithm(lambda inst, cfg: densest_subgraph_program(cfg), BCAST,
+                         reads=("eps",)),
     "triangle": Algorithm(lambda inst, cfg: triangle_program(), P2P),
     "hmis": Algorithm(runner=_run_hmis, min_k=2, hyper=True),
     # looked up per call, so a tracer that rebinds the name sees the call

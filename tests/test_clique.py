@@ -202,19 +202,17 @@ def test_metrics_recompute_from_trace():
         n = tr.n
         met = CliqueMetrics.from_trace(tr)
         # independent tallies, one message at a time
-        b = u = bits = dprime = 0
-        for bs, bb, us, ud, ub in tr.round_arrays():
+        b = u = dprime = 0
+        for bs, _, us, ud, _ in tr.round_arrays():
             degree = Counter()  # messages each vertex sends or is sent
-            for src, size in zip(bs.tolist(), bb.tolist()):
+            for src in bs.tolist():
                 b += 1
-                bits += size
                 for dst in range(n):
                     if dst != src:
                         degree[src] += 1
                         degree[dst] += 1
-            for src, dst, size in zip(us.tolist(), ud.tolist(), ub.tolist()):
+            for src, dst in zip(us.tolist(), ud.tolist()):
                 u += 1
-                bits += size
                 degree[src] += 1
                 degree[dst] += 1
             dprime = max(dprime, *degree.values(), 0)
@@ -223,7 +221,6 @@ def test_metrics_recompute_from_trace():
         assert met.messages == u + b * (n - 1)
         assert met.rounds == len(tr.round_arrays())
         assert met.comm_degree == dprime
-        assert met.payload_bits == bits
     assert CliqueMetrics.from_trace(trace).broadcasts > 0
     assert CliqueMetrics.from_trace(walks_trace).unicasts > 0
     # the twice-broadcasting source of n = 5 sends 2 * 4 and hears nothing else
@@ -944,9 +941,7 @@ def test_kernel_messages_are_recorded_in_order():
         [[], [], [], [], []],
         [[], [], [3], [0], [2]],
     ]
-    assert (met.rounds, met.broadcasts, met.unicasts, met.payload_bits) == (
-        3, 2, 3, 24,
-    )
+    assert (met.rounds, met.broadcasts, met.unicasts) == (3, 2, 3)
 
 
 @pytest.mark.parametrize("sends", [

@@ -1,9 +1,11 @@
 import ast
+import inspect
 import json
 import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +94,17 @@ _BAD_GRAPH_SPECS = [
     ({"algorithm": "mst", "model": "gnpx", "n": 16, "p": 0.3}, "unknown model 'gnpx'"),
     ({**_FILE, "file": 0}, "graph file must be a string, got 0"),
 ]
+# parameters no cell of the algorithm reads, and hyper values other than true
+_UNREAD_PARAMS = [
+    ({**_GNP, "algorithm": "mst", "gamma": 0.9, "delta": 9}, "mst reads no delta, gamma"),
+    ({**_GNP, "algorithm": "logsp", "delta": 3}, "logsp reads no delta"),
+    ({**_PR, "source": 3}, "pagerank reads no source (it reads gamma, tokens_per_node)"),
+    ({**_GNP, "eps": 0.25}, "mis reads no eps (it reads mis_max_phases)"),
+    ({**_HYPER, "mis_max_phases": 4}, "hmis reads no mis_max_phases"),
+    ({**_HYPER, "hyper": "no"}, "graph hyper marks a hypergraph and can only be true"),
+    ({**_HYPER, "hyper": False}, "graph hyper marks a hypergraph and can only be true"),
+    ({**_HYPER, "hyper": 1}, "graph hyper marks a hypergraph and can only be true"),
+]
 
 
 @pytest.mark.parametrize("base, bad, error", [
@@ -121,7 +134,7 @@ _BAD_GRAPH_SPECS = [
     # a graph algorithm reads no hypergraph key
     ({**_RW, "algorithm": "mst"}, {"arity": 3, "hyperedges": 40}, HarnessError),
     ({**_GNP, "algorithm": "logsp"}, {"arity": 3}, HarnessError),
-    *[(doc, {}, HarnessError) for doc, _ in _BAD_GRAPH_SPECS],
+    *[(doc, {}, HarnessError) for doc, _ in _BAD_GRAPH_SPECS + _UNREAD_PARAMS],
 ])
 def test_bad_config_values_fail_as_config_errors(base, bad, error, monkeypatch):
     def no_engine(*args, **kwargs):
@@ -159,6 +172,32 @@ def test_a_list_of_sizes_is_refused_outside_a_sweep(doc):
     with pytest.raises(HarnessError, match="kmachine sweep --sweep n"):
         run_experiment(cfg)
     assert run_sweep(cfg, "n")  # the same config sweeps
+
+
+_PARAM_SHAPES = {"hmis": {"n": 16}, "stverify": {"gadget": "stverify", "b": 8}}
+_OTHER_PARAMS = {"source": 1, "gamma": 0.3, "tokens_per_node": 5, "eps": 0.25,
+                 "delta": 3, "mis_max_phases": 4}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_an_algorithm_takes_exactly_the_parameters_it_reads(algorithm):
+    graph = _PARAM_SHAPES.get(algorithm, {"model": "gnp", "n": 16, "p": 0.3})
+    reads = {
+        "bfs": ["source"], "bf_sssp": ["source"], "pagerank": ["gamma", "tokens_per_node"],
+        "mis": ["mis_max_phases"], "spanner": ["delta"], "densest": ["eps"],
+    }.get(algorithm, [])
+    assert list(ALGORITHMS[algorithm].reads) == reads
+    for name, value in _OTHER_PARAMS.items():
+        cfg = ExperimentConfig(algorithm=algorithm, graph=graph, k=[2], seeds=[1],
+                               algo=AlgoConfig(**{name: value}))
+        if name in reads:
+            cfg.validate()
+        else:
+            with pytest.raises(HarnessError, match=f"{algorithm} reads no {name}"):
+                cfg.validate()
+        # a default value, even if given, is what every cell reads
+        default = AlgoConfig(**{name: getattr(AlgoConfig(), name)})
+        replace(cfg, algo=default).validate()
 
 
 def test_seeds_at_the_ends_of_the_int64_range_are_accepted():
@@ -301,6 +340,31 @@ def test_fit_needs_three_points():
         fit_scaling(rows, "k")
 
 
+def test_fit_refuses_a_zero_cost():
+    rows = [{"k": k, "km_rounds": c} for k, c in ((1, 0), (1, 3), (1, 0), (2, 8), (4, 4))]
+    with pytest.raises(HarnessError, match="the median km_rounds at k=1 is 0; "
+                                           "a log-log fit needs positive costs"):
+        fit_scaling(rows, "k")
+    rows[2]["km_rounds"] = 1  # a positive median fits
+    assert fit_scaling(rows, "k").points[0] == (1, 1)
+
+
+def test_cli_sweep_through_a_free_k_keeps_its_rows(tmp_path, capsys):
+    # one machine holds every vertex, so k = 1 costs no round
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({
+        "algorithm": "mst", "model": "gnp", "n": 64, "p": 0.1,
+        "k": [1, 2, 4, 8], "seeds": [1, 2],
+    }))
+    out = tmp_path / "rows.csv"
+    rc = cli_main(["sweep", "--config", str(conf), "--sweep", "k", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("kmachine: error: the median km_rounds at k=1 is 0; "
+                            "a log-log fit needs positive costs\n")
+    assert len(out.read_text().splitlines()) == 9
+
+
 def test_corrupted_tie_break_is_caught(monkeypatch):
     # hand the program each vertex's neighbours in descending order, the
     # order its tie-break reads, while the oracle keeps the true one; ties
@@ -366,6 +430,7 @@ def test_cli_sweep(tmp_path, capsys):
     pytest.param({"algorithm": "hmis", "n": 16, "model": "gnp", "p": 0.3},
                  "hmis builds a random hypergraph", id="hmis_model"),
     *_BAD_GRAPH_SPECS,
+    *_UNREAD_PARAMS,
 ])
 def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
                                                monkeypatch):
@@ -455,7 +520,8 @@ def test_cli_gen_roundtrip(tmp_path):
     assert rc == 0
     from kmachine.graphs import generate, load_edge_list
 
-    assert load_edge_list(out.read_text()) == generate("gnp", 40, 3, p=0.2)
+    h, g = load_edge_list(out.read_text()), generate("gnp", 40, 3, p=0.2)
+    assert (h.n, sorted(h.edges)) == (g.n, sorted(g.edges))
 
 
 def test_stverify_candidate_paths():
@@ -671,6 +737,25 @@ def test_one_engine_driver_and_one_algorithm_table():
                 if isinstance(node, ast.Constant) and node.value in ALGORITHMS]
 
 
+def test_src_keeps_no_code_that_only_tests_call():
+    from kmachine import oracles
+
+    text = _source_texts()
+    # every public oracle has a caller in src outside oracles.py
+    callers = "\n".join(t for p, t in text.items() if p.name != "oracles.py")
+    public = [name for name, obj in vars(oracles).items()
+              if inspect.isfunction(obj) and obj.__module__ == oracles.__name__
+              and not name.startswith("_")]
+    assert "minimum_spanning_forest" in public
+    assert [name for name in public if not re.search(rf"\b{name}\(", callers)] == []
+    # every public Graph method or property is used in src outside graphs.py
+    users = "\n".join(t for p, t in text.items() if p.name != "graphs.py")
+    members = [name for name, obj in vars(Graph).items() if not name.startswith("_")
+               and (inspect.isfunction(obj) or isinstance(obj, property))]
+    assert "neighbors" in members and "m" in members
+    assert [name for name in members if not re.search(rf"\.{name}\b", users)] == []
+
+
 def test_one_round_format_and_one_edge_output_builder():
     text = _source_texts()
     # a trace is its round arrays: no record view, no list-based append
@@ -733,7 +818,7 @@ def test_bellman_ford_broadcast_bound_holds_above_512():
     bound = 600 * 599 + 600
     check = VALIDATORS["bf_sssp"]
     for broadcasts, want in ((bound, True), (bound + 1, False)):
-        metrics = CliqueMetrics(1, 0, broadcasts, 0, 0, 0)
+        metrics = CliqueMetrics(1, 0, broadcasts, 0, 0)
         ok, _ = check(Instance(graph=g), AlgoConfig(source=0), outputs, metrics)
         assert ok == want
 
@@ -804,7 +889,6 @@ from kmachine.graphs import generate
 from kmachine.harness import ExperimentConfig, run_cell
 g = generate("random_weighted", 24, 1, p=0.3, wmax=9)
 oracles.all_pairs_distances(g)
-oracles.graph_stats(g)
 for algorithm, spec in (
     ("bf_sssp", {"model": "random_weighted", "n": 24, "p": 0.3, "wmax": 9}),
     ("spanner", {"model": "gnp", "n": 32, "p": 0.3}),

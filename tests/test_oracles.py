@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 
@@ -14,12 +15,9 @@ from kmachine.oracles import (
     bfs_tree,
     brute_densest,
     exact_pagerank,
-    graph_stats,
     is_connected,
     is_spanning_tree,
-    kruskal_mst,
     minimum_spanning_forest,
-    prim_mst,
     single_source_distances,
     triangle_exists,
     validate_mis,
@@ -28,12 +26,45 @@ from kmachine.oracles import (
 
 def test_kruskal_examples():
     g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
-    w, edges = kruskal_mst(g)
+    w, edges = minimum_spanning_forest(g)
     assert w == 3 and edges == {(0, 1), (1, 2)}
     g2 = Graph(3, [(0, 1, 5), (1, 2, 7)])
-    assert kruskal_mst(g2)[0] == 12
-    with pytest.raises(OracleError):
-        kruskal_mst(Graph(3, [(0, 1, 1)]))
+    assert minimum_spanning_forest(g2)[0] == 12
+    # disconnected: a forest, short of a tree's n - 1 edges
+    assert minimum_spanning_forest(Graph(3, [(0, 1, 1)])) == (1, {(0, 1)})
+
+
+def _mst_key(u, v, w):
+    # total order on edges: weight, then endpoint pair
+    return (w, min(u, v), max(u, v))
+
+
+def _prim_mst(g: Graph):
+    """Prim's algorithm under the same key order, for cross-checking."""
+    if g.n == 1:
+        return 0, set()
+    in_tree = [False] * g.n
+    heap = []
+    weight = 0
+    chosen = set()
+    in_tree[0] = True
+    for u, w, _ in g.neighbors(0):
+        heapq.heappush(heap, (_mst_key(0, u, w), 0, u, w))
+    added = 1
+    while heap and added < g.n:
+        _, u, v, w = heapq.heappop(heap)
+        if in_tree[v]:
+            continue
+        in_tree[v] = True
+        added += 1
+        weight += w
+        chosen.add((min(u, v), max(u, v)))
+        for x, wx, _ in g.neighbors(v):
+            if not in_tree[x]:
+                heapq.heappush(heap, (_mst_key(v, x, wx), v, x, wx))
+    if added != g.n:
+        raise OracleError("graph is disconnected")
+    return weight, chosen
 
 
 def test_kruskal_agrees_with_prim():
@@ -44,9 +75,11 @@ def test_kruskal_agrees_with_prim():
         g = generate("random_weighted", n, seed, p=0.4, wmax=50)
         if not is_connected(g):
             continue
-        assert kruskal_mst(g) == prim_mst(g)
+        assert minimum_spanning_forest(g) == _prim_mst(g)
         checked += 1
     assert checked > 800
+    with pytest.raises(OracleError):
+        _prim_mst(Graph(3, [(0, 1, 1)]))
 
 
 def test_forest_on_disconnected():
@@ -69,7 +102,7 @@ def _textbook_kruskal(g):
     filter."""
     dsu = oracles._DSU(g.n)
     weight, chosen = 0, set()
-    for u, v, w in sorted(g.edges, key=lambda e: oracles._mst_key(*e)):
+    for u, v, w in sorted(g.edges, key=lambda e: _mst_key(*e)):
         if dsu.union(u, v):
             weight += w
             chosen.add((u, v))
@@ -156,7 +189,7 @@ def _densest_via_flow(g):
     if g.m == 0:
         return Fraction(0)
     m = g.m
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = np.diff(g.csr()[0]).tolist()
     candidates = sorted(
         {Fraction(p, q) for q in range(1, g.n + 1) for p in range(0, m + 1)}
     )
@@ -289,7 +322,8 @@ def test_all_pairs_rows_match_single_source():
             assert hops[src, reach].tolist() == np.asarray(h)[reach].tolist()
             assert np.isinf(hops[src, ~reach]).all()
         hop_diam = max(max(bfs_tree(g, src)[0]) for src in range(g.n))
-        assert graph_stats(g)[2] == hop_diam
+        unit = Graph(g.n, [(u, v, 1) for u, v, _ in g.edges])
+        assert all_pairs_distances(unit)[1].max() == hop_diam
         disconnected += math.isinf(hop_diam)
     assert disconnected >= 3
 
