@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, label_bits
+from .graphs import Graph, id_dtype, label_bits
 # make_np_rng and make_random are unused here: perfbench's traced mode wraps them
 from .rng import make_np_rng, make_random  # noqa: F401
 
@@ -131,13 +131,14 @@ class Program:
     generator that advances every vertex of a round at once.  It is called
     as kernel(g, seed) and draws any randomness it needs itself, with the
     kmachine.rng keys the programs draw from ctx.seed.  It yields
-    one round at a time as the five int arrays CliqueTrace stores,
-    (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits): the broadcasts
-    with their sources strictly ascending, then the unicasts.  It returns
-    the per-vertex outputs.  The trace keeps the yielded arrays, so the
-    kernel must not write to them later.  A kernel must be byte-identical
-    to the programs `node` makes: the same messages in the same order,
-    the same outputs.  Those programs stay as its reference.
+    one round at a time as five int arrays, (bcast_src, bcast_bits,
+    uni_src, uni_dst, uni_bits): the broadcasts with their sources
+    strictly ascending, then the unicasts.  It returns the per-vertex
+    outputs.  CliqueTrace stores copies of the id columns but may keep a
+    yielded bits column as it is, so the kernel must not write to one
+    later.  A kernel must be byte-identical to the programs `node` makes:
+    the same messages in the same order, the same outputs.  Those
+    programs stay as its reference.
     """
 
     def __init__(self, name, node, kernel=None):
@@ -157,19 +158,28 @@ NONE.flags.writeable = False
 
 class CliqueTrace:
     """Full message record of an execution, one entry per executed round,
-    stored as int64 arrays (bcast_src, bcast_bits, uni_src, uni_dst,
-    uni_bits), with the totals CliqueMetrics reports, counted as each
-    round is stored."""
+    (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits), with the totals
+    CliqueMetrics reports, counted as each round is stored.
+
+    A round is stored narrow: its three vertex-id columns in
+    graphs.id_dtype(n) (int32 below 2^31 vertices), and a bits column
+    whose entries are all equal as that one value in a read-only
+    zero-stride view.  An empty column is NONE.  Readers that compute with
+    the columns widen them to int64 first, as round_loads does."""
 
     def __init__(self, n: int):
         self.n = n
+        self._ids = id_dtype(n)
         self._rounds = []
         self.broadcasts = 0
         self.unicasts = 0
         self.comm_degree = 0
 
     def append_arrays(self, bs, bb, us, ud, ub):
-        self._rounds.append((bs, bb, us, ud, ub))
+        ids = self._ids
+        self._rounds.append((_stored_ids(bs, ids), _stored_bits(bb),
+                             _stored_ids(us, ids), _stored_ids(ud, ids),
+                             _stored_bits(ub)))
         if not (len(bs) or len(us)):
             return
         self.broadcasts += len(bs)
@@ -199,6 +209,21 @@ class CliqueTrace:
             lines += [f"{rnd} {src} 1 {bits} 0"
                       for src, bits in zip(us.tolist(), ub.tolist())]
         return lines
+
+
+def _stored_ids(a, ids):
+    """An id column as the trace keeps it: a copy in the trace's id dtype."""
+    return a.astype(ids) if len(a) else NONE
+
+
+def _stored_bits(a):
+    """A bits column as the trace keeps it: one value, seen through a
+    read-only zero-stride view, when every entry is equal."""
+    if len(a) > 1 and (a == a[0]).all():
+        one = np.ndarray(len(a), a.dtype, a[:1].copy(), 0, (0,))
+        one.flags.writeable = False
+        return one
+    return a if len(a) else NONE
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ def label_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
+def id_dtype(n: int):
+    """int32 when every vertex id below n, and n itself, fits it, else
+    int64: the dtype of stored id columns."""
+    return np.int32 if n < np.iinfo(np.int32).max else np.int64
+
+
 def inf_weight(n: int) -> int:
     """Reserved sentinel for 'infinite weight'; never stored in a graph."""
     return (1 << (WEIGHT_POLY_C * label_bits(n))) - 1
@@ -33,12 +39,12 @@ class Graph:
     """Immutable undirected weighted graph on vertices 0..n-1.
 
     Held as one read-only (3, m) int64 block whose rows are the (u, v, w)
-    edge arrays, normalised so u < v and kept in input order.  The CSR and
-    the Python views `edges` and `neighbors` are built from them on first
-    use and cached.
+    edge arrays, normalised so u < v and kept in input order.  The CSR
+    (`adjacency`, and `csr` with its edge-index column) and the Python views
+    `edges` and `neighbors` are built from them on first use and cached.
     """
 
-    __slots__ = ("n", "_arrays", "_ascending", "_csr", "_edges", "_nbrs")
+    __slots__ = ("n", "_arrays", "_ascending", "_adj", "_csr", "_edges", "_nbrs")
 
     def __init__(self, n: int, edges):
         """edges: an iterable of (u, v, w) integer triples or an (m, 3)
@@ -77,6 +83,7 @@ class Graph:
         self.n = n
         self._arrays = tuple(block)
         self._ascending = ascending
+        self._adj = None
         self._csr = None
         self._edges = None
         self._nbrs = None
@@ -106,13 +113,27 @@ class Graph:
             self._nbrs = tuple(flat[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
         return self._nbrs[v]
 
+    def adjacency(self):
+        """(indptr, nbr) as read-only int64 arrays: vertex v's neighbors fill
+        nbr[indptr[v]:indptr[v+1]] in ascending order, the order of
+        neighbors(v).  The first two arrays of csr(), built without its
+        edge-index column unless csr() ran first."""
+        if self._adj is None:
+            a, b, _ = self._arrays
+            self._adj = _frozen(*_build_csr(self.n, a, b, self._ascending, False)[:2])
+        return self._adj
+
     def csr(self):
-        """(indptr, nbr, eidx) as read-only int64 arrays: vertex v's
-        neighbors fill nbr[indptr[v]:indptr[v+1]] in ascending order, the
-        order of neighbors(v), and eidx holds each slot's edge index."""
+        """(indptr, nbr, eidx) as read-only int64 arrays: adjacency()'s two,
+        shared with it, and eidx, which holds each slot's edge index.  Only
+        callers that map slots to edges (weights, edge flags, neighbors)
+        need it; the rest read adjacency()."""
         if self._csr is None:
             a, b, _ = self._arrays
-            self._csr = _frozen(*_build_csr(self.n, a, b, self._ascending))
+            indptr, nbr, eidx = _frozen(*_build_csr(self.n, a, b, self._ascending, True))
+            if self._adj is None:
+                self._adj = indptr, nbr
+            self._csr = (*self._adj, eidx)
         return self._csr
 
     def edge_arrays(self):
@@ -182,9 +203,9 @@ def _reject(n, rows, stop):
     raise error
 
 
-def _build_csr(n, a, b, ascending):
+def _build_csr(n, a, b, ascending, with_eidx):
     """(indptr, nbr, eidx) of the edges (a, b), a < b, ascending by (a, b)
-    if `ascending`.
+    if `ascending`; eidx is None unless `with_eidx`.
 
     Vertex x's row holds its reverse neighbours (edges (a, x)), then its
     forward ones (edges (x, b)); both parts ascend, since a < x < b.  For
@@ -193,7 +214,8 @@ def _build_csr(n, a, b, ascending):
     stable order of b.  Other input is put in key order by one argsort of
     its m keys.  The peak is 5.25 words per edge above the graph, the four
     kept words included (6.25 for input out of key order); an argsort of
-    2m slot keys took 6.
+    2m slot keys took 6.  Without eidx the peak is 4.25 words per edge,
+    and 2 are kept.
     """
     m = len(a)
     deg_fwd = np.bincount(a, minlength=n)
@@ -214,6 +236,8 @@ def _build_csr(n, a, b, ascending):
     nbr[is_fwd] = b if order is None else b[order]
     rev_slots = np.logical_not(is_fwd, out=is_fwd)
     nbr[rev_slots] = a[rev]
+    if not with_eidx:
+        return indptr, nbr, None
     eidx = np.empty(2 * m, dtype=np.int64)
     eidx[rev_slots] = rev
     del rev

@@ -66,11 +66,9 @@ def check_mapping_bounds(g: Graph, part: Partition):
 class SimReport:
     """Cost ledger of one priced execution, built by `sim_report`.
 
-    km_rounds is the primary cost: sum over rounds of
-    ceil(max directed link bits / W).  machine_rounds is the alternate
-    per-machine budget metric, ceil(max machine bits / (k W)) per round.
-    per_link_bits is symmetric with a zero diagonal; per_machine_bits counts
-    bits sent plus received.
+    km_rounds is the cost: sum over rounds of ceil(max directed link
+    bits / W).  per_link_bits is symmetric with a zero diagonal;
+    per_machine_bits counts bits sent plus received.
     """
 
     n: int
@@ -78,7 +76,6 @@ class SimReport:
     W: int
     mode: str
     km_rounds: int
-    machine_rounds: int
     per_link_bits: np.ndarray
     per_machine_bits: np.ndarray
     total_bits: int
@@ -132,18 +129,14 @@ def sim_report(n, part, W, mode, loads, bound):
     `loads` yields blocks of consecutive rounds' loads: each an (R, k, k)
     int64 array, or one round's (k, k), whose [r, p, q] entry is the bits
     machine p sends machine q in round r, with a zero diagonal.  A round
-    costs ceil(max entry / W) km_rounds and ceil(max over machines of bits
-    sent plus received / (k W)) machine_rounds.
+    costs ceil(max entry / W) km_rounds.
     """
     k = part.k
     link_dir = np.zeros((k, k), dtype=np.int64)
     km_rounds = 0
-    machine_rounds = 0
     for block in loads:
         block = block.reshape(-1, k, k)
-        busy = (block.sum(axis=2) + block.sum(axis=1)).max(axis=1)
         km_rounds += _ceil_div_sum(block.max(axis=(1, 2)), W)
-        machine_rounds += _ceil_div_sum(busy, k * W)
         link_dir += block.sum(axis=0)
     return SimReport(
         n=n,
@@ -151,7 +144,6 @@ def sim_report(n, part, W, mode, loads, bound):
         W=W,
         mode=mode,
         km_rounds=km_rounds,
-        machine_rounds=machine_rounds,
         per_link_bits=link_dir + link_dir.T,
         per_machine_bits=link_dir.sum(axis=1) + link_dir.sum(axis=0),
         total_bits=int(link_dir.sum()),
@@ -187,7 +179,8 @@ def round_loads(trace: CliqueTrace, part: Partition, mode: str):
     every link p->q.  In `p2p` mode hdr is two ids and fan[q] the vertices
     on machine q; in `bcast` mode hdr is one id and fan[q] is 1 if machine
     q hosts a vertex, else 0.  Traffic between co-located vertices is free.
-    Loads are summed in int64, so they are exact.
+    Each block's columns are widened to int64 as it is built, before any
+    gather, and loads are summed in int64, so they are exact.
     """
     k, home = part.k, part.home
     counts = part.machine_counts()
@@ -200,10 +193,10 @@ def round_loads(trace: CliqueTrace, part: Partition, mode: str):
 
     def load(rounds):
         if len(rounds) == 1:
-            bs, bb, us, ud, ub = rounds[0]  # as they are: no copy
+            bs, bb, us, ud, ub = (c.astype(np.int64, copy=False) for c in rounds[0])
             rb = ru = 0
         else:
-            bs, bb, us, ud, ub = (np.concatenate(c) for c in zip(*rounds))
+            bs, bb, us, ud, ub = (np.concatenate(c, dtype=np.int64) for c in zip(*rounds))
             at = np.arange(len(rounds))
             rb = np.repeat(at * k, [len(r[0]) for r in rounds])
             ru = np.repeat(at * (k * k), [len(r[2]) for r in rounds])

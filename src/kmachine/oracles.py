@@ -163,7 +163,7 @@ def bfs_tree(g: Graph, src: int):
     """Hop distances from src (inf when unreachable) and parents: a reached
     vertex's smallest-id neighbour one hop closer, None at src and at
     unreachable vertices."""
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     cuts, nbrs = indptr.tolist(), nbr.tolist()
     dist = [math.inf] * g.n
     parent = [None] * g.n

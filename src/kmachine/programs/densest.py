@@ -75,7 +75,7 @@ def _peel_rounds(g, eps):
     """Round kernel of _PeelNode: the same broadcasts in the same rounds and
     order, and the same outputs."""
     n, L = g.n, label_bits(g.n)
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     src = slot_sources(indptr)
     active = np.ones(n, dtype=bool)
     left_at = np.zeros(n, dtype=np.int64)  # 0: still active

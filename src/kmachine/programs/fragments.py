@@ -23,7 +23,7 @@ without a copy.  The per-vertex `_FragmentNode` stays as its reference.
 import numpy as np
 
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
-from ..graphs import label_bits
+from ..graphs import id_dtype, label_bits
 from .slots import bit_lengths, edge_outputs
 
 
@@ -197,10 +197,17 @@ def _merge_rounds(g, kind, flags):
     and source order, and the same outputs.  `flags` is the stverify
     candidate's edge-index set, else None."""
     n, L = g.n, label_bits(g.n)
-    indptr, nbr, eidx = g.csr()
-    # vertex ids in int32 where every id, and n itself, fits; slot_sources
-    # stays int64 for the kernels that multiply its ids by n
-    ids = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    weights = g.edge_arrays()[2] if kind == "mst" else NONE
+    varied = len(weights) and weights.min() < weights.max()
+    # only flags and varied weights are read through the slots' edge indices
+    if flags is not None or varied:
+        indptr, nbr, eidx = g.csr()
+    else:
+        indptr, nbr = g.adjacency()
+    # vertex ids in int32 where every id, and n itself, fits, as the trace
+    # stores them; slot_sources stays int64 for the kernels that multiply
+    # its ids by n
+    ids = id_dtype(n)
     cols = [np.repeat(np.arange(n, dtype=ids), np.diff(indptr)),  # source
             nbr.astype(ids)]  # neighbour
     if flags is not None:
@@ -210,8 +217,7 @@ def _merge_rounds(g, kind, flags):
         keep = flagged[eidx]
         cols = [a[keep] for a in cols]
     ends = len(cols[0])  # flagged edge endpoints, which stverify counts
-    weights = g.edge_arrays()[2] if kind == "mst" else NONE
-    if len(weights) and weights.min() < weights.max():
+    if varied:
         cols.append(_weight_sorted(*cols, eidx, weights))
         const_bits = None
     else:

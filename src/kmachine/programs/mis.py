@@ -85,7 +85,7 @@ def _luby_rounds(g, max_phases, seed):
     """Round kernel of _LubyNode: the same coins give the same broadcasts, in
     the same rounds and source order, and the same outputs."""
     n, L = g.n, label_bits(g.n)
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     src = slot_sources(indptr)
     budget = max_phases or default_phase_budget(n)
     alive = np.ones(n, dtype=bool)

@@ -4,7 +4,8 @@ Both programs exploit the complete communication graph: every announcement
 reaches every vertex, so a vertex halts either once its own answer is fixed
 or once a globally visible silent round shows that no announcements remain.
 
-The engine runs a round kernel for each, over the CSR slots of g.csr().
+The engine runs a round kernel for each, over the CSR slots of the graph:
+BFS reads g.adjacency(), and Bellman-Ford g.csr() for each slot's weight.
 `_bfs_rounds` is level-synchronous: in round r the vertices at distance r-1
 announce, and an unreached vertex with a CSR slot to an announcer is
 reached, its parent the least such neighbour.  `_bellman_ford_rounds`
@@ -73,7 +74,7 @@ def _bfs_rounds(g, source):
     """Round kernel of _BfsNode: the same announcements in the same rounds
     and order, and the same outputs."""
     n, bits = g.n, 3 * label_bits(g.n)
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     src = slot_sources(indptr)
     dist = np.full(n, -1)  # -1: not reached
     parent = np.full(n, -1)  # -1: None

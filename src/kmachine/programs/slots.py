@@ -1,7 +1,8 @@
 """Helpers the round kernels share: CSR slot arrays, broadcast rounds and
 edge outputs.
 
-A kernel holds a vertex's view of its edges as the CSR slots of g.csr():
+A kernel holds a vertex's view of its edges as the CSR slots of
+g.adjacency(), or of g.csr() if it also reads each slot's edge index:
 slot i is the directed edge src[i] -> nbr[i], and the slots ascend by
 (source, neighbor), the order in which every NodeProgram scans its
 incident tuple.

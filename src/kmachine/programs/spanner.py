@@ -143,7 +143,7 @@ def _spanner_rounds(g, delta, seed):
     """Round kernel of _SpannerNode: the same coins give the same broadcasts,
     in the same rounds and source order, and the same outputs."""
     n, L = g.n, label_bits(g.n)
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     src = slot_sources(indptr)
     slot_key = src * n + nbr  # ascending
     p = n ** (-1.0 / delta)

@@ -72,7 +72,7 @@ def _triangle_rounds(g):
     and order (unicasts by source, then destination), and the same
     outputs."""
     n, L = g.n, label_bits(g.n)
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     src = slot_sources(indptr)
     deg = np.diff(indptr)
     # vertex v's verdict round: after its own last id and its neighbors' last

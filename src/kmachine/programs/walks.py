@@ -117,7 +117,7 @@ def _pagerank_rounds(g, cfg, shape, seed):
     give the same messages in the same order (by source, then destination)
     and the same outputs.  Tokens are numbered vertex by vertex."""
     n = g.n
-    indptr, nbr, _ = g.csr()
+    indptr, nbr = g.adjacency()
     deg = np.diff(indptr)
     fdeg = deg.astype(np.float64)  # u2 * deg as the reference computes it
     threshold = unit_threshold(cfg.gamma)

@@ -693,10 +693,10 @@ _KERNEL_ALGORITHMS = {"pagerank", "mst", "conn", "stverify", "mis", "triangle",
 
 
 @pytest.mark.parametrize("alg", sorted(a for a, e in ALGORITHMS.items() if e.program))
-def test_every_kernel_matches_reference_on_fidelity_instances(alg):
-    # asserts only that fidelity_instances holds 20 instances of alg, and
-    # that alg has a kernel exactly when it is in _KERNEL_ALGORITHMS;
-    # criterion 1 runs the kernel-against-reference comparison itself
+def test_fidelity_instances_cover_each_algorithm_and_only_listed_ones_have_kernels(alg):
+    # fidelity_instances holds 20 instances of alg, and alg has a kernel
+    # exactly when it is in _KERNEL_ALGORITHMS; criterion 1 runs the
+    # kernel-against-reference comparison itself
     runs = [inst for a, inst, _ in fidelity_instances(7) if a == alg]
     assert len(runs) == 20
     progs = [ALGORITHMS[alg].program(inst, AlgoConfig()) for inst in runs]
@@ -981,6 +981,29 @@ def test_kernel_round_budget():
     with pytest.raises(RoundLimitExceeded) as e:
         run_clique(g, prog, 0, max_rounds=10)
     assert e.value.trace.num_rounds == 10
+
+
+def _stored_bytes(col):
+    """The bytes a trace column holds: a zero-stride view holds its base."""
+    return col.base.nbytes if len(col) > 1 and col.strides == (0,) else col.nbytes
+
+
+def test_walk_trace_keeps_8_bytes_per_unicast_and_no_run_builds_edge_indices():
+    # vertex ids are stored as int32 and PageRank's one multiplicity width as
+    # one value per round: 24 B per unicast when every column was int64
+    gnp = {"model": "gnp", "n": 4096, "p": 0.02}
+    g = generate("gnp", 4096, 1, p=0.02)
+    _, trace, met = run_clique(g, pagerank_program(AlgoConfig()), 1)
+    stored = sum(_stored_bytes(c) for cols in trace.round_arrays() for c in cols)
+    assert met.unicasts > 200_000
+    assert stored <= 8 * met.unicasts + 8 * met.rounds
+    assert all(cols[2].dtype == cols[3].dtype == np.int32
+               for cols in trace.round_arrays() if len(cols[2]))
+    # walks, BFS and MIS, and their validators, read no slot's edge index
+    for alg in ("pagerank", "bfs", "mis"):
+        res = run_cell(ExperimentConfig(algorithm=alg, graph=gnp, k=[2], seeds=[1]), 1)
+        assert res.valid and res.instance.graph._csr is None, alg
+    assert g._csr is None
 
 
 def test_metrics_follow_the_trace_as_it_grows():

@@ -387,6 +387,35 @@ def test_csr_matches_neighbors():
         assert degree.sum() == 2 * g.m == 2 * len(g.edges)
 
 
+def test_adjacency_is_the_csr_without_its_edge_index():
+    import tracemalloc
+
+    for model, extra in (("gnp", {}), ("random_weighted", {"wmax": 1000})):
+        g = generate(model, 2048, 1, p=0.1, **extra)
+        tracemalloc.start()
+        try:
+            adj = g.adjacency()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * g.m  # 5.25 words per edge with the edge index
+        assert g._csr is None and g.adjacency() is adj
+        for x in adj:
+            assert x.dtype == np.int64 and not x.flags.writeable
+        # csr() after adjacency() keeps the arrays adjacency() handed out
+        csr = g.csr()
+        assert csr[0] is adj[0] and csr[1] is adj[1] and g.adjacency() is adj
+    # and adjacency() after csr() hands out csr()'s first two arrays, on
+    # input in and out of key order
+    for g in (Graph(5, [(3, 1, 7), (0, 3, 2), (2, 4, 1)]), Graph(3, []),
+              generate("gnp", 300, 2, p=0.1)):
+        first = Graph(g.n, np.stack(g.edge_arrays(), axis=1))
+        indptr, nbr = first.adjacency()
+        csr = g.csr()
+        assert g.adjacency() == csr[:2]
+        assert np.array_equal(indptr, csr[0]) and np.array_equal(nbr, csr[1])
+
+
 def _reference_csr(n, rows):
     """The 2m-slot-key CSR and the min/max orientation, as built before the
     merge construction: the reference for csr() and edge_arrays()."""

@@ -368,15 +368,16 @@ def test_cli_sweep_through_a_free_k_keeps_its_rows(tmp_path, capsys):
 def test_corrupted_tie_break_is_caught(monkeypatch):
     # hand the program each vertex's neighbours in descending order, the
     # order its tie-break reads, while the oracle keeps the true one; ties
-    # on an unweighted cycle then pick a different tree
-    csr = Graph.csr
+    # on an unweighted cycle then pick a different tree (the kernel reads
+    # the slots through adjacency(), as no edge index is needed)
+    adjacency = Graph.adjacency
 
     def descending(g):
-        indptr, nbr, eidx = csr(g)
+        indptr, nbr = adjacency(g)
         order = np.lexsort((-nbr, np.repeat(np.arange(g.n), np.diff(indptr))))
-        return indptr, nbr[order], eidx[order]
+        return indptr, nbr[order]
 
-    monkeypatch.setattr(Graph, "csr", descending)
+    monkeypatch.setattr(Graph, "adjacency", descending)
     cfg = ExperimentConfig(
         algorithm="mst", graph={"model": "cycle", "n": 16}, k=[2], seeds=[3]
     )
@@ -653,7 +654,7 @@ def test_hmis_ledger_matches_pinned_values():
     flags, rep = hmis_kmachine(h, part)
     assert sum(flags) == 26
     assert (rep.n, rep.k, rep.W, rep.mode) == (48, 4, 6, "direct")
-    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (73, 54, 1416)
+    assert (rep.km_rounds, rep.total_bits) == (73, 1416)
     assert rep.per_link_bits.tolist() == [
         [0, 257, 250, 236], [257, 0, 236, 222], [250, 236, 0, 215], [236, 222, 215, 0]]
     assert rep.per_machine_bits.tolist() == [743, 715, 701, 673]
@@ -675,7 +676,7 @@ def test_one_partition_derivation_and_one_report_builder():
     text = _source_texts()
     assert sum(t.count('"rvp"') for t in text.values()) == 1
     assert sum(t.count("SimReport(") for t in text.values()) == 1
-    assert sum(t.count("machine_rounds +=") for t in text.values()) == 1
+    assert sum(t.count("km_rounds +=") for t in text.values()) == 1
     assert not any("_cell_graph" in t for t in text.values())
     # one per-element draw scheme: derive's single blake2b keys splitmix64
     # streams, which run only in rng.py; no per-vertex hash loop is left

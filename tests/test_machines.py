@@ -183,7 +183,7 @@ def test_broadcast_charges_only_machines_with_vertices():
     tr.append_arrays(np.array([0]), np.array([8]), NONE, NONE, NONE)
     alone = Partition(k=4, home=np.zeros(4, dtype=np.int64))
     rep = convert_broadcast(tr, alone, 4)
-    assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
+    assert (rep.km_rounds, rep.total_bits) == (0, 0)
     two = Partition(k=4, home=np.array([0, 0, 1, 1]))
     rep = convert_broadcast(tr, two, 4)
     assert (rep.km_rounds, rep.total_bits) == (3, 10)  # ceil(10/4), link 0->1 only
@@ -200,32 +200,31 @@ def _load(k, bits_by_link):
 ALL_TO_ALL = {(p, q): 3 for p in range(4) for q in range(4) if p != q}
 
 
-# (k, W, per-round loads, km_rounds, machine_rounds, per_link_bits,
-#  per_machine_bits); a round costs ceil(max link / W) km_rounds and
-# ceil(max sent + received / (k W)) machine_rounds
+# (k, W, per-round loads, km_rounds, per_link_bits, per_machine_bits); a
+# round costs ceil(max link / W) km_rounds
 SIM_REPORT_TABLE = [
-    (2, 5, [], 0, 0, [[0, 0], [0, 0]], [0, 0]),
-    (1, 5, [_load(1, {})], 0, 0, [[0]], [0]),
+    (2, 5, [], 0, [[0, 0], [0, 0]], [0, 0]),
+    (1, 5, [_load(1, {})], 0, [[0]], [0]),
     # all-to-all exchange: 3 bits per link, 18 bits per machine
-    (4, 6, [_load(4, ALL_TO_ALL)], 1, 1,
+    (4, 6, [_load(4, ALL_TO_ALL)], 1,
      [[0, 6, 6, 6], [6, 0, 6, 6], [6, 6, 0, 6], [6, 6, 6, 0]], [18] * 4),
-    # forwarding step with a single receiver: machine 1 sends 3 * 7 = 21
-    # bits, under k W = 24, so one machine round
-    (4, 6, [_load(4, {(1, 0): 7, (1, 2): 7, (1, 3): 7})], 2, 1,
+    # forwarding step with a single receiver: machine 1 sends 7 bits on
+    # each of three links
+    (4, 6, [_load(4, {(1, 0): 7, (1, 2): 7, (1, 3): 7})], 2,
      [[0, 7, 0, 0], [7, 0, 7, 7], [0, 7, 0, 0], [0, 7, 0, 0]], [7, 21, 7, 7]),
     # two rounds: 50 bits on one link, then 10 and 13 bits on two others
-    (4, 6, [_load(4, {(0, 1): 50}), _load(4, {(1, 0): 10, (2, 3): 13})], 9 + 3, 3 + 1,
+    (4, 6, [_load(4, {(0, 1): 50}), _load(4, {(1, 0): 10, (2, 3): 13})], 9 + 3,
      [[0, 60, 0, 0], [60, 0, 0, 0], [0, 0, 0, 13], [0, 0, 13, 0]], [60, 60, 13, 13]),
 ]
 
 
 @pytest.mark.parametrize(
-    "k, W, loads, km, mr, links, machines", SIM_REPORT_TABLE,
+    "k, W, loads, km, links, machines", SIM_REPORT_TABLE,
     ids=["no-rounds", "one-machine", "all-to-all", "one-receiver-forward", "two-rounds"])
-def test_sim_report_charges_each_round_by_its_worst_link(k, W, loads, km, mr, links, machines):
+def test_sim_report_charges_each_round_by_its_worst_link(k, W, loads, km, links, machines):
     part = Partition(k=k, home=np.arange(k))
     rep = sim_report(k, part, W, "direct", iter(loads), 10.0)
-    assert (rep.km_rounds, rep.machine_rounds) == (km, mr)
+    assert rep.km_rounds == km
     assert rep.per_link_bits.tolist() == links
     assert rep.per_machine_bits.tolist() == machines
     assert rep.total_bits == sum(machines) // 2
@@ -237,11 +236,11 @@ def test_sim_report_charges_a_block_round_by_round():
     # int64 still prices, every loaded round at one round
     part = Partition(k=4, home=np.arange(4))
     loads = [_load(4, {(0, 1): 50}), _load(4, {}), _load(4, {(1, 0): 10, (2, 3): 13})]
-    for W, km, mr in [(6, 12, 4), (2**70, 2, 2)]:
+    for W, km in [(6, 12), (2**70, 2)]:
         reports = [sim_report(4, part, W, "direct", blocks, 10.0)
                    for blocks in (iter(loads), iter([np.stack(loads)]))]
         for rep in reports:
-            assert (rep.km_rounds, rep.machine_rounds) == (km, mr)
+            assert rep.km_rounds == km
             assert rep.per_link_bits.tolist() == reports[0].per_link_bits.tolist()
 
 
@@ -336,7 +335,7 @@ def test_one_machine_costs_nothing_in_either_mode():
     part = random_vertex_partition(g, 1, 1)
     for convert in (convert_p2p, convert_broadcast):
         rep = convert(trace, part, 5)
-        assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
+        assert (rep.km_rounds, rep.total_bits) == (0, 0)
         assert rep.max_link_bits == rep.max_machine_bits == 0
 
 
@@ -348,8 +347,7 @@ def test_price_dispatches_and_defaults_bandwidth():
         rep = price(trace, part, mode=mode)
         want = convert(trace, part, label_bits(g.n))
         assert rep.mode == mode and rep.W == label_bits(g.n)
-        assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (
-            want.km_rounds, want.machine_rounds, want.total_bits)
+        assert (rep.km_rounds, rep.total_bits) == (want.km_rounds, want.total_bits)
         assert (rep.per_link_bits == want.per_link_bits).all()
     with pytest.raises(ConversionError):
         price(trace, part, mode="direct")

@@ -99,16 +99,16 @@ def test_one_machine_costs_nothing(case, W):
     trace, part = case
     for mode in _modes(trace):
         rep = price(trace, part, W, mode=mode)
-        assert (rep.km_rounds, rep.machine_rounds, rep.total_bits) == (0, 0, 0)
+        assert (rep.km_rounds, rep.total_bits) == (0, 0)
 
 
 def _per_message(trace, part, W, mode):
-    """(km_rounds, machine_rounds, per_link_bits, total_bits) by charging
+    """(km_rounds, per_link_bits, total_bits) by charging
     every message on its own.  A broadcast is n-1 unicasts under p2p and one
     copy per other occupied machine under bcast; co-located traffic is free."""
     n, k, home = trace.n, part.k, part.home.tolist()
     hdr = label_bits(n) if mode == "bcast" else 2 * label_bits(n)
-    km_rounds = machine_rounds = 0
+    km_rounds = 0
     links = [[0] * k for _ in range(k)]
     for bs, bb, us, ud, ub in trace.round_arrays():
         bcasts = list(zip(bs.tolist(), bb.tolist()))
@@ -125,12 +125,10 @@ def _per_message(trace, part, W, mode):
             if p != q:
                 load[p][q] += bits + hdr
         km_rounds += -(-max(max(row) for row in load) // W)
-        busy = max(sum(load[p]) + sum(row[p] for row in load) for p in range(k))
-        machine_rounds += -(-busy // (k * W))
         for p in range(k):
             for q in range(k):
                 links[p][q] += load[p][q] + load[q][p]
-    return km_rounds, machine_rounds, links, sum(map(sum, links)) // 2
+    return km_rounds, links, sum(map(sum, links)) // 2
 
 
 @SETTINGS
@@ -139,7 +137,7 @@ def test_pricing_matches_per_message_charging(case, W):
     trace, part = case
     for mode in _modes(trace):
         rep = price(trace, part, W, mode=mode)
-        got = (rep.km_rounds, rep.machine_rounds, rep.per_link_bits.tolist(), rep.total_bits)
+        got = (rep.km_rounds, rep.per_link_bits.tolist(), rep.total_bits)
         assert got == _per_message(trace, part, W, mode)
 
 
@@ -162,8 +160,7 @@ def test_block_budgets_do_not_change_the_charges(budget, case, W):
             mock.patch.object(machines, "_BLOCK_CELLS", cells):
         for mode in _modes(trace):
             rep = price(trace, part, W, mode=mode)
-            got = (rep.km_rounds, rep.machine_rounds, rep.per_link_bits.tolist(),
-                   rep.total_bits)
+            got = (rep.km_rounds, rep.per_link_bits.tolist(), rep.total_bits)
             assert got == _per_message(trace, part, W, mode)
 
 
@@ -197,7 +194,6 @@ def test_silent_rounds_change_no_cost(case, gaps, W):
         padded.append_arrays(*cols)
     for mode in _modes(trace):
         a, b = price(trace, part, W, mode=mode), price(padded, part, W, mode=mode)
-        assert (a.km_rounds, a.machine_rounds, a.total_bits) == (
-            b.km_rounds, b.machine_rounds, b.total_bits)
+        assert (a.km_rounds, a.total_bits) == (b.km_rounds, b.total_bits)
         assert (a.per_link_bits == b.per_link_bits).all()
         assert (a.per_machine_bits == b.per_machine_bits).all()
