@@ -703,6 +703,17 @@ def test_fidelity_instances_cover_each_algorithm_and_only_listed_ones_have_kerne
     assert {p.kernel is not None for p in progs} == {alg in _KERNEL_ALGORITHMS}
 
 
+@pytest.mark.parametrize("alg", ["bf_sssp", "bfs"])
+def test_every_kernel_matches_reference_on_fidelity_instances(alg):
+    # the shortest-path kernels, compared with their per-vertex reference
+    # on each of their fidelity instances: outputs, columns and metrics
+    runs = [(inst, s) for a, inst, s in fidelity_instances(7) if a == alg]
+    assert len(runs) == 20
+    for inst, s in runs:
+        _assert_kernel_matches_reference(
+            inst.graph, ALGORITHMS[alg].program(inst, AlgoConfig()), s)
+
+
 def test_every_kernel_round_takes_the_whole_column_check(monkeypatch):
     # a kernel that yields unsorted unicasts still runs correctly, on the
     # per-message masks, so only this spy sees a round leave the
