@@ -79,8 +79,11 @@ def cmd_sweep(args):
     rows = run_sweep(cfg, args.sweep)
     _emit(format_csv(rows), cfg.out)  # kept even when the rows admit no fit
     fit = fit_scaling(rows, args.sweep)
+    other = ""
+    if fit.other is not None:
+        other = f", {'n' if args.sweep == 'k' else 'k'} exponent {fit.other:.4f}"
     print(
-        f"# sweep {args.sweep}: slope {fit.slope:.4f}, intercept "
+        f"# sweep {args.sweep}: slope {fit.slope:.4f}{other}, intercept "
         f"{fit.intercept:.4f}, R^2 {fit.r2:.4f}",
         file=sys.stderr,
     )

@@ -62,15 +62,22 @@ class Graph:
         """Every graph's one check path: orient the fresh (3, m) int64
         `block` in place so u < v, check it, and keep it, frozen, as the
         graph's edges.  Errors name the faulty row of `rows`, the edges as
-        given."""
+        given.
+
+        A valid block passes on whole-column tests (u.min, v.max, u < v
+        everywhere, w.min and w.max); only a block that fails one builds
+        the per-edge masks that find its first faulty row."""
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         u, v, w = block
         swap = u > v
         if swap.any():
             u[swap], v[swap] = v[swap], u[swap]
-        bad = (u == v) | (u < 0) | (v >= n) | (w < 0) | (w >= inf_weight(n))
-        if bad.any():
+        del swap
+        cap = inf_weight(n)
+        if len(u) and not (u.min() >= 0 and v.max() < n and (u < v).all()
+                           and w.min() >= 0 and w.max() < cap):
+            bad = (u == v) | (u < 0) | (v >= n) | (w < 0) | (w >= cap)
             _reject(n, rows, int(bad.argmax()))
         key = u * n
         key += v
@@ -356,9 +363,54 @@ def _pairs_from_indices(block: np.ndarray, n: int):
     idx -= scratch
 
 
+_GEOMETRIC_SEARCH_P = 1 / 3  # numpy's Generator.geometric searches from here up
+_INT64_CEIL = 9.223372036854776e18  # the least double above INT64_MAX
+# above any standard exponential drawn from doubles: -log of the least
+# positive double is 744.4 (numpy's ziggurat stays below 45)
+_EXP_BOUND = 1024.0
+_GAP_CHUNK = 1 << 13  # gaps drawn and converted per step
+
+
+def _geometric_gaps(rng, p, want):
+    """`want` draws of rng.geometric(p), the same values from the same
+    stream.  For p < 1/3 numpy draws each gap by inversion, ceil(E /
+    -log1p(-p)) from one standard exponential E, clamping values at or
+    above 2^63 to INT64_MAX; this does that a chunk at a time.  Each
+    chunk's exponentials land in the int64 result's own buffer and are
+    converted there, so no second batch-sized array is made.  From p = 1/3
+    up numpy searches the CDF from a uniform instead, so those gaps come
+    from rng.geometric itself.  (Drawing E from a counter-based stream in
+    place of rng would change only the line that fills a chunk.)"""
+    if p >= _GEOMETRIC_SEARCH_P:
+        return rng.geometric(p, size=want)
+    gaps = np.empty(want, dtype=np.int64)
+    z = gaps.view(np.float64)
+    scale = -math.log1p(-p)
+    clamp = _EXP_BOUND / scale >= _INT64_CEIL  # only p below ~1e-16 reaches 2^63
+    for lo in range(0, want, _GAP_CHUNK):
+        zc, out = z[lo:lo + _GAP_CHUNK], gaps[lo:lo + _GAP_CHUNK]
+        rng.standard_exponential(out=zc)
+        zc /= scale  # a division, as numpy's: a reciprocal's product may round apart
+        np.ceil(zc, out=zc)
+        if clamp:
+            big = zc >= _INT64_CEIL
+            zc[big] = 0  # casting these to int64 is undefined
+        out[...] = zc  # out shares zc's memory: numpy copies the chunk first
+        if clamp:
+            out[big] = np.iinfo(np.int64).max
+    return gaps
+
+
 def _gnp_block(n: int, p: float, rng):
     """A fresh (3, m) int64 block holding the (u, v) of a G(n, p) sample in
-    lexicographic order in rows 0 and 1; row 2 is left for the weights."""
+    lexicographic order in rows 0 and 1; row 2 is left for the weights.
+
+    The sample skips from one picked pair to the next by geometric gaps
+    (Batagelj and Brandes, Phys. Rev. E 71, 2005), drawn in batches by
+    _geometric_gaps: for p < 1/3 one vectorized inversion pass over rng's
+    standard exponentials, byte-identical to rng.geometric, and from 1/3
+    up rng.geometric itself, since numpy draws those gaps by a CDF search
+    that no exponential stream reproduces."""
     total = n * (n - 1) // 2
     picked = []
     if total and p >= 1.0:
@@ -367,7 +419,7 @@ def _gnp_block(n: int, p: float, rng):
         pos = -1
         while pos < total:
             want = int((total - pos) * p * 1.1) + 64
-            idx = rng.geometric(p, size=want)
+            idx = _geometric_gaps(rng, p, want)
             np.cumsum(idx, out=idx)
             idx += pos
             cut = idx.searchsorted(total)

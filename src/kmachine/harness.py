@@ -556,38 +556,60 @@ def format_csv(rows) -> str:
 
 @dataclass
 class ScalingFit:
+    """The model c * n**a * k**b fitted to median km_rounds: `slope` is the
+    swept variable's exponent, `other` the other variable's when it varies
+    too (else None), `intercept` is log2 c, and `points` holds each (n, k)
+    cell's (swept value, median km_rounds), ascending."""
     variable: str
     slope: float
     intercept: float
     r2: float
     points: list
+    other: float = None
 
 
 def fit_scaling(rows, sweep: str = "k") -> ScalingFit:
-    """Least squares on log2(swept value) vs log2(median km_rounds)."""
+    """Least squares of log2(median km_rounds) per (n, k) cell on
+    [log2 swept, log2 other, 1].  The other variable's column is dropped
+    when it never varies (rows may also omit it), and the fit is then the
+    straight line through the swept value's medians.  Columns are scaled
+    to unit norm before the solve, as np.polyfit does."""
     if sweep not in ("k", "n"):
         raise HarnessError("sweep must be 'k' or 'n'")
+    other = "n" if sweep == "k" else "k"
     groups = {}
     for r in rows:
-        groups.setdefault(r[sweep], []).append(r["km_rounds"])
-    if len(groups) < 3:
+        groups.setdefault((r[sweep], r.get(other)), []).append(r["km_rounds"])
+    cells = sorted(groups)
+    if len({val for val, _ in cells}) < 3:
         raise HarnessError("need at least 3 distinct swept values")
-    points = [(val, statistics.median(v)) for val, v in sorted(groups.items())]
-    for val, cost in points:
+    joint = len({o for _, o in cells}) > 1
+    costs = [statistics.median(groups[c]) for c in cells]
+    for (val, o), cost in zip(cells, costs):
         if cost == 0:
-            raise HarnessError(f"the median km_rounds at {sweep}={val} is 0; "
+            at = f"{sweep}={val}" + (f", {other}={o}" if joint else "")
+            raise HarnessError(f"the median km_rounds at {at} is 0; "
                                "a log-log fit needs positive costs")
-    xs = np.log2([p[0] for p in points])
-    ys = np.log2([p[1] for p in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
+    xs = np.log2([c[:1 + joint] for c in cells]).T
+    ys = np.log2(costs)
+    lhs = np.column_stack([*xs, np.ones(len(cells))])
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    coef, _, rank, _ = np.linalg.lstsq(lhs / scale, ys, len(ys) * np.finfo(float).eps)
+    if rank < lhs.shape[1]:
+        raise HarnessError(f"{sweep} and {other} vary together; "
+                           "a fit cannot tell their exponents apart")
+    *exps, intercept = coef / scale
+    pred = intercept
+    for e, x in zip(exps, xs):
+        pred = e * x + pred
     ss_res = float(((ys - pred) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return ScalingFit(
         variable=sweep,
-        slope=float(slope),
+        slope=float(exps[0]),
         intercept=float(intercept),
         r2=r2,
-        points=points,
+        points=[(val, cost) for (val, _), cost in zip(cells, costs)],
+        other=float(exps[1]) if joint else None,
     )

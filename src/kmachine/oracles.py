@@ -105,19 +105,27 @@ def minimum_spanning_forest(g: Graph):
     u, v, w = g.edge_arrays()
     # u < v, so (w, u * n + v) is the edge order; u * n + v < n**2 < 2**63
     order = np.lexsort((u * g.n + v, w))
-    dsu = _DSU(g.n)
+    parent = list(range(g.n))
     weight = 0
     chosen = set()
     step = _kruskal_batch(g.n)
     for lo in range(0, g.m, step):
         batch = order[lo:lo + step]
-        # every vertex's root, by pointer jumping on the DSU's parents
-        root = np.array(dsu.parent)
+        # every vertex's root, by pointer jumping on the parents
+        root = np.array(parent)
         while not np.array_equal(root[root], root):
             root = root[root]
         batch = batch[root[u[batch]] != root[v[batch]]]
         for a, b, wt in zip(u[batch].tolist(), v[batch].tolist(), w[batch].tolist()):
-            if dsu.union(a, b):
+            # both finds inline, by path halving: method calls were most of the loop
+            x = a
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            y = b
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[y] = x
                 weight += wt
                 chosen.add((a, b))
         if len(chosen) == g.n - 1:  # no later edge can join two components

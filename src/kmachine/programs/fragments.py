@@ -218,7 +218,7 @@ def _merge_rounds(g, kind, flags):
         cols = [a[keep] for a in cols]
     ends = len(cols[0])  # flagged edge endpoints, which stverify counts
     if varied:
-        cols.append(_weight_sorted(*cols, eidx, weights))
+        cols.append(_weight_sorted(n, *cols, eidx, weights))
         const_bits = None
     else:
         # one weight for every edge (unit for conn and stverify): the CSR
@@ -263,19 +263,31 @@ def _merge_rounds(g, kind, flags):
     return [(pairs, spanning) for pairs in edge_outputs(n, chosen)]
 
 
-def _weight_sorted(src, nbr, eidx, weights):
+def _weight_sorted(n, src, nbr, eidx, weights):
     """Sort the slots into (source, merge_key) order, nbr in place, and
     return their weight column.
 
     One source's slots ascend by neighbour, and for neighbours u1 < u2 of s,
     (min(s,u1), max(s,u1)) < (min(s,u2), max(s,u2)) wherever s lies, so a
-    stable sort by (source, weight) does it.  src is sorted, so each block
-    of whole sources sorts on its own."""
+    sort by (source, weight, neighbour) does it.  src is sorted, so each
+    block of whole sources sorts on its own: by one argsort of the distinct
+    key (source * (wmax + 1) + weight) * n + neighbour where that fits int64,
+    else by a stable lexsort on (source, weight)."""
     w = np.empty(len(src), dtype=np.int64)
+    wmax = int(weights.max())
+    packed = n * (wmax + 1) * n <= np.iinfo(np.int64).max
     cuts = np.append(np.searchsorted(src, src[::_BLOCK]), len(src)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
         wb = weights[eidx[lo:hi]]
-        order = np.lexsort((wb, src[lo:hi]))
+        if packed:
+            key = src[lo:hi].astype(np.int64)
+            key *= wmax + 1
+            key += wb
+            key *= n
+            key += nbr[lo:hi]
+            order = key.argsort()
+        else:
+            order = np.lexsort((wb, src[lo:hi]))
         nbr[lo:hi] = nbr[lo:hi][order]
         w[lo:hi] = wb[order]
     return w

@@ -872,6 +872,32 @@ def test_fragment_kernel_matches_reference_on_weights_wider_than_int32():
             _assert_kernel_matches_reference(h, mst_program(), 2)
 
 
+@pytest.mark.parametrize("n, wmax, packed", [(300, 1000, True),
+                                               (300, inf_weight(300) - 1, True),
+                                               (1 << 20, 1 << 30, False)])
+def test_weight_sort_uses_one_packed_key_where_it_fits(monkeypatch, n, wmax, packed):
+    # the slots of whole sources, each source's neighbours ascending, sort by
+    # (source, weight, neighbour) through one argsort of a packed key, or
+    # through the blocked lexsort where n * (wmax + 1) * n passes int64
+    rng = np.random.default_rng(n + wmax)
+    pairs = np.unique(rng.integers(0, n, size=(3000, 2)), axis=0)
+    src, nbr = pairs[pairs[:, 0] != pairs[:, 1]].T
+    weights = rng.integers(0, wmax + 1, size=len(src))
+    weights[::7] = weights[0]  # ties, which the neighbour breaks
+    eidx = rng.permutation(len(src))
+    want = np.lexsort((nbr, weights[eidx], src))
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+    monkeypatch.setattr(fragments, "_BLOCK", 64)
+    for ids in (np.int32, np.int64):
+        got_nbr = nbr.astype(ids)
+        w = fragments._weight_sorted(n, src.astype(ids), got_nbr, eidx, weights)
+        assert np.array_equal(got_nbr, nbr[want])
+        assert np.array_equal(w, weights[eidx][want])
+    assert bool(lexsorts) is not packed
+
+
 @pytest.mark.parametrize("n, edges, candidate, spanning, tree", [
     (1, [], [], True, True),  # one vertex: it halts in the first merge round
     # two components, {0, 1, 2} and {3, 4}

@@ -23,7 +23,7 @@ from kmachine.graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from kmachine.graphs import _pairs_from_indices
+from kmachine.graphs import _geometric_gaps, _pairs_from_indices
 from kmachine.oracles import all_pairs_distances, is_connected, is_spanning_tree
 from kmachine.programs import conn_program, mst_program
 
@@ -110,6 +110,42 @@ def test_gnp_mean_edge_count():
     ms = [generate("gnp", 64, s, p=0.5).m for s in range(200)]
     mean = sum(ms) / len(ms)
     assert abs(mean - 1008) <= 0.1 * 1008
+
+
+class _DrawSpy:
+    """A numpy Generator that records the name of each method called on it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def test_gap_inversion_equals_generator_geometric_draw_for_draw():
+    # below p = 1/3 the gaps are numpy's inversion done a chunk at a time:
+    # the same values, the stream left at the same place, and only
+    # standard_exponential draws; 1e-300 clamps every gap to INT64_MAX, and
+    # 1e-17 takes the clamp's check without reaching it
+    for p in (1e-300, 1e-17, 1e-6, 1e-3, 0.02, 0.1, 0.25, np.nextafter(1 / 3, 0)):
+        for seed in range(50):
+            want = (1, 100, 8192, 8193, 20000)[seed % 5]  # chunk edges too
+            spy = _DrawSpy(seed)
+            gaps = _geometric_gaps(spy, p, want)
+            ref = np.random.default_rng(seed)
+            assert gaps.dtype == np.int64
+            assert np.array_equal(gaps, ref.geometric(p, size=want)), (p, seed)
+            assert set(spy.calls) == {"standard_exponential"}
+            assert spy.rng.random() == ref.random()
+    # from 1/3 up numpy searches the CDF, and the gaps are its own draws
+    for p in (1 / 3, 0.5):
+        for seed in range(50):
+            spy = _DrawSpy(seed)
+            gaps = _geometric_gaps(spy, p, 1000)
+            assert spy.calls == ["geometric"]
+            assert np.array_equal(gaps, np.random.default_rng(seed).geometric(p, 1000))
 
 
 def test_weight_bounds():

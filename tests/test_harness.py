@@ -349,6 +349,49 @@ def test_fit_refuses_a_zero_cost():
     assert fit_scaling(rows, "k").points[0] == (1, 1)
 
 
+def test_fit_recovers_both_exponents_of_a_power_law():
+    rows = [{"n": n, "k": k, "km_rounds": 3 * n**1.5 * k**-0.75}
+            for n in (64, 128, 256, 512) for k in (2, 4, 8) for _ in range(2)]
+    for sweep, a, b in (("n", 1.5, -0.75), ("k", -0.75, 1.5)):
+        fit = fit_scaling(rows, sweep)
+        assert (fit.slope, fit.other) == (pytest.approx(a), pytest.approx(b))
+        assert fit.intercept == pytest.approx(math.log2(3))
+        assert fit.r2 == pytest.approx(1.0)
+        assert len(fit.points) == 12
+    # one k: its column is dropped, as is a column the rows leave out
+    fit = fit_scaling([r for r in rows if r["k"] == 4], "n")
+    assert fit.other is None and fit.slope == pytest.approx(1.5)
+    assert fit.points == [(n, 3 * n**1.5 * 4**-0.75) for n in (64, 128, 256, 512)]
+
+
+def test_fit_refuses_n_and_k_that_vary_together():
+    rows = [{"n": 32 * k, "k": k, "km_rounds": 100} for k in (2, 4, 8)]
+    with pytest.raises(HarnessError, match="n and k vary together"):
+        fit_scaling(rows, "n")
+
+
+def test_cli_sweep_fits_each_n_and_k_cell(tmp_path, capsys):
+    # mst on gnp n = 128, 256, 512, p = 0.1, seed 1: the n-slope is 1.0113 at
+    # k = 2 and 0.7010 at k = 32; with both ks the fit is joint, and its
+    # n-exponent is their mean (one median per n, pooled over k, gave 0.9764)
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({
+        "algorithm": "mst", "model": "gnp", "n": [128, 256, 512], "p": 0.1,
+        "k": [2, 32], "seeds": [1],
+    }))
+    out = tmp_path / "rows.csv"
+    rc = cli_main(["sweep", "--config", str(conf), "--sweep", "n", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ("# sweep n: slope 0.8562, k exponent -0.7665, "
+                                       "intercept 3.9978, R^2 0.9922\n")
+    header, *lines = out.read_text().splitlines()
+    rows = [{c: int(x) for c, x in zip(header.split(","), line.split(","))
+             if c in ("n", "k", "km_rounds")} for line in lines]
+    for k, slope in ((2, 1.0113), (32, 0.7010)):
+        fit = fit_scaling([r for r in rows if r["k"] == k], "n")
+        assert (round(fit.slope, 4), fit.other) == (slope, None)
+
+
 def test_cli_sweep_through_a_free_k_keeps_its_rows(tmp_path, capsys):
     # one machine holds every vertex, so k = 1 costs no round
     conf = tmp_path / "exp.json"
