@@ -2,8 +2,9 @@
 
 Config files are flat JSON key-value documents; any flag given on the
 command line overrides the same key from the file.  A config the program
-rejects prints one `kmachine: error: ...` line on stderr and exits with 2;
-exit code 1 means some row or criterion failed.
+rejects, or an instance past its oracle's size cap, prints one `kmachine:
+error: ...` line on stderr and exits with 2; exit code 1 means some row or
+criterion failed.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .harness import (
     run_sweep,
 )
 from .machines import ConversionError
+from .oracles import OracleError
 from .programs import ConfigError
 
 
@@ -37,7 +39,6 @@ def _add_override_flags(p):
     p.add_argument("--k", type=_ints, help="comma separated machine counts")
     p.add_argument("--seeds", type=_ints, help="comma separated seeds")
     p.add_argument("--w", dest="W", type=int, help="link bandwidth in bits")
-    p.add_argument("--mode", choices=["p2p", "bcast"])
     p.add_argument("--gamma", type=float)
     p.add_argument("--tokens-per-node", dest="tokens_per_node", type=int)
     p.add_argument("--eps", type=float)
@@ -148,10 +149,11 @@ def main(argv=None):
     v.set_defaults(fn=cmd_validate)
 
     args = ap.parse_args(argv)
-    # these are what a bad config or bad flags raise, unlike a program fault
+    # these are what a bad config or bad flags raise, unlike a program fault;
+    # an oracle refuses an instance past its size cap only after the run
     try:
         return args.fn(args)
-    except (HarnessError, ConfigError, GraphError, ConversionError) as exc:
+    except (HarnessError, ConfigError, GraphError, ConversionError, OracleError) as exc:
         print(f"kmachine: error: {exc}", file=sys.stderr)
         return 2
 

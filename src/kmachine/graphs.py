@@ -371,6 +371,7 @@ _EXP_BOUND = 1024.0
 _GAP_CHUNK = 1 << 13  # gaps drawn and converted per step
 
 
+@np.errstate(over="ignore")  # p below ~1e-307 divides to inf, which is clamped
 def _geometric_gaps(rng, p, want):
     """`want` draws of rng.geometric(p), the same values from the same
     stream.  For p < 1/3 numpy draws each gap by inversion, ceil(E /
@@ -420,6 +421,9 @@ def _gnp_block(n: int, p: float, rng):
         while pos < total:
             want = int((total - pos) * p * 1.1) + 64
             idx = _geometric_gaps(rng, p, want)
+            # a gap past the last pair ends the sample whatever its length;
+            # clipped, a batch of gaps cannot wrap int64 in the cumsum
+            np.minimum(idx, total - pos, out=idx)
             np.cumsum(idx, out=idx)
             idx += pos
             cut = idx.searchsorted(total)

@@ -1,10 +1,11 @@
 """Experiment running: instances, oracle validation, CSV rows, scaling fits.
 
-A run is (algorithm, instance, seed, k, W, mode).  The clique execution for
-a seed is shared across all machine counts, since pricing a recorded trace
-is a pure function of the partition; per-vertex outputs are oracle-checked
-once per seed and the verdict lands in the `success` column of every row
-derived from that execution.
+A run is (algorithm, instance, seed, k, W); the algorithm fixes the mode
+its trace is priced in.  The clique execution for a seed is shared across
+all machine counts, since pricing a recorded trace is a pure function of
+the partition; per-vertex outputs are oracle-checked once per seed and the
+verdict lands in the `success` column of every row derived from that
+execution.
 """
 
 import json
@@ -28,7 +29,6 @@ from .graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from .machines import BCAST, P2P
 from .programs import ALGORITHMS, AlgoConfig, default_tokens_per_node
 from .programs.config import is_int, is_real
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
     k: list
     seeds: list
     W: int = None  # None -> ceil(log2 n)
-    mode: str = None  # None -> the algorithm's natural mode
     algo: AlgoConfig = field(default_factory=AlgoConfig)
     out: str = None
 
@@ -94,13 +93,6 @@ class ExperimentConfig:
                 raise HarnessError(f"every k must be a positive int, got {k!r}")
         if self.W is not None and not _positive_int(self.W):
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
-        if self.mode not in (None, P2P, BCAST):
-            raise HarnessError(f"mode must be {P2P!r} or {BCAST!r}, got {self.mode!r}")
-        if self.mode is not None and entry.mode is None:
-            raise HarnessError(
-                f"{self.algorithm} runs at machine level and prices itself; "
-                f"it takes no mode, got {self.mode!r}"
-            )
         if min(self.k) < entry.min_k:
             raise HarnessError(f"{self.algorithm} needs at least {entry.min_k} "
                                f"machines, got k={min(self.k)}")
@@ -127,10 +119,6 @@ class ExperimentConfig:
         if self.graph.get("hyper", True) is not True:
             raise HarnessError(f"graph hyper marks a hypergraph and can only be true, "
                                f"got {self.graph['hyper']!r}")
-        if self.mode == BCAST and entry.mode == P2P:
-            raise HarnessError(
-                f"{self.algorithm} sends unicasts, which broadcast pricing cannot take"
-            )
         # refused like unread graph keys: a parameter the algorithm never reads
         unread = [name for name in _FLAT_ALGO_KEYS - set(entry.reads)
                   if getattr(self.algo, name) != getattr(_DEFAULT_ALGO, name)]
@@ -170,7 +158,6 @@ def config_from_mapping(doc: dict) -> ExperimentConfig:
         k=list(k),
         seeds=list(seeds),
         W=doc.pop("W", None),
-        mode=doc.pop("mode", None),
         algo=AlgoConfig(**algo_kwargs),
         out=doc.pop("out", None),
     )
@@ -245,13 +232,17 @@ def default_stverify_candidate(g: Graph, seed: int):
 # per-algorithm oracle validation
 # ---------------------------------------------------------------------------
 
+# Each validator returns (ok, details); details holds only what is read off a
+# cell later: mis "phases" (criterion 8) and pagerank "l1" and "sum"
+# (criterion 9).
+
 
 def _validate_bfs(inst, cfg, outputs, metrics):
     g = inst.graph
     dist, parent = oracles.bfs_tree(g, cfg.source)
     ok = list(outputs) == list(zip(dist, parent))
     ok &= metrics.broadcasts <= g.n + 1
-    return ok, {"kind": "bfs"}
+    return ok, {}
 
 
 def _validate_bf(inst, cfg, outputs, metrics):
@@ -261,7 +252,7 @@ def _validate_bf(inst, cfg, outputs, metrics):
     ok = got == want and _sssp_parents_ok(g, cfg.source, want, outputs)
     # an estimate improves only up to its fewest-hop minimum-weight path
     ok &= metrics.broadcasts <= g.n * max(1, max(hops)) + g.n
-    return ok, {"kind": "bf_sssp"}
+    return ok, {}
 
 
 def _sssp_parents_ok(g, source, dist, outputs):
@@ -303,13 +294,13 @@ def _validate_mst(inst, cfg, outputs, metrics):
     for edges, _flag in outputs:
         union.update(edges)
     spanning_flags = {flag for _, flag in outputs}
-    weight_oracle, forest_oracle = oracles.minimum_spanning_forest(g)
+    forest_oracle = oracles.minimum_spanning_forest(g)[1]
     ok = union == forest_oracle
     # a spanning forest has n - c edges, so it is a tree iff g is connected
     ok &= spanning_flags == {len(forest_oracle) == g.n - 1}
     L = label_bits(g.n)
     ok &= metrics.broadcasts <= 2 * g.n * L + g.n
-    return ok, {"kind": "mst", "weight": weight_oracle}
+    return ok, {}
 
 
 def _validate_conn(inst, cfg, outputs, metrics):
@@ -318,7 +309,7 @@ def _validate_conn(inst, cfg, outputs, metrics):
     ok = all(out == (want_cc, want_cc == 1) for out in outputs)
     if inst.expect is not None:
         ok &= (want_cc == 1) == inst.expect
-    return ok, {"kind": "conn"}
+    return ok, {}
 
 
 def _validate_stverify(inst, cfg, outputs, metrics):
@@ -327,7 +318,7 @@ def _validate_stverify(inst, cfg, outputs, metrics):
     ok = all(out[0] == want for out in outputs)
     if inst.expect is not None:
         ok &= want == inst.expect
-    return ok, {"kind": "stverify", "answer": want}
+    return ok, {}
 
 
 def _validate_pagerank(inst, cfg, outputs, metrics):
@@ -342,7 +333,7 @@ def _validate_pagerank(inst, cfg, outputs, metrics):
         l1 = float(np.abs(est - want).sum())
         if per_node >= 100 * math.log2(max(2, g.n)):
             ok &= l1 <= 0.1
-    return ok, {"kind": "pagerank", "l1": l1, "sum": float(est.sum())}
+    return ok, {"l1": l1, "sum": float(est.sum())}
 
 
 def _validate_mis(inst, cfg, outputs, metrics):
@@ -351,7 +342,7 @@ def _validate_mis(inst, cfg, outputs, metrics):
     members = [v for v, (m, _) in enumerate(outputs) if m]
     ok = not failed and oracles.validate_mis(g, members)
     phases = -(-metrics.rounds // 3)
-    return ok, {"kind": "mis", "phases": phases}
+    return ok, {"phases": phases}
 
 
 def _validate_spanner(inst, cfg, outputs, metrics):
@@ -363,16 +354,12 @@ def _validate_spanner(inst, cfg, outputs, metrics):
     got = np.array(edges, dtype=np.int64).reshape(-1, 2)
     ok = bool(np.isin(got[:, 0] * g.n + got[:, 1], u * g.n + v).all())
     ok &= metrics.broadcasts <= g.n * cfg.delta * cfg.delta
-    stretch = None
     if g.n <= 256:
         dist, _ = oracles.all_pairs_distances(g)
         sg = Graph(g.n, [(a, b, 1) for a, b in edges])
         sdist, _ = oracles.all_pairs_distances(sg)
-        within = sdist <= (2 * cfg.delta - 1) * dist
-        ok &= bool(within.all())
-        kept = within & (0 < dist) & (dist < np.inf)
-        stretch = float((sdist[kept] / dist[kept]).max(initial=1.0))
-    return ok, {"kind": "spanner", "size": len(edges), "stretch": stretch}
+        ok &= bool((sdist <= (2 * cfg.delta - 1) * dist).all())
+    return ok, {}
 
 
 def _validate_densest(inst, cfg, outputs, metrics):
@@ -388,21 +375,21 @@ def _validate_densest(inst, cfg, outputs, metrics):
     if g.n <= oracles.BRUTE_DENSEST_MAX_N and g.n <= 14:
         opt, _ = oracles.brute_densest(g)
         ok &= density >= float(opt) / (2.0 + 2.0 * cfg.eps) - 1e-9
-    return ok, {"kind": "densest", "density": density}
+    return ok, {}
 
 
 def _validate_triangle(inst, cfg, outputs, metrics):
     g = inst.graph
     want = oracles.triangle_exists(g)
     ok = all(out == want for out in outputs)
-    return ok, {"kind": "triangle", "answer": want}
+    return ok, {}
 
 
 def _validate_hmis(inst, cfg, outputs, metrics):
     # the outputs are the membership flags at every k
     ok = all(oracles.validate_mis(inst.graph, [v for v, f in enumerate(flags) if f])
              for flags in outputs.values())
-    return ok, {"kind": "hmis"}
+    return ok, {}
 
 
 def _validate_logsp(inst, cfg, outputs, metrics):
@@ -412,7 +399,7 @@ def _validate_logsp(inst, cfg, outputs, metrics):
     bound = 2 * label_bits(g.n) - 1
     # an unreachable pair passes only with an infinite estimate
     ok = bool(((dist <= est) & (est <= bound * dist)).all())
-    return ok, {"kind": "logsp"}
+    return ok, {}
 
 
 VALIDATORS = {
@@ -443,7 +430,6 @@ class RunResult:
     algorithm: str
     seed: int
     instance: Instance
-    outputs: list
     metrics: CliqueMetrics
     valid: bool
     details: dict
@@ -459,12 +445,9 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
     if inst is None:
         inst = build_instance(config.graph, seed, algorithm)
     config.algo.validate(inst.graph.n)
-    outputs, metrics, reports = entry.run(inst, config.k, config.W, config.mode, seed,
-                                          config.algo)
+    outputs, metrics, reports = entry.run(inst, config.k, config.W, seed, config.algo)
     valid, details = VALIDATORS[algorithm](inst, config.algo, outputs, metrics)
-    if entry.mode == BCAST and metrics.unicasts:
-        valid = False
-    return RunResult(algorithm, seed, inst, outputs, metrics, valid, details, reports)
+    return RunResult(algorithm, seed, inst, metrics, valid, details, reports)
 
 
 def _instance_m(inst: Instance) -> int:

@@ -6,18 +6,13 @@ from ..clique import CliqueMetrics, run_clique
 from ..machines import BCAST, P2P, price, random_vertex_partitions
 from .config import AlgoConfig, ConfigError
 from .densest import densest_subgraph_program
-from .fragments import conn_program, merge_key, mst_program, st_verify_program
+from .fragments import conn_program, mst_program, st_verify_program
 from .hypergraph_mis import hmis_kmachine, hmis_round_bound
 from .mis import default_phase_budget, luby_mis_program
 from .paths import bellman_ford_program, bfs_program
 from .spanner import logapprox_shortest_paths, spanner_program, spanner_union
 from .triangle import triangle_program
-from .walks import (
-    default_tokens_per_node,
-    pagerank_program,
-    walk_round_budget,
-    walk_shape,
-)
+from .walks import default_tokens_per_node, pagerank_program, walk_shape
 
 
 @dataclass(frozen=True)
@@ -27,12 +22,12 @@ class Algorithm:
 
     A clique algorithm has a `program(instance, cfg) -> Program` (the
     instance is the harness's: its graph, plus stverify's candidate edges),
-    the `mode` it is priced in ("bcast" marks the programs that never send a
-    unicast) and `budget(n, cfg)`, the engine's round limit (None: the
-    engine's own).  A machine-level algorithm has a `runner(graph, parts, W,
-    seed, cfg)` that runs on its own schedule, prices exactly the partitions
-    it is handed, and takes no mode.  `min_k` is the fewest machines it runs
-    on; `hyper` marks an algorithm whose instance is a random hypergraph;
+    the `mode` that every cell of it is priced in ("bcast" marks the
+    programs that never send a unicast) and `budget(n, cfg)`, the engine's
+    round limit (None: the engine's own).  A machine-level algorithm has a
+    `runner(graph, parts, W, seed)` that runs on its own schedule and prices
+    exactly the partitions it is handed.  `min_k` is the fewest machines it
+    runs on; `hyper` marks an algorithm whose instance is a random hypergraph;
     `reads` names the AlgoConfig fields that its cells read.
     """
 
@@ -44,20 +39,19 @@ class Algorithm:
     hyper: bool = False
     reads: tuple = ()
 
-    def run(self, inst, ks, W, mode, seed, cfg):
+    def run(self, inst, ks, W, seed, cfg):
         """(outputs, CliqueMetrics, {k: SimReport}) of one cell: a clique
-        execution priced in `mode` (None: the natural one), or the runner's,
-        on one placement per k, drawn first so a bad k runs nothing."""
+        execution priced in the algorithm's mode, or the runner's, on one
+        placement per k, drawn first so a bad k runs nothing."""
         parts = random_vertex_partitions(inst.graph, ks, seed)
         if self.runner is not None:
-            return self.runner(inst.graph, parts, W, seed, cfg)
+            return self.runner(inst.graph, parts, W, seed)
         outputs, trace, metrics = run_clique(inst.graph, self.program(inst, cfg), seed,
                                              max_rounds=self.budget(inst.graph.n, cfg))
-        mode = mode or self.mode
-        return outputs, metrics, {p.k: price(trace, p, W, mode=mode) for p in parts}
+        return outputs, metrics, {p.k: price(trace, p, W, mode=self.mode) for p in parts}
 
 
-def _run_hmis(h, parts, W, seed, cfg):
+def _run_hmis(h, parts, W, seed):
     """The flags at every k, zero clique metrics (no clique runs), the ledgers."""
     flags, reports = {}, {}
     for part in parts:
@@ -76,10 +70,8 @@ ALGORITHMS = {
     "pagerank": Algorithm(lambda inst, cfg: pagerank_program(cfg), P2P,
                           budget=lambda n, cfg: walk_shape(n, cfg).budget + 2,
                           reads=("gamma", "tokens_per_node")),
-    "mis": Algorithm(lambda inst, cfg: luby_mis_program(cfg), BCAST,
-                     budget=lambda n, cfg:
-                     3 * (cfg.mis_max_phases or default_phase_budget(n)) + 6,
-                     reads=("mis_max_phases",)),
+    "mis": Algorithm(lambda inst, cfg: luby_mis_program(), BCAST,
+                     budget=lambda n, cfg: 3 * default_phase_budget(n) + 6),
     "spanner": Algorithm(lambda inst, cfg: spanner_program(cfg), BCAST, reads=("delta",)),
     "densest": Algorithm(lambda inst, cfg: densest_subgraph_program(cfg), BCAST,
                          reads=("eps",)),

@@ -23,12 +23,11 @@ class AlgoConfig:
     tokens_per_node: int = None  # None -> ceil(log2 n)
     eps: float = 0.5  # peeling slack
     delta: int = 2  # spanner stretch parameter, stretch is 2*delta-1
-    mis_max_phases: int = None  # None -> 10*ceil(log2 n) + 16
 
     def validate(self, n: int = None):
-        for name in ("source", "tokens_per_node", "delta", "mis_max_phases"):
+        for name in ("source", "tokens_per_node", "delta"):
             value = getattr(self, name)
-            if value is None and name in ("tokens_per_node", "mis_max_phases"):
+            if value is None and name == "tokens_per_node":
                 continue  # None picks the default
             if not is_int(value):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
@@ -44,8 +43,6 @@ class AlgoConfig:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
         if self.delta < 1:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
-        if self.mis_max_phases is not None and self.mis_max_phases < 1:
-            raise ConfigError("mis_max_phases must be >= 1")
         if n is not None and not (0 <= self.source < n):
             raise ConfigError(f"source {self.source} out of range for n={n}")
         return self

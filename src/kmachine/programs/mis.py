@@ -21,7 +21,6 @@ import numpy as np
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
 from ..rng import uniform, uniform_each
-from .config import AlgoConfig
 from .slots import broadcasts, slot_sources
 
 
@@ -30,14 +29,11 @@ def default_phase_budget(n: int) -> int:
 
 
 class _LubyNode(NodeProgram):
-    def __init__(self, max_phases):
-        self.max_phases = max_phases
-
     def start(self, ctx):
         self.ctx = ctx
         self.L = label_bits(ctx.n)
         self.active_nbrs = {u for u, _, _ in ctx.incident}
-        self.budget = self.max_phases or default_phase_budget(ctx.n)
+        self.budget = default_phase_budget(ctx.n)
         self.in_set = False
         self.failed = False
         self.marked = False
@@ -81,17 +77,16 @@ class _LubyNode(NodeProgram):
         return (self.in_set, self.failed)
 
 
-def _luby_rounds(g, max_phases, seed):
+def _luby_rounds(g, seed):
     """Round kernel of _LubyNode: the same coins give the same broadcasts, in
     the same rounds and source order, and the same outputs."""
     n, L = g.n, label_bits(g.n)
     indptr, nbr = g.adjacency()
     src = slot_sources(indptr)
-    budget = max_phases or default_phase_budget(n)
     alive = np.ones(n, dtype=bool)
     in_set = np.zeros(n, dtype=bool)
     rnd = 0
-    for _phase in range(budget):
+    for _phase in range(default_phase_budget(n)):
         # mark: slots between live vertices are the active-neighbor pairs
         keep = alive[src] & alive[nbr]
         src, nbr = src[keep], nbr[keep]
@@ -126,7 +121,5 @@ def _luby_rounds(g, max_phases, seed):
     return list(zip(in_set.tolist(), alive.tolist()))
 
 
-def luby_mis_program(cfg: AlgoConfig) -> Program:
-    cfg.validate()
-    return Program("mis", lambda: _LubyNode(cfg.mis_max_phases),
-                   kernel=lambda g, seed: _luby_rounds(g, cfg.mis_max_phases, seed))
+def luby_mis_program() -> Program:
+    return Program("mis", _LubyNode, kernel=_luby_rounds)

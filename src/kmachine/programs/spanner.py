@@ -27,7 +27,6 @@ reference.
 
 import math
 from collections import deque
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -234,8 +233,7 @@ def _bfs_matrix(n, edges):
     return mat
 
 
-def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0,
-                             cfg: AlgoConfig = None):
+def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0):
     """Whole-graph distance estimates within factor 2*ceil(log2 n)-1, as
     (n x n estimates, the spanner's CliqueMetrics, {k: SimReport}).
 
@@ -254,8 +252,7 @@ def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0,
     n = g.n
     L = label_bits(n)
     W = link_bandwidth(n, W)
-    cfg = replace(cfg or AlgoConfig(), delta=L)
-    outputs, trace, metrics = run_clique(g, spanner_program(cfg), seed)
+    outputs, trace, metrics = run_clique(g, spanner_program(AlgoConfig(delta=L)), seed)
     edges = spanner_union(outputs)
     low, high = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     ship_bound = bound_scale(n) * math.ceil(len(edges) * 3 * L / W)

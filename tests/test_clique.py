@@ -48,7 +48,7 @@ from kmachine.programs import (
     st_verify_program,
     triangle_program,
 )
-from kmachine.programs import fragments, walks
+from kmachine.programs import fragments, mis, walks
 from kmachine.programs.walks import walk_shape
 from kmachine.rng import token_bases
 
@@ -126,10 +126,10 @@ def test_trace_determinism_randomized_program():
     g = generate("gnp", 48, 3, p=0.15)
     runs = []
     for _ in range(2):
-        _, trace, _ = run_clique(g, luby_mis_program(AlgoConfig()), seed=9)
+        _, trace, _ = run_clique(g, luby_mis_program(), seed=9)
         runs.append("\n".join(trace.export_lines()))
     assert runs[0] == runs[1]
-    _, other, _ = run_clique(g, luby_mis_program(AlgoConfig()), seed=10)
+    _, other, _ = run_clique(g, luby_mis_program(), seed=10)
     assert runs[0] != "\n".join(other.export_lines())
 
 
@@ -181,7 +181,7 @@ def _hand_trace(n, *rounds):
 
 def test_metrics_recompute_from_trace():
     g = generate("gnp", 24, 1, p=0.3)
-    _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
+    _, trace, met = run_clique(g, luby_mis_program(), seed=4)
     assert CliqueMetrics.from_trace(trace) == met
     _, walks_trace, _ = run_clique(g, pagerank_program(AlgoConfig()), seed=4)
     traces = [
@@ -483,7 +483,7 @@ def test_golden_trace_mst():
 
 def test_golden_trace_mis():
     g = generate("gnp", 64, 3, p=0.2)
-    outputs, trace, _ = run_clique(g, luby_mis_program(AlgoConfig()), 5)
+    outputs, trace, _ = run_clique(g, luby_mis_program(), 5)
     assert _trace_digest(outputs, trace) == (
         "8ca8c856c150f63725c7d0c906201050210f231ca0a9956823171c512b4c46a6"
     )
@@ -768,9 +768,10 @@ def _assert_spanner_live_sets_stay_symmetric(g, program, seed):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_edge_case_graphs(), st.integers(0, 2**31))
 def test_kernels_match_reference_on_edge_case_graphs(g, seed):
-    for phases in (1, 2, None):
-        prog = luby_mis_program(AlgoConfig(mis_max_phases=phases))
-        _assert_kernel_matches_reference(g, prog, seed)
+    for phases in (1, 2):  # budgets that run out: the over-budget path
+        with mock.patch.object(mis, "default_phase_budget", return_value=phases):
+            _assert_kernel_matches_reference(g, luby_mis_program(), seed)
+    _assert_kernel_matches_reference(g, luby_mis_program(), seed)
     _assert_kernel_matches_reference(g, triangle_program(), seed)
     for delta in sorted({1, 2, 3, max(1, math.ceil(math.log2(g.n)))}):
         prog = spanner_program(AlgoConfig(delta=delta))
@@ -1045,7 +1046,7 @@ def test_walk_trace_keeps_8_bytes_per_unicast_and_no_run_builds_edge_indices():
 
 def test_metrics_follow_the_trace_as_it_grows():
     g = generate("gnp", 24, 1, p=0.3)
-    _, trace, met = run_clique(g, luby_mis_program(AlgoConfig()), seed=4)
+    _, trace, met = run_clique(g, luby_mis_program(), seed=4)
     assert CliqueMetrics.from_trace(trace) == met
     trace.append_arrays(np.array([0]), np.array([3]), NONE, NONE, NONE)
     grown = CliqueMetrics.from_trace(trace)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ def test_gap_inversion_equals_generator_geometric_draw_for_draw():
             gaps = _geometric_gaps(spy, p, 1000)
             assert spy.calls == ["geometric"]
             assert np.array_equal(gaps, np.random.default_rng(seed).geometric(p, 1000))
+
+
+@pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
+def test_gnp_at_tiny_p_ends_its_sample_without_warnings(p):
+    # gaps up to INT64_MAX are clipped at the pairs left, so no cumsum wraps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (64, 4096):
+            assert generate("gnp", n, 1, p=p).m == 0
+            assert generate("random_weighted", n, 1, p=p, wmax=5).m == 0
 
 
 def test_weight_bounds():

@@ -5,7 +5,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -99,8 +99,8 @@ _UNREAD_PARAMS = [
     ({**_GNP, "algorithm": "mst", "gamma": 0.9, "delta": 9}, "mst reads no delta, gamma"),
     ({**_GNP, "algorithm": "logsp", "delta": 3}, "logsp reads no delta"),
     ({**_PR, "source": 3}, "pagerank reads no source (it reads gamma, tokens_per_node)"),
-    ({**_GNP, "eps": 0.25}, "mis reads no eps (it reads mis_max_phases)"),
-    ({**_HYPER, "mis_max_phases": 4}, "hmis reads no mis_max_phases"),
+    ({**_GNP, "eps": 0.25}, "mis reads no eps"),
+    ({**_HYPER, "delta": 4}, "hmis reads no delta"),
     ({**_HYPER, "hyper": "no"}, "graph hyper marks a hypergraph and can only be true"),
     ({**_HYPER, "hyper": False}, "graph hyper marks a hypergraph and can only be true"),
     ({**_HYPER, "hyper": 1}, "graph hyper marks a hypergraph and can only be true"),
@@ -176,7 +176,7 @@ def test_a_list_of_sizes_is_refused_outside_a_sweep(doc):
 
 _PARAM_SHAPES = {"hmis": {"n": 16}, "stverify": {"gadget": "stverify", "b": 8}}
 _OTHER_PARAMS = {"source": 1, "gamma": 0.3, "tokens_per_node": 5, "eps": 0.25,
-                 "delta": 3, "mis_max_phases": 4}
+                 "delta": 3}
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -184,7 +184,7 @@ def test_an_algorithm_takes_exactly_the_parameters_it_reads(algorithm):
     graph = _PARAM_SHAPES.get(algorithm, {"model": "gnp", "n": 16, "p": 0.3})
     reads = {
         "bfs": ["source"], "bf_sssp": ["source"], "pagerank": ["gamma", "tokens_per_node"],
-        "mis": ["mis_max_phases"], "spanner": ["delta"], "densest": ["eps"],
+        "spanner": ["delta"], "densest": ["eps"],
     }.get(algorithm, [])
     assert list(ALGORITHMS[algorithm].reads) == reads
     for name, value in _OTHER_PARAMS.items():
@@ -198,6 +198,11 @@ def test_an_algorithm_takes_exactly_the_parameters_it_reads(algorithm):
         # a default value, even if given, is what every cell reads
         default = AlgoConfig(**{name: getattr(AlgoConfig(), name)})
         replace(cfg, algo=default).validate()
+
+
+def test_every_algo_config_field_has_a_reader():
+    read = {name for entry in ALGORITHMS.values() for name in entry.reads}
+    assert read == {f.name for f in fields(AlgoConfig)}
 
 
 def test_seeds_at_the_ends_of_the_int64_range_are_accepted():
@@ -286,16 +291,11 @@ def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatc
         raise AssertionError("the engine ran")
 
     monkeypatch.setattr("kmachine.programs.run_clique", engine)
-    with pytest.raises(HarnessError):
+    # an algorithm fixes its own pricing mode: a config cannot name one
+    with pytest.raises(HarnessError, match=re.escape("unknown config keys: ['mode']")):
         config_from_mapping(
             {"algorithm": "pagerank", "model": "cycle", "n": 16, "mode": "bcast"}
         )
-    cfg = ExperimentConfig(
-        algorithm="pagerank", graph={"model": "cycle", "n": 16}, k=[2], seeds=[0],
-        mode="bcast",
-    )
-    with pytest.raises(HarnessError):
-        run_cell(cfg, 0)
 
 
 @pytest.mark.parametrize("algorithm, key, value", [
@@ -304,7 +304,6 @@ def test_bcast_pricing_of_a_unicast_algorithm_rejected_before_running(monkeypatc
     ("pagerank", "tokens_per_node", 2.5),
     ("pagerank", "tokens_per_node", True),
     ("spanner", "delta", 2.5),
-    ("mis", "mis_max_phases", 2.5),
 ])
 def test_non_integer_algo_values_rejected_before_running(algorithm, key, value,
                                                          monkeypatch):
@@ -475,6 +474,11 @@ def test_cli_sweep(tmp_path, capsys):
                  "hmis builds a random hypergraph", id="hmis_model"),
     *_BAD_GRAPH_SPECS,
     *_UNREAD_PARAMS,
+    # each algorithm fixes its pricing mode, and mis its phase budget
+    pytest.param({"algorithm": "mst", "model": "cycle", "n": 8, "mode": "bcast"},
+                 "unknown config keys: ['mode']\n", id="mode_key"),
+    pytest.param({**_GNP, "mis_max_phases": 4}, "unknown config keys: ['mis_max_phases']\n",
+                 id="mis_max_phases_key"),
 ])
 def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
                                                monkeypatch):
@@ -488,6 +492,19 @@ def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith(f"kmachine: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_oracle_size_cap_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    from kmachine import oracles
+
+    monkeypatch.setattr(oracles, "ALL_PAIRS_MAX_N", 16)
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({"algorithm": "logsp", "model": "gnp", "n": 32, "p": 0.2}))
+    rc = cli_main(["run", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "kmachine: error: all-pairs distances capped at n=16\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -523,14 +540,13 @@ def test_cli_override_flags_all_reach_the_config(tmp_path, monkeypatch):
     rc = cli_main(["run", "--config", str(conf), "--algorithm", "pagerank",
                    "--n", "20", "--p", "0.4", "--wmax", "9", "--model", "gnp",
                    "--b", "6", "--k", "2,4", "--seeds", "3,5", "--w", "12",
-                   "--mode", "bcast", "--gamma", "0.25", "--tokens-per-node", "7",
+                   "--gamma", "0.25", "--tokens-per-node", "7",
                    "--eps", "0.75", "--delta", "3", "--source", "1", "--out", str(out)])
     assert rc == 0
     (cfg,) = seen
     assert cfg.algorithm == "pagerank"
     assert cfg.graph == {"model": "gnp", "n": 20, "p": 0.4, "wmax": 9, "b": 6}
-    assert (cfg.k, cfg.seeds, cfg.W, cfg.mode, cfg.out) == ([2, 4], [3, 5], 12, "bcast",
-                                                            str(out))
+    assert (cfg.k, cfg.seeds, cfg.W, cfg.out) == ([2, 4], [3, 5], 12, str(out))
     assert cfg.algo == AlgoConfig(source=1, gamma=0.25, tokens_per_node=7, eps=0.75,
                                   delta=3)
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kmachine.programs import (
     triangle_program,
 )
 from kmachine.machines import convert_broadcast, random_vertex_partition
+from kmachine.programs import mis
 from kmachine.programs.spanner import _SpannerNode
 
 
@@ -175,20 +177,20 @@ def test_pagerank_isolated_vertex():
 
 def test_mis_edgeless():
     g = Graph(5, [])
-    out, _, _ = _run(g, luby_mis_program(AlgoConfig()))
+    out, _, _ = _run(g, luby_mis_program())
     assert all(m for m, _ in out)
 
 
 def test_mis_clique():
     g = generate("clique", 6, 0)
-    out, _, _ = _run(g, luby_mis_program(AlgoConfig()), seed=2)
+    out, _, _ = _run(g, luby_mis_program(), seed=2)
     assert sum(m for m, _ in out) == 1
 
 
 def test_mis_valid_on_random():
     for seed in range(10):
         g = generate("gnp", 64, seed, p=0.1)
-        out, _, met = _run(g, luby_mis_program(AlgoConfig()), seed=seed)
+        out, _, met = _run(g, luby_mis_program(), seed=seed)
         assert not any(f for _, f in out)
         members = [v for v, (m, _) in enumerate(out) if m]
         assert oracles.validate_mis(g, members)
@@ -482,8 +484,7 @@ def test_single_vertex_everything():
     assert _run(g, densest_subgraph_program(AlgoConfig()))[0] == [(0.0, True)]
     pr = _run(g, pagerank_program(AlgoConfig(tokens_per_node=16)))[0]
     assert pr[0] == pytest.approx(0.15, rel=1e-9)  # gamma * 1/gamma * 16/16
-    mis = _run(g, luby_mis_program(AlgoConfig()))[0]
-    assert mis == [(True, False)]
+    assert _run(g, luby_mis_program())[0] == [(True, False)]
 
 
 def test_two_vertices_one_edge():
@@ -526,7 +527,8 @@ def test_spanner_delta_above_log_n():
 
 def test_mis_phase_budget_failure_flag():
     g = generate("clique", 12, 0)
-    out, _, _ = _run(g, luby_mis_program(AlgoConfig(mis_max_phases=1)), seed=1)
+    with mock.patch.object(mis, "default_phase_budget", return_value=1):
+        out, _, _ = _run(g, luby_mis_program(), seed=1)
     # either phase 1 settled everyone or some vertex reports failure;
     # with one clique phase at least the losers must have given up
     assert any(f for _, f in out) or sum(m for m, _ in out) == 1
