@@ -522,10 +522,7 @@ class GadgetSpec:
     y: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in GADGET_KINDS:
-            raise GraphError(f"unknown gadget kind {self.kind!r}")
-        if self.b < 1:
-            raise GraphError("gadget needs b >= 1")
+        _check_gadget(self.kind, self.b)
         if len(self.x) != self.b or len(self.y) != self.b:
             raise GraphError("bit vectors must have length b")
         if any(bit not in (0, 1) for bit in self.x + self.y):
@@ -534,6 +531,13 @@ class GadgetSpec:
             xi + yi < 1 for xi, yi in zip(self.x, self.y)
         ):
             raise GraphError("ST_LOWER needs X_i + Y_i >= 1 for all i")
+
+
+def _check_gadget(kind, b):
+    if kind not in GADGET_KINDS:
+        raise GraphError(f"unknown gadget kind {kind!r}")
+    if b < 1:
+        raise GraphError("gadget needs b >= 1")
 
 
 def generate_gadget(spec: GadgetSpec) -> Graph:
@@ -582,6 +586,7 @@ def gadget_feasible(spec: GadgetSpec) -> bool:
 
 def random_gadget_spec(kind: str, b: int, seed: int, feasible: bool = None) -> GadgetSpec:
     """Sample bit vectors for a gadget; optionally force the predicate value."""
+    _check_gadget(kind, b)
     rng = make_np_rng(seed, "gadget", b, 1 if feasible else 0 if feasible is not None else 2)
     if kind == "ST_LOWER":
         # uniform over the 3 admissible combinations per position

@@ -191,7 +191,11 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
 class Instance:
     graph: object  # Graph or Hypergraph
     candidate: tuple = None  # edge indices for stverify
-    expect: object = None  # known ground truth, when the generator implies one
+    expect: object = None  # the answer a gadget's bits give this cell's algorithm
+
+
+# the algorithm whose answer a gadget's bits decide (gadget_feasible)
+_GADGET_DECIDES = {"ST_LOWER": "conn", "CONN": "conn", "STVERIFY": "stverify"}
 
 
 def build_instance(spec: dict, seed: int, algorithm: str) -> Instance:
@@ -202,16 +206,19 @@ def build_instance(spec: dict, seed: int, algorithm: str) -> Instance:
     if "file" in spec:
         try:
             with open(spec["file"]) as fh:
-                return Instance(graph=load_edge_list(fh.read()))
+                g = load_edge_list(fh.read())
         except OSError as exc:
             raise HarnessError(f"cannot read graph file {spec['file']!r}: {exc.strerror}")
-    if "gadget" in spec:
+    elif "gadget" in spec:
         kind = spec["gadget"].upper()
         gs = random_gadget_spec(kind, spec["b"], seed, feasible=spec.get("feasible"))
         g = generate_gadget(gs)
-        cand = tuple(range(g.m)) if kind == "STVERIFY" else None
-        return Instance(graph=g, candidate=cand, expect=gadget_feasible(gs))
-    g = generate(spec["model"], spec["n"], seed, p=spec.get("p"), wmax=spec.get("wmax"))
+        if algorithm == _GADGET_DECIDES[kind]:
+            # the bits give the answer; a STVERIFY gadget's candidate is all its edges
+            cand = tuple(range(g.m)) if kind == "STVERIFY" else None
+            return Instance(graph=g, candidate=cand, expect=gadget_feasible(gs))
+    else:
+        g = generate(spec["model"], spec["n"], seed, p=spec.get("p"), wmax=spec.get("wmax"))
     cand = default_stverify_candidate(g, seed) if algorithm == "stverify" else None
     return Instance(graph=g, candidate=cand)
 

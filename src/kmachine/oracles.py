@@ -27,40 +27,8 @@ class OracleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.count = n
-
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.count -= 1
-        return True
-
-
 def component_count(g: Graph) -> int:
-    u, v, _ = g.edge_arrays()
-    dsu = _DSU(g.n)
-    for a, b in zip(u.tolist(), v.tolist()):
-        if dsu.union(a, b) and dsu.count == 1:
-            break
-    return dsu.count
+    return g.n - len(_forest(g, np.arange(g.m)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -69,20 +37,8 @@ def is_connected(g: Graph) -> bool:
 
 def is_spanning_tree(g: Graph, edge_indices=None) -> bool:
     """Whether the chosen edges (default: all of them) form a spanning tree."""
-    idxs = range(g.m) if edge_indices is None else edge_indices
-    u, v = (x.tolist() for x in g.edge_arrays()[:2])
-    dsu = _DSU(g.n)
-    count = 0
-    for ei in idxs:
-        if not dsu.union(u[ei], v[ei]):
-            return False
-        count += 1
-    return count == g.n - 1
-
-
-# ---------------------------------------------------------------------------
-# minimum spanning tree
-# ---------------------------------------------------------------------------
+    idx = np.arange(g.m) if edge_indices is None else np.asarray(edge_indices, dtype=np.int64)
+    return len(idx) == g.n - 1 and len(_forest(g, idx)) == g.n - 1
 
 
 def _kruskal_batch(n):
@@ -92,31 +48,28 @@ def _kruskal_batch(n):
     return max(64, n)
 
 
-def minimum_spanning_forest(g: Graph):
-    """Kruskal's minimum spanning forest, one tree per component: (total
-    weight, set of (u, v) edge pairs), under the total edge order (weight,
-    then endpoint pair).  The graph is connected iff it has n - 1 edges.
+def _forest(g: Graph, order):
+    """Kruskal's scan of the edge indices `order`, in that order: the ones
+    that join two components of the edges picked before them.  An index
+    repeated is picked at most once.  The scan stops once n - 1 are picked,
+    as no later edge can join two components.
 
     Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009): the edges go
-    in that order in batches, and before each batch the edges whose ends
-    already share a component are dropped, so the union loop sees mostly
-    edges of the forest.  The scan stops once a spanning tree is complete.
+    in batches, and before each batch the edges whose ends already share a
+    component are dropped, so the union loop sees mostly edges it picks.
     """
-    u, v, w = g.edge_arrays()
-    # u < v, so (w, u * n + v) is the edge order; u * n + v < n**2 < 2**63
-    order = np.lexsort((u * g.n + v, w))
+    u, v, _ = g.edge_arrays()
     parent = list(range(g.n))
-    weight = 0
-    chosen = set()
+    picked = []
     step = _kruskal_batch(g.n)
-    for lo in range(0, g.m, step):
+    for lo in range(0, len(order), step):
         batch = order[lo:lo + step]
         # every vertex's root, by pointer jumping on the parents
         root = np.array(parent)
         while not np.array_equal(root[root], root):
             root = root[root]
         batch = batch[root[u[batch]] != root[v[batch]]]
-        for a, b, wt in zip(u[batch].tolist(), v[batch].tolist(), w[batch].tolist()):
+        for ei, a, b in zip(batch.tolist(), u[batch].tolist(), v[batch].tolist()):
             # both finds inline, by path halving: method calls were most of the loop
             x = a
             while parent[x] != x:
@@ -126,11 +79,26 @@ def minimum_spanning_forest(g: Graph):
                 parent[y] = y = parent[parent[y]]
             if x != y:
                 parent[y] = x
-                weight += wt
-                chosen.add((a, b))
-        if len(chosen) == g.n - 1:  # no later edge can join two components
+                picked.append(ei)
+        if len(picked) == g.n - 1:
             break
-    return weight, chosen
+    return picked
+
+
+# ---------------------------------------------------------------------------
+# minimum spanning tree
+# ---------------------------------------------------------------------------
+
+
+def minimum_spanning_forest(g: Graph):
+    """Kruskal's minimum spanning forest, one tree per component: (total
+    weight, set of (u, v) edge pairs), under the total edge order (weight,
+    then endpoint pair).  The graph is connected iff it has n - 1 edges."""
+    u, v, w = g.edge_arrays()
+    # u < v, so (w, u * n + v) is the edge order; u * n + v < n**2 < 2**63
+    picked = np.fromiter(_forest(g, np.lexsort((u * g.n + v, w))), dtype=np.int64)
+    # the weights summed as Python ints, exact past int64
+    return sum(w[picked].tolist()), set(zip(u[picked].tolist(), v[picked].tolist()))
 
 
 # ---------------------------------------------------------------------------

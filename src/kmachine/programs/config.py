@@ -43,6 +43,8 @@ class AlgoConfig:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
         if self.delta < 1:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
-        if n is not None and not (0 <= self.source < n):
+        if self.source < 0:
+            raise ConfigError(f"source must be >= 0, got {self.source}")
+        if n is not None and self.source >= n:
             raise ConfigError(f"source {self.source} out of range for n={n}")
         return self

@@ -28,8 +28,16 @@ import numpy as np
 
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
-from .config import AlgoConfig
+from .config import AlgoConfig, ConfigError
 from .slots import bit_lengths, broadcasts, slot_sources
+
+
+def _on_graph(source, n):
+    """source, refused unless it is one of the n vertices (AlgoConfig
+    checks it without n)."""
+    if source >= n:
+        raise ConfigError(f"source {source} out of range for n={n}")
+    return source
 
 
 class _BfsNode(NodeProgram):
@@ -40,6 +48,7 @@ class _BfsNode(NodeProgram):
         self.source = source
 
     def start(self, ctx):
+        _on_graph(self.source, ctx.n)
         self.ctx = ctx
         self.nbr_set = {u for u, _, _ in ctx.incident}
         self.bits = 3 * label_bits(ctx.n)
@@ -105,7 +114,7 @@ def _bfs_rounds(g, source):
 def bfs_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program("bfs", lambda: _BfsNode(cfg.source),
-                   kernel=lambda g, _seed: _bfs_rounds(g, cfg.source))
+                   kernel=lambda g, _seed: _bfs_rounds(g, _on_graph(cfg.source, g.n)))
 
 
 class _BellmanFordNode(NodeProgram):
@@ -115,6 +124,7 @@ class _BellmanFordNode(NodeProgram):
         self.source = source
 
     def start(self, ctx):
+        _on_graph(self.source, ctx.n)
         self.ctx = ctx
         self.weight_to = {u: w for u, w, _ in ctx.incident}
         self.L = label_bits(ctx.n)
@@ -210,4 +220,4 @@ def _announce(sent, dist, L):
 def bellman_ford_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program("bf_sssp", lambda: _BellmanFordNode(cfg.source),
-                   kernel=lambda g, _seed: _bellman_ford_rounds(g, cfg.source))
+                   kernel=lambda g, _seed: _bellman_ford_rounds(g, _on_graph(cfg.source, g.n)))

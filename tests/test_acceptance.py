@@ -2,8 +2,8 @@
 
 The battery runs once per session (several minutes); each test then asserts
 its criterion verdict and prints the one-line summary.  The final test
-checks command-level determinism by running `validate` twice in fresh
-processes and comparing CSV bytes.
+checks command-level determinism by running `validate` in a fresh process
+and comparing its CSV bytes with the session run's.
 """
 
 import subprocess
@@ -12,20 +12,25 @@ import sys
 import pytest
 
 from kmachine import acceptance
-from kmachine.acceptance import Battery
+from kmachine.acceptance import Battery, validate_all
 from kmachine.programs import paths
 
 SEED = 7
 
 
 @pytest.fixture(scope="session")
-def battery():
+def validated():
+    """The battery's results by criterion and its CSV text, from one run."""
     lines = []
-    bat = Battery(seed=SEED, echo=lines.append)
-    bat.run()
+    results, csv_text, _ = validate_all(seed=SEED, echo=lines.append)
     for line in lines:
         print(line)
-    return {r.cid: r for r in bat.results}
+    return {r.cid: r for r in results}, csv_text
+
+
+@pytest.fixture(scope="session")
+def battery(validated):
+    return validated[0]
 
 
 def _check(battery, cid):
@@ -112,15 +117,13 @@ def test_criterion_10_hypergraph_rounds(battery):
     _check(battery, 10)
 
 
-def test_criterion_11_validate_byte_identical(tmp_path, child_env):
-    outs = []
-    for i in range(2):
-        path = tmp_path / f"rows{i}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "kmachine.cli", "validate",
-             "--seed", str(SEED), "--out", str(path)],
-            capture_output=True, text=True, timeout=3000, env=child_env,
-        )
-        assert path.exists(), proc.stderr
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
+def test_criterion_11_validate_byte_identical(validated, tmp_path, child_env):
+    # a fresh process writes the bytes this session's run produced
+    path = tmp_path / "rows.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kmachine.cli", "validate",
+         "--seed", str(SEED), "--out", str(path)],
+        capture_output=True, text=True, timeout=3000, env=child_env,
+    )
+    assert path.exists(), proc.stderr
+    assert path.read_bytes() == validated[1].encode()

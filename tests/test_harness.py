@@ -59,6 +59,26 @@ def test_bfs_disconnected_is_a_valid_output():
     assert all(r["success"] for r in rows)
 
 
+@pytest.mark.parametrize("algorithm", ["mst", "conn", "stverify"])
+@pytest.mark.parametrize("gadget", ["st_lower", "stverify", "conn"])
+@pytest.mark.parametrize("feasible", [True, False, None])
+def test_gadget_bits_are_checked_only_against_the_algorithm_they_decide(
+        algorithm, gadget, feasible):
+    graph = {"gadget": gadget, "b": 4}
+    if feasible is not None:
+        graph["feasible"] = feasible
+    cfg = ExperimentConfig(algorithm=algorithm, graph=graph, k=[2], seeds=[0, 1, 2, 3])
+    assert all(r["success"] for r in run_experiment(cfg))
+
+
+def test_stverify_on_a_file_graph_checks_a_proposed_candidate(tmp_path):
+    path = tmp_path / "path.edges"
+    path.write_text("n 4\n0 1 1\n1 2 1\n2 3 1\n")  # a spanning tree
+    cfg = ExperimentConfig(algorithm="stverify", graph={"file": str(path)}, k=[2],
+                           seeds=[0, 1, 2, 3])
+    assert all(r["success"] for r in run_experiment(cfg))
+
+
 def test_gamma_zero_rejected_before_running():
     with pytest.raises(ConfigError):
         config_from_mapping(
@@ -124,6 +144,7 @@ _UNREAD_PARAMS = [
     (_DENSE, {"eps": True}, ConfigError),
     (_DENSE, {"eps": float("nan")}, ConfigError),
     (_HYPER, {"hyperedges": -3}, GraphError),
+    (_GADGET, {"b": -3}, GraphError),
     # hmis builds its own hypergraph: a graph key it would not read is refused
     (_HYPER, {"file": "g.edges"}, HarnessError),
     (_HYPER, {"gadget": "conn", "b": 8}, HarnessError),
@@ -479,6 +500,9 @@ def test_cli_sweep(tmp_path, capsys):
                  "unknown config keys: ['mode']\n", id="mode_key"),
     pytest.param({**_GNP, "mis_max_phases": 4}, "unknown config keys: ['mis_max_phases']\n",
                  id="mis_max_phases_key"),
+    # refused before any bits are drawn
+    pytest.param({"algorithm": "conn", "gadget": "conn", "b": -3},
+                 "gadget needs b >= 1\n", id="negative_b"),
 ])
 def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
                                                monkeypatch):
@@ -814,6 +838,18 @@ def test_src_keeps_no_code_that_only_tests_call():
                and (inspect.isfunction(obj) or isinstance(obj, property))]
     assert "neighbors" in members and "m" in members
     assert [name for name in members if not re.search(rf"\.{name}\b", users)] == []
+
+
+def test_oracles_run_one_union_find_scan():
+    from kmachine import oracles
+
+    # no union-find class: the one scan is _forest, whose finds halve paths inline
+    classes = [obj for obj in vars(oracles).values()
+               if inspect.isclass(obj) and obj.__module__ == oracles.__name__]
+    assert classes == [oracles.OracleError]
+    halving = "parent[parent["
+    assert inspect.getsource(oracles._forest).count(halving) == 2
+    assert inspect.getsource(oracles).count(halving) == 2
 
 
 def test_one_round_format_and_one_edge_output_builder():

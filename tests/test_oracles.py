@@ -14,6 +14,7 @@ from kmachine.oracles import (
     all_pairs_distances,
     bfs_tree,
     brute_densest,
+    component_count,
     exact_pagerank,
     is_connected,
     is_spanning_tree,
@@ -98,12 +99,14 @@ def test_forest_does_not_depend_on_the_batch_size(monkeypatch):
 
 
 def _textbook_kruskal(g):
-    """Every edge in _mst_key order through one fresh _DSU: no batches, no
-    filter."""
-    dsu = oracles._DSU(g.n)
+    """Every edge in _mst_key order, kept while its ends carry two component
+    labels, which it then merges: no batches, no filter, no union-find."""
+    label = list(range(g.n))
     weight, chosen = 0, set()
     for u, v, w in sorted(g.edges, key=lambda e: _mst_key(*e)):
-        if dsu.union(u, v):
+        if label[u] != label[v]:
+            old = label[v]
+            label = [label[u] if x == old else x for x in label]
             weight += w
             chosen.add((u, v))
     return weight, chosen
@@ -130,6 +133,61 @@ def test_forest_matches_textbook_kruskal(g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracles, "_kruskal_batch", batch)
             assert minimum_spanning_forest(g) == want
+
+
+def _labels(n, edges):
+    """Each vertex's component, named by its least vertex: a depth-first
+    search from each unlabelled vertex in turn."""
+    nbrs = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    label = [None] * n
+    for s in range(n):
+        if label[s] is None:
+            label[s], stack = s, [s]
+            while stack:
+                for y in nbrs[stack.pop()]:
+                    if label[y] is None:
+                        label[y] = s
+                        stack.append(y)
+    return label
+
+
+def _is_tree(g, idx):
+    """n - 1 distinct edges that connect the n vertices."""
+    return (len(set(idx)) == len(idx) == g.n - 1
+            and len(set(_labels(g.n, [g.edges[i] for i in idx]))) == 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_component_count_and_spanning_tree_match_a_labelling(data):
+    g = data.draw(_tied_graph())
+    if data.draw(st.booleans()):  # a path through the rest connects it, so trees exist
+        have = {(u, v) for u, v, _ in g.edges}
+        g = Graph(g.n, [*g.edges, *((v - 1, v, 0) for v in range(1, g.n)
+                                    if (v - 1, v) not in have)])
+    assert component_count(g) == len(set(_labels(g.n, g.edges)))
+    assert is_spanning_tree(g) == _is_tree(g, range(g.m))
+    # a candidate: a forest's edges in any order, maybe with one edge
+    # replaced (by a repeat or another edge), dropped or added; or any list
+    forest = _textbook_kruskal(g)[1]
+    idx = data.draw(st.permutations([i for i, (u, v, _) in enumerate(g.edges)
+                                     if (u, v) in forest]))
+    if g.m:
+        other = data.draw(st.integers(0, g.m - 1))
+        edit = data.draw(st.sampled_from(["keep", "replace", "drop", "add", "any"]))
+        if edit == "replace" and idx:
+            idx[0] = other
+        elif edit == "drop" and idx:
+            idx.pop()
+        elif edit == "add":
+            idx.append(other)
+        elif edit == "any":
+            size = max(0, g.n - 1 + data.draw(st.sampled_from([0, 0, -1, 1])))
+            idx = data.draw(st.lists(st.integers(0, g.m - 1), min_size=size, max_size=size))
+    assert is_spanning_tree(g, idx) == _is_tree(g, idx)
 
 
 def test_pagerank_oracle():
@@ -374,5 +432,7 @@ def test_bfs_and_structure_helpers():
     assert is_connected(g)
     assert not is_spanning_tree(g)  # n edges, has a cycle
     assert is_spanning_tree(generate("path", 6, 0))
+    with pytest.raises(IndexError):
+        is_spanning_tree(generate("path", 6, 0), [0, 1, 2, 3, 5])  # m = 5
     assert triangle_exists(generate("clique", 3, 0))
     assert not triangle_exists(generate("star", 9, 0))

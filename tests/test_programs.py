@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from kmachine import clique, oracles
-from kmachine.acceptance import fidelity_instances
+from kmachine.acceptance import fidelity_instances, per_vertex_reference
 from kmachine.clique import Broadcast, Program, Unicast, run_clique
 from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
 from kmachine.programs import (
     ALGORITHMS,
     AlgoConfig,
+    ConfigError,
     bellman_ford_program,
     bfs_program,
     conn_program,
@@ -242,6 +243,17 @@ def test_bellman_ford_matches_dijkstra():
         hops = oracles.all_pairs_distances(g)[1]
         s = int(hops[np.isfinite(hops)].max())  # the shortest-path diameter
         assert met.broadcasts <= g.n * max(1, s) + g.n
+
+
+@pytest.mark.parametrize("make", [bfs_program, bellman_ford_program])
+@pytest.mark.parametrize("source", [-1, 6])
+@pytest.mark.parametrize("reference", [False, True])
+def test_a_source_off_the_graph_is_refused_on_both_paths(make, source, reference):
+    # a negative source would index from the end in the kernel alone
+    g = generate("path", 6, 0)
+    with pytest.raises(ConfigError, match="source"):
+        prog = make(AlgoConfig(source=source))
+        _run(g, per_vertex_reference(prog) if reference else prog)
 
 
 # -- spanners ------------------------------------------------------------------
