@@ -123,11 +123,10 @@ class Graph:
     def adjacency(self):
         """(indptr, nbr) as read-only int64 arrays: vertex v's neighbors fill
         nbr[indptr[v]:indptr[v+1]] in ascending order, the order of
-        neighbors(v).  The first two arrays of csr(), built without its
-        edge-index column unless csr() ran first."""
+        neighbors(v).  The first two arrays of csr(), which shares them."""
         if self._adj is None:
             a, b, _ = self._arrays
-            self._adj = _frozen(*_build_csr(self.n, a, b, self._ascending, False)[:2])
+            self._adj = _frozen(*_build_adjacency(self.n, a, b, self._ascending))
         return self._adj
 
     def csr(self):
@@ -137,10 +136,9 @@ class Graph:
         need it; the rest read adjacency()."""
         if self._csr is None:
             a, b, _ = self._arrays
-            indptr, nbr, eidx = _frozen(*_build_csr(self.n, a, b, self._ascending, True))
-            if self._adj is None:
-                self._adj = indptr, nbr
-            self._csr = (*self._adj, eidx)
+            indptr, nbr = self.adjacency()
+            self._csr = (indptr, nbr,
+                         *_frozen(_build_eidx(self.n, a, b, indptr, self._ascending)))
         return self._csr
 
     def edge_arrays(self):
@@ -149,8 +147,12 @@ class Graph:
 
     def max_degree(self) -> int:
         u, v, _ = self._arrays
-        degree = np.bincount(u, minlength=self.n)
-        degree += np.bincount(v, minlength=self.n)
+        degree = np.bincount(v, minlength=self.n)
+        if self._ascending:  # each u's forward degree is the length of its run
+            starts = u.searchsorted(np.arange(self.n + 1))
+            degree += starts[1:] - starts[:-1]
+        else:
+            degree += np.bincount(u, minlength=self.n)
         return int(degree.max())
 
     def __repr__(self):
@@ -210,47 +212,88 @@ def _reject(n, rows, stop):
     raise error
 
 
-def _build_csr(n, a, b, ascending, with_eidx):
-    """(indptr, nbr, eidx) of the edges (a, b), a < b, ascending by (a, b)
-    if `ascending`; eidx is None unless `with_eidx`.
+def _build_adjacency(n, a, b, ascending):
+    """(indptr, nbr) of the edges (a, b), a < b, ascending by (a, b) if
+    `ascending`.
 
     Vertex x's row holds its reverse neighbours (edges (a, x)), then its
-    forward ones (edges (x, b)); both parts ascend, since a < x < b.  For
-    edges ascending by (a, b), the forward slots take b and the edge index
-    in edge order, and the reverse slots take a and the edge index in the
-    stable order of b.  Other input is put in key order by one argsort of
-    its m keys.  The peak is 5.25 words per edge above the graph, the four
-    kept words included (6.25 for input out of key order); an argsort of
-    2m slot keys took 6.  Without eidx the peak is 4.25 words per edge,
-    and 2 are kept.
+    forward ones (edges (x, b)); both parts ascend, since a < x < b.  The
+    reverse part is the keys b*n + a after one sort, each decoded to its a
+    by subtracting its row's b*n.  The forward part is b in edge order for
+    ascending edges; other input sorts and decodes its keys a*n + b the same
+    way.  Each part's row starts come from one searchsorted of the row keys
+    0, n, 2n, .. in its sorted keys, and a row's start in nbr is the sum of
+    the two.  The peak is 3.25 words per edge above the graph, the 2 kept
+    words included (4.25 for input out of key order).
     """
-    m = len(a)
-    deg_fwd = np.bincount(a, minlength=n)
-    deg_rev = np.bincount(b, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg_fwd + deg_rev, out=indptr[1:])
-    is_fwd = np.repeat(np.tile([False, True], n), np.column_stack([deg_rev, deg_fwd]).ravel())
-    del deg_fwd, deg_rev
+    steps = np.arange(n + 1) * n  # row x's keys start at x*n
+    if ascending:
+        fwd, fstart = b, a.searchsorted(np.arange(n + 1))
+    else:
+        fwd = _keys(a, n, b)
+        fstart = _decoded_rows(fwd, steps)
+    rev = _keys(b, n, a)
+    rstart = _decoded_rows(rev, steps)
+    nbr = np.empty(2 * len(a), dtype=np.int64)
+    is_fwd = _forward_slots(rstart, fstart)
+    nbr[is_fwd] = fwd
+    del fwd
+    nbr[np.logical_not(is_fwd, out=is_fwd)] = rev
+    rstart += fstart
+    return rstart, nbr
+
+
+def _keys(x, n, y):
+    """The int64 keys x*n + y, fresh."""
+    keys = x * n
+    keys += y
+    return keys
+
+
+def _decoded_rows(keys, steps):
+    """Sort the keys x*n + y in place and decode each to its y; return the
+    start of each row x in them."""
+    keys.sort()
+    starts = keys.searchsorted(steps)
+    keys -= np.repeat(steps[:-1], starts[1:] - starts[:-1])
+    return starts
+
+
+def _forward_slots(rstart, fstart):
+    """A mask over the 2m CSR slots, True at the forward ones: row x holds
+    its reverse slots, rstart[x+1] - rstart[x] of them, then its forward
+    ones, counted likewise by fstart."""
+    n = len(rstart) - 1
+    counts = np.empty(2 * n, dtype=np.int64)
+    np.subtract(rstart[1:], rstart[:-1], out=counts[0::2])
+    np.subtract(fstart[1:], fstart[:-1], out=counts[1::2])
+    sides = np.zeros(2 * n, dtype=bool)
+    sides[1::2] = True
+    return np.repeat(sides, counts)
+
+
+def _build_eidx(n, a, b, indptr, ascending):
+    """Each CSR slot's edge index, for the edges (a, b) of _build_adjacency
+    and its indptr.  The forward slots take the edge indices in key order;
+    the reverse ones take them in the stable order of b within key order,
+    one argsort, which is a radix sort while n <= 65536."""
     narrow = b.astype(np.uint16) if n <= 1 << 16 else b  # uint16 sorts by radix
     if ascending:
         order = None
         rev = np.argsort(narrow, kind="stable")
     else:
-        order = (a * n + b).argsort()
+        order = _keys(a, n, b).argsort()
         rev = order[np.argsort(narrow[order], kind="stable")]
     del narrow
-    nbr = np.empty(2 * m, dtype=np.int64)
-    nbr[is_fwd] = b if order is None else b[order]
-    rev_slots = np.logical_not(is_fwd, out=is_fwd)
-    nbr[rev_slots] = a[rev]
-    if not with_eidx:
-        return indptr, nbr, None
-    eidx = np.empty(2 * m, dtype=np.int64)
-    eidx[rev_slots] = rev
-    del rev
-    is_fwd = np.logical_not(rev_slots, out=rev_slots)
-    eidx[is_fwd] = np.arange(m) if order is None else order
-    return indptr, nbr, eidx
+    fstart = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=fstart[1:])
+    is_rev = _forward_slots(indptr - fstart, fstart)
+    np.logical_not(is_rev, out=is_rev)
+    eidx = np.empty(2 * len(a), dtype=np.int64)
+    eidx[is_rev] = rev
+    del rev  # before the forward slots' arange
+    eidx[np.logical_not(is_rev, out=is_rev)] = np.arange(len(a)) if order is None else order
+    return eidx
 
 
 class Hypergraph:
@@ -345,22 +388,21 @@ def dump_edge_list(g: Graph) -> str:
 def _pairs_from_indices(block: np.ndarray, n: int):
     """Decode the ascending pair indices in block[1], in the lexicographic
     order (0,1),(0,2),..,(0,n-1),(1,2),.., into u in block[0] and v in
-    block[1], in place; block[2] is scratch.
+    block[1], in place; block[2] is left as it is.
 
     Row u's pairs start at index start[u]; one search of the row starts in
-    the indices finds where each row's pairs begin, u is the cumulative
-    count of those beginnings, and v = idx - start[u] + u + 1.
+    the indices gives each row's run of pairs, u is each row repeated over
+    its run, and v = idx - start[u] + u + 1, the offset repeated likewise.
     """
-    u, idx, scratch = block
-    rows = np.arange(n - 1, dtype=np.int64)
-    start = rows * n - rows * (rows + 1) // 2  # index of the pair (u, u+1)
-    first = idx.searchsorted(start[1:])
-    u.fill(0)
-    np.add.at(u, first[first < len(u)], 1)
-    np.cumsum(u, out=u)
+    u, idx, _ = block
+    rows = np.arange(n, dtype=np.int64)
+    # index of the pair (u, u+1); start[n-1] is the pair count, past them all
+    start = rows * n - rows * (rows + 1) // 2
+    cuts = idx.searchsorted(start)
+    runs = cuts[1:] - cuts[:-1]
+    u[...] = np.repeat(rows[:-1], runs)
     start -= rows + 1
-    np.take(start, u, out=scratch, mode="clip")  # "raise" would buffer a copy
-    idx -= scratch
+    idx -= np.repeat(start[:-1], runs)
 
 
 _GEOMETRIC_SEARCH_P = 1 / 3  # numpy's Generator.geometric searches from here up
@@ -369,6 +411,7 @@ _INT64_CEIL = 9.223372036854776e18  # the least double above INT64_MAX
 # positive double is 744.4 (numpy's ziggurat stays below 45)
 _EXP_BOUND = 1024.0
 _GAP_CHUNK = 1 << 13  # gaps drawn and converted per step
+_PICK_CHUNK = 1 << 17  # gaps drawn per array in _gnp_block
 
 
 @np.errstate(over="ignore")  # p below ~1e-307 divides to inf, which is clamped
@@ -411,7 +454,11 @@ def _gnp_block(n: int, p: float, rng):
     _geometric_gaps: for p < 1/3 one vectorized inversion pass over rng's
     standard exponentials, byte-identical to rng.geometric, and from 1/3
     up rng.geometric itself, since numpy draws those gaps by a CDF search
-    that no exponential stream reproduces."""
+    that no exponential stream reproduces.  Each batch's size is fixed by
+    where the last one ended, and it is drawn and summed _PICK_CHUNK gaps
+    per array: chunks that fit the heap's free holes, where one
+    batch-sized array would leave a hole below the block that later
+    arrays of the graph's size cannot reuse."""
     total = n * (n - 1) // 2
     picked = []
     if total and p >= 1.0:
@@ -420,17 +467,19 @@ def _gnp_block(n: int, p: float, rng):
         pos = -1
         while pos < total:
             want = int((total - pos) * p * 1.1) + 64
-            idx = _geometric_gaps(rng, p, want)
-            # a gap past the last pair ends the sample whatever its length;
-            # clipped, a batch of gaps cannot wrap int64 in the cumsum
-            np.minimum(idx, total - pos, out=idx)
-            np.cumsum(idx, out=idx)
-            idx += pos
-            cut = idx.searchsorted(total)
-            picked.append(idx[:cut])
-            if cut < want:
-                break
-            pos = int(idx[-1])
+            clip, end = total - pos, pos
+            for lo in range(0, want, _PICK_CHUNK):
+                idx = _geometric_gaps(rng, p, min(_PICK_CHUNK, want - lo))
+                if end >= total:
+                    continue  # drawn all the same: a batch's draws are fixed
+                # a gap past the last pair ends the sample whatever its length;
+                # clipped, a batch of gaps cannot wrap int64 in the cumsum
+                np.minimum(idx, clip, out=idx)
+                idx[0] += end
+                np.cumsum(idx, out=idx)
+                end = int(idx[-1])
+                picked.append(idx[:idx.searchsorted(total)])
+            pos = end
         del idx
     block = np.empty((3, sum(map(len, picked))), dtype=np.int64)
     if picked:

@@ -91,6 +91,9 @@ class ExperimentConfig:
         for k in self.k:
             if not _positive_int(k):
                 raise HarnessError(f"every k must be a positive int, got {k!r}")
+        if len(set(self.k)) < len(self.k):  # a cell prices and writes one row per k
+            k = next(k for i, k in enumerate(self.k) if k in self.k[:i])
+            raise HarnessError(f"machine count k={k} is listed twice")
         if self.W is not None and not _positive_int(self.W):
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
         if min(self.k) < entry.min_k:

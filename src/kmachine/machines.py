@@ -56,7 +56,9 @@ def check_mapping_bounds(g: Graph, part: Partition):
     """(max vertices on any machine, max input edges on any inter-machine link)."""
     k = part.k
     u, v, _ = g.edge_arrays()
-    links = np.bincount(part.home[u] * k + part.home[v], minlength=k * k).reshape(k, k)
+    pair = (part.home * k)[u]  # scaled before the gather: n products, not m
+    pair += part.home[v]
+    links = np.bincount(pair, minlength=k * k).reshape(k, k)
     links = links + links.T
     np.fill_diagonal(links, 0)
     return int(part.machine_counts().max()), int(links.max())

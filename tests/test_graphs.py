@@ -24,7 +24,7 @@ from kmachine.graphs import (
     random_gadget_spec,
     random_uniform_hypergraph,
 )
-from kmachine.graphs import _geometric_gaps, _pairs_from_indices
+from kmachine.graphs import _geometric_gaps, _gnp_block, _pairs_from_indices
 from kmachine.oracles import all_pairs_distances, is_connected, is_spanning_tree
 from kmachine.programs import conn_program, mst_program
 
@@ -147,6 +147,37 @@ def test_gap_inversion_equals_generator_geometric_draw_for_draw():
             gaps = _geometric_gaps(spy, p, 1000)
             assert spy.calls == ["geometric"]
             assert np.array_equal(gaps, np.random.default_rng(seed).geometric(p, 1000))
+
+
+def _one_array_per_batch(n, p, rng):
+    """The G(n, p) pair indices with each batch drawn as one rng.geometric
+    array, clipped, summed and cut: the reference for _gnp_block's arrays
+    of _PICK_CHUNK gaps."""
+    total = n * (n - 1) // 2
+    picked, pos = [], -1
+    while pos < total:
+        want = int((total - pos) * p * 1.1) + 64
+        idx = np.cumsum(np.minimum(rng.geometric(p, size=want), total - pos)) + pos
+        cut = idx.searchsorted(total)
+        picked.append(idx[:cut])
+        if cut < want:
+            break
+        pos = int(idx[-1])
+    return np.concatenate(picked)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 17])
+def test_gnp_batches_drawn_in_chunks_equal_one_array_per_batch(chunk, monkeypatch):
+    # the same pairs, and the stream left where the weights start
+    monkeypatch.setattr("kmachine.graphs._PICK_CHUNK", chunk)
+    for n in (2, 9, 64, 300):
+        for p in (1e-3, 0.02, 0.1, 0.3, 0.5):
+            for seed in range(3):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                u, v, _ = _gnp_block(n, p, rng)
+                want_u, want_v = _decode(_one_array_per_batch(n, p, ref), n)
+                assert np.array_equal(u, want_u) and np.array_equal(v, want_v), (n, p)
+                assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
@@ -445,7 +476,8 @@ def test_adjacency_is_the_csr_without_its_edge_index():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * g.m  # 5.25 words per edge with the edge index
+        # 3.25 words per edge from the key sorts; 4.25 with the slot argsort
+        assert peak <= 3.75 * 8 * g.m, peak / (8 * g.m)
         assert g._csr is None and g.adjacency() is adj
         for x in adj:
             assert x.dtype == np.int64 and not x.flags.writeable
@@ -476,11 +508,19 @@ def _reference_csr(n, rows):
 
 
 def _assert_matches_reference(n, rows):
-    g = Graph(n, rows)
     want_csr, want_arrays = _reference_csr(n, rows)
+    want_degree = int(np.diff(want_csr[0]).max())
+    # adjacency() before any csr(), on a graph of its own: no edge index built
+    first = Graph(n, rows)
+    assert first.max_degree() == want_degree
+    for got, want in zip(first.adjacency(), want_csr[:2]):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert first._csr is None
+    g = Graph(n, rows)
     for got, want in zip(g.csr() + g.edge_arrays(), want_csr + want_arrays):
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    assert g.max_degree() == int(np.diff(want_csr[0]).max())
+    assert g.max_degree() == want_degree
+    return first._ascending
 
 
 @st.composite
@@ -514,11 +554,12 @@ def test_csr_matches_the_slot_key_reference_on_large_labels():
     a, b = _decode(keys, n)
     rows = np.column_stack([a, b, rng.integers(0, 100, size=len(a))])
     assert b.max() > 1 << 16 and a.min() < 1 << 16
-    _assert_matches_reference(n, rows)  # ascending
+    assert n * n > np.iinfo(np.int32).max  # the keys x*n + y need int64
+    assert _assert_matches_reference(n, rows)  # ascending
     shuffled = rows[rng.permutation(len(rows))]
     flip = rng.random(len(rows)) < 0.5
     shuffled[flip, :2] = shuffled[flip, 1::-1]
-    _assert_matches_reference(n, shuffled)
+    assert not _assert_matches_reference(n, shuffled)
     _assert_matches_reference(n, np.zeros((0, 3), dtype=np.int64))
     _assert_matches_reference(1, [])
 

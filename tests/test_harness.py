@@ -263,6 +263,29 @@ def test_hmis_needs_two_machines_before_building(k, monkeypatch):
         run_cell(cfg, 0)
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"algorithm": "mst", "model": "gnp", "n": 32, "p": 0.2}, id="mst"),
+    pytest.param({"algorithm": "hmis", "n": 16, "hyperedges": 20, "arity": 3}, id="hmis"),
+    pytest.param({"algorithm": "logsp", "model": "gnp", "n": 16, "p": 0.3}, id="logsp"),
+])
+def test_a_repeated_machine_count_is_refused_before_the_engine(doc, tmp_path, capsys,
+                                                               monkeypatch):
+    # a cell keys its reports by k, so a repeated k would price one row twice
+    # and write it once
+    def build(*args, **kwargs):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr("kmachine.harness.build_instance", build)
+    with pytest.raises(HarnessError, match="^machine count k=4 is listed twice$"):
+        config_from_mapping({**doc, "k": [4, 4, 2]})
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({**doc, "k": [2, 4, 2]}))
+    rc = cli_main(["run", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "kmachine: error: machine count k=2 is listed twice\n"
+
+
 @pytest.mark.parametrize("mode", ["p2p", "bcast"])
 def test_logsp_rejects_a_mode(mode):
     doc = {"algorithm": "logsp", "model": "gnp", "n": 16, "p": 0.3}
