@@ -84,9 +84,9 @@ def fidelity_instances(base_seed: int):
 
 
 def per_vertex_reference(program):
-    """The same program without its round kernel: one state machine per
-    vertex, each a deep copy, so no two vertices can share an object."""
-    return Program(program.name, lambda: copy.deepcopy(program.node()))
+    """The same program and budget without its round kernel: one state
+    machine per vertex, each a deep copy, so no two can share an object."""
+    return Program(program.name, lambda: copy.deepcopy(program.node()), budget=program.budget)
 
 
 def _observed(run):

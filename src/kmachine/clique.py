@@ -139,12 +139,16 @@ class Program:
     later.  A kernel must be byte-identical to the programs `node` makes:
     the same messages in the same order, the same outputs.  Those
     programs stay as its reference.
+
+    budget(n), if set, is the round by which every vertex of an n-vertex
+    run has halted, and run_clique's default round limit.
     """
 
-    def __init__(self, name, node, kernel=None):
+    def __init__(self, name, node, kernel=None, budget=None):
         self.name = name
         self.node = node
         self.kernel = kernel
+        self.budget = budget
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +277,15 @@ def run_clique(
 
     Returns (outputs, trace, metrics) where outputs[v] is vertex v's result
     blob.  Raises RoundLimitExceeded (carrying the partial trace) if the
-    program still runs after the budget.  The rounds come from
+    program still runs after max_rounds rounds: by default program.budget(n),
+    or default_round_budget(n) if it sets none.  The rounds come from
     program.kernel(g, seed) if the program has a kernel, else from one
     program.node() state machine per vertex (_vertex_rounds); either way
     every round passes the same checks before it is recorded.
     """
     n = g.n
     if max_rounds is None:
-        max_rounds = default_round_budget(n)
+        max_rounds = (program.budget or default_round_budget)(n)
     if max_rounds < 1:
         raise SimulationError("max_rounds must be >= 1")
     cap = PAYLOAD_CAP_C * label_bits(n)

@@ -13,6 +13,7 @@ import numpy as np
 from .rng import make_np_rng
 
 WEIGHT_POLY_C = 4  # weights fit in WEIGHT_POLY_C * ceil(log2 n) bits
+MAX_N = math.isqrt(2**63 - 1)  # the most vertices whose edge keys u*n + v fit int64
 
 
 def label_bits(n: int) -> int:
@@ -33,6 +34,11 @@ def inf_weight(n: int) -> int:
 
 class GraphError(ValueError):
     row = None  # the index of the faulty input edge, when one edge is at fault
+
+
+def _check_vertex_count(n, where=""):
+    if not 1 <= n <= MAX_N:
+        raise GraphError(f"{where}vertex count {n} outside [1, {MAX_N}]")
 
 
 class Graph:
@@ -67,8 +73,7 @@ class Graph:
         A valid block passes on whole-column tests (u.min, v.max, u < v
         everywhere, w.min and w.max); only a block that fails one builds
         the per-edge masks that find its first faulty row."""
-        if n < 1:
-            raise GraphError("graph needs at least one vertex")
+        _check_vertex_count(n)
         u, v, w = block
         swap = u > v
         if swap.any():
@@ -351,8 +356,7 @@ def load_edge_list(text: str) -> Graph:
                 n = int(parts[1])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex count {parts[1]!r}")
-            if n < 1:
-                raise GraphError(f"line {lineno}: vertex count must be positive")
+            _check_vertex_count(n, f"line {lineno}: ")
             continue
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 'u v' or 'u v w'")
@@ -506,8 +510,7 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
     gnp needs p; random_weighted needs p and wmax.  Identical arguments always
     produce the identical edge sequence.
     """
-    if n < 1:
-        raise GraphError("n must be >= 1")
+    _check_vertex_count(n)
     if model in ("gnp", "random_weighted"):
         if p is None or not (0.0 <= p <= 1.0):
             raise GraphError(f"model {model} needs edge probability p in [0,1]")

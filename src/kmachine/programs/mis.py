@@ -122,4 +122,6 @@ def _luby_rounds(g, seed):
 
 
 def luby_mis_program() -> Program:
-    return Program("mis", _LubyNode, kernel=_luby_rounds)
+    # every phase takes three rounds, and past the budget all halt in one
+    return Program("mis", _LubyNode, kernel=_luby_rounds,
+                   budget=lambda n: 3 * default_phase_budget(n) + 1)

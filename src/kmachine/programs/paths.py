@@ -28,27 +28,19 @@ import numpy as np
 
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
 from ..graphs import label_bits
-from .config import AlgoConfig, ConfigError
+from .config import AlgoConfig
 from .slots import bit_lengths, broadcasts, slot_sources
-
-
-def _on_graph(source, n):
-    """source, refused unless it is one of the n vertices (AlgoConfig
-    checks it without n)."""
-    if source >= n:
-        raise ConfigError(f"source {source} out of range for n={n}")
-    return source
 
 
 class _BfsNode(NodeProgram):
     """Announce (id, hop distance, parent) once, the round after first being
     reached; unreached vertices stop after a silent round."""
 
-    def __init__(self, source):
-        self.source = source
+    def __init__(self, cfg):
+        self.cfg = cfg
 
     def start(self, ctx):
-        _on_graph(self.source, ctx.n)
+        self.source = self.cfg.validate(ctx.n).source
         self.ctx = ctx
         self.nbr_set = {u for u, _, _ in ctx.incident}
         self.bits = 3 * label_bits(ctx.n)
@@ -113,18 +105,18 @@ def _bfs_rounds(g, source):
 
 def bfs_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("bfs", lambda: _BfsNode(cfg.source),
-                   kernel=lambda g, _seed: _bfs_rounds(g, _on_graph(cfg.source, g.n)))
+    return Program("bfs", lambda: _BfsNode(cfg),
+                   kernel=lambda g, _seed: _bfs_rounds(g, cfg.validate(g.n).source))
 
 
 class _BellmanFordNode(NodeProgram):
     """Broadcast (id, tentative distance) whenever the distance improves."""
 
-    def __init__(self, source):
-        self.source = source
+    def __init__(self, cfg):
+        self.cfg = cfg
 
     def start(self, ctx):
-        _on_graph(self.source, ctx.n)
+        self.source = self.cfg.validate(ctx.n).source
         self.ctx = ctx
         self.weight_to = {u: w for u, w, _ in ctx.incident}
         self.L = label_bits(ctx.n)
@@ -219,5 +211,5 @@ def _announce(sent, dist, L):
 
 def bellman_ford_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
-    return Program("bf_sssp", lambda: _BellmanFordNode(cfg.source),
-                   kernel=lambda g, _seed: _bellman_ford_rounds(g, _on_graph(cfg.source, g.n)))
+    return Program("bf_sssp", lambda: _BellmanFordNode(cfg),
+                   kernel=lambda g, _seed: _bellman_ford_rounds(g, cfg.validate(g.n).source))

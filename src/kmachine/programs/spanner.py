@@ -199,7 +199,8 @@ def _one_edge_per_cluster(who, cluster, src, nbr, live, n):
 def spanner_program(cfg: AlgoConfig) -> Program:
     cfg.validate()
     return Program("spanner", lambda: _SpannerNode(cfg.delta),
-                   kernel=lambda g, seed: _spanner_rounds(g, cfg.delta, seed))
+                   kernel=lambda g, seed: _spanner_rounds(g, cfg.delta, seed),
+                   budget=lambda n: 2 * cfg.delta - 1)
 
 
 def spanner_union(outputs):

@@ -46,16 +46,11 @@ def default_tokens_per_node(n: int) -> int:
     return label_bits(n)
 
 
-def walk_round_budget(n: int, total_tokens: int, gamma: float) -> int:
-    # survival prob past the budget is at most 1/(n * total_tokens)
-    return math.ceil(math.log(max(2, total_tokens) * max(2, n)) / gamma) + 1
-
-
 class WalkShape(NamedTuple):
     per_node: int  # tokens each vertex launches
     total: int  # tokens over all vertices
     bits: int  # bits of a multiplicity count
-    budget: int  # round in which every vertex halts
+    budget: int  # round in which every vertex halts: Program.budget
 
 
 def walk_shape(n: int, cfg: AlgoConfig) -> WalkShape:
@@ -67,8 +62,9 @@ def walk_shape(n: int, cfg: AlgoConfig) -> WalkShape:
         raise ConfigError(
             f"{total} walk tokens on {n} vertices overflow the token counters"
         )
-    return WalkShape(per_node, total, max(1, total.bit_length()),
-                     walk_round_budget(n, total, cfg.gamma))
+    # a token survives the budget with probability at most 1/(n * total)
+    budget = math.ceil(math.log(max(2, total) * max(2, n)) / cfg.gamma) + 1
+    return WalkShape(per_node, total, max(1, total.bit_length()), budget)
 
 
 class _PageRankNode(NodeProgram):
@@ -173,6 +169,7 @@ def pagerank_program(cfg: AlgoConfig) -> Program:
     return Program(
         "pagerank",
         lambda: _PageRankNode(cfg),
-        # walk_shape runs before the kernel's first round, to reject a bad size
         kernel=lambda g, seed: _pagerank_rounds(g, cfg, walk_shape(g.n, cfg), seed),
+        # run_clique reads the budget first, so a bad size fails before any round
+        budget=lambda n: walk_shape(n, cfg).budget,
     )

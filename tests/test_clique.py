@@ -592,6 +592,17 @@ def test_pagerank_kernel_draws_nothing_after_the_last_token(monkeypatch):
     assert max(drawn) < trace.num_rounds - 1  # the walk ended well before the budget
 
 
+def test_program_budgets_replace_the_engine_default():
+    # on 16 vertices the walk's budget at gamma 0.01 and the spanner's
+    # 2 delta - 1 rounds at delta 100 both pass the engine's 8n + 64
+    g = generate("gnp", 16, 1, p=0.3)
+    assert clique.default_round_budget(g.n) == 192
+    for prog, rounds in ((pagerank_program(AlgoConfig(gamma=0.01)), 695),
+                         (spanner_program(AlgoConfig(delta=100)), 199)):
+        trace = _assert_kernel_matches_reference(g, prog, 1)
+        assert trace.num_rounds == prog.budget(g.n) == rounds
+
+
 def test_walk_token_overflow_is_rejected_before_any_round():
     g = generate("path", 4, 0)
     prog = pagerank_program(AlgoConfig(tokens_per_node=2**31))  # 2**33 tokens
@@ -770,18 +781,26 @@ def _assert_spanner_live_sets_stay_symmetric(g, program, seed):
 def test_kernels_match_reference_on_edge_case_graphs(g, seed):
     for phases in (1, 2):  # budgets that run out: the over-budget path
         with mock.patch.object(mis, "default_phase_budget", return_value=phases):
-            _assert_kernel_matches_reference(g, luby_mis_program(), seed)
+            prog = luby_mis_program()
+            trace = _assert_kernel_matches_reference(g, prog, seed)
+            failed = any(f for _, f in run_clique(g, prog, seed)[0])
+            # a run out of phases halts in the round after its last phase
+            assert prog.budget(g.n) == 3 * phases + 1
+            assert (trace.num_rounds == prog.budget(g.n)) == failed
     _assert_kernel_matches_reference(g, luby_mis_program(), seed)
     _assert_kernel_matches_reference(g, triangle_program(), seed)
     for delta in sorted({1, 2, 3, max(1, math.ceil(math.log2(g.n)))}):
         prog = spanner_program(AlgoConfig(delta=delta))
-        _assert_kernel_matches_reference(g, prog, seed)
+        trace = _assert_kernel_matches_reference(g, prog, seed)
+        assert trace.num_rounds == prog.budget(g.n) == 2 * delta - 1
         _assert_spanner_live_sets_stay_symmetric(g, prog, seed)
     for tokens in (1, None, 40):
         # at n = 2 the default cap of 4 bits cannot hold 40 tokens' counts
-        prog = pagerank_program(AlgoConfig(tokens_per_node=tokens))
+        cfg = AlgoConfig(tokens_per_node=tokens)
+        prog = pagerank_program(cfg)
         with _cap_c(16):
-            _assert_kernel_matches_reference(g, prog, seed)
+            trace = _assert_kernel_matches_reference(g, prog, seed)
+        assert trace.num_rounds == prog.budget(g.n) == walk_shape(g.n, cfg).budget
     for source in sorted({0, g.n - 1}):
         cfg = AlgoConfig(source=source)
         _assert_kernel_matches_reference(g, bfs_program(cfg), seed)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmachine import graphs
 from kmachine.clique import run_clique
 from kmachine.graphs import (
+    MAX_N,
     GadgetSpec,
     Graph,
     GraphError,
@@ -620,6 +622,26 @@ def test_fragment_kernel_memory_per_slot(model, extra, limit):
         # 40.0 with five int64 slot columns; int32 ids and no weight column
         # where every edge weighs the same take 10.2, an int64 weight column 18.9
         assert peak <= limit * 2 * g.m, (prog.name, peak / (2 * g.m))
+
+
+def test_vertex_counts_whose_edge_keys_overflow_int64_are_refused(monkeypatch):
+    # every key u*n + v < n*n fits int64 up to MAX_N vertices, so the keys
+    # ascend exactly when the edges do
+    assert MAX_N ** 2 < 2**63 <= (MAX_N + 1) ** 2
+    assert not Graph(MAX_N, [(MAX_N - 2, MAX_N - 1, 1), (0, 1, 1)])._ascending
+    n = 3_100_000_000
+    text = f"vertex count {n} outside [1, {MAX_N}]"
+    with pytest.raises(GraphError, match=f"^{re.escape(text)}$"):
+        Graph(n, [(3_000_000_000, 3_000_000_001, 1), (0, 1, 1)])
+    drawn = []
+    monkeypatch.setattr(graphs, "make_np_rng", lambda *key: drawn.append(key))
+    for model in ("gnp", "random_weighted"):
+        with pytest.raises(GraphError, match=f"^{re.escape(text)}$"):
+            generate(model, n, 0, p=0.0, wmax=1)
+    assert drawn == []  # refused before any draw
+    # on the header line, which names no edge row
+    with pytest.raises(GraphError, match=f"^line 2: {re.escape(text)}$"):
+        load_edge_list(f"# huge\nn {n}\n0 1\n")
 
 
 def test_constructor_rejects_non_integer_fields():

@@ -492,6 +492,20 @@ def test_cli_run_and_overrides(tmp_path):
     assert len(lines) == 3  # override widened k to two values
 
 
+def test_cli_run_spanner_past_the_engine_default_budget(tmp_path, capsys):
+    # 2 delta - 1 = 199 rounds, past the engine's 8n + 64 = 192
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({
+        "algorithm": "spanner", "model": "gnp", "n": 16, "p": 0.3, "delta": 100,
+    }))
+    rc = cli_main(["run", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    (row,) = [dict(zip(CSV_HEADER.split(","), line.split(",")))
+              for line in captured.out.splitlines()[1:]]
+    assert (row["T_C"], row["success"]) == ("199", "true")
+
+
 def test_cli_sweep(tmp_path, capsys):
     conf = tmp_path / "exp.json"
     conf.write_text(json.dumps({
@@ -825,7 +839,10 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert not any(name in t for t in text.values() for name in (
         "CLIQUE_ALGORITHMS", "ALGORITHM_NAMES", "_engine_budget", "_empty_metrics",
         "ship_rounds", "ApproxPathsResult", "_run_logsp", "run_on_kmachines",
-        "make_program"))
+        "make_program", "_on_graph"))
+    # a program sets its own round budget, which only the engine reads
+    assert [p.name for p, t in text.items() if "max_rounds" in t] == ["clique.py"]
+    assert "budget" not in {f.name for f in fields(type(ALGORITHMS["mst"]))}
     # one placement per cell: under programs/ only Algorithm.run draws one
     placing = [(p.name, fn.name) for p, t in text.items() if p.parent.name == "programs"
                for fn in ast.walk(ast.parse(t)) if isinstance(fn, ast.FunctionDef)
@@ -926,6 +943,35 @@ def _writes_comm_degree(node):
     if not named or value is None or isinstance(value, ast.Constant):
         return False
     return not (isinstance(value, ast.Attribute) and value.attr == "comm_degree")
+
+
+@pytest.mark.parametrize("n, seed, isolated", [(5, 2, 5), (9, 1, 5)])
+def test_pagerank_check_expects_the_mass_of_isolated_vertices(n, seed, isolated):
+    # a token on an isolated vertex dies after its first visit, so over s
+    # isolated vertices the estimates sum to 1 - (1 - gamma) s / n, not 1:
+    # gamma = 0.15 on gnp(5, 0.05) at seed 2, which has no edge
+    cfg = ExperimentConfig("pagerank", {"model": "gnp", "n": n, "p": 0.05}, [2], [seed])
+    res = run_cell(cfg, seed)
+    assert np.count_nonzero(np.diff(res.instance.graph.adjacency()[0]) == 0) == isolated
+    if isolated == n:
+        assert res.details["sum"] == pytest.approx(0.15)
+    assert res.valid
+
+
+def test_spanner_check_refuses_one_edge_stretched_too_far():
+    from kmachine.clique import CliqueMetrics
+
+    # a 5-cycle, with 0-1 weighing 2 in the weighted copy: dropping 0-4
+    # stretches it to 4 hops, dropping 0-1 to 4 hops over weight 2
+    cycle = [(v, (v + 1) % 5) for v in range(5)]
+    metrics = CliqueMetrics(1, 0, 0, 0, 0)
+    check = VALIDATORS["spanner"]
+    for weight, delta, drop, want in [(1, 2, (0, 4), False), (1, 3, (0, 4), True),
+                                      (2, 2, (0, 1), True), (2, 2, (0, 4), False)]:
+        g = Graph(5, [(a, b, weight if (a, b) == (0, 1) else 1) for a, b in cycle])
+        kept = tuple(sorted((min(e), max(e)) for e in cycle if (min(e), max(e)) != drop))
+        outputs = [kept] * 5
+        assert check(Instance(graph=g), AlgoConfig(delta=delta), outputs, metrics)[0] == want
 
 
 def test_bellman_ford_broadcast_bound_holds_above_512():

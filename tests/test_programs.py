@@ -364,6 +364,9 @@ _CODECS = {
                  else _field(p[0], L) + str(int(p[1])),
                  lambda rnd, s, L: ("tri", s == "1") if len(s) == 1
                  else (int(s[:L], 2), s[L] == "1")),
+    # one token multiplicity, in all of its declared bits
+    "pagerank": (lambda rnd, p, bits, L: _field(p[0], bits),
+                 lambda rnd, s, L: (int(s, 2),)),
     # an odd round carries the 1-bit coin, an even one the 1-bit drop or a
     # 2L-bit membership (cluster, via)
     "spanner": (lambda rnd, p, bits, L:
@@ -397,7 +400,7 @@ def test_reference_payload_fields_fit_their_bits(algorithm):
             vertex.step = recorded
             return vertex
 
-        _run(inst.graph, Program(prog.name, node), seed)
+        _run(inst.graph, Program(prog.name, node, budget=prog.budget), seed)
         assert sent
         L = label_bits(inst.graph.n)
         for rnd, payload, bits in sent:
