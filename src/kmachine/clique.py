@@ -20,11 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, id_dtype, label_bits
+from .graphs import WEIGHT_POLY_C, Graph, id_dtype, label_bits
 # make_np_rng and make_random are unused here: perfbench's traced mode wraps them
 from .rng import make_np_rng, make_random  # noqa: F401
 
-PAYLOAD_CAP_C = 4  # payload cap is PAYLOAD_CAP_C * ceil(log2 n) bits
+
+def payload_cap(n: int) -> int:
+    """The most bits one message may carry on n vertices, L = label_bits(n):
+    O(log n), with room for a vertex id beside a path length, which weights
+    below 2^(4L) (graphs.inf_weight) keep below (n - 1) 2^(4L) < 2^(5L)."""
+    return (WEIGHT_POLY_C + 2) * label_bits(n)
+
+
+def default_round_budget(n: int) -> int:
+    return 8 * n + 64
 
 
 class SimulationError(RuntimeError):
@@ -140,11 +149,11 @@ class Program:
     the same messages in the same order, the same outputs.  Those
     programs stay as its reference.
 
-    budget(n), if set, is the round by which every vertex of an n-vertex
-    run has halted, and run_clique's default round limit.
+    budget(n) is the round by which every vertex of an n-vertex run has
+    halted, and run_clique's round limit.
     """
 
-    def __init__(self, name, node, kernel=None, budget=None):
+    def __init__(self, name, node, kernel=None, budget=default_round_budget):
         self.name = name
         self.node = node
         self.kernel = kernel
@@ -263,32 +272,19 @@ class CliqueMetrics:
 # ---------------------------------------------------------------------------
 
 
-def default_round_budget(n: int) -> int:
-    return 8 * n + 64
-
-
-def run_clique(
-    g: Graph,
-    program: Program,
-    seed: int,
-    max_rounds: int = None,
-):
+def run_clique(g: Graph, program: Program, seed: int):
     """Execute `program` on graph g over the complete n-vertex network.
 
     Returns (outputs, trace, metrics) where outputs[v] is vertex v's result
     blob.  Raises RoundLimitExceeded (carrying the partial trace) if the
-    program still runs after max_rounds rounds: by default program.budget(n),
-    or default_round_budget(n) if it sets none.  The rounds come from
+    program still runs after program.budget(n) rounds, and ProgramViolation
+    if a message is wider than payload_cap(n) bits.  The rounds come from
     program.kernel(g, seed) if the program has a kernel, else from one
     program.node() state machine per vertex (_vertex_rounds); either way
     every round passes the same checks before it is recorded.
     """
     n = g.n
-    if max_rounds is None:
-        max_rounds = (program.budget or default_round_budget)(n)
-    if max_rounds < 1:
-        raise SimulationError("max_rounds must be >= 1")
-    cap = PAYLOAD_CAP_C * label_bits(n)
+    limit, cap = program.budget(n), payload_cap(n)
     if program.kernel is not None:
         rounds = program.kernel(g, seed)
     else:
@@ -300,9 +296,9 @@ def run_clique(
         except StopIteration as done:
             outputs = done.value
             break
-        if trace.num_rounds == max_rounds:
+        if trace.num_rounds >= limit:
             raise RoundLimitExceeded(
-                f"{program.name} still running after {max_rounds} rounds",
+                f"{program.name} still running after {limit} rounds",
                 trace=trace,
             )
         trace.append_arrays(*_checked_round(cols, n, cap))

@@ -39,8 +39,8 @@ class AlgoConfig:
             raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
         if self.tokens_per_node is not None and self.tokens_per_node < 1:
             raise ConfigError("tokens_per_node must be >= 1")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not 1.0 + self.eps > 1.0:  # else no vertex is ever peeled
+            raise ConfigError(f"eps must be > 0 with 1 + eps > 1, got {self.eps}")
         if self.delta < 1:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
         if self.source < 0:

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..clique import HALT, NONE, SILENT, NodeProgram, Program, Unicast
+from ..clique import HALT, NONE, SILENT, NodeProgram, Program, Unicast, payload_cap
 from ..graphs import label_bits
 from ..rng import (token_bases, token_hops, token_layout_fits, token_uniforms,
                    unit_threshold)
@@ -55,13 +55,17 @@ class WalkShape(NamedTuple):
 
 def walk_shape(n: int, cfg: AlgoConfig) -> WalkShape:
     """The walk run's sizes on n vertices.  Raises ConfigError if its token
-    counters could alias (see rng.token_layout_fits)."""
+    counters could alias (see rng.token_layout_fits) or a multiplicity count
+    could pass clique.payload_cap(n)."""
     per_node = cfg.tokens_per_node or default_tokens_per_node(n)
     total = per_node * n
     if not token_layout_fits(n, total):
         raise ConfigError(
             f"{total} walk tokens on {n} vertices overflow the token counters"
         )
+    if total.bit_length() > payload_cap(n):
+        raise ConfigError(f"{total} walk tokens on {n} vertices need counts "
+                          f"wider than the {payload_cap(n)}-bit payload cap")
     # a token survives the budget with probability at most 1/(n * total)
     budget = math.ceil(math.log(max(2, total) * max(2, n)) / cfg.gamma) + 1
     return WalkShape(per_node, total, max(1, total.bit_length()), budget)

@@ -61,21 +61,21 @@ def test_criterion_01_catches_a_kernel_fault(monkeypatch):
 
 
 def test_criterion_01_counts_a_refused_kernel_run_as_a_mismatch(monkeypatch):
-    # 5L-bit announcements break the engine's 4L cap: the bfs runs raise
+    # 7L-bit announcements break the engine's 6L cap: the bfs runs raise
     # ProgramViolation, which must read as mismatches, not abort the battery
     real = paths._bfs_rounds
 
-    def five_labels(g, source):
+    def seven_labels(g, source):
         rounds = real(g, source)
         try:
             while True:
                 bs, bb, *unicasts = next(rounds)
-                yield (bs, bb // 3 * 5, *unicasts)
+                yield (bs, bb // 3 * 7, *unicasts)
         except StopIteration as stop:
             return stop.value
 
     monkeypatch.setattr(acceptance, "FIDELITY_ALGORITHMS", ("bfs", "conn"))
-    monkeypatch.setattr(paths, "_bfs_rounds", five_labels)
+    monkeypatch.setattr(paths, "_bfs_rounds", seven_labels)
     res = Battery(seed=SEED, echo=lambda line: None).crit_1_fidelity()
     assert not res.passed
     assert res.summary == "20/40 runs gave identical outputs on both paths", res.summary

@@ -75,6 +75,11 @@ def _prog(cls):
     return Program("t", cls)
 
 
+def _budgeted(prog, rounds):
+    """prog with a round budget of `rounds` on every n."""
+    return Program(prog.name, prog.node, prog.kernel, budget=lambda n: rounds)
+
+
 def _columns(trace):
     """Every round's five columns as lists, to compare traces with ==."""
     return [[col.tolist() for col in cols] for cols in trace.round_arrays()]
@@ -239,9 +244,9 @@ def test_round_budget():
     g = generate("path", 3, 0)
     # per-vertex programs and kernels share one round-limit rule and text
     looping = _kernel_program(*[(_E, _E, [0], [1], [2])] * 20)
-    for prog in (_prog(_Forever), looping):
+    for prog in (_budgeted(_prog(_Forever), 10), _budgeted(looping, 10)):
         with pytest.raises(RoundLimitExceeded) as e:
-            run_clique(g, prog, seed=0, max_rounds=10)
+            run_clique(g, prog, seed=0)
         assert str(e.value) == f"{prog.name} still running after 10 rounds"
         assert e.value.trace.num_rounds == 10
 
@@ -526,11 +531,6 @@ def _assert_kernel_matches_reference(g, program, seed):
     return run[1]
 
 
-def _cap_c(c):
-    """Widens the payload cap to c * ceil(log2 n) bits for the runs inside."""
-    return mock.patch.object(clique, "PAYLOAD_CAP_C", c)
-
-
 @pytest.mark.parametrize("n, tokens", [(64, 600), (32, None)])
 def test_pagerank_kernel_matches_reference_on_pagerank_shapes(n, tokens):
     cfg = AlgoConfig(gamma=0.15, tokens_per_node=tokens)
@@ -615,43 +615,43 @@ def test_walk_token_overflow_is_rejected_before_any_round():
         run_cell(cfg, 0)
 
 
-def test_pagerank_kernel_payload_over_cap_is_a_violation():
+def test_pagerank_counts_over_the_cap_are_refused_before_any_round():
+    # 2**21 tokens on each of 16 vertices take 26-bit counts, over the cap
+    # of 6 * 4 bits: the budget, which run_clique reads first, refuses them
     g = generate("gnp", 16, 2, p=0.4)
-    prog = pagerank_program(AlgoConfig(tokens_per_node=10**6))  # 24-bit counts
-    errors = []
+    prog = pagerank_program(AlgoConfig(tokens_per_node=2**21))
     for p in (prog, per_vertex_reference(prog)):
-        with pytest.raises(ProgramViolation) as e:
+        with pytest.raises(ConfigError, match="wider than the 24-bit payload cap"):
             run_clique(g, p, 5)
-        errors.append(str(e.value))
-    assert errors[0] == errors[1]
 
 
 def test_pagerank_kernel_round_limit_keeps_the_partial_trace():
     g = generate("gnp", 32, 1, p=0.2)
-    prog = pagerank_program(AlgoConfig())
+    prog = _budgeted(pagerank_program(AlgoConfig()), 12)
     traces = []
     for p in (prog, per_vertex_reference(prog)):
         with pytest.raises(RoundLimitExceeded) as e:
-            run_clique(g, p, 3, max_rounds=12)
+            run_clique(g, p, 3)
         traces.append(e.value.trace)
     assert traces[0].num_rounds == traces[1].num_rounds == 12
     assert _columns(traces[0]) == _columns(traces[1])
 
 
-@pytest.mark.parametrize("max_rounds", [1, 4, 7])
-def test_distance_and_peeling_kernels_round_limit_keeps_the_partial_trace(max_rounds):
+@pytest.mark.parametrize("rounds", [1, 4, 7])
+def test_distance_and_peeling_kernels_round_limit_keeps_the_partial_trace(rounds):
     # the three programs take 8, 10 and 12 rounds here
     g = generate("random_weighted", 64, 2, p=0.05, wmax=9)
     progs = [bfs_program(AlgoConfig(source=5)),
              bellman_ford_program(AlgoConfig(source=5)),
              densest_subgraph_program(AlgoConfig(eps=0.1))]
     for prog in progs:
+        prog = _budgeted(prog, rounds)
         traces = []
         for p in (prog, per_vertex_reference(prog)):
             with pytest.raises(RoundLimitExceeded) as e:
-                run_clique(g, p, 0, max_rounds=max_rounds)
+                run_clique(g, p, 0)
             traces.append(e.value.trace)
-        assert traces[0].num_rounds == traces[1].num_rounds == max_rounds
+        assert traces[0].num_rounds == traces[1].num_rounds == rounds
         assert _columns(traces[0]) == _columns(traces[1])
 
 
@@ -670,17 +670,11 @@ _W = 2**50 + 12345
      {2: 2 * _W, 3: 2 * _W, 4: 3 * _W - 1}),
 ])
 def test_bellman_ford_kernel_keeps_large_distances_exact(edges, far):
+    # announcements of at most 13 + 53 bits, within the cap of 6 * 13
     g = Graph(5000, edges)
     prog = bellman_ford_program(AlgoConfig(source=0))
-    errors = []
-    for p in (prog, per_vertex_reference(prog)):
-        with pytest.raises(ProgramViolation) as e:  # over the cap of 4 * 13 bits
-            run_clique(g, p, 0)
-        errors.append(str(e.value))
-    assert errors[0] == errors[1]
-    with _cap_c(16):
-        _assert_kernel_matches_reference(g, prog, 0)
-        out = run_clique(g, prog, 0)[0]
+    _assert_kernel_matches_reference(g, prog, 0)
+    out = run_clique(g, prog, 0)[0]
     assert {v: out[v][0] for v in far} == far
     assert out[-1] == (math.inf, None)
 
@@ -794,27 +788,22 @@ def test_kernels_match_reference_on_edge_case_graphs(g, seed):
         trace = _assert_kernel_matches_reference(g, prog, seed)
         assert trace.num_rounds == prog.budget(g.n) == 2 * delta - 1
         _assert_spanner_live_sets_stay_symmetric(g, prog, seed)
-    for tokens in (1, None, 40):
-        # at n = 2 the default cap of 4 bits cannot hold 40 tokens' counts
+    for tokens in (1, None, 40 if g.n != 2 else 31):
+        # at n = 2 the cap of 6 bits holds counts up to 63: 31 tokens a vertex
         cfg = AlgoConfig(tokens_per_node=tokens)
         prog = pagerank_program(cfg)
-        with _cap_c(16):
-            trace = _assert_kernel_matches_reference(g, prog, seed)
+        trace = _assert_kernel_matches_reference(g, prog, seed)
         assert trace.num_rounds == prog.budget(g.n) == walk_shape(g.n, cfg).budget
     for source in sorted({0, g.n - 1}):
         cfg = AlgoConfig(source=source)
         _assert_kernel_matches_reference(g, bfs_program(cfg), seed)
         for h in (_with_weights(g, 1, seed), _with_weights(g, 9, seed)):
-            # at n = 2 the default cap of 4 bits holds distances up to 7
-            with _cap_c(16):
-                _assert_kernel_matches_reference(h, bellman_ford_program(cfg), seed)
+            _assert_kernel_matches_reference(h, bellman_ford_program(cfg), seed)
     for eps in (0.1, 0.5, 2.0):
         prog = densest_subgraph_program(AlgoConfig(eps=eps))
         _assert_kernel_matches_reference(g, prog, seed)
     for h in (_with_weights(g, 1, seed), _with_weights(g, 9, seed)):
-        # at n = 2 the default cap of 4 bits holds weights up to 7
-        with _cap_c(16):
-            _assert_kernel_matches_reference(h, mst_program(), seed)
+        _assert_kernel_matches_reference(h, mst_program(), seed)
     _assert_kernel_matches_reference(g, conn_program(), seed)
     prog = st_verify_program(default_stverify_candidate(g, seed))
     _assert_kernel_matches_reference(g, prog, seed)
@@ -870,8 +859,7 @@ def test_fragment_kernels_match_reference_on_tied_weights(monkeypatch, block):
         candidate = default_stverify_candidate(g, i)
         for prog in (mst_program(), conn_program(), st_verify_program(candidate)):
             # inf_weight(n) - 1 takes 4L bits, and a candidate L more
-            with _cap_c(5):
-                trace = _assert_kernel_matches_reference(g, prog, i)
+            trace = _assert_kernel_matches_reference(g, prog, i)
             bits = set(np.concatenate([cols[1] for cols in trace.round_arrays()]).tolist())
             # label rounds take L bits; mst's candidates carry the constant
             want = max(1, c.bit_length()) if prog.name == "mst" else 0
@@ -888,8 +876,37 @@ def test_fragment_kernel_matches_reference_on_weights_wider_than_int32():
     for w in (rng.integers(top - 2, top + 1, size=g.m), rng.integers(0, top + 1, size=g.m)):
         u, v, _ = g.edge_arrays()
         h = Graph(n, np.column_stack([u, v, w]))
-        with _cap_c(5):
-            _assert_kernel_matches_reference(h, mst_program(), 2)
+        _assert_kernel_matches_reference(h, mst_program(), 2)
+
+
+@st.composite
+def _extreme_weight_graphs(draw):
+    """A path or a sparse G(n, p) on 2..300 vertices whose edges weigh 0, 1
+    or inf_weight(n) - 1, the widest weight a Graph takes."""
+    n = draw(st.integers(2, 300))
+    seed = draw(st.integers(0, 2**16))
+    g = generate("path", n, seed) if draw(st.booleans()) else \
+        generate("gnp", n, seed, p=min(1.0, 3 / n))
+    u, v, _ = g.edge_arrays()
+    w = np.array([0, 1, inf_weight(n) - 1])[
+        np.random.default_rng(seed).integers(0, 3, size=g.m)]
+    return Graph(n, np.column_stack([u, v, w]))
+
+
+def _widest_payload(rounds):
+    """The most bits any message of a round generator declares, read
+    without the engine's checks."""
+    return max(max(map(int, [*bb, *ub]), default=0) for _, bb, _, _, ub in rounds)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_extreme_weight_graphs())
+def test_weighted_payloads_fit_the_cap_on_every_legal_graph(g):
+    # a distance below (n - 1) * 2^(4L) beside an id, or a weight beside an
+    # endpoint, stays within payload_cap(n) = 6L on both paths
+    for prog in (mst_program(), bellman_ford_program(AlgoConfig(source=0))):
+        for rounds in (prog.kernel(g, 0), _vertex_rounds(g, prog.node, 0)):
+            assert _widest_payload(rounds) <= clique.payload_cap(g.n)
 
 
 @pytest.mark.parametrize("n, wmax, packed", [(300, 1000, True),
@@ -943,26 +960,45 @@ def test_fragment_kernels_match_reference_on_edge_shapes(n, edges, candidate,
     assert stverify[0][0] == tree
 
 
-def test_fragment_kernel_payload_over_cap_is_a_violation():
-    # weight 2**12 takes 13 bits: 4 + 13 over the cap of 4 * 4
-    g = Graph(16, [(0, 1, 2**12), (1, 2, 3), (2, 3, 5)])
-    prog = mst_program()
-    errors = []
-    for p in (prog, per_vertex_reference(prog)):
-        with pytest.raises(ProgramViolation) as e:
-            run_clique(g, p, 0)
-        errors.append(str(e.value))
-    assert errors[0] == errors[1] == "vertex 0: payload of 17 bits exceeds cap 16"
+def test_payload_one_bit_over_the_cap_is_a_violation():
+    # on 16 vertices the cap is 6 * 4 bits: 24 passes, 25 is refused on
+    # both paths with the same text
+    g = generate("path", 16, 0)
+
+    def one_round(bits, unicast):
+        class _Send(NodeProgram):
+            def step(self, rnd, inbox):
+                if self.ctx.node:
+                    return HALT
+                if unicast:
+                    return Unicast([(1, "x", bits)], halt=True)
+                return Broadcast("x", bits, halt=True)
+
+            def output(self):
+                return None
+
+        cols = (_E, _E, [0], [1], [bits]) if unicast else ([0], [bits], _E, _E, _E)
+        return _prog(_Send), _kernel_program(cols)
+
+    for unicast, text in ((False, "vertex 0: payload of 25 bits exceeds cap 24"),
+                          (True, "vertex 0: payload size 25 outside [1, 24]")):
+        for prog in one_round(24, unicast):
+            run_clique(g, prog, 0)
+        for prog in one_round(25, unicast):
+            with pytest.raises(ProgramViolation) as e:
+                run_clique(g, prog, 0)
+            assert str(e.value) == text
 
 
 def test_fragment_kernel_round_limit_keeps_the_partial_trace():
     g = generate("gnp", 64, 1, p=0.1)
     progs = [mst_program(), conn_program(), st_verify_program(range(g.m))]
     for prog in progs:
+        prog = _budgeted(prog, 4)
         traces = []
         for p in (prog, per_vertex_reference(prog)):
             with pytest.raises(RoundLimitExceeded) as e:
-                run_clique(g, p, 3, max_rounds=4)
+                run_clique(g, p, 3)
             traces.append(e.value.trace)
         assert traces[0].num_rounds == traces[1].num_rounds == 4
         assert _columns(traces[0]) == _columns(traces[1])
@@ -1015,7 +1051,7 @@ def test_kernel_messages_are_recorded_in_order():
     ([1, 1], [2, 2], _E, _E, _E),  # one source broadcasts twice
     ([2, 1], [2, 2], _E, _E, _E),  # sources descending
     ([0], [0], _E, _E, _E),  # empty broadcast payload
-    ([0], [9], _E, _E, _E),  # broadcast over the cap of 4 * 2 bits
+    ([0], [13], _E, _E, _E),  # broadcast over the cap of 6 * 2 bits
     ([0, 1], [2], _E, _E, _E),  # ragged broadcast arrays
     ([0.0], [2.0], _E, _E, _E),  # broadcast values not integers
     ([0], [2], [0], [1]),  # four arrays, not five
@@ -1034,9 +1070,9 @@ def test_kernel_must_return_one_output_per_vertex():
 
 def test_kernel_round_budget():
     g = generate("path", 3, 0)
-    prog = _kernel_program(*[(_E, _E, [0], [1], [2])] * 20)
+    prog = _budgeted(_kernel_program(*[(_E, _E, [0], [1], [2])] * 20), 10)
     with pytest.raises(RoundLimitExceeded) as e:
-        run_clique(g, prog, 0, max_rounds=10)
+        run_clique(g, prog, 0)
     assert e.value.trace.num_rounds == 10
 
 

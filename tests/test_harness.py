@@ -12,7 +12,7 @@ import pytest
 
 from kmachine.cli import main as cli_main
 from kmachine.clique import run_clique
-from kmachine.graphs import Graph, GraphError
+from kmachine.graphs import Graph, GraphError, inf_weight
 from kmachine.harness import (
     CSV_HEADER,
     VALIDATORS,
@@ -492,18 +492,69 @@ def test_cli_run_and_overrides(tmp_path):
     assert len(lines) == 3  # override widened k to two values
 
 
-def test_cli_run_spanner_past_the_engine_default_budget(tmp_path, capsys):
-    # 2 delta - 1 = 199 rounds, past the engine's 8n + 64 = 192
+def _cli_rows(doc, tmp_path, capsys):
+    """Runs the config doc through `kmachine run`: (exit code, stderr, rows)."""
     conf = tmp_path / "exp.json"
-    conf.write_text(json.dumps({
-        "algorithm": "spanner", "model": "gnp", "n": 16, "p": 0.3, "delta": 100,
-    }))
+    conf.write_text(json.dumps(doc))
     rc = cli_main(["run", "--config", str(conf)])
     captured = capsys.readouterr()
-    assert rc == 0 and captured.err == ""
-    (row,) = [dict(zip(CSV_HEADER.split(","), line.split(",")))
-              for line in captured.out.splitlines()[1:]]
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(",")))
+            for line in captured.out.splitlines()[1:]]
+    return rc, captured.err, rows
+
+
+def test_cli_run_spanner_past_the_engine_default_budget(tmp_path, capsys):
+    # 2 delta - 1 = 199 rounds, past the engine's 8n + 64 = 192
+    rc, err, (row,) = _cli_rows({"algorithm": "spanner", "model": "gnp", "n": 16,
+                                 "p": 0.3, "delta": 100}, tmp_path, capsys)
+    assert rc == 0 and err == ""
     assert (row["T_C"], row["success"]) == ("199", "true")
+
+
+@pytest.mark.parametrize("algorithm", ["mst", "bf_sssp"])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_cli_run_takes_the_widest_legal_weights(algorithm, n, tmp_path, capsys):
+    # a distance below (n - 1) * 2^(4L) beside an id fits the 6L-bit cap
+    rc, err, rows = _cli_rows({"algorithm": algorithm, "model": "random_weighted",
+                               "n": n, "p": 0.5, "wmax": inf_weight(n) - 1,
+                               "k": [2], "seeds": [1, 2]}, tmp_path, capsys)
+    assert rc == 0 and err == ""
+    assert [r["success"] for r in rows] == ["true", "true"]
+
+
+def test_cli_run_walk_token_counts_within_and_over_the_cap(tmp_path, capsys):
+    # 80,000 tokens on 16 vertices take 17-bit counts, within 6 * 4 bits
+    rc, err, rows = _cli_rows({"algorithm": "pagerank", "model": "gnp", "n": 16,
+                               "p": 0.5, "tokens_per_node": 5000, "k": [2]},
+                              tmp_path, capsys)
+    assert rc == 0 and err == "" and [r["success"] for r in rows] == ["true"]
+    # 80 tokens on 2 vertices take 7 bits, over 6: refused before any round
+    rc, err, rows = _cli_rows({"algorithm": "pagerank", "model": "gnp", "n": 2,
+                               "p": 1.0, "tokens_per_node": 40, "k": [2]},
+                              tmp_path, capsys)
+    assert (rc, rows) == (2, [])
+    assert err == ("kmachine: error: 80 walk tokens on 2 vertices need counts "
+                   "wider than the 6-bit payload cap\n")
+
+
+def test_cli_run_refuses_a_peeling_slack_that_rounds_away(tmp_path, capsys):
+    # 1 + 1e-20 == 1.0: no vertex of a regular graph would ever be peeled
+    rc, err, rows = _cli_rows({"algorithm": "densest", "model": "cycle", "n": 12,
+                               "eps": 1e-20}, tmp_path, capsys)
+    assert (rc, rows) == (2, [])
+    assert err == "kmachine: error: eps must be > 0 with 1 + eps > 1, got 1e-20\n"
+    AlgoConfig(eps=1e-15).validate()
+
+
+def test_cli_run_spanner_check_counts_hops_not_weights(tmp_path, capsys):
+    # two zero-weight edges: a weighted stretch bound refuses every run,
+    # although each keeps every edge within 2 delta - 1 = 3 hops
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 6\n0 1 0\n3 4 0\n1 2 1\n2 3 1\n4 5 1\n0 5 1\n0 2 1\n1 3 1\n")
+    rc, err, rows = _cli_rows({"algorithm": "spanner", "file": str(graph), "delta": 2,
+                               "k": [2], "seeds": list(range(8))}, tmp_path, capsys)
+    assert rc == 0 and err == ""
+    assert [r["success"] for r in rows] == ["true"] * 8
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -840,8 +891,12 @@ def test_one_engine_driver_and_one_algorithm_table():
         "CLIQUE_ALGORITHMS", "ALGORITHM_NAMES", "_engine_budget", "_empty_metrics",
         "ship_rounds", "ApproxPathsResult", "_run_logsp", "run_on_kmachines",
         "make_program", "_on_graph"))
-    # a program sets its own round budget, which only the engine reads
-    assert [p.name for p, t in text.items() if "max_rounds" in t] == ["clique.py"]
+    # a program sets its own round budget, which only the engine reads, and
+    # one function of n sets the payload cap
+    assert list(inspect.signature(run_clique).parameters) == ["g", "program", "seed"]
+    assert not any("max_rounds" in t for t in text.values())
+    assert [(p.name, t.count("def payload_cap(")) for p, t in text.items()
+            if "def payload_cap(" in t] == [("clique.py", 1)]
     assert "budget" not in {f.name for f in fields(type(ALGORITHMS["mst"]))}
     # one placement per cell: under programs/ only Algorithm.run draws one
     placing = [(p.name, fn.name) for p, t in text.items() if p.parent.name == "programs"
@@ -961,13 +1016,13 @@ def test_pagerank_check_expects_the_mass_of_isolated_vertices(n, seed, isolated)
 def test_spanner_check_refuses_one_edge_stretched_too_far():
     from kmachine.clique import CliqueMetrics
 
-    # a 5-cycle, with 0-1 weighing 2 in the weighted copy: dropping 0-4
-    # stretches it to 4 hops, dropping 0-1 to 4 hops over weight 2
+    # a 5-cycle, with 0-1 weighing 2 in the weighted copy: dropping 0-4 or
+    # 0-1 stretches it to 4 hops, which weight 2 does not excuse
     cycle = [(v, (v + 1) % 5) for v in range(5)]
     metrics = CliqueMetrics(1, 0, 0, 0, 0)
     check = VALIDATORS["spanner"]
     for weight, delta, drop, want in [(1, 2, (0, 4), False), (1, 3, (0, 4), True),
-                                      (2, 2, (0, 1), True), (2, 2, (0, 4), False)]:
+                                      (2, 2, (0, 1), False), (2, 2, (0, 4), False)]:
         g = Graph(5, [(a, b, weight if (a, b) == (0, 1) else 1) for a, b in cycle])
         kept = tuple(sorted((min(e), max(e)) for e in cycle if (min(e), max(e)) != drop))
         outputs = [kept] * 5
