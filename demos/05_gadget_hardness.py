@@ -27,14 +27,11 @@ print("sharing an index  -> connected?", is_connected(generate_gadget(conn2)))
 assert gadget_feasible(conn) and not gadget_feasible(conn2)
 
 print("\ntwo-hub family, k=8: cost of building a spanning tree")
-rows = []
-for b in (256, 512, 1024, 2048):
-    cfg = ExperimentConfig(
-        algorithm="mst", graph={"gadget": "st_lower", "b": b}, k=[8],
-        seeds=[1, 2, 3],
-    )
-    rows.extend(run_experiment(cfg))
-fit = fit_scaling(rows, "n")
+cfg = ExperimentConfig(
+    algorithm="mst", graph={"gadget": "st_lower", "b": [256, 512, 1024, 2048]},
+    k=[8], seeds=[1, 2, 3],
+)
+fit = fit_scaling(run_experiment(cfg), "n")
 for nval, med in fit.points:
     print(f"  n={nval:5d}: median {med:.0f} rounds")
 print(f"growth slope {fit.slope:.3f} (linear in n is slope 1)")

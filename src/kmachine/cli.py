@@ -18,7 +18,6 @@ from .harness import (
     format_csv,
     load_config,
     run_experiment,
-    run_sweep,
 )
 from .machines import ConversionError
 from .oracles import OracleError
@@ -77,7 +76,7 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _config_from_args(args)
-    rows = run_sweep(cfg, args.sweep)
+    rows = run_experiment(cfg)
     _emit(format_csv(rows), cfg.out)  # kept even when the rows admit no fit
     fit = fit_scaling(rows, args.sweep)
     other = ""

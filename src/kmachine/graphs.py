@@ -325,8 +325,12 @@ class Hypergraph:
         self.hyperedges = tuple(cleaned)
         self.incident = tuple(tuple(ix) for ix in incident)
 
+    @property
+    def m(self) -> int:
+        return len(self.hyperedges)
+
     def __repr__(self):
-        return f"Hypergraph(n={self.n}, edges={len(self.hyperedges)})"
+        return f"Hypergraph(n={self.n}, edges={self.m})"
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +504,27 @@ def _generated(n, block):
     return g
 
 
-MODELS = ("cycle", "path", "star", "clique", "grid", "gnp", "random_weighted")
+# the parameters besides n that each model reads, and needs
+MODEL_PARAMS = {"cycle": (), "path": (), "star": (), "clique": (), "grid": (),
+                "gnp": ("p",), "random_weighted": ("p", "wmax")}
+MODELS = tuple(MODEL_PARAMS)
 
 
 def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -> Graph:
     """Deterministic graph generator.
 
-    model is one of MODELS.
-    gnp needs p; random_weighted needs p and wmax.  Identical arguments always
-    produce the identical edge sequence.
+    model is one of MODELS and takes exactly its MODEL_PARAMS: gnp needs p,
+    random_weighted p and wmax.  Identical arguments always produce the
+    identical edge sequence.
     """
     _check_vertex_count(n)
-    if model in ("gnp", "random_weighted"):
+    if model not in MODEL_PARAMS:
+        raise GraphError(f"unknown model {model!r}")
+    unread = [name for name, value in (("p", p), ("wmax", wmax))
+              if value is not None and name not in MODEL_PARAMS[model]]
+    if unread:
+        raise GraphError(f"model {model} reads no {', '.join(unread)}")
+    if "p" in MODEL_PARAMS[model]:
         if p is None or not (0.0 <= p <= 1.0):
             raise GraphError(f"model {model} needs edge probability p in [0,1]")
     edges = []
@@ -536,7 +549,7 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
         block = _gnp_block(n, p, make_np_rng(seed, "gen-gnp", n))
         block[2] = 1
         return _generated(n, block)
-    elif model == "random_weighted":
+    else:  # random_weighted
         if wmax is None or wmax < 1:
             raise GraphError("random_weighted needs wmax >= 1")
         if wmax >= inf_weight(n):
@@ -545,8 +558,6 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
         block = _gnp_block(n, p, rng)
         block[2] = rng.integers(1, wmax + 1, size=block.shape[1])
         return _generated(n, block)
-    else:
-        raise GraphError(f"unknown model {model!r}")
     return Graph(n, edges)
 
 

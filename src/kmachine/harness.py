@@ -19,7 +19,7 @@ from . import oracles
 from .clique import CliqueMetrics
 from .graphs import (
     GADGET_KINDS,
-    MODELS,
+    MODEL_PARAMS,
     Graph,
     gadget_feasible,
     generate,
@@ -45,9 +45,7 @@ class HarnessError(ValueError):
 # (keys it needs, keys it may take) of each instance family: a graph spec names
 # its family by `file`, `gadget` or `model`, a `hyper` algorithm builds "hyper"
 GRAPH_FAMILIES = {
-    **{model: (("model", "n"), ()) for model in MODELS},
-    "gnp": (("model", "n", "p"), ()),
-    "random_weighted": (("model", "n", "p", "wmax"), ()),
+    **{model: (("model", "n", *params), ()) for model, params in MODEL_PARAMS.items()},
     "file": (("file",), ()),
     "gadget": (("gadget", "b"), ("feasible",)),
     "hyper": (("n",), ("hyper", "hyperedges", "arity")),
@@ -68,17 +66,17 @@ class ExperimentConfig:
         if not (isinstance(self.algorithm, str) and self.algorithm in ALGORITHMS):
             raise HarnessError(f"unknown algorithm {self.algorithm!r}")
         entry = ALGORITHMS[self.algorithm]
-        if not self.seeds:
-            raise HarnessError("need at least one seed")
         for seed in self.seeds:
             if not (is_int(seed) and -2**63 <= seed < 2**63):
                 raise HarnessError(f"every seed must be an int64, got {seed!r}")
+        _check_axis(self.seeds, "seed")
         for key in ("n", "b", "wmax", "hyperedges", "arity"):
             value = self.graph.get(key, 0)  # an absent key passes here
-            sizes = key in ("n", "b") and isinstance(value, (list, tuple))  # sweep n
-            values = value if sizes else [value]
-            if not all(is_int(x) for x in values):
+            sizes = key in ("n", "b") and isinstance(value, (list, tuple))
+            if not all(is_int(x) for x in (value if sizes else [value])):
                 raise HarnessError(f"graph {key} must be an int, got {value!r}")
+            if sizes:
+                _check_axis(value, f"graph {key}")
         if self.graph.get("p") is not None and not is_real(self.graph["p"]):
             raise HarnessError(f"graph p must be a real number, got {self.graph['p']!r}")
         if not isinstance(self.graph.get("feasible", False), bool):
@@ -86,14 +84,10 @@ class ExperimentConfig:
         for key in ("model", "file"):
             if not isinstance(self.graph.get(key, ""), str):
                 raise HarnessError(f"graph {key} must be a string, got {self.graph[key]!r}")
-        if not self.k:
-            raise HarnessError("need at least one machine count")
         for k in self.k:
             if not _positive_int(k):
                 raise HarnessError(f"every k must be a positive int, got {k!r}")
-        if len(set(self.k)) < len(self.k):  # a cell prices and writes one row per k
-            k = next(k for i, k in enumerate(self.k) if k in self.k[:i])
-            raise HarnessError(f"machine count k={k} is listed twice")
+        _check_axis(self.k, "machine count k")
         if self.W is not None and not _positive_int(self.W):
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
         if min(self.k) < entry.min_k:
@@ -105,7 +99,7 @@ class ExperimentConfig:
                   else "gadget" if "gadget" in self.graph else "model")
         if family == "model":  # the model names the family
             family = self.graph.get("model")
-            if family is not None and family not in MODELS:
+            if family is not None and family not in MODEL_PARAMS:
                 raise HarnessError(f"unknown model {family!r}")
         need, may = GRAPH_FAMILIES[family] if family else (("model", "n"), ("p", "wmax"))
         unread = sorted(set(self.graph) - {*need, *may})
@@ -135,6 +129,15 @@ class ExperimentConfig:
 
 def _positive_int(x) -> bool:
     return is_int(x) and x >= 1
+
+
+def _check_axis(values, name):
+    """An axis of cells (k, seeds, a size list) needs a value, and each once."""
+    if not values:
+        raise HarnessError(f"need at least one {name}")
+    for i, x in enumerate(values):
+        if x in values[:i]:
+            raise HarnessError(f"{name}={x} is listed twice")
 
 
 _FLAT_ALGO_KEYS = {f.name for f in fields(AlgoConfig)}
@@ -453,6 +456,9 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
     """Execute one (algorithm, seed) cell and price it at every k.  The
     instance comes from the config's graph spec unless one is given."""
     config.validate()
+    for key in ("n", "b"):
+        if isinstance(config.graph.get(key), (list, tuple)):
+            raise HarnessError(f"graph {key} is a list of sizes; a cell runs one")
     algorithm = config.algorithm
     entry = ALGORITHMS[algorithm]
     if inst is None:
@@ -463,11 +469,6 @@ def run_cell(config: ExperimentConfig, seed: int, inst: Instance = None) -> RunR
     return RunResult(algorithm, seed, inst, metrics, valid, details, reports)
 
 
-def _instance_m(inst: Instance) -> int:
-    g = inst.graph
-    return g.m if isinstance(g, Graph) else len(g.hyperedges)
-
-
 def rows_from_result(res: RunResult) -> list:
     rows = []
     for k in sorted(res.reports):
@@ -475,7 +476,7 @@ def rows_from_result(res: RunResult) -> list:
         rows.append(
             {
                 "n": res.instance.graph.n,
-                "m": _instance_m(res.instance),
+                "m": res.instance.graph.m,
                 "k": k,
                 "W": rep.W,
                 "mode": rep.mode,
@@ -495,39 +496,22 @@ def rows_from_result(res: RunResult) -> list:
 
 
 def run_experiment(config: ExperimentConfig):
-    """All (seed, k) cells of a config, as CSV-ready row dicts sorted by
-    (k, seed).  Raises nothing on validation failure; the caller inspects
+    """All cells of a config, as CSV-ready row dicts sorted by (n, k, seed):
+    the lists under k, seeds and n (or b) are its axes.  Sizes run smallest
+    first, so a refusal that a smaller instance also hits (source >= n,
+    k > n, arity > n, a walk count over payload_cap(n)) comes before any
+    engine runs.  Raises nothing on validation failure; the caller inspects
     the success column (the CLI exits nonzero)."""
     config.validate()
-    for key in ("n", "b"):
-        if isinstance(config.graph.get(key), (list, tuple)):
-            raise HarnessError(
-                f"graph {key} is a list of sizes; sweep them with "
-                "`kmachine sweep --sweep n`"
-            )
-    rows = []
-    for seed in config.seeds:
-        rows.extend(rows_from_result(run_cell(config, seed)))
-    rows.sort(key=lambda r: (r["k"], r["seed"]))
-    return rows
-
-
-def run_sweep(config: ExperimentConfig, sweep: str = "k"):
-    """Rows for a sweep: over the config's k list, or over a list of
-    instance sizes given as `n` (or `b` for the bit-vector families)."""
-    if sweep == "k":
-        return run_experiment(config)
-    if sweep != "n":
-        raise HarnessError("sweep must be 'k' or 'n'")
     key = "b" if "b" in config.graph else "n"
-    values = config.graph.get(key)
-    if not isinstance(values, (list, tuple)):
-        raise HarnessError(f"sweeping n needs a list under {key!r} in the graph spec")
+    sizes = config.graph.get(key)
+    specs = ([{**config.graph, key: size} for size in sorted(sizes)]
+             if isinstance(sizes, (list, tuple)) else [config.graph])
     rows = []
-    for val in values:
-        spec = dict(config.graph)
-        spec[key] = val
-        rows.extend(run_experiment(replace(config, graph=spec)))
+    for spec in specs:
+        cell = replace(config, graph=spec)
+        for seed in config.seeds:
+            rows.extend(rows_from_result(run_cell(cell, seed)))
     rows.sort(key=lambda r: (r["n"], r["k"], r["seed"]))
     return rows
 

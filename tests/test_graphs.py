@@ -13,6 +13,7 @@ from kmachine import graphs
 from kmachine.clique import run_clique
 from kmachine.graphs import (
     MAX_N,
+    MODEL_PARAMS,
     GadgetSpec,
     Graph,
     GraphError,
@@ -84,6 +85,16 @@ def test_round_trip():
         g = generate(model, n, 5, **kw)
         h = load_edge_list(dump_edge_list(g))
         assert (h.n, sorted(h.edges)) == (g.n, sorted(g.edges))
+
+
+@pytest.mark.parametrize("model, params, unread", [
+    ("grid", {"p": 0.5}, "p"), ("path", {"wmax": 7}, "wmax"),
+    ("cycle", {"p": 0.5, "wmax": 7}, "p, wmax"), ("gnp", {"p": 0.5, "wmax": 7}, "wmax"),
+])
+def test_generate_refuses_a_parameter_its_model_never_reads(model, params, unread):
+    with pytest.raises(GraphError, match=f"^model {model} reads no {unread}$"):
+        generate(model, 4, 0, **params)
+    generate(model, 4, 0, **{name: params[name] for name in MODEL_PARAMS[model]})
 
 
 def test_generate_pure():
@@ -291,7 +302,7 @@ def test_random_gadget_spec_forcing():
 
 def test_hypergraph():
     h = random_uniform_hypergraph(20, 15, 3, 2)
-    assert len(h.hyperedges) == 15
+    assert h.m == len(h.hyperedges) == 15
     assert all(len(e) == 3 for e in h.hyperedges)
     h2 = random_uniform_hypergraph(20, 15, 3, 2)
     assert h.hyperedges == h2.hyperedges
@@ -592,7 +603,8 @@ def test_generated_graphs_take_the_constructor_check_path(model):
     # the public constructor builds from a copy of its edges
     for n in (1, 2, 3, 5, 64, 300, 2048):
         for p in (0, 0.01, 0.1, 0.5, 1):
-            g = generate(model, n, 3, p=p, wmax=min(1000, inf_weight(n) - 1))
+            wmax = min(1000, inf_weight(n) - 1) if model == "random_weighted" else None
+            g = generate(model, n, 3, p=p, wmax=wmax)
             # np.array(g.edges), without building up to 2.1M Python tuples
             h = Graph(n, np.stack(g.edge_arrays(), axis=1))
             assert g.m == h.m and g._ascending is h._ascending is True

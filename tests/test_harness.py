@@ -25,7 +25,6 @@ from kmachine.harness import (
     rows_from_result,
     run_cell,
     run_experiment,
-    run_sweep,
 )
 from kmachine.machines import ConversionError
 from kmachine.programs import ALGORITHMS, AlgoConfig, ConfigError
@@ -186,13 +185,64 @@ def test_hypergraph_keys_on_a_graph_algorithm_fail_before_running(graph, monkeyp
 
 @pytest.mark.parametrize("doc", [
     {**_GNP, "n": [16, 32]},
+    {**_HYPER, "n": [16, 32]},
     {"algorithm": "conn", "gadget": "conn", "b": [8, 16]},
 ])
-def test_a_list_of_sizes_is_refused_outside_a_sweep(doc):
+def test_a_list_of_sizes_is_refused_by_run_cell(doc):
     cfg = config_from_mapping({**doc, "k": [2], "seeds": [1]})
-    with pytest.raises(HarnessError, match="kmachine sweep --sweep n"):
-        run_experiment(cfg)
-    assert run_sweep(cfg, "n")  # the same config sweeps
+    key = "b" if "b" in doc else "n"
+    with pytest.raises(HarnessError, match=f"^graph {key} is a list of sizes; a cell runs one$"):
+        run_cell(cfg, 1)
+    assert len(run_experiment(cfg)) == 2  # one row for each size
+
+
+_AXIS_REFUSALS = [
+    pytest.param({**_GNP, "seeds": [1, 1]}, "seed=1 is listed twice", id="seeds_repeated"),
+    pytest.param({**_GNP, "n": [32, 32, 64, 128]}, "graph n=32 is listed twice",
+                 id="n_repeated"),
+    pytest.param({**_GNP, "n": []}, "need at least one graph n", id="n_empty"),
+    pytest.param({"algorithm": "conn", "gadget": "conn", "b": [8, 16, 8]},
+                 "graph b=8 is listed twice", id="b_repeated"),
+    pytest.param({**_GNP, "k": []}, "need at least one machine count k", id="k_empty"),
+    pytest.param({**_GNP, "seeds": []}, "need at least one seed", id="seeds_empty"),
+]
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "n"]])
+@pytest.mark.parametrize("doc, message", _AXIS_REFUSALS)
+def test_a_missing_or_repeated_axis_value_is_refused_before_the_engine(
+        command, doc, message, tmp_path, capsys, monkeypatch):
+    # each value of k, seeds and n (or b) gives its cells once: a repeat
+    # would write rows twice and bias a fit's medians
+    def build(*args, **kwargs):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr("kmachine.harness.build_instance", build)
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    rc = cli_main([*command, "--config", str(conf), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, out.exists()) == (2, "", False)
+    assert captured.err == f"kmachine: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "n"]])
+def test_a_size_list_hits_a_refusal_of_its_smallest_size_before_the_engine(
+        command, tmp_path, capsys, monkeypatch):
+    # sizes run smallest first, so a source past n = 16 is refused before
+    # the n = 64 and n = 128 cells run
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("kmachine.programs.run_clique", no_engine)
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({"algorithm": "bfs", "model": "gnp", "n": [64, 128, 16],
+                                "p": 0.2, "k": [2], "seeds": [1], "source": 40}))
+    rc = cli_main([*command, "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == "kmachine: error: source 40 out of range for n=16\n"
 
 
 _PARAM_SHAPES = {"hmis": {"n": 16}, "stverify": {"gadget": "stverify", "b": 8}}
@@ -573,8 +623,6 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, message", [
-    pytest.param({"algorithm": "mis", "model": "gnp", "n": [16, 32], "p": 0.3},
-                 "graph n is a list of sizes", id="list_of_sizes"),
     pytest.param(_LOGSP_RW, "approximate shortest paths expects a unit-weight graph",
                  id="logsp_weighted"),
     pytest.param({"algorithm": "hmis", "file": "g.edges"},
@@ -711,21 +759,54 @@ def test_stverify_candidate_paths():
     assert all(r["success"] for r in rows2)  # oracle agrees it is not a tree
 
 
-def test_run_sweep_over_sizes():
-    from kmachine.harness import run_sweep
-
+def test_run_experiment_over_sizes():
     cfg = config_from_mapping({
         "algorithm": "mst", "model": "gnp", "n": [64, 128, 256], "p": 0.1,
         "k": [4], "seeds": [1, 2],
     })
-    rows = run_sweep(cfg, "n")
+    rows = run_experiment(cfg)
     assert sorted({r["n"] for r in rows}) == [64, 128, 256]
     fit = fit_scaling(rows, "n")
     assert fit.slope > 0  # bigger instances cost more rounds
-    with pytest.raises(HarnessError):
-        run_sweep(config_from_mapping({
-            "algorithm": "mst", "model": "cycle", "n": 32, "k": [2], "seeds": [1],
-        }), "n")
+    rows = run_experiment(config_from_mapping({
+        "algorithm": "mst", "model": "cycle", "n": 32, "k": [2], "seeds": [1],
+    }))
+    with pytest.raises(HarnessError, match="^need at least 3 distinct swept values$"):
+        fit_scaling(rows, "n")
+
+
+def test_cli_run_writes_each_size_sorted(tmp_path, capsys):
+    rc, err, rows = _cli_rows({"algorithm": "mst", "gadget": "st_lower", "b": [16, 4, 8],
+                               "k": [4, 2], "seeds": [2, 1]}, tmp_path, capsys)
+    assert rc == 0 and err == ""
+    cells = [(int(r["n"]), int(r["k"]), int(r["seed"])) for r in rows]
+    # a b-bit two-hub gadget has b + 2 vertices
+    assert cells == [(n, k, seed) for n in (6, 10, 18) for k in (2, 4) for seed in (1, 2)]
+    assert all(r["success"] == "true" for r in rows)
+
+
+def test_cli_sweep_writes_rows_it_cannot_fit(tmp_path, capsys):
+    # fit_scaling alone counts the swept values: one size runs, then exits 2
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({**_GNP, "k": [2, 4], "seeds": [1, 2]}))
+    rc = cli_main(["sweep", "--config", str(conf), "--sweep", "n"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.out.splitlines()) == 5
+    assert captured.err == "kmachine: error: need at least 3 distinct swept values\n"
+
+
+@pytest.mark.parametrize("flags, unread", [
+    (["--model", "grid", "--n", "9", "--p", "0.5"], "model grid reads no p"),
+    (["--model", "path", "--n", "4", "--wmax", "7"], "model path reads no wmax"),
+    (["--model", "gnp", "--n", "4", "--p", "0.5", "--wmax", "7"], "model gnp reads no wmax"),
+])
+def test_cli_gen_refuses_a_parameter_its_model_never_reads(flags, unread, tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    rc = cli_main(["gen", *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, out.exists()) == (2, "", False)
+    assert captured.err == f"kmachine: error: {unread}\n"
 
 
 def test_cli_sweep_over_n(tmp_path, capsys):
@@ -914,6 +995,26 @@ def test_one_engine_driver_and_one_algorithm_table():
     assert len(bodies) == 2
     assert not [node.value for fn in bodies for node in ast.walk(fn)
                 if isinstance(node, ast.Constant) and node.value in ALGORITHMS]
+
+
+def test_one_runner_for_run_and_sweep():
+    text = _source_texts()
+    # no runner of its own for sweeps: `sweep` is `run` plus a fit
+    defs = [fn.name for t in text.values() for fn in ast.walk(ast.parse(t))
+            if isinstance(fn, ast.FunctionDef)]
+    assert [name for name in defs if "sweep" in name] == ["cmd_sweep"]
+    # both commands take their rows from run_experiment and nothing else
+    (cli_text,) = [t for p, t in text.items() if p.name == "cli.py"]
+    commands = {fn.name: fn for fn in ast.parse(cli_text).body
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("cmd_run", "cmd_sweep")}
+    assert len(commands) == 2
+    for fn in commands.values():
+        (rows,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "rows" for t in node.targets)]
+        assert isinstance(rows, ast.Call) and rows.func.id == "run_experiment"
+    # one axis check for k, seeds and the sizes
+    (harness_text,) = [t for p, t in text.items() if p.name == "harness.py"]
+    assert harness_text.count("is listed twice") == 1
 
 
 def test_src_keeps_no_code_that_only_tests_call():
