@@ -200,9 +200,13 @@ class CliqueTrace:
         # a vertex's degree is len(bs) (every broadcast reaches it or leaves
         # it), n - 2 more per broadcast of its own, and the unicasts it sends
         # and receives; sources may repeat in hand-built rounds
-        own = np.bincount(bs)
-        deg = np.bincount(np.concatenate((us, ud)), minlength=len(own))
-        deg[:len(own)] += (self.n - 2) * own
+        endpoints = np.concatenate((us, ud))
+        if len(bs):
+            own = np.bincount(bs)
+            deg = np.bincount(endpoints, minlength=len(own))
+            deg[:len(own)] += (self.n - 2) * own
+        else:
+            deg = np.bincount(endpoints)
         self.comm_degree = max(self.comm_degree, len(bs) + int(deg.max()))
 
     @property
@@ -395,7 +399,9 @@ def _checked_round(cols, n, cap):
         ])
     if len(us):
         key = us * n + ud
-        if not (0 <= us.min() and us.max() < n and 0 <= ud.min() and ud.max() < n
+        # seen as uint64, a negative id lies above 2**63: one max bounds an
+        # id column on both sides
+        if not (us.view(np.uint64).max() < n and ud.view(np.uint64).max() < n
                 and 1 <= ub.min() and ub.max() <= cap and not (ud == us).any()
                 and (key[1:] > key[:-1]).all()):
             dup = np.zeros(len(key), dtype=bool)

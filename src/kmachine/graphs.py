@@ -131,7 +131,7 @@ class Graph:
         neighbors(v).  The first two arrays of csr(), which shares them."""
         if self._adj is None:
             a, b, _ = self._arrays
-            self._adj = _frozen(*_build_adjacency(self.n, a, b, self._ascending))
+            self._adj = _frozen(*_build_adjacency(self.n, a, b, self._ascending)[:2])
         return self._adj
 
     def csr(self):
@@ -141,9 +141,14 @@ class Graph:
         need it; the rest read adjacency()."""
         if self._csr is None:
             a, b, _ = self._arrays
-            indptr, nbr = self.adjacency()
+            if self._adj is None:  # build both: eidx reuses the reverse-slot mask
+                indptr, nbr, is_rev = _build_adjacency(self.n, a, b, self._ascending)
+                self._adj = _frozen(indptr, nbr)
+            else:
+                indptr, nbr = self._adj
+                is_rev = _reverse_slots(self.n, a, indptr)
             self._csr = (indptr, nbr,
-                         *_frozen(_build_eidx(self.n, a, b, indptr, self._ascending)))
+                         *_frozen(_build_eidx(self.n, a, b, is_rev, self._ascending)))
         return self._csr
 
     def edge_arrays(self):
@@ -230,6 +235,9 @@ def _build_adjacency(n, a, b, ascending):
     0, n, 2n, .. in its sorted keys, and a row's start in nbr is the sum of
     the two.  The peak is 3.25 words per edge above the graph, the 2 kept
     words included (4.25 for input out of key order).
+
+    Returns (indptr, nbr, is_rev), is_rev the mask of reverse slots that
+    _build_eidx reads.
     """
     steps = np.arange(n + 1) * n  # row x's keys start at x*n
     if ascending:
@@ -243,9 +251,10 @@ def _build_adjacency(n, a, b, ascending):
     is_fwd = _forward_slots(rstart, fstart)
     nbr[is_fwd] = fwd
     del fwd
-    nbr[np.logical_not(is_fwd, out=is_fwd)] = rev
+    is_rev = np.logical_not(is_fwd, out=is_fwd)
+    nbr[is_rev] = rev
     rstart += fstart
-    return rstart, nbr
+    return rstart, nbr, is_rev
 
 
 def _keys(x, n, y):
@@ -277,11 +286,20 @@ def _forward_slots(rstart, fstart):
     return np.repeat(sides, counts)
 
 
-def _build_eidx(n, a, b, indptr, ascending):
+def _reverse_slots(n, a, indptr):
+    """_build_adjacency's is_rev, rebuilt from its indptr."""
+    fstart = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=fstart[1:])
+    is_rev = _forward_slots(indptr - fstart, fstart)
+    return np.logical_not(is_rev, out=is_rev)
+
+
+def _build_eidx(n, a, b, is_rev, ascending):
     """Each CSR slot's edge index, for the edges (a, b) of _build_adjacency
-    and its indptr.  The forward slots take the edge indices in key order;
-    the reverse ones take them in the stable order of b within key order,
-    one argsort, which is a radix sort while n <= 65536."""
+    and its mask of reverse slots (which this overwrites).  The
+    forward slots take the edge indices in key order; the reverse ones take
+    them in the stable order of b within key order, one argsort, which is a
+    radix sort while n <= 65536."""
     narrow = b.astype(np.uint16) if n <= 1 << 16 else b  # uint16 sorts by radix
     if ascending:
         order = None
@@ -290,10 +308,6 @@ def _build_eidx(n, a, b, indptr, ascending):
         order = _keys(a, n, b).argsort()
         rev = order[np.argsort(narrow[order], kind="stable")]
     del narrow
-    fstart = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=n), out=fstart[1:])
-    is_rev = _forward_slots(indptr - fstart, fstart)
-    np.logical_not(is_rev, out=is_rev)
     eidx = np.empty(2 * len(a), dtype=np.int64)
     eidx[is_rev] = rev
     del rev  # before the forward slots' arange

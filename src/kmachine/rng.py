@@ -50,20 +50,33 @@ MAX_TOKENS = 1 << TOKEN_BITS
 def splitmix64(state: int, steps) -> np.ndarray:
     """Outputs number `steps` (a uint64 array) of splitmix64's stream from
     `state`, in wrapping uint64 array arithmetic."""
-    return _mix(np.uint64(state) + np.array(steps, dtype=np.uint64, ndmin=1) * _GOLDEN)
+    z = np.array(steps, dtype=np.uint64, ndmin=1)  # a fresh copy
+    z *= _GOLDEN
+    z += np.uint64(state)
+    return _mix(z)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer of each uint64 state."""
-    z = (z ^ (z >> _S[30])) * _MIX1
-    z = (z ^ (z >> _S[27])) * _MIX2
-    return z ^ (z >> _S[31])
+    """splitmix64's finalizer of each uint64 state, as a fresh array: its
+    first step, z ^ (z >> 30), makes that array and the rest run in place
+    on it, with one scratch array for the later shifts.  z itself is not
+    modified."""
+    x = z >> _S[30]
+    x ^= z
+    x *= _MIX1
+    shifted = np.right_shift(x, _S[27])
+    x ^= shifted
+    x *= _MIX2
+    x ^= np.right_shift(x, _S[31], out=shifted)
+    return x
 
 
 def _unit(keys: np.ndarray) -> np.ndarray:
     """The top 53 bits of each uint64 key, scaled to [0, 1).  The explicit
     cast is exact and much faster than the mixed-type multiply's own."""
-    return (keys >> _S[11]).astype(np.float64) * 2.0 ** -53
+    u = (keys >> _S[11]).astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def derive_each(seed: int, tag: str, xs, *parts: int) -> np.ndarray:
@@ -114,22 +127,30 @@ def unit_threshold(x) -> int:
     return -((-num << 53) // den)
 
 
-def token_bases(seed: int, rnd: int, firsts) -> np.ndarray:
-    """Per vertex v, the uint64 state from which token_hops draws round
-    `rnd` for the tokens numbered t = firsts[v] + i, i its token index:
-    base[v] + 2t * golden gamma is the state of output 2c+1 of
+def token_bases(seed: int, rnd: int, v, firsts) -> np.ndarray:
+    """Per vertex v[j], the uint64 state from which token_hops draws round
+    `rnd` for the tokens numbered t = firsts[j] + i, i its token index:
+    base[j] + 2t * golden gamma is the state of output 2c+1 of
     token_uniforms' stream for the token's counter c."""
-    firsts = np.asarray(firsts, dtype=np.int64).astype(np.uint64)
-    v = np.arange(len(firsts), dtype=np.uint64)
-    steps = (v << np.uint64(TOKEN_BITS + 1)) + _S[1] - firsts * _S[2]
-    return np.uint64(derive(seed, "token", rnd)) + steps * _GOLDEN
+    steps = np.asarray(v, dtype=np.int64).astype(np.uint64)  # a fresh copy
+    steps <<= np.uint64(TOKEN_BITS + 1)
+    steps += _S[1]
+    steps -= np.asarray(firsts, dtype=np.int64).astype(np.uint64) * _S[2]
+    steps *= _GOLDEN
+    steps += np.uint64(derive(seed, "token", rnd))
+    return steps
 
 
 def token_hops(bases, t, threshold: int):
     """token_uniforms fused for the tokens numbered t (int64), each with its
     vertex's token_bases entry in `bases`.  Returns (hops, u2): the mask of
-    tokens with u1 >= gamma, tested as integers against threshold =
-    unit_threshold(gamma), and u2 of the hopping tokens only."""
-    z = bases + t.astype(np.uint64) * _GOLDEN2
-    hops = (_mix(z) >> _S[11]) >= np.uint64(threshold)
-    return hops, _unit(_mix(z[hops] + _GOLDEN))
+    tokens with u1 >= gamma, tested on u1's 64-bit key against threshold =
+    unit_threshold(gamma) scaled by 2**11 (a Python int, which may be
+    2**64), and u2 of the hopping tokens only."""
+    z = t.astype(np.uint64)
+    z *= _GOLDEN2
+    z += bases
+    hops = _mix(z) >= threshold << 11
+    z = z[hops]
+    z += _GOLDEN
+    return hops, _unit(_mix(z))

@@ -550,7 +550,7 @@ def test_pagerank_kernel_matches_reference_with_isolated_vertices():
 
 
 def test_pagerank_kernel_matches_reference_without_edges():
-    # no CSR slots at all: the crossed-slot mask is empty and every token dies
+    # no CSR slots at all: no vertex is live and every token dies in round 1
     for g in (Graph(1, []), Graph(6, [])):
         for seed in range(2):
             trace = _assert_kernel_matches_reference(
@@ -562,21 +562,59 @@ def test_pagerank_kernel_matches_reference_without_edges():
 def test_pagerank_kernel_chunks_do_not_change_the_trace(monkeypatch):
     # 40 tokens per vertex start with more tokens than CSR slots, so the
     # round draws in chunks (here of 7 tokens, which split vertices'
-    # batches) into the slot mask; 4 start with fewer and draw in one pass
+    # batches) into the slot tallies; 4 start with fewer and draw in one pass
     monkeypatch.setattr(walks, "_CHUNK", 7)
     g = generate("gnp", 24, 4, p=0.3)
     assert 24 * 4 < len(g.csr()[1]) < 24 * 40
     for tokens in (40, 4):
         prog = pagerank_program(AlgoConfig(tokens_per_node=tokens))
         _assert_kernel_matches_reference(g, prog, 2)
+    # chunks of 3 start and end inside one vertex's 40 tokens; one chunk
+    # larger than any round draws the whole round at once
+    prog = pagerank_program(AlgoConfig(tokens_per_node=40))
+    for chunk in (3, 1 << 20):
+        monkeypatch.setattr(walks, "_CHUNK", chunk)
+        _assert_kernel_matches_reference(g, prog, 5)
+    # isolated vertices (0, 4, 7, 10) in chunked rounds: their tokens die
+    # in round 1 and are never drawn; the other 7 start with more tokens
+    # than the 12 slots
+    h = Graph(11, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (5, 6, 1), (6, 8, 1), (8, 9, 1)])
+    assert 7 * 30 >= len(h.csr()[1]) == 12
+    prog = pagerank_program(AlgoConfig(tokens_per_node=30))
+    for chunk in (7, 64):
+        monkeypatch.setattr(walks, "_CHUNK", chunk)
+        for seed in range(3):
+            _assert_kernel_matches_reference(h, prog, seed)
+
+
+def test_pagerank_kernel_draws_only_for_vertices_holding_tokens(monkeypatch):
+    drawn = {}  # round -> the vertices token_bases drew for
+
+    def spy(seed, rnd, v, firsts):
+        drawn[rnd] = np.asarray(v).tolist()
+        return token_bases(seed, rnd, v, firsts)
+
+    monkeypatch.setattr(walks, "token_bases", spy)
+    # 3, 7 and 8 have no edges; in later rounds most vertices hold nothing
+    g = Graph(9, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (4, 5, 1), (5, 6, 1)])
+    for tokens, gamma in ((40, 0.15), (2, 0.5)):
+        _, trace, _ = run_clique(g, pagerank_program(
+            AlgoConfig(gamma=gamma, tokens_per_node=tokens)), 1)
+        rounds = trace.round_arrays()
+        assert drawn.pop(1) == [0, 1, 2, 4, 5, 6]  # every vertex with an edge
+        # after round 1 a vertex holds tokens iff a message reached it
+        assert drawn == {r + 1: sorted(set(rounds[r - 1][3].tolist()))
+                         for r in range(1, len(rounds)) if len(rounds[r - 1][3])}
+        assert any(len(v) < 6 for v in drawn.values())
+        drawn.clear()
 
 
 def test_pagerank_kernel_draws_nothing_after_the_last_token(monkeypatch):
     drawn = []  # the round of every token_bases call: one per round that draws
 
-    def spy(seed, rnd, firsts):
+    def spy(seed, rnd, v, firsts):
         drawn.append(rnd)
-        return token_bases(seed, rnd, firsts)
+        return token_bases(seed, rnd, v, firsts)
 
     monkeypatch.setattr(walks, "token_bases", spy)
     g = generate("gnp", 32, 1, p=0.2)

@@ -508,6 +508,23 @@ def test_adjacency_is_the_csr_without_its_edge_index():
         assert np.array_equal(indptr, csr[0]) and np.array_equal(nbr, csr[1])
 
 
+def test_csr_first_and_adjacency_first_builds_agree():
+    # csr() on a fresh graph builds the adjacency too and hands its mask of
+    # reverse slots to the edge index; csr() after adjacency() rebuilds it
+    spec = random_gadget_spec("STVERIFY", 40, 3)
+    for make in (lambda: generate("gnp", 700, 2, p=0.05),
+                 lambda: generate("random_weighted", 300, 4, p=0.1, wmax=1000),
+                 lambda: generate_gadget(spec)):
+        adjacency_first, csr_first = make(), make()
+        adjacency_first.adjacency()
+        assert csr_first._adj is None
+        built = csr_first.csr()
+        assert csr_first.adjacency() == built[:2]
+        for x, y in zip(built, adjacency_first.csr()):
+            assert x.dtype == y.dtype == np.int64 and not x.flags.writeable
+            assert np.array_equal(x, y)
+
+
 def _reference_csr(n, rows):
     """The 2m-slot-key CSR and the min/max orientation, as built before the
     merge construction: the reference for csr() and edge_arrays()."""

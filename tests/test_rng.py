@@ -13,6 +13,7 @@ from kmachine.machines import random_vertex_partition
 from kmachine.rng import (
     MAX_TOKEN_VERTICES,
     MAX_TOKENS,
+    _mix,
     derive,
     derive_each,
     splitmix64,
@@ -137,18 +138,41 @@ def test_unit_threshold_is_the_exact_ceiling(gamma):
 
 @pytest.mark.parametrize("gamma", GAMMAS, ids=repr)
 def test_fused_token_draws_equal_token_uniforms(gamma):
-    # token numbers t = firsts[v] + i, with vertex first numbers at the
-    # corners of the token layout
+    # token numbers t = firsts[j] + i on vertex ids[j], with vertex ids and
+    # first numbers at the corners of the token layout; the ids skip
+    # vertices, as the walk kernel's live vertices do
+    ids = np.array([0, 3, MAX_TOKEN_VERTICES - 1, 7, 2**20])
     firsts = np.array([0, 5, MAX_TOKENS - 40, 9, 2**31])
     r = np.random.default_rng(3)
-    v = np.sort(r.integers(0, len(firsts), 4000))
+    j = np.sort(r.integers(0, len(firsts), 4000))
     i = r.integers(0, 32, 4000)
     for seed, rnd in [(0, 1), (2**63 - 1, 2**62), (-5, 3)]:
-        u1, u2 = token_uniforms(seed, rnd, v, i)
-        hops, w2 = token_hops(token_bases(seed, rnd, firsts)[v], firsts[v] + i,
-                              unit_threshold(gamma))
+        u1, u2 = token_uniforms(seed, rnd, ids[j], i)
+        bases = token_bases(seed, rnd, ids, firsts)
+        hops, w2 = token_hops(bases[j], firsts[j] + i, unit_threshold(gamma))
         assert (hops == (u1 >= gamma)).all()
         assert w2.tolist() == u2[hops].tolist()
+
+
+def test_draws_leave_their_inputs_unchanged():
+    # the finalizer and the fused token draws run in place on arrays of
+    # their own, never on the caller's
+    r = np.random.default_rng(8)
+    z = r.integers(0, 2**63, 500).astype(np.uint64) * np.uint64(3)
+    xs = r.integers(-2**63, 2**63 - 1, 500)
+    ids, firsts = np.arange(0, 100, 2), np.arange(0, 500, 10)
+    t = np.arange(500)
+    bases = r.integers(0, 2**63, 500).astype(np.uint64)
+    inputs = [z, xs, ids, firsts, t, bases]
+    before = [a.copy() for a in inputs]
+    assert _mix(z) is not z
+    derive_each(4, "node", xs, 2)
+    splitmix64(5, z)
+    token_bases(6, 3, ids, firsts)
+    for gamma in (2.0**-53, 0.15, 1 - 2.0**-53):
+        token_hops(bases, t, unit_threshold(gamma))
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
 
 
 def _extreme_pairs():
