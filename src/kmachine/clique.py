@@ -178,7 +178,8 @@ class CliqueTrace:
     graphs.id_dtype(n) (int32 below 2^31 vertices), and a bits column
     whose entries are all equal as that one value in a read-only
     zero-stride view.  An empty column is NONE.  Readers that compute with
-    the columns widen them to int64 first, as round_loads does."""
+    the columns widen them to int64 first, as the pricing pass
+    (machines._machine_sums) does."""
 
     def __init__(self, n: int):
         self.n = n

@@ -169,6 +169,92 @@ def _ceil_div_sum(x, d):
 # _BLOCK_CELLS load entries, so a block's scratch stays small at any k.
 _BLOCK_MESSAGES = 1 << 12
 _BLOCK_CELLS = 1 << 16
+# round_loads_each keeps a nest's machine sums, R (K^2 + K) entries over the
+# R rounds that send, while they are at most this many per stored message
+_KEPT_PER_MESSAGE = 1
+
+
+def _check_home(n: int, part: Partition):
+    """Refuse a partition whose home is not an array of n ints in [0, k)."""
+    home = part.home
+    if not isinstance(home, np.ndarray) or home.shape != (n,) or home.dtype.kind != "i":
+        raise ConversionError(f"a partition's home must be an int array of {n} "
+                              "machine ids, one per vertex")
+    if n and (home.min() < 0 or home.max() >= part.k):
+        raise ConversionError(f"a home lies outside machines 0..{part.k - 1}")
+
+
+def _machine_sums(trace: CliqueTrace, part: Partition, mode: str):
+    """The one pass over a trace's messages: per block of consecutive
+    rounds that send a message (a silent round is skipped), (S, U) with
+    S[r, p] the broadcast bits plus header sent from machine p and
+    U[r, p, q] the unicast bits plus header machine p sends machine q, its
+    diagonal kept.  hdr is two ids in `p2p` mode and one in `bcast` mode.
+    Each block's columns are widened to int64 as it is built, before any
+    gather, and summed in int64, so the sums are exact."""
+    k, home = part.k, part.home
+    hdr = (2 if mode == P2P else 1) * label_bits(trace.n)
+    row = home * k
+    most = max(1, _BLOCK_CELLS // (k * k))  # rounds in a block of small rounds
+
+    def sums(rounds):
+        if len(rounds) == 1:
+            bs, bb, us, ud, ub = (c.astype(np.int64, copy=False) for c in rounds[0])
+            rb = ru = 0
+        else:
+            bs, bb, us, ud, ub = (np.concatenate(c, dtype=np.int64) for c in zip(*rounds))
+            at = np.arange(len(rounds))
+            rb = np.repeat(at * k, [len(r[0]) for r in rounds])
+            ru = np.repeat(at * (k * k), [len(r[2]) for r in rounds])
+        sent = np.zeros((len(rounds), k), dtype=np.int64)
+        uni = np.zeros((len(rounds), k, k), dtype=np.int64)
+        if len(bs):
+            np.add.at(sent.reshape(-1), rb + home[bs], bb + hdr)
+        if len(us):
+            np.add.at(uni.reshape(-1), ru + row[us] + home[ud], ub + hdr)
+        return sent, uni
+
+    block, size = [], 0
+    for cols in trace.round_arrays():
+        msgs = len(cols[0]) + len(cols[2])
+        if not msgs:
+            continue
+        if msgs >= _BLOCK_MESSAGES and block:  # a large round is a block alone
+            yield sums(block)
+            block, size = [], 0
+        block.append(cols)
+        size += msgs
+        if size >= _BLOCK_MESSAGES or len(block) == most:
+            yield sums(block)
+            block, size = [], 0
+    if block:
+        yield sums(block)
+
+
+def _fold(blocks, part: Partition, mode: str):
+    """Link loads on `part` from machine sums taken on K machines, where
+    k = part.k divides K and home_k == home_K % k: machine p of k is K's
+    machines p' = p (mod k), so its sums are theirs added up.  Each
+    broadcast sum is then fanned out to every machine q, times fan[q]:
+    the vertices on q in `p2p` mode, 1 if q hosts a vertex in `bcast`
+    mode.  The diagonal, traffic between co-located vertices, is zeroed."""
+    k = part.k
+    counts = part.machine_counts()
+    fan = counts if mode == P2P else (counts > 0).astype(np.int64)
+    for sent, uni in blocks:
+        R, K = sent.shape
+        if K != k:
+            sent = sent.reshape(R, K // k, k).sum(axis=1)
+            uni = uni.reshape(R, K // k, k, K // k, k).sum(axis=(1, 3))
+        out = sent[:, :, None] * fan
+        out += uni
+        out.reshape(R, -1)[:, ::k + 1] = 0
+        yield out
+
+
+def _nests(part: Partition, big: Partition) -> bool:
+    """Whether every machine of `part` is a union of machines of `big`."""
+    return big.k % part.k == 0 and np.array_equal(big.home % part.k, part.home)
 
 
 def round_loads(trace: CliqueTrace, part: Partition, mode: str):
@@ -181,56 +267,54 @@ def round_loads(trace: CliqueTrace, part: Partition, mode: str):
     every link p->q.  In `p2p` mode hdr is two ids and fan[q] the vertices
     on machine q; in `bcast` mode hdr is one id and fan[q] is 1 if machine
     q hosts a vertex, else 0.  Traffic between co-located vertices is free.
-    Each block's columns are widened to int64 as it is built, before any
-    gather, and loads are summed in int64, so they are exact.
+    The loads are the partition's own machine sums, folded at k = K.
     """
-    k, home = part.k, part.home
-    counts = part.machine_counts()
-    if check_mode(mode) == P2P:
-        hdr, fan = 2 * label_bits(trace.n), counts
-    else:
-        hdr, fan = label_bits(trace.n), (counts > 0).astype(np.int64)
-    home_k = home * k
-    most = max(1, _BLOCK_CELLS // (k * k))  # rounds in a block of small rounds
-
-    def load(rounds):
-        if len(rounds) == 1:
-            bs, bb, us, ud, ub = (c.astype(np.int64, copy=False) for c in rounds[0])
-            rb = ru = 0
-        else:
-            bs, bb, us, ud, ub = (np.concatenate(c, dtype=np.int64) for c in zip(*rounds))
-            at = np.arange(len(rounds))
-            rb = np.repeat(at * k, [len(r[0]) for r in rounds])
-            ru = np.repeat(at * (k * k), [len(r[2]) for r in rounds])
-        if len(bs):
-            per_m = np.zeros(len(rounds) * k, dtype=np.int64)
-            np.add.at(per_m, rb + home[bs], bb + hdr)
-            out = per_m.reshape(-1, k, 1) * fan
-        else:
-            out = np.zeros((len(rounds), k, k), dtype=np.int64)
-        if len(us):
-            np.add.at(out.reshape(-1), ru + home_k[us] + home[ud], ub + hdr)
-        out.reshape(len(rounds), -1)[:, ::k + 1] = 0
-        return out
-
-    block, size = [], 0
-    for cols in trace.round_arrays():
-        msgs = len(cols[0]) + len(cols[2])
-        if not msgs:
-            continue
-        if msgs >= _BLOCK_MESSAGES and block:  # a large round is a block alone
-            yield load(block)
-            block, size = [], 0
-        block.append(cols)
-        size += msgs
-        if size >= _BLOCK_MESSAGES or len(block) == most:
-            yield load(block)
-            block, size = [], 0
-    if block:
-        yield load(block)
+    (loads,) = round_loads_each(trace, [part], mode)
+    return loads
 
 
-def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
+def round_loads_each(trace: CliqueTrace, parts, mode: str) -> list:
+    """round_loads(trace, part, mode) for each partition of `parts`, in
+    order, reading the messages once per nest of partitions.
+
+    Every home is checked first.  A partition nests in one on K machines
+    when its k divides K and home_k == home_K % k, as random_vertex_partitions
+    gives, and it goes under the most machines it nests in.  A nest of two
+    or more partitions takes one pass on its K machines, when the first
+    member's loads are read, and keeps the sums, R (K^2 + K) entries over
+    the R rounds that send, if that is at most the trace's stored messages;
+    every member's loads are then folds of them.  Any other partition takes
+    a pass of its own as it is priced.
+    """
+    check_mode(mode)
+    for part in parts:
+        _check_home(trace.n, part)
+    most_first = sorted(range(len(parts)), key=lambda j: -parts[j].k)
+    lead = [next(j for j in most_first if _nests(part, parts[j])) for part in parts]
+    kept = {}
+    nests = [j for j in set(lead) if lead.count(j) > 1]
+    if nests:
+        rounds = sum(1 for cols in trace.round_arrays() if len(cols[0]) or len(cols[2]))
+        budget = _KEPT_PER_MESSAGE * (trace.broadcasts + trace.unicasts)
+        for j in nests:
+            K = parts[j].k
+            if 0 < rounds * (K * K + K) <= budget:
+                kept[j] = (_machine_sums(trace, parts[j], mode), [])
+    return [_fold(_kept(*kept[j]) if j in kept else _machine_sums(trace, part, mode),
+                  part, mode) for part, j in zip(parts, lead)]
+
+
+def _kept(sums, memo):
+    """The machine sums of every round as one block, taken from `sums` by
+    whichever member of the nest reads them first and kept in `memo`, so
+    that each member folds in one go."""
+    if not memo:
+        sent, uni = zip(*sums)
+        memo.append((np.concatenate(sent), np.concatenate(uni)))
+    yield memo[0]
+
+
+def convert_p2p(trace: CliqueTrace, part: Partition, W: int, *, loads=None) -> SimReport:
     """Price a trace with point-to-point charging.
 
     Each inter-machine message costs payload + 2*ceil(log2 n) bits (source
@@ -240,10 +324,13 @@ def convert_p2p(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     n = trace.n
     W = link_bandwidth(n, W)
     bound = point_to_point_bound(n, part.k, W, CliqueMetrics.from_trace(trace))
-    return sim_report(n, part, W, P2P, round_loads(trace, part, P2P), bound)
+    if loads is None:
+        loads = round_loads(trace, part, P2P)
+    return sim_report(n, part, W, P2P, loads, bound)
 
 
-def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
+def convert_broadcast(trace: CliqueTrace, part: Partition, W: int, *,
+                      loads=None) -> SimReport:
     """Price a broadcast-only trace with per-machine deduplication.
 
     Each broadcasting vertex puts one copy of payload + ceil(log2 n) source
@@ -257,7 +344,9 @@ def convert_broadcast(trace: CliqueTrace, part: Partition, W: int) -> SimReport:
     if metrics.unicasts:
         raise ConversionError("broadcast pricing given a unicast message")
     bound = broadcast_bound(n, part.k, W, metrics)
-    return sim_report(n, part, W, BCAST, round_loads(trace, part, BCAST), bound)
+    if loads is None:
+        loads = round_loads(trace, part, BCAST)
+    return sim_report(n, part, W, BCAST, loads, bound)
 
 
 def check_mode(mode: str) -> str:
@@ -266,10 +355,12 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def price(trace: CliqueTrace, part: Partition, W: int = None, *, mode: str) -> SimReport:
+def price(trace: CliqueTrace, part: Partition, W: int = None, *, mode: str,
+          loads=None) -> SimReport:
     """Price a trace on the partition's machines: point-to-point for `p2p`,
-    deduplicated broadcast for `bcast`.  W defaults to ceil(log2 n) bits."""
+    deduplicated broadcast for `bcast`.  W defaults to ceil(log2 n) bits.
+    `loads` are the trace's loads on `part` if round_loads_each has them."""
     if check_mode(mode) == P2P:
-        return convert_p2p(trace, part, W)
-    return convert_broadcast(trace, part, W)
+        return convert_p2p(trace, part, W, loads=loads)
+    return convert_broadcast(trace, part, W, loads=loads)
 

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from ..clique import CliqueMetrics, run_clique
-from ..machines import BCAST, P2P, price, random_vertex_partitions
+from ..machines import BCAST, P2P, price, random_vertex_partitions, round_loads_each
 from .config import AlgoConfig, ConfigError
 from .densest import densest_subgraph_program
 from .fragments import conn_program, mst_program, st_verify_program
@@ -46,7 +46,9 @@ class Algorithm:
         if self.runner is not None:
             return self.runner(inst.graph, parts, W, seed)
         outputs, trace, metrics = run_clique(inst.graph, self.program(inst, cfg), seed)
-        return outputs, metrics, {p.k: price(trace, p, W, mode=self.mode) for p in parts}
+        loads = round_loads_each(trace, parts, self.mode)
+        return outputs, metrics, {part.k: price(trace, part, W, mode=self.mode, loads=each)
+                                  for part, each in zip(parts, loads)}
 
 
 def _run_hmis(h, parts, W, seed):

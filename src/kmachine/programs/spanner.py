@@ -34,7 +34,7 @@ import numpy as np
 from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique
 from ..graphs import Graph, label_bits
 from ..machines import (BCAST, bound_scale, broadcast_bound, link_bandwidth,
-                        round_loads, sim_report)
+                        round_loads_each, sim_report)
 from ..rng import uniform, uniform_each
 from .config import AlgoConfig, ConfigError
 from .slots import edge_outputs, first_per_key, slot_sources
@@ -258,12 +258,11 @@ def logapprox_shortest_paths(g: Graph, parts, W: int = None, seed: int = 0):
     low, high = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     ship_bound = bound_scale(n) * math.ceil(len(edges) * 3 * L / W)
     reports = {}
-    for part in parts:
+    for part, loads in zip(parts, round_loads_each(trace, parts, BCAST)):
         home = part.home
         far = (home[low] != 0) & (home[high] != 0)  # not yet on machine 0
         ship = np.zeros((part.k, part.k), dtype=np.int64)
         ship[:, 0] = 3 * L * np.bincount(home[low[far]], minlength=part.k)
-        loads = chain(round_loads(trace, part, BCAST), [ship])
         bound = broadcast_bound(n, part.k, W, metrics) + ship_bound
-        reports[part.k] = sim_report(n, part, W, BCAST, loads, bound)
+        reports[part.k] = sim_report(n, part, W, BCAST, chain(loads, [ship]), bound)
     return _bfs_matrix(n, edges), metrics, reports

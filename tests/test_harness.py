@@ -939,6 +939,21 @@ def test_one_partition_derivation_and_one_report_builder():
     assert not any("struct.Struct(" in t for t in text.values())
     assert ".copy()" not in rng_text
     assert [p.name for p, t in text.items() if "splitmix64(" in t] == ["rng.py"]
+    # one pass over the messages: only _machine_sums scatters message keys,
+    # and the cells price every k through round_loads_each, which folds
+    # nested machine counts from it; no per-k round_loads loop is left
+    (machines_text,) = [t for p, t in text.items() if p.name == "machines.py"]
+    assert [fn.name for fn in ast.parse(machines_text).body
+            if isinstance(fn, ast.FunctionDef) and ".add.at(" in ast.unparse(fn)] \
+        == ["_machine_sums"]
+    callers = {(p.name, fn.name): {c.func.id for c in ast.walk(fn) if isinstance(c, ast.Call)
+                                   and isinstance(c.func, ast.Name)}
+               for p, t in text.items() for fn in ast.walk(ast.parse(t))
+               if isinstance(fn, ast.FunctionDef)}
+    assert "round_loads_each" in callers[("__init__.py", "run")]
+    assert "round_loads_each" in callers[("spanner.py", "logapprox_shortest_paths")]
+    assert sorted(name for name, calls in callers.items() if "round_loads" in calls) \
+        == [("machines.py", "convert_broadcast"), ("machines.py", "convert_p2p")]
 
 
 def test_one_engine_driver_and_one_algorithm_table():

@@ -65,6 +65,17 @@ def test_rvp_batch_equals_one_at_a_time():
             assert (part.home == one.home).all()
 
 
+def test_rvp_nested_machine_counts_share_homes():
+    # for k | K, machine p of k is the union of K's machines p' = p (mod k)
+    g = Graph(500, [])
+    for seed in (0, 7, -3):
+        parts = random_vertex_partitions(g, (1, 2, 3, 4, 6, 8, 12, 24, 32), seed)
+        for small in parts:
+            for big in parts:
+                if big.k % small.k == 0:
+                    assert (small.home == big.home % small.k).all()
+
+
 def test_rvp_batch_rejects_a_bad_k_before_hashing(monkeypatch):
     def no_hashing(*args):
         raise AssertionError("keys derived before every k was checked")
@@ -353,3 +364,36 @@ def test_price_dispatches_and_defaults_bandwidth():
         price(trace, part, mode="direct")
     with pytest.raises(ConversionError):
         price(trace, part, 0, mode="bcast")
+
+
+def _bad_homes():
+    """(name, trace, mode, home) on generate("gnp", 16, 1, p=0.4) at k = 2,
+    each home one that used to raise a raw numpy error from the pricer."""
+    g = generate("gnp", 16, 1, p=0.4)
+    _, bfs, _ = run_clique(g, bfs_program(AlgoConfig()), 1)
+    _, walk, _ = run_clique(g, pagerank_program(AlgoConfig()), 1)
+    home = random_vertex_partition(g, 2, 1).home
+    off = home.copy()
+    off[0] = 2
+    negative = home.copy()
+    negative[3] = -1
+    return [
+        *((f"machine_2_{mode}", bfs, mode, off) for mode in ("p2p", "bcast")),
+        ("pagerank_on_machine_3", walk, "p2p", np.array([0, 3] * 8)),
+        *((f"negative_{mode}", bfs, mode, negative) for mode in ("p2p", "bcast")),
+        ("short", bfs, "p2p", home[:15]),
+        ("float", bfs, "bcast", home.astype(float)),
+        ("list", bfs, "p2p", home.tolist()),
+    ]
+
+
+@pytest.mark.parametrize("case", _bad_homes(), ids=lambda case: case[0])
+def test_price_refuses_a_bad_home_before_reading_a_message(case, monkeypatch):
+    _, trace, mode, home = case
+
+    def unread(self):
+        raise AssertionError("a message was read")
+
+    monkeypatch.setattr(CliqueTrace, "round_arrays", unread)
+    with pytest.raises(ConversionError, match="home"):
+        price(trace, Partition(k=2, home=home), mode=mode)

@@ -5,6 +5,7 @@ per vertex) and unicasts (at most one per ordered pair), with payloads of
 1..64 bits, priced on an arbitrary vertex -> machine assignment.
 """
 
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -13,19 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmachine.clique import NONE, CliqueMetrics, CliqueTrace
-from kmachine.graphs import label_bits
+from kmachine.graphs import Graph, label_bits
 from kmachine import machines
-from kmachine.machines import Partition, price
+from kmachine.machines import Partition, price, random_vertex_partitions, round_loads_each
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 BITS = st.integers(1, 64)
 
 
-@st.composite
-def priced(draw, broadcast_only=False, k=None, rounds=4):
-    """(trace, partition) on 2..10 vertices, with up to `rounds` rounds;
-    k = "n" puts them on n machines."""
-    n = draw(st.integers(2, 10))
+def _draw_trace(draw, n, broadcast_only, rounds):
     trace = CliqueTrace(n)
     for _ in range(draw(st.integers(0, rounds))):
         senders = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
@@ -42,6 +39,15 @@ def priced(draw, broadcast_only=False, k=None, rounds=4):
         ub = [draw(BITS) for _ in pairs]
         cols = (bs, bb, us, ud, ub)
         trace.append_arrays(*(np.array(c, dtype=np.int64) for c in cols))
+    return trace
+
+
+@st.composite
+def priced(draw, broadcast_only=False, k=None, rounds=4):
+    """(trace, partition) on 2..10 vertices, with up to `rounds` rounds;
+    k = "n" puts them on n machines."""
+    n = draw(st.integers(2, 10))
+    trace = _draw_trace(draw, n, broadcast_only, rounds)
     k = n if k == "n" else k or draw(st.integers(1, n))
     home = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return trace, Partition(k=k, home=np.array(home, dtype=np.int64))
@@ -197,3 +203,96 @@ def test_silent_rounds_change_no_cost(case, gaps, W):
         assert (a.km_rounds, a.total_bits) == (b.km_rounds, b.total_bits)
         assert (a.per_link_bits == b.per_link_bits).all()
         assert (a.per_machine_bits == b.per_machine_bits).all()
+
+
+@st.composite
+def nested(draw, broadcast_only=False):
+    """(trace, partitions): machine counts among the divisors of K in
+    {4, 6, 8, 12}, k = 1 included, drawn by random_vertex_partitions on
+    K..2K vertices, so that some machines host no vertex."""
+    K = draw(st.sampled_from([4, 6, 8, 12]))
+    n = draw(st.integers(K, 2 * K))
+    trace = _draw_trace(draw, n, broadcast_only, rounds=4)
+    ks = draw(st.lists(st.sampled_from([d for d in range(1, K + 1) if K % d == 0]),
+                       unique=True, min_size=1))
+    return trace, random_vertex_partitions(Graph(n, []), ks, draw(st.integers(0, 2**32)))
+
+
+def _ledger(rep):
+    return [(f.name, getattr(rep, f.name).tolist() if f.name.startswith("per_")
+             else getattr(rep, f.name)) for f in fields(rep)]
+
+
+def _priced_each(trace, parts, W):
+    """(ledgers from pricing all of `parts` at once, ledgers from pricing
+    each alone, the set of pass counts over the messages that pricing them
+    at once took in each mode)."""
+    got, alone, passes = [], [], set()
+    for mode in _modes(trace):
+        with mock.patch.object(machines, "_machine_sums",
+                               wraps=machines._machine_sums) as sums:
+            loads = round_loads_each(trace, parts, mode)
+            got += [_ledger(price(trace, part, W, mode=mode, loads=each))
+                    for part, each in zip(parts, loads)]
+        passes.add(sums.call_count)
+        alone += [_ledger(price(trace, part, W, mode=mode)) for part in parts]
+    return got, alone, passes
+
+
+def _sends(trace):
+    return any(len(bs) or len(us) for bs, _, us, _, _ in trace.round_arrays())
+
+
+@SETTINGS
+@given(st.one_of(nested(), nested(broadcast_only=True)), st.integers(1, 64))
+def test_folded_machine_counts_price_like_each_alone(case, W):
+    # every nest keeps its machine sums (the budget is lifted), so each k
+    # is priced from a fold of its largest multiple's sums
+    trace, parts = case
+    with mock.patch.object(machines, "_KEPT_PER_MESSAGE", 1 << 40):
+        got, alone, passes = _priced_each(trace, parts, W)
+    assert got == alone
+    ks = [p.k for p in parts]
+    leads = {max(K for K in ks if K % k == 0) for k in ks}
+    assert passes == {len(leads) if _sends(trace) else len(parts)}
+
+
+@st.composite
+def unnested(draw):
+    """(trace, partitions, nests): k = 3 and 4 drawn by
+    random_vertex_partitions, or k = 2 and 4 with hand-built homes, which
+    nest only if home_2 == home_4 % 2."""
+    n = draw(st.integers(4, 12))
+    trace = _draw_trace(draw, n, draw(st.booleans()), rounds=4)
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32))
+        return trace, random_vertex_partitions(Graph(n, []), [3, 4], seed), False
+    homes = [np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+             for k in (2, 4)]
+    return (trace, [Partition(2, homes[0]), Partition(4, homes[1])],
+            (homes[0] == homes[1] % 2).all())
+
+
+@SETTINGS
+@given(unnested(), st.integers(1, 64))
+def test_partitions_that_do_not_nest_are_priced_alone(case, W):
+    trace, parts, nests = case
+    with mock.patch.object(machines, "_KEPT_PER_MESSAGE", 1 << 40):
+        got, alone, passes = _priced_each(trace, parts, W)
+    assert got == alone
+    assert passes == {1 if nests and _sends(trace) else 2}
+
+
+def test_a_nest_keeps_its_sums_only_within_the_message_budget():
+    # one round of 4032 unicasts on 64 vertices: k = 2, 4, 8 keep 72
+    # entries of sums, but k = 64 would keep 4160, so 2 and 64 are priced
+    # alone
+    n = 64
+    pairs = np.flatnonzero(~np.eye(n, dtype=bool).reshape(-1))
+    trace = CliqueTrace(n)
+    trace.append_arrays(NONE, NONE, pairs // n, pairs % n, np.full(len(pairs), 5))
+    for ks, want in (((2, 4, 8), 1), ((2, 64), 2)):
+        parts = random_vertex_partitions(Graph(n, []), ks, 3)
+        got, alone, passes = _priced_each(trace, parts, 7)
+        assert got == alone
+        assert passes == {want}
