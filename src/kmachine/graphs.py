@@ -138,16 +138,16 @@ class Graph:
         """(indptr, nbr, eidx) as read-only int64 arrays: adjacency()'s two,
         shared with it, and eidx, which holds each slot's edge index.  Only
         callers that map slots to edges (weights, edge flags, neighbors)
-        need it; the rest read adjacency()."""
+        need it; the rest read adjacency().  eidx reads the reverse-slot
+        mask that is built with the adjacency, so after adjacency() this
+        builds one transiently and keeps the cached two."""
         if self._csr is None:
             a, b, _ = self._arrays
-            if self._adj is None:  # build both: eidx reuses the reverse-slot mask
-                indptr, nbr, is_rev = _build_adjacency(self.n, a, b, self._ascending)
+            indptr, nbr, is_rev = _build_adjacency(self.n, a, b, self._ascending)
+            if self._adj is None:
                 self._adj = _frozen(indptr, nbr)
-            else:
-                indptr, nbr = self._adj
-                is_rev = _reverse_slots(self.n, a, indptr)
-            self._csr = (indptr, nbr,
+            del indptr, nbr
+            self._csr = (*self._adj,
                          *_frozen(_build_eidx(self.n, a, b, is_rev, self._ascending)))
         return self._csr
 
@@ -284,14 +284,6 @@ def _forward_slots(rstart, fstart):
     sides = np.zeros(2 * n, dtype=bool)
     sides[1::2] = True
     return np.repeat(sides, counts)
-
-
-def _reverse_slots(n, a, indptr):
-    """_build_adjacency's is_rev, rebuilt from its indptr."""
-    fstart = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=n), out=fstart[1:])
-    is_rev = _forward_slots(indptr - fstart, fstart)
-    return np.logical_not(is_rev, out=is_rev)
 
 
 def _build_eidx(n, a, b, is_rev, ascending):

@@ -41,6 +41,8 @@ def random_vertex_partitions(g: Graph, ks, seed: int) -> list:
     an independent uniform home machine.  Vertex v's key is output v of one
     stream (rng.derive_each), derived once for every k and reduced mod k."""
     for k in ks:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ConversionError(f"a machine count must be an int, got {k!r}")
         if k < 1 or k > g.n:
             raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     keys = derive_each(seed, "rvp", np.arange(g.n))
@@ -54,6 +56,7 @@ def random_vertex_partition(g: Graph, k: int, seed: int) -> Partition:
 
 def check_mapping_bounds(g: Graph, part: Partition):
     """(max vertices on any machine, max input edges on any inter-machine link)."""
+    _check_home(g.n, part)
     k = part.k
     u, v, _ = g.edge_arrays()
     pair = (part.home * k)[u]  # scaled before the gather: n products, not m
@@ -257,34 +260,27 @@ def _nests(part: Partition, big: Partition) -> bool:
     return big.k % part.k == 0 and np.array_equal(big.home % part.k, part.home)
 
 
-def round_loads(trace: CliqueTrace, part: Partition, mode: str):
-    """The directed link loads of the clique rounds that send a message, in
-    blocks of consecutive such rounds (see sim_report); a silent round
-    loads no link, so it adds nothing to the ledger and is skipped.
+def round_loads_each(trace: CliqueTrace, parts, mode: str) -> list:
+    """For each partition of `parts`, in order, the directed link loads of
+    the clique rounds that send a message, in blocks of consecutive such
+    rounds (see sim_report); a silent round loads no link, so it adds
+    nothing to the ledger and is skipped.
 
     Each inter-machine unicast adds its payload + hdr bits on its link; each
     broadcast from machine p adds its payload + hdr bits, times fan[q], on
     every link p->q.  In `p2p` mode hdr is two ids and fan[q] the vertices
     on machine q; in `bcast` mode hdr is one id and fan[q] is 1 if machine
     q hosts a vertex, else 0.  Traffic between co-located vertices is free.
-    The loads are the partition's own machine sums, folded at k = K.
-    """
-    (loads,) = round_loads_each(trace, [part], mode)
-    return loads
 
-
-def round_loads_each(trace: CliqueTrace, parts, mode: str) -> list:
-    """round_loads(trace, part, mode) for each partition of `parts`, in
-    order, reading the messages once per nest of partitions.
-
-    Every home is checked first.  A partition nests in one on K machines
-    when its k divides K and home_k == home_K % k, as random_vertex_partitions
-    gives, and it goes under the most machines it nests in.  A nest of two
-    or more partitions takes one pass on its K machines, when the first
-    member's loads are read, and keeps the sums, R (K^2 + K) entries over
-    the R rounds that send, if that is at most the trace's stored messages;
-    every member's loads are then folds of them.  Any other partition takes
-    a pass of its own as it is priced.
+    Every home is checked first.  The messages are read once per nest of
+    partitions: a partition nests in one on K machines when its k divides K
+    and home_k == home_K % k, as random_vertex_partitions gives, and it goes
+    under the most machines it nests in; its loads are K's machine sums,
+    folded at k.  A nest of two or more partitions whose sums, R (K^2 + K)
+    entries over the R rounds that send, are at most the trace's stored
+    messages takes its pass here, up front, and keeps the sums as one block
+    that every member folds.  Any other partition takes a pass of its own as
+    it is priced.
     """
     check_mode(mode)
     for part in parts:
@@ -299,19 +295,10 @@ def round_loads_each(trace: CliqueTrace, parts, mode: str) -> list:
         for j in nests:
             K = parts[j].k
             if 0 < rounds * (K * K + K) <= budget:
-                kept[j] = (_machine_sums(trace, parts[j], mode), [])
-    return [_fold(_kept(*kept[j]) if j in kept else _machine_sums(trace, part, mode),
-                  part, mode) for part, j in zip(parts, lead)]
-
-
-def _kept(sums, memo):
-    """The machine sums of every round as one block, taken from `sums` by
-    whichever member of the nest reads them first and kept in `memo`, so
-    that each member folds in one go."""
-    if not memo:
-        sent, uni = zip(*sums)
-        memo.append((np.concatenate(sent), np.concatenate(uni)))
-    yield memo[0]
+                sent, uni = zip(*_machine_sums(trace, parts[j], mode))
+                kept[j] = [(np.concatenate(sent), np.concatenate(uni))]
+    return [_fold(kept[j] if j in kept else _machine_sums(trace, part, mode), part, mode)
+            for part, j in zip(parts, lead)]
 
 
 def convert_p2p(trace: CliqueTrace, part: Partition, W: int, *, loads=None) -> SimReport:
@@ -325,7 +312,7 @@ def convert_p2p(trace: CliqueTrace, part: Partition, W: int, *, loads=None) -> S
     W = link_bandwidth(n, W)
     bound = point_to_point_bound(n, part.k, W, CliqueMetrics.from_trace(trace))
     if loads is None:
-        loads = round_loads(trace, part, P2P)
+        (loads,) = round_loads_each(trace, [part], P2P)
     return sim_report(n, part, W, P2P, loads, bound)
 
 
@@ -345,7 +332,7 @@ def convert_broadcast(trace: CliqueTrace, part: Partition, W: int, *,
         raise ConversionError("broadcast pricing given a unicast message")
     bound = broadcast_bound(n, part.k, W, metrics)
     if loads is None:
-        loads = round_loads(trace, part, BCAST)
+        (loads,) = round_loads_each(trace, [part], BCAST)
     return sim_report(n, part, W, BCAST, loads, bound)
 
 

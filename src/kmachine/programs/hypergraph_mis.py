@@ -17,7 +17,7 @@ charges ceil(worst link load / W) rounds per step.
 import numpy as np
 
 from ..graphs import Hypergraph, label_bits
-from ..machines import Partition, bound_scale, link_bandwidth, sim_report
+from ..machines import Partition, _check_home, bound_scale, link_bandwidth, sim_report
 
 
 def hmis_round_bound(n: int, k: int) -> float:
@@ -57,6 +57,7 @@ def hmis_kmachine(h: Hypergraph, part: Partition, W: int = None):
     if part.k < 2:
         raise ValueError("need at least 2 machines")
     n = h.n
+    _check_home(n, part)
     W = link_bandwidth(n, W)
     # machine by machine, each its vertices in id order: a vertex joins
     # unless some hyperedge's other members have all joined already

@@ -19,7 +19,10 @@ import numpy as np
 def derive(seed: int, tag: str, *parts: int) -> int:
     """Derive a 64-bit integer from a seed, a domain tag and integer parts."""
     h = hashlib.blake2b(tag.encode("utf-8") + b"\x00", digest_size=8)
-    h.update(struct.pack(f">{1 + len(parts)}q", seed, *parts))
+    try:
+        h.update(struct.pack(f">{1 + len(parts)}q", seed, *parts))
+    except struct.error:
+        raise ValueError(f"seed and parts must be int64s, got {(seed, *parts)}") from None
     return int.from_bytes(h.digest(), "big")
 
 

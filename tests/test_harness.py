@@ -940,8 +940,9 @@ def test_one_partition_derivation_and_one_report_builder():
     assert ".copy()" not in rng_text
     assert [p.name for p, t in text.items() if "splitmix64(" in t] == ["rng.py"]
     # one pass over the messages: only _machine_sums scatters message keys,
-    # and the cells price every k through round_loads_each, which folds
-    # nested machine counts from it; no per-k round_loads loop is left
+    # and only round_loads_each calls it, folding nested machine counts;
+    # the cells and both converters price through round_loads_each, with
+    # no one-k wrapper, lazy memo of the sums or second CSR mask builder
     (machines_text,) = [t for p, t in text.items() if p.name == "machines.py"]
     assert [fn.name for fn in ast.parse(machines_text).body
             if isinstance(fn, ast.FunctionDef) and ".add.at(" in ast.unparse(fn)] \
@@ -952,8 +953,12 @@ def test_one_partition_derivation_and_one_report_builder():
                if isinstance(fn, ast.FunctionDef)}
     assert "round_loads_each" in callers[("__init__.py", "run")]
     assert "round_loads_each" in callers[("spanner.py", "logapprox_shortest_paths")]
-    assert sorted(name for name, calls in callers.items() if "round_loads" in calls) \
-        == [("machines.py", "convert_broadcast"), ("machines.py", "convert_p2p")]
+    assert sorted(name for name, calls in callers.items() if "_machine_sums" in calls) \
+        == [("machines.py", "round_loads_each")]
+    assert "round_loads_each" in callers[("machines.py", "convert_p2p")]
+    assert "round_loads_each" in callers[("machines.py", "convert_broadcast")]
+    assert not any(name in t for t in text.values()
+                   for name in ("round_loads(", "_kept", "_reverse_slots"))
 
 
 def test_one_engine_driver_and_one_algorithm_table():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmachine.clique import NONE, CliqueTrace, run_clique
-from kmachine.graphs import Graph, generate, label_bits
+from kmachine.graphs import Graph, generate, label_bits, random_uniform_hypergraph
 from kmachine.machines import (
     ConversionError,
     Partition,
@@ -23,7 +23,13 @@ from kmachine.machines import (
     sim_report,
 )
 from kmachine.oracles import bfs_tree
-from kmachine.programs import AlgoConfig, bfs_program, mst_program, pagerank_program
+from kmachine.programs import (
+    AlgoConfig,
+    bfs_program,
+    hmis_kmachine,
+    mst_program,
+    pagerank_program,
+)
 
 
 def test_rvp_basics():
@@ -85,6 +91,18 @@ def test_rvp_batch_rejects_a_bad_k_before_hashing(monkeypatch):
     for ks in ([0], [2, 11], [4, 2, -1, 3]):
         with pytest.raises(ConversionError):
             random_vertex_partitions(g, ks, 0)
+
+
+@pytest.mark.parametrize("k", [2.5, True, np.int64(2), "2", None])
+def test_rvp_refuses_a_machine_count_that_is_not_an_int(k):
+    with pytest.raises(ConversionError, match="machine count must be an int"):
+        random_vertex_partitions(Graph(8, []), [2, k], 1)
+
+
+def test_rvp_refuses_a_seed_outside_int64():
+    for seed in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match=str(seed)):
+            random_vertex_partitions(Graph(8, []), [2], seed)
 
 
 def test_rvp_concentration():
@@ -397,3 +415,27 @@ def test_price_refuses_a_bad_home_before_reading_a_message(case, monkeypatch):
     monkeypatch.setattr(CliqueTrace, "round_arrays", unread)
     with pytest.raises(ConversionError, match="home"):
         price(trace, Partition(k=2, home=home), mode=mode)
+
+
+PLACED = {
+    "check_mapping_bounds": lambda part: check_mapping_bounds(
+        generate("gnp", 16, 1, p=0.4), part),
+    "hmis_kmachine": lambda part: hmis_kmachine(random_uniform_hypergraph(16, 20, 3, 1), part),
+}
+
+
+@pytest.mark.parametrize("case", _bad_homes(), ids=lambda case: case[0])
+@pytest.mark.parametrize("place", PLACED.values(), ids=PLACED)
+def test_placements_refuse_a_bad_home(place, case):
+    # the pricer's bad homes, each of which the placement statistics and
+    # hmis also met with a raw numpy error
+    *_, home = case
+    with pytest.raises(ConversionError, match="home"):
+        place(Partition(k=2, home=home))
+
+
+def test_hmis_refuses_one_machine_before_reading_a_home():
+    h = random_uniform_hypergraph(16, 20, 3, 1)
+    with pytest.raises(ValueError, match="at least 2 machines") as error:
+        hmis_kmachine(h, Partition(k=1, home=np.array([0, 2] * 8)))
+    assert not isinstance(error.value, ConversionError)

@@ -5,6 +5,7 @@ per vertex) and unicasts (at most one per ordered pair), with payloads of
 1..64 bits, priced on an arbitrary vertex -> machine assignment.
 """
 
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmachine.clique import NONE, CliqueMetrics, CliqueTrace
-from kmachine.graphs import Graph, label_bits
+from kmachine.clique import NONE, CliqueMetrics, CliqueTrace, run_clique
+from kmachine.graphs import Graph, generate, label_bits
 from kmachine import machines
 from kmachine.machines import Partition, price, random_vertex_partitions, round_loads_each
+from kmachine.programs import AlgoConfig, bfs_program
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 BITS = st.integers(1, 64)
@@ -182,7 +184,7 @@ def test_pricing_blocks_keep_their_budgets():
         uni = [pairs // n, pairs % n, np.full(5000, 3)] if r == 150 else one
         trace.append_arrays(NONE, NONE, *uni)
     part = Partition(k=k, home=np.arange(n) % k)
-    blocks = [b.shape[0] for b in machines.round_loads(trace, part, "p2p")]
+    blocks = [b.shape[0] for b in round_loads_each(trace, [part], "p2p")[0]]
     assert blocks == ([16] * 9 + [6]) + [1] + ([16] * 9 + [6])
 
 
@@ -296,3 +298,25 @@ def test_a_nest_keeps_its_sums_only_within_the_message_budget():
         got, alone, passes = _priced_each(trace, parts, 7)
         assert got == alone
         assert passes == {want}
+
+
+def test_a_long_trace_prices_each_machine_count_alone():
+    # BFS on a 4096-vertex path sends one broadcast in each of its ~4096
+    # rounds.  Keeping k = 64's sums would take 4096 (64^2 + 64) int64
+    # entries, ~136 MB, for 4096 messages, so the budget prices each k with
+    # a pass of its own, and pricing holds only a block's scratch at a time
+    g = generate("path", 4096, 1)
+    _, trace, _ = run_clique(g, bfs_program(AlgoConfig()), 1)
+    parts = random_vertex_partitions(g, [2, 4, 8, 16, 32, 64], 1)
+    with mock.patch.object(machines, "_machine_sums", wraps=machines._machine_sums) as sums:
+        tracemalloc.start()
+        try:
+            loads = round_loads_each(trace, parts, "bcast")
+            got = [_ledger(price(trace, part, mode="bcast", loads=each))
+                   for part, each in zip(parts, loads)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sums.call_count == len(parts)
+    assert peak < 8 << 20
+    assert got == [_ledger(price(trace, part, mode="bcast")) for part in parts]

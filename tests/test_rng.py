@@ -238,3 +238,10 @@ def test_death_rate_and_hop_slots_match_their_distributions():
 def test_uniform_counts(count):
     u1, u2 = token_uniforms(1, 1, np.full(count, 4), np.arange(count))
     assert len(u1) == len(u2) == count
+
+
+@pytest.mark.parametrize("seed, parts, bad", [(2**63, (), 2**63), (-2**63 - 1, (), -2**63 - 1),
+                                              (0, (3, 2**64), 2**64)])
+def test_derive_refuses_a_seed_or_part_outside_int64(seed, parts, bad):
+    with pytest.raises(ValueError, match=str(bad)):
+        derive(seed, "x", *parts)
