@@ -10,9 +10,15 @@ seed through kmachine.rng, keyed by vertex and round.
 One driver, run_clique, runs every program as a generator of rounds: the
 program's round kernel if it has one, else the per-vertex scheduler
 _vertex_rounds.  Each round is five int arrays (bcast_src, bcast_bits,
-uni_src, uni_dst, uni_bits); the driver checks them against the model's
-rules (_checked_round) and records them, so a finished execution can later
-be priced on a machine network.
+uni_src, uni_dst, uni_bits), and it takes one path: the driver checks it
+once against the model's rules (_checked_round), then CliqueTrace tallies
+it (the totals CliqueMetrics reports and the count of rounds that send)
+and stores it, so a finished execution can later be priced on a machine
+network.  The tally counts on what the check guarantees: broadcast sources
+strictly ascend, so a round of broadcasts alone peaks at a degree it
+reads off the round's length.  A kernel yields a constant bits column as
+uniform_bits: one value that the check tests once and the trace keeps
+without a scan or a copy.
 """
 
 import functools
@@ -169,17 +175,33 @@ NONE = np.zeros(0, dtype=np.int64)  # an empty round column; read-only, so share
 NONE.flags.writeable = False
 
 
+def uniform_bits(bits, count):
+    """The bits column of `count` messages of `bits` bits each: the one
+    int64 value seen through a read-only zero-stride view, which the round
+    check tests once and the trace stores as it is (NONE if count is 0).
+    A kernel yields every constant bits column through it."""
+    if not count:
+        return NONE
+    one = np.ndarray(count, np.int64, np.array([bits], dtype=np.int64), 0, (0,))
+    one.flags.writeable = False
+    return one
+
+
 class CliqueTrace:
     """Full message record of an execution, one entry per executed round,
     (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits), with the totals
-    CliqueMetrics reports, counted as each round is stored.
+    CliqueMetrics reports and the count of rounds that send, tallied as each
+    round is stored.
 
     A round is stored narrow: its three vertex-id columns in
     graphs.id_dtype(n) (int32 below 2^31 vertices), and a bits column
     whose entries are all equal as that one value in a read-only
-    zero-stride view.  An empty column is NONE.  Readers that compute with
+    zero-stride view.  An empty column is NONE, and a round that sends
+    nothing is one shared tuple of five NONE.  Readers that compute with
     the columns widen them to int64 first, as the pricing pass
     (machines._machine_sums) does."""
+
+    _silent = (NONE,) * 5
 
     def __init__(self, n: int):
         self.n = n
@@ -188,27 +210,42 @@ class CliqueTrace:
         self.broadcasts = 0
         self.unicasts = 0
         self.comm_degree = 0
+        self.sending_rounds = 0
+        self._totals = None  # the CliqueMetrics of the rounds so far, once asked for
 
     def append_arrays(self, bs, bb, us, ud, ub):
+        """Tally one round and store it.  The round holds int arrays with
+        what _checked_round guarantees of a round that passes: broadcast
+        sources strictly ascend and unicast (source, destination) pairs are
+        distinct, as run_clique's rounds do and hand-built ones must."""
+        self._totals = None
+        if not (len(bs) or len(us)):
+            self._rounds.append(self._silent)
+            return
+        self._tally(bs, us, ud)
         ids = self._ids
         self._rounds.append((_stored_ids(bs, ids), _stored_bits(bb),
                              _stored_ids(us, ids), _stored_ids(ud, ids),
                              _stored_bits(ub)))
-        if not (len(bs) or len(us)):
-            return
-        self.broadcasts += len(bs)
-        self.unicasts += len(us)
-        # a vertex's degree is len(bs) (every broadcast reaches it or leaves
-        # it), n - 2 more per broadcast of its own, and the unicasts it sends
-        # and receives; sources may repeat in hand-built rounds
-        endpoints = np.concatenate((us, ud))
-        if len(bs):
-            own = np.bincount(bs)
-            deg = np.bincount(endpoints, minlength=len(own))
-            deg[:len(own)] += (self.n - 2) * own
+
+    def _tally(self, bs, us, ud):
+        """Count a round that sends.  A vertex's degree is len(bs) (every
+        broadcast reaches it or leaves it), n - 2 more if it broadcasts (its
+        one broadcast, as sources are distinct), and the unicasts it sends
+        and receives; so a round of broadcasts alone peaks at
+        len(bs) + n - 2, with no count per vertex."""
+        nb = len(bs)
+        self.sending_rounds += 1
+        self.broadcasts += nb
+        if len(us):
+            self.unicasts += len(us)
+            deg = np.bincount(np.concatenate((us, ud)), minlength=self.n)
+            if nb:
+                deg[bs] += self.n - 2
+            peak = nb + int(deg.max())
         else:
-            deg = np.bincount(endpoints)
-        self.comm_degree = max(self.comm_degree, len(bs) + int(deg.max()))
+            peak = nb + self.n - 2
+        self.comm_degree = max(self.comm_degree, peak)
 
     @property
     def num_rounds(self) -> int:
@@ -236,12 +273,13 @@ def _stored_ids(a, ids):
 
 def _stored_bits(a):
     """A bits column as the trace keeps it: one value, seen through a
-    read-only zero-stride view, when every entry is equal."""
-    if len(a) > 1 and (a == a[0]).all():
-        one = np.ndarray(len(a), a.dtype, a[:1].copy(), 0, (0,))
-        one.flags.writeable = False
-        return one
-    return a if len(a) else NONE
+    read-only zero-stride view, when every entry is equal.  A column of
+    uniform_bits is that view already and is kept as it is."""
+    if a.strides == (0,) or len(a) < 2:
+        return a if len(a) else NONE
+    if (a == a[0]).all():
+        return uniform_bits(a[0], len(a))
+    return a
 
 
 @dataclass(frozen=True)
@@ -262,14 +300,18 @@ class CliqueMetrics:
 
     @staticmethod
     def from_trace(trace: CliqueTrace) -> "CliqueMetrics":
-        """The totals the trace counted as it stored each round."""
-        return CliqueMetrics(
-            rounds=trace.num_rounds,
-            messages=trace.unicasts + trace.broadcasts * (trace.n - 1),
-            broadcasts=trace.broadcasts,
-            comm_degree=trace.comm_degree,
-            unicasts=trace.unicasts,
-        )
+        """The totals the trace tallied as it stored each round, built once
+        for the rounds stored so far, so a cell priced at every k builds them
+        once."""
+        if trace._totals is None:
+            trace._totals = CliqueMetrics(
+                rounds=trace.num_rounds,
+                messages=trace.unicasts + trace.broadcasts * (trace.n - 1),
+                broadcasts=trace.broadcasts,
+                comm_degree=trace.comm_degree,
+                unicasts=trace.unicasts,
+            )
+        return trace._totals
 
 
 # ---------------------------------------------------------------------------
@@ -368,44 +410,61 @@ def _vertex_rounds(g, node, seed):
 
 def _checked_round(cols, n, cap):
     """A round's (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) as int64
-    arrays, after the model's checks.  Integer columns are cast once (an
-    int64 column is kept as it is) and a few whole-column tests pass a valid
-    round; only a round that fails one builds per-message masks, which raise
-    at the first offending broadcast, else unicast.  Unicasts that are only
-    out of (source, destination) order pass."""
-    cols = [np.asarray(a) for a in cols]
-    if (len(cols) != 5 or any(a.ndim != 1 for a in cols)
-            or len(cols[1]) != len(cols[0])
-            or not len(cols[2]) == len(cols[3]) == len(cols[4])):
+    arrays, after the model's checks.  Columns that are not arrays (the
+    per-vertex scheduler's lists) are made arrays; a round that sends
+    nothing is CliqueTrace's shared silent round once its shapes pass.
+    Integer columns are cast once (an int64 column is kept as it is) and a
+    few whole-column tests pass a valid round: a zero-stride bits column
+    (uniform_bits) by its one value.  Only a round that fails one builds
+    per-message masks, which raise at the first offending broadcast, else
+    unicast.  Unicasts that are only out of (source, destination) order
+    pass."""
+    if len(cols) == 5:
+        bs, bb, us, ud, ub = cols
+        if not (type(bs) is type(bb) is type(us) is type(ud) is type(ub) is np.ndarray):
+            bs, bb, us, ud, ub = [np.asarray(a) for a in cols]
+    if (len(cols) != 5 or bs.ndim != 1 or bb.ndim != 1 or us.ndim != 1
+            or ud.ndim != 1 or ub.ndim != 1 or len(bb) != len(bs)
+            or not len(us) == len(ud) == len(ub)):
         raise ProgramViolation(
             "kernel round is not (bcast_src, bcast_bits) and "
             "(uni_src, uni_dst, uni_bits) arrays of equal lengths"
         )
-    if any(len(a) and a.dtype.kind not in "iu" for a in cols):
+    nb, nu = len(bs), len(us)
+    if not (nb or nu):
+        return CliqueTrace._silent
+    if ((nb and (bs.dtype.kind not in "iu" or bb.dtype.kind not in "iu"))
+            or (nu and (us.dtype.kind not in "iu" or ud.dtype.kind not in "iu"
+                        or ub.dtype.kind not in "iu"))):
         raise ProgramViolation("round holds non-integer values")
-    bs, bb, us, ud, ub = (
-        a.astype(np.int64, copy=False) if len(a) else NONE for a in cols
-    )
-    if len(bs) and not (0 <= bs[0] and bs[-1] < n and (bs[1:] > bs[:-1]).all()
-                        and 1 <= bb.min() and bb.max() <= cap):
-        down = np.zeros(len(bs), dtype=bool)  # a source not above the one before
-        down[1:] = bs[1:] <= bs[:-1]
-        _raise_first([
-            ((bs < 0) | (bs >= n), lambda i: f"kernel: bad source {bs[i]}"),
-            (down,
-             lambda i: f"kernel: broadcast source {bs[i]} not above {bs[i - 1]}"),
-            (bb < 1, lambda i: f"vertex {bs[i]}: bad payload size {bb[i]}"),
-            (bb > cap,
-             lambda i: f"vertex {bs[i]}: payload of {bb[i]} bits exceeds cap {cap}"),
-        ])
-    if len(us):
+    if nb:
+        bs, bb = bs.astype(np.int64, copy=False), bb.astype(np.int64, copy=False)
+        lo, hi = (bb[0], bb[0]) if bb.strides == (0,) else (bb.min(), bb.max())
+        if not (0 <= bs[0] and bs[-1] < n and (nb == 1 or (bs[1:] > bs[:-1]).all())
+                and 1 <= lo and hi <= cap):
+            down = np.zeros(nb, dtype=bool)  # a source not above the one before
+            down[1:] = bs[1:] <= bs[:-1]
+            _raise_first([
+                ((bs < 0) | (bs >= n), lambda i: f"kernel: bad source {bs[i]}"),
+                (down,
+                 lambda i: f"kernel: broadcast source {bs[i]} not above {bs[i - 1]}"),
+                (bb < 1, lambda i: f"vertex {bs[i]}: bad payload size {bb[i]}"),
+                (bb > cap,
+                 lambda i: f"vertex {bs[i]}: payload of {bb[i]} bits exceeds cap {cap}"),
+            ])
+    else:
+        bs = bb = NONE
+    if nu:
+        us, ud = us.astype(np.int64, copy=False), ud.astype(np.int64, copy=False)
+        ub = ub.astype(np.int64, copy=False)
+        lo, hi = (ub[0], ub[0]) if ub.strides == (0,) else (ub.min(), ub.max())
         key = us * n + ud
         # seen as uint64, a negative id lies above 2**63: one max bounds an
         # id column on both sides
         if not (us.view(np.uint64).max() < n and ud.view(np.uint64).max() < n
-                and 1 <= ub.min() and ub.max() <= cap and not (ud == us).any()
+                and 1 <= lo and hi <= cap and not (ud == us).any()
                 and (key[1:] > key[:-1]).all()):
-            dup = np.zeros(len(key), dtype=bool)
+            dup = np.zeros(nu, dtype=bool)
             if (key[1:] <= key[:-1]).any():  # not strictly ascending: look for repeats
                 dup[:] = True
                 dup[np.unique(key, return_index=True)[1]] = False
@@ -417,6 +476,8 @@ def _checked_round(cols, n, cap):
                 ((ub < 1) | (ub > cap),
                  lambda i: f"vertex {us[i]}: payload size {ub[i]} outside [1, {cap}]"),
             ])
+    else:
+        us = ud = ub = NONE
     return bs, bb, us, ud, ub
 
 

@@ -70,20 +70,25 @@ class Graph:
         graph's edges.  Errors name the faulty row of `rows`, the edges as
         given.
 
-        A valid block passes on whole-column tests (u.min, v.max, u < v
-        everywhere, w.min and w.max); only a block that fails one builds
-        the per-edge masks that find its first faulty row."""
+        A valid block passes on two whole-column tests (u < v everywhere,
+        or after the swap, and one max per row); only a block that fails
+        one builds the per-edge masks that find its first faulty row."""
         _check_vertex_count(n)
         u, v, w = block
-        swap = u > v
-        if swap.any():
-            u[swap], v[swap] = v[swap], u[swap]
-        del swap
-        cap = inf_weight(n)
-        if len(u) and not (u.min() >= 0 and v.max() < n and (u < v).all()
-                           and w.min() >= 0 and w.max() < cap):
-            bad = (u == v) | (u < 0) | (v >= n) | (w < 0) | (w >= cap)
-            _reject(n, rows, int(bad.argmax()))
+        if len(u):
+            ordered = bool((u < v).all())
+            if not ordered:
+                swap = u > v
+                u[swap], v[swap] = v[swap], u[swap]
+                del swap
+                ordered = bool((u < v).all())  # False only for a self-loop
+            cap = inf_weight(n)
+            # seen as uint64, a negative field lies above 2**63: each row's
+            # max bounds it on both sides
+            top_u, top_v, top_w = block.view(np.uint64).max(axis=1).tolist()
+            if not (ordered and top_u < n and top_v < n and top_w < cap):
+                bad = (u == v) | (u < 0) | (v >= n) | (w < 0) | (w >= cap)
+                _reject(n, rows, int(bad.argmax()))
         key = u * n
         key += v
         ascending = bool((key[1:] > key[:-1]).all())

@@ -137,21 +137,24 @@ def sim_report(n, part, W, mode, loads, bound):
     costs ceil(max entry / W) km_rounds.
     """
     k = part.k
-    link_dir = np.zeros((k, k), dtype=np.int64)
+    link_dir = np.zeros(k * k, dtype=np.int64)
     km_rounds = 0
     for block in loads:
-        block = block.reshape(-1, k, k)
-        km_rounds += _ceil_div_sum(block.max(axis=(1, 2)), W)
-        link_dir += block.sum(axis=0)
+        block = block.reshape(-1, k * k)  # a round per row: one-axis reductions
+        km_rounds += _ceil_div_sum(np.maximum.reduce(block, axis=1), W)
+        link_dir += np.add.reduce(block, axis=0)
+    total_bits = int(np.add.reduce(link_dir))
+    link_dir = link_dir.reshape(k, k)
+    per_link = link_dir + link_dir.T
     return SimReport(
         n=n,
         k=k,
         W=W,
         mode=mode,
         km_rounds=km_rounds,
-        per_link_bits=link_dir + link_dir.T,
-        per_machine_bits=link_dir.sum(axis=1) + link_dir.sum(axis=0),
-        total_bits=int(link_dir.sum()),
+        per_link_bits=per_link,
+        per_machine_bits=np.add.reduce(per_link, axis=1),  # bits sent plus received
+        total_bits=total_bits,
         bound_rounds=bound,
         bound_ok=km_rounds <= bound,
     )
@@ -164,7 +167,7 @@ def _ceil_div_sum(x, d):
     """The sum of ceil(x / d) over an int64 array x >= 0, for a positive
     int d of any size (every x is at most int64's max, so a larger d
     divides like it)."""
-    return int((-(-x // min(d, _INT64_MAX))).sum())
+    return int(np.add.reduce(-(-x // min(d, _INT64_MAX))))
 
 
 # A pricing block holds one round of at least _BLOCK_MESSAGES messages, or
@@ -192,27 +195,36 @@ def _machine_sums(trace: CliqueTrace, part: Partition, mode: str):
     rounds that send a message (a silent round is skipped), (S, U) with
     S[r, p] the broadcast bits plus header sent from machine p and
     U[r, p, q] the unicast bits plus header machine p sends machine q, its
-    diagonal kept.  hdr is two ids in `p2p` mode and one in `bcast` mode.
-    Each block's columns are widened to int64 as it is built, before any
-    gather, and summed in int64, so the sums are exact."""
+    diagonal kept; U is None for a trace that sends no unicast.  hdr is
+    two ids in `p2p` mode and one in `bcast` mode.  Each block's columns
+    are widened to int64 as it is built, before any gather (numpy gathers
+    through int32 indices ~3x slower), and summed in int64, so the sums
+    are exact."""
     k, home = part.k, part.home
     hdr = (2 if mode == P2P else 1) * label_bits(trace.n)
-    row = home * k
+    unicasts = trace.unicasts > 0
+    row = home * k if unicasts else None
     most = max(1, _BLOCK_CELLS // (k * k))  # rounds in a block of small rounds
 
     def sums(rounds):
-        if len(rounds) == 1:
-            bs, bb, us, ud, ub = (c.astype(np.int64, copy=False) for c in rounds[0])
+        R = len(rounds)
+        if R == 1:
+            bs, bb, us, ud, ub = [c.astype(np.int64, copy=False) for c in rounds[0]]
             rb = ru = 0
         else:
-            bs, bb, us, ud, ub = (np.concatenate(c, dtype=np.int64) for c in zip(*rounds))
-            at = np.arange(len(rounds))
-            rb = np.repeat(at * k, [len(r[0]) for r in rounds])
-            ru = np.repeat(at * (k * k), [len(r[2]) for r in rounds])
-        sent = np.zeros((len(rounds), k), dtype=np.int64)
-        uni = np.zeros((len(rounds), k, k), dtype=np.int64)
+            bs, bb, us, ud, ub = zip(*rounds)
+            at = np.arange(R)
+            rb = np.repeat(at * k, [len(c) for c in bs])
+            bs, bb = np.concatenate(bs, dtype=np.int64), np.concatenate(bb, dtype=np.int64)
+            if unicasts:
+                ru = np.repeat(at * (k * k), [len(c) for c in us])
+                us, ud, ub = [np.concatenate(c, dtype=np.int64) for c in (us, ud, ub)]
+        sent = np.zeros((R, k), dtype=np.int64)
         if len(bs):
             np.add.at(sent.reshape(-1), rb + home[bs], bb + hdr)
+        if not unicasts:
+            return sent, None
+        uni = np.zeros((R, k, k), dtype=np.int64)
         if len(us):
             np.add.at(uni.reshape(-1), ru + row[us] + home[ud], ub + hdr)
         return sent, uni
@@ -237,27 +249,31 @@ def _machine_sums(trace: CliqueTrace, part: Partition, mode: str):
 def _fold(blocks, part: Partition, mode: str):
     """Link loads on `part` from machine sums taken on K machines, where
     k = part.k divides K and home_k == home_K % k: machine p of k is K's
-    machines p' = p (mod k), so its sums are theirs added up.  Each
-    broadcast sum is then fanned out to every machine q, times fan[q]:
-    the vertices on q in `p2p` mode, 1 if q hosts a vertex in `bcast`
-    mode.  The diagonal, traffic between co-located vertices, is zeroed."""
+    machines p' = p (mod k), so its sums are theirs added up, one axis at a
+    time (a two-axis sum is slower).  Each broadcast sum is then fanned out
+    to every machine q, times fan[q]: the vertices on q in `p2p` mode, 1 if
+    q hosts a vertex in `bcast` mode.  The diagonal, traffic between
+    co-located vertices, is zeroed."""
     k = part.k
     counts = part.machine_counts()
-    fan = counts if mode == P2P else (counts > 0).astype(np.int64)
+    fan = counts if mode == P2P else np.minimum(counts, 1)
     for sent, uni in blocks:
         R, K = sent.shape
         if K != k:
-            sent = sent.reshape(R, K // k, k).sum(axis=1)
-            uni = uni.reshape(R, K // k, k, K // k, k).sum(axis=(1, 3))
+            sent = np.add.reduce(sent.reshape(R, K // k, k), axis=1)
         out = sent[:, :, None] * fan
-        out += uni
+        if uni is not None:
+            if K != k:
+                uni = np.add.reduce(uni.reshape(R, K // k, k, K // k, k), axis=1)
+                uni = np.add.reduce(uni, axis=2)
+            out += uni
         out.reshape(R, -1)[:, ::k + 1] = 0
         yield out
 
 
 def _nests(part: Partition, big: Partition) -> bool:
     """Whether every machine of `part` is a union of machines of `big`."""
-    return big.k % part.k == 0 and np.array_equal(big.home % part.k, part.home)
+    return big.k % part.k == 0 and not (big.home % part.k != part.home).any()
 
 
 def round_loads_each(trace: CliqueTrace, parts, mode: str) -> list:
@@ -286,17 +302,19 @@ def round_loads_each(trace: CliqueTrace, parts, mode: str) -> list:
     for part in parts:
         _check_home(trace.n, part)
     most_first = sorted(range(len(parts)), key=lambda j: -parts[j].k)
-    lead = [next(j for j in most_first if _nests(part, parts[j])) for part in parts]
+    lead = [next(j for j in most_first if parts[j] is part or _nests(part, parts[j]))
+            for part in parts]
     kept = {}
     nests = [j for j in set(lead) if lead.count(j) > 1]
     if nests:
-        rounds = sum(1 for cols in trace.round_arrays() if len(cols[0]) or len(cols[2]))
+        rounds = trace.sending_rounds
         budget = _KEPT_PER_MESSAGE * (trace.broadcasts + trace.unicasts)
         for j in nests:
             K = parts[j].k
             if 0 < rounds * (K * K + K) <= budget:
                 sent, uni = zip(*_machine_sums(trace, parts[j], mode))
-                kept[j] = [(np.concatenate(sent), np.concatenate(uni))]
+                kept[j] = [(np.concatenate(sent), uni[0] if uni[0] is None
+                            else np.concatenate(uni))]
     return [_fold(kept[j] if j in kept else _machine_sums(trace, part, mode), part, mode)
             for part, j in zip(parts, lead)]
 

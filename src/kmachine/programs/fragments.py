@@ -16,13 +16,14 @@ sorts the slots once by (source, weight), which the CSR's ascending
 neighbours make (source, merge_key) order, and skips the sort when every
 edge weighs the same; each candidate round takes every vertex's first slot,
 and each merge then drops the slots inside a fragment.  What it yields and
-returns is int64; the engine's round check keeps the yielded columns
-without a copy.  The per-vertex `_FragmentNode` stays as its reference.
+returns is int64, a constant bits column as clique.uniform_bits; the
+engine's round check keeps the yielded columns without a copy.  The
+per-vertex `_FragmentNode` stays as its reference.
 """
 
 import numpy as np
 
-from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, uniform_bits
 from ..graphs import id_dtype, label_bits
 from .slots import bit_lengths, edge_outputs
 
@@ -225,7 +226,7 @@ def _merge_rounds(g, kind, flags):
         # order already is (source, merge_key) order
         w = int(weights[0]) if len(weights) else 1
         const_bits = L + max(1, w.bit_length()) if kind == "mst" else L
-    everyone, l_bits = np.arange(n), np.full(n, L)
+    everyone, l_bits = np.arange(n), uniform_bits(L, n)
     bounds = np.arange(n + 1, dtype=ids)  # int32 needles: no int64 copy of src
     if kind == "stverify":
         yield everyone, l_bits, NONE, NONE, NONE  # edge counts
@@ -243,7 +244,7 @@ def _merge_rounds(g, kind, flags):
             cw = cols[2][first]
             bits = L + np.maximum(1, bit_lengths(cw))
         else:
-            cw, bits = None, np.full(len(cs), const_bits)
+            cw, bits = None, uniform_bits(const_bits, len(cs))
         yield cs, bits, NONE, NONE, NONE
         if not len(cs):
             break

@@ -10,7 +10,7 @@ incident tuple.
 
 import numpy as np
 
-from ..clique import NONE
+from ..clique import NONE, uniform_bits
 
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 1, 2, ..., 2**62
 
@@ -36,7 +36,7 @@ def broadcasts(senders, bits):
     """The round in which every vertex of the mask `senders` broadcasts
     `bits` bits."""
     bs = np.flatnonzero(senders)
-    return bs, np.full(len(bs), bits), NONE, NONE, NONE
+    return bs, uniform_bits(bits, len(bs)), NONE, NONE, NONE
 
 
 def edge_outputs(n, kept):

@@ -31,7 +31,8 @@ from itertools import chain
 
 import numpy as np
 
-from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique
+from ..clique import (HALT, NONE, SILENT, Broadcast, NodeProgram, Program, run_clique,
+                      uniform_bits)
 from ..graphs import Graph, label_bits
 from ..machines import (BCAST, bound_scale, broadcast_bound, link_bandwidth,
                         round_loads_each, sim_report)
@@ -154,7 +155,7 @@ def _spanner_rounds(g, delta, seed):
         # coin round: the surviving centers re-sample themselves
         centers = np.flatnonzero(cluster == vertices)
         heads = centers[uniform_each(seed, "coin", centers, rnd - 1) < p]
-        yield heads, np.ones(len(heads), dtype=np.int64), NONE, NONE, NONE
+        yield heads, uniform_bits(1, len(heads)), NONE, NONE, NONE
         # membership round: stay, move through the least live neighbor in a
         # sampled cluster, or drop
         sampled = np.zeros(n + 1, dtype=bool)  # cluster -1 reads the False at n

@@ -17,7 +17,7 @@ stays as its reference.
 
 import numpy as np
 
-from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, Unicast
+from ..clique import HALT, NONE, SILENT, Broadcast, NodeProgram, Program, Unicast, uniform_bits
 from ..graphs import label_bits
 from .slots import slot_sources
 
@@ -83,8 +83,8 @@ def _triangle_rounds(g):
     for rnd in range(1, int(verdict.max()) + 1):
         slots = slots[deg[src[slots]] >= rnd]
         bs = np.flatnonzero(verdict == rnd)
-        yield (bs, np.ones(len(bs), dtype=np.int64), src[slots], nbr[slots],
-               np.full(len(slots), L + 1))
+        yield (bs, uniform_bits(1, len(bs)), src[slots], nbr[slots],
+               uniform_bits(L + 1, len(slots)))
     yield NONE, NONE, NONE, NONE, NONE  # every verdict heard: all halt
     return [_has_triangle(n, indptr, src, nbr)] * n
 

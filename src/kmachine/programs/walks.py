@@ -43,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..clique import HALT, NONE, SILENT, NodeProgram, Program, Unicast, payload_cap
+from ..clique import (HALT, NONE, SILENT, NodeProgram, Program, Unicast, payload_cap,
+                      uniform_bits)
 from ..graphs import id_dtype, label_bits
 from ..rng import (token_bases, token_hops, token_layout_fits, token_uniforms,
                    unit_threshold)
@@ -193,7 +194,7 @@ def _pagerank_rounds(g, cfg, shape, seed):
         live = np.flatnonzero(here)
         held = here[live]
         visits[live] += held  # the tokens each vertex holds in round rnd + 1
-        yield NONE, NONE, src, dst, np.full(len(dst), shape.bits)
+        yield NONE, NONE, src, dst, uniform_bits(shape.bits, len(dst))
         rnd += 1
     for _ in range(rnd, shape.budget + 1):  # the last is the budget round: all halt
         yield NONE, NONE, NONE, NONE, NONE

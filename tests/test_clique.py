@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -33,6 +34,7 @@ from kmachine.harness import (
     default_stverify_candidate,
     run_cell,
 )
+from kmachine.machines import price, random_vertex_partitions, round_loads_each
 from kmachine.programs import (
     ALGORITHMS,
     AlgoConfig,
@@ -177,10 +179,11 @@ def test_message_conservation():
 
 
 def _hand_trace(n, *rounds):
-    """A trace of the given rounds, appended as they are, unchecked."""
+    """A trace of the given rounds, each checked as run_clique checks it."""
     trace = CliqueTrace(n)
     for cols in rounds:
-        trace.append_arrays(*(np.array(c, dtype=np.int64) for c in cols))
+        cols = [np.array(c, dtype=np.int64) for c in cols]
+        trace.append_arrays(*clique._checked_round(cols, n, clique.payload_cap(n)))
     return trace
 
 
@@ -196,7 +199,6 @@ def test_metrics_recompute_from_trace():
             5,
             ([0, 3], [4, 6], [1, 2, 4], [3, 0, 3], [2, 2, 5]),  # both kinds
             (_E, _E, _E, _E, _E),  # silent
-            ([2, 2], [3, 3], _E, _E, _E),  # one source broadcasts twice
             ([4], [1], [0], [4], [7]),  # a broadcaster also receives
             ([1], [2], [1], [3], [1]),  # a broadcaster also sends
         ),
@@ -228,8 +230,13 @@ def test_metrics_recompute_from_trace():
         assert met.comm_degree == dprime
     assert CliqueMetrics.from_trace(trace).broadcasts > 0
     assert CliqueMetrics.from_trace(walks_trace).unicasts > 0
-    # the twice-broadcasting source of n = 5 sends 2 * 4 and hears nothing else
-    assert [CliqueMetrics.from_trace(t).comm_degree for t in traces[2:]] == [8, 0, 3]
+    # vertex 3 of n = 5 broadcasts in round 1, hears the other broadcast and
+    # is sent two unicasts
+    assert [CliqueMetrics.from_trace(t).comm_degree for t in traces[2:]] == [7, 0, 3]
+    # the tally counts a broadcaster's messages once, so a round in which a
+    # source broadcasts twice is refused before it is tallied
+    with pytest.raises(ProgramViolation, match="^kernel: broadcast source 2 not above 2$"):
+        _hand_trace(5, ([2, 2], [3, 3], _E, _E, _E))
 
 
 class _Forever(NodeProgram):
@@ -437,6 +444,85 @@ def test_whole_column_round_checks_agree_with_the_per_message_checks(case):
     pairs = list(zip(got[2].tolist(), got[3].tolist()))
     if pairs == sorted(pairs):
         assert not masks.called
+
+
+@st.composite
+def _uniform_rounds(draw):
+    """(n, cap, rounds): one to three rounds on 8..12 vertices, each
+    (bcast_src, bcast_bits, uni_src, uni_dst, uni_bits) with each bits
+    column one drawn value in [1, cap].  A round may repeat a broadcast
+    source or a unicast pair, name a bad vertex, or carry a bits value
+    outside [1, cap]."""
+    n, cap = draw(st.integers(8, 12)), draw(st.integers(1, 16))
+    bits = st.integers(1, cap)
+    sends_unicasts = draw(st.booleans())
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        bs = sorted(draw(st.sets(st.integers(0, n - 1))))
+        pairs = sorted(draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=3 * n))) if sends_unicasts else []
+        fault = draw(st.sampled_from([None, None, None, "repeat", "bad", "bits"]))
+        if fault == "repeat" and bs:
+            bs.insert(0, bs[0])
+        if fault == "repeat" and pairs:
+            pairs.append(pairs[-1])
+        if fault == "bad" and pairs:
+            pairs[0] = (pairs[0][0], n)
+        us, ud = (np.array(c, dtype=np.int64) for c in ([s for s, _ in pairs], [d for _, d in pairs]))
+        b_bits, u_bits = draw(bits), draw(bits)
+        if fault == "bits":
+            b_bits, u_bits = draw(st.sampled_from([(0, u_bits), (b_bits, cap + 1)]))
+        rounds.append((np.array(bs, dtype=np.int64), b_bits, us, ud, u_bits))
+    return n, cap, rounds
+
+
+def _ledgers(trace, parts, mode):
+    """The ledgers of `parts` priced together and each alone, as lists."""
+    def ledger(rep):
+        return [getattr(rep, f.name).tolist() if f.name.startswith("per_")
+                else getattr(rep, f.name) for f in dataclasses.fields(rep)]
+
+    loads = round_loads_each(trace, parts, mode)
+    return ([ledger(price(trace, part, mode=mode, loads=each)) for part, each in zip(parts, loads)]
+            + [ledger(price(trace, part, mode=mode)) for part in parts])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_uniform_rounds(), st.integers(0, 2**32))
+def test_a_zero_stride_bits_column_checks_stores_and_prices_like_its_copy(case, seed):
+    # a kernel's uniform_bits column and the same column materialized get
+    # the same verdict and text, the same stored messages and totals, and
+    # the same ledgers at k = 2..8 in both modes; the view is stored as it
+    # is, and the materialized column as such a view too
+    n, cap, rounds = case
+    forms = {"view": clique.uniform_bits, "full": lambda bits, count: np.full(count, bits)}
+    traces, verdicts = {}, {}
+    for form, bits_column in forms.items():
+        trace, verdict = CliqueTrace(n), None
+        for bs, b_bits, us, ud, u_bits in rounds:
+            cols = (bs, bits_column(b_bits, len(bs)), us, ud, bits_column(u_bits, len(us)))
+            try:
+                checked = clique._checked_round(cols, n, cap)
+            except ProgramViolation as e:
+                verdict = str(e)
+                break
+            trace.append_arrays(*checked)
+            stored = trace.round_arrays()[-1]
+            for given_bits, kept in ((cols[1], stored[1]), (cols[4], stored[4])):
+                assert kept.tolist() == given_bits.tolist()
+                if len(given_bits) > 1:
+                    assert kept.strides == (0,) and not kept.flags.writeable
+                if form == "view":
+                    assert kept is given_bits
+        traces[form], verdicts[form] = trace, verdict
+    assert verdicts["view"] == verdicts["full"]
+    view, full = traces["view"], traces["full"]
+    assert view.export_lines() == full.export_lines()
+    assert CliqueMetrics.from_trace(view) == CliqueMetrics.from_trace(full)
+    parts = random_vertex_partitions(Graph(n, []), list(range(2, 9)), seed)
+    for mode in ("p2p",) if view.unicasts else ("p2p", "bcast"):
+        assert _ledgers(view, parts, mode) == _ledgers(full, parts, mode)
 
 
 def test_trace_export_format():

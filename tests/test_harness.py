@@ -1086,11 +1086,54 @@ def test_one_round_format_and_one_edge_output_builder():
     pow2 = re.compile(r"^_POW2 = ", re.M)
     assert [p.name for p, t in text.items() if pow2.search(t)] == ["slots.py"]
     assert not any("searchsorted(_POW2" in t for p, t in text.items() if p.name != "slots.py")
-    # the round totals are counted once, as append_arrays stores each round:
-    # no second pass over the trace and no cache of its result
+    # the round totals are counted once, by the tally each stored round
+    # passes through: no second pass over the trace
     second_pass = re.compile(r"\b_compute\(|\b_metrics\b")
     assert not any(second_pass.search(t) for t in text.values())
-    assert _comm_degree_writers(text) == ["clique.py:append_arrays"]
+    assert _comm_degree_writers(text) == ["clique.py:_tally"]
+
+
+def test_kernels_yield_constant_bits_through_one_helper():
+    # a constant bits column is clique.uniform_bits, one value the round
+    # check tests once and the trace keeps without a scan or a copy: no
+    # kernel yields (or returns as a round) one made by np.full or np.ones
+    text = _source_texts()
+    kernels = {p: t for p, t in text.items() if p.parent.name == "programs"}
+    assert len(kernels) > 5
+    made = [f"{p.name}:{node.lineno}" for p, t in kernels.items()
+            for node in _filled_bits_columns(ast.parse(t))]
+    assert made == []
+    users = sorted(p.name for p, t in kernels.items() if "uniform_bits(" in t)
+    assert users == ["fragments.py", "slots.py", "spanner.py", "triangle.py", "walks.py"]
+
+
+def _filled_bits_columns(tree):
+    """The rounds, yielded or returned as five columns, whose bits column
+    (the second or fifth) is an np.full or np.ones call or a name that its
+    function binds to one."""
+    def filled(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("full", "ones"))
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    names.update(t.id for t, v in pairs
+                                 if isinstance(t, ast.Name) and filled(v))
+        for node in ast.walk(fn):
+            if (isinstance(node, (ast.Yield, ast.Return)) and isinstance(node.value, ast.Tuple)
+                    and len(node.value.elts) == 5):
+                bits = [node.value.elts[1], node.value.elts[4]]
+                if any(filled(b) or (isinstance(b, ast.Name) and b.id in names)
+                       for b in bits):
+                    yield node
 
 
 def _comm_degree_writers(text):
