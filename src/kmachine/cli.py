@@ -1,18 +1,23 @@
 """Command line front end: gen, run, sweep, validate.
 
-Config files are flat JSON key-value documents; any flag given on the
-command line overrides the same key from the file.  A config the program
-rejects, or an instance past its oracle's size cap, prints one `kmachine:
-error: ...` line on stderr and exits with 2; exit code 1 means some row or
-criterion failed.
+Config files are flat JSON key-value documents; every key is also a flag
+(`--tokens-per-node`), read as the file reads it, that overrides the file.
+A config, flag or output file the program rejects, or an instance past its
+oracle's size cap, prints one `kmachine: error: ...` line on stderr and
+exits with 2; exit code 1 means some row or criterion failed.
 """
 
 import argparse
+import json
+import os
 import sys
 import time
+from contextlib import suppress
+from pathlib import Path
 
 from .graphs import GraphError, dump_edge_list, generate
 from .harness import (
+    CONFIG_KEYS,
     HarnessError,
     fit_scaling,
     format_csv,
@@ -24,60 +29,66 @@ from .oracles import OracleError
 from .programs import ConfigError
 
 
-def _ints(text):
-    return [int(x) for x in text.split(",") if x]
+def _value(text):
+    """A flag's value as a config file holds it: JSON (`4`, `0.5`, `true`),
+    else, if it holds a comma, a list of JSON values (`64,128`), else text."""
+    for doc in (text, f"[{text}]") if "," in text else (text,):
+        with suppress(ValueError):
+            return json.loads(doc)
+    return text
 
 
-def _add_override_flags(p):
-    p.add_argument("--algorithm")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--wmax", type=int)
-    p.add_argument("--model")
-    p.add_argument("--b", type=int)
-    p.add_argument("--k", type=_ints, help="comma separated machine counts")
-    p.add_argument("--seeds", type=_ints, help="comma separated seeds")
-    p.add_argument("--w", dest="W", type=int, help="link bandwidth in bits")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tokens-per-node", dest="tokens_per_node", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--source", type=int)
-    p.add_argument("--out")
+def _add_config_flags(p, keys=CONFIG_KEYS, required=()):
+    """One flag per config key: `--` + the key, lower-cased, `_` as `-`.  A
+    flag that is not given is absent, so the file's value stands."""
+    for key in keys:
+        p.add_argument("--" + key.lower().replace("_", "-"), dest=key, type=_value,
+                       required=key in required, default=argparse.SUPPRESS)
 
 
-def _emit(text, out):
-    """Write text to the file `out`, else to stdout."""
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(out):
+    """The writer of a command's text: to the file `out`, else to stdout.
+    The file is opened to append here, before anything runs, and removed
+    again if that created it, so a refused run leaves no file."""
+    if not out:
+        return sys.stdout.write
+    if not isinstance(out, str):
+        raise HarnessError(f"out must be a string, got {out!r}")
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise HarnessError(f"cannot write {out!r}: {exc.strerror}")
+    if not existed:
+        os.remove(out)
+    return Path(out).write_text
 
 
 def cmd_gen(args):
+    emit = _emit(args.out)
     g = generate(args.model, args.n, args.seed, p=args.p, wmax=args.wmax)
-    _emit(dump_edge_list(g), args.out)
+    emit(dump_edge_list(g))
     return 0
 
 
 def _config_from_args(args):
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "sweep", "fn")}
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
     return load_config(args.config, overrides)
 
 
 def cmd_run(args):
     cfg = _config_from_args(args)
+    emit = _emit(cfg.out)
     rows = run_experiment(cfg)
-    _emit(format_csv(rows), cfg.out)
+    emit(format_csv(rows))
     return 0 if all(r["success"] for r in rows) else 1
 
 
 def cmd_sweep(args):
     cfg = _config_from_args(args)
+    emit = _emit(cfg.out)
     rows = run_experiment(cfg)
-    _emit(format_csv(rows), cfg.out)  # kept even when the rows admit no fit
+    emit(format_csv(rows))  # kept even when the rows admit no fit
     fit = fit_scaling(rows, args.sweep)
     other = ""
     if fit.other is not None:
@@ -105,17 +116,22 @@ def cmd_validate(args):
         print(f"# {line.split(':', 1)[0]}: {now - last:.2f} s", file=sys.stderr)
         last = now
 
+    emit = _emit(args.out)
     results, csv_text, ok = validate_all(seed=args.seed, echo=echo)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        emit(csv_text)
     summary = f"{sum(r.passed for r in results)}/{len(results)} criteria passed"
     print(summary)
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a refused flag is refused as a bad config is
+        raise HarnessError(message)
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kmachine",
         description="simulate per-vertex graph algorithms and price their "
         "communication on a bandwidth-limited machine network",
@@ -123,34 +139,30 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a generated graph as an edge list")
-    g.add_argument("--model", required=True)
-    g.add_argument("--n", type=int, required=True)
+    _add_config_flags(g, ("model", "n", "p", "wmax", "out"), required=("model", "n"))
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--p", type=float)
-    g.add_argument("--wmax", type=int)
-    g.add_argument("--out")
-    g.set_defaults(fn=cmd_gen)
+    g.set_defaults(fn=cmd_gen, p=None, wmax=None, out=None)
 
     r = sub.add_parser("run", help="run one experiment config")
     r.add_argument("--config", required=True)
-    _add_override_flags(r)
+    _add_config_flags(r)
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sweep", help="run a config and fit a scaling law")
     s.add_argument("--config", required=True)
     s.add_argument("--sweep", choices=["k", "n"], default="k")
-    _add_override_flags(s)
+    _add_config_flags(s)
     s.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("validate", help="run the full validation battery")
     v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--out", help="write all validation rows as CSV")
-    v.set_defaults(fn=cmd_validate)
+    _add_config_flags(v, ("out",))  # all validation rows as CSV
+    v.set_defaults(fn=cmd_validate, out=None)
 
-    args = ap.parse_args(argv)
-    # these are what a bad config or bad flags raise, unlike a program fault;
+    # these are what bad flags or a bad config raise, unlike a program fault;
     # an oracle refuses an instance past its size cap only after the run
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except (HarnessError, ConfigError, GraphError, ConversionError, OracleError) as exc:
         print(f"kmachine: error: {exc}", file=sys.stderr)

@@ -211,14 +211,12 @@ class CliqueTrace:
         self.unicasts = 0
         self.comm_degree = 0
         self.sending_rounds = 0
-        self._totals = None  # the CliqueMetrics of the rounds so far, once asked for
 
     def append_arrays(self, bs, bb, us, ud, ub):
         """Tally one round and store it.  The round holds int arrays with
         what _checked_round guarantees of a round that passes: broadcast
         sources strictly ascend and unicast (source, destination) pairs are
         distinct, as run_clique's rounds do and hand-built ones must."""
-        self._totals = None
         if not (len(bs) or len(us)):
             self._rounds.append(self._silent)
             return
@@ -300,18 +298,14 @@ class CliqueMetrics:
 
     @staticmethod
     def from_trace(trace: CliqueTrace) -> "CliqueMetrics":
-        """The totals the trace tallied as it stored each round, built once
-        for the rounds stored so far, so a cell priced at every k builds them
-        once."""
-        if trace._totals is None:
-            trace._totals = CliqueMetrics(
-                rounds=trace.num_rounds,
-                messages=trace.unicasts + trace.broadcasts * (trace.n - 1),
-                broadcasts=trace.broadcasts,
-                comm_degree=trace.comm_degree,
-                unicasts=trace.unicasts,
-            )
-        return trace._totals
+        """The totals the trace tallied as it stored each round so far."""
+        return CliqueMetrics(
+            rounds=trace.num_rounds,
+            messages=trace.unicasts + trace.broadcasts * (trace.n - 1),
+            broadcasts=trace.broadcasts,
+            comm_degree=trace.comm_degree,
+            unicasts=trace.unicasts,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ they can be shared freely between concurrent executions.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,14 @@ def id_dtype(n: int):
 def inf_weight(n: int) -> int:
     """Reserved sentinel for 'infinite weight'; never stored in a graph."""
     return (1 << (WEIGHT_POLY_C * label_bits(n))) - 1
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class GraphError(ValueError):
@@ -518,25 +527,26 @@ def _generated(n, block):
 # the parameters besides n that each model reads, and needs
 MODEL_PARAMS = {"cycle": (), "path": (), "star": (), "clique": (), "grid": (),
                 "gnp": ("p",), "random_weighted": ("p", "wmax")}
-MODELS = tuple(MODEL_PARAMS)
 
 
 def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -> Graph:
     """Deterministic graph generator.
 
-    model is one of MODELS and takes exactly its MODEL_PARAMS: gnp needs p,
+    model is a key of MODEL_PARAMS and takes exactly its MODEL_PARAMS: gnp needs p,
     random_weighted p and wmax.  Identical arguments always produce the
     identical edge sequence.
     """
+    if not is_int(n):
+        raise GraphError(f"vertex count must be an int, got {n!r}")
     _check_vertex_count(n)
-    if model not in MODEL_PARAMS:
+    if not (isinstance(model, str) and model in MODEL_PARAMS):
         raise GraphError(f"unknown model {model!r}")
     unread = [name for name, value in (("p", p), ("wmax", wmax))
               if value is not None and name not in MODEL_PARAMS[model]]
     if unread:
         raise GraphError(f"model {model} reads no {', '.join(unread)}")
     if "p" in MODEL_PARAMS[model]:
-        if p is None or not (0.0 <= p <= 1.0):
+        if not (is_real(p) and 0.0 <= p <= 1.0):
             raise GraphError(f"model {model} needs edge probability p in [0,1]")
     edges = []
     if model == "path":
@@ -561,8 +571,8 @@ def generate(model: str, n: int, seed: int, p: float = None, wmax: int = None) -
         block[2] = 1
         return _generated(n, block)
     else:  # random_weighted
-        if wmax is None or wmax < 1:
-            raise GraphError("random_weighted needs wmax >= 1")
+        if not (is_int(wmax) and wmax >= 1):
+            raise GraphError("random_weighted needs an int wmax >= 1")
         if wmax >= inf_weight(n):
             raise GraphError(f"wmax {wmax} too large for n={n}")
         rng = make_np_rng(seed, "gen-rw", n)

@@ -24,13 +24,14 @@ from .graphs import (
     gadget_feasible,
     generate,
     generate_gadget,
+    is_int,
+    is_real,
     label_bits,
     load_edge_list,
     random_gadget_spec,
     random_uniform_hypergraph,
 )
 from .programs import ALGORITHMS, AlgoConfig, default_tokens_per_node
-from .programs.config import is_int, is_real
 
 CSV_HEADER = (
     "n,m,k,W,mode,algorithm,seed,T_C,M,B,Dprime,km_rounds,"
@@ -90,6 +91,8 @@ class ExperimentConfig:
         _check_axis(self.k, "machine count k")
         if self.W is not None and not _positive_int(self.W):
             raise HarnessError(f"W must be a positive int, got {self.W!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise HarnessError(f"out must be a string, got {self.out!r}")
         if min(self.k) < entry.min_k:
             raise HarnessError(f"{self.algorithm} needs at least {entry.min_k} "
                                f"machines, got k={min(self.k)}")
@@ -143,33 +146,32 @@ def _check_axis(values, name):
 _FLAT_ALGO_KEYS = {f.name for f in fields(AlgoConfig)}
 _DEFAULT_ALGO = AlgoConfig()
 _FLAT_GRAPH_KEYS = {key for need, may in GRAPH_FAMILIES.values() for key in (*need, *may)}
+# every key of a flat config document, each also a command-line flag
+CONFIG_KEYS = (*(f.name for f in fields(ExperimentConfig) if f.name not in ("graph", "algo")),
+               *sorted(_FLAT_GRAPH_KEYS), *(f.name for f in fields(AlgoConfig)))
+
+
+def _axis(value) -> list:
+    """An axis's values; one that is not a list is an axis of one value."""
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 def config_from_mapping(doc: dict) -> ExperimentConfig:
     """Build a config from a flat key-value document (JSON file or CLI)."""
     if "algorithm" not in doc:
         raise HarnessError("the config names no algorithm")
-    doc = dict(doc)
-    graph = {k: doc.pop(k) for k in list(doc) if k in _FLAT_GRAPH_KEYS}
-    algo_kwargs = {k: doc.pop(k) for k in list(doc) if k in _FLAT_ALGO_KEYS}
-    k = doc.pop("k", [2])
-    seeds = doc.pop("seeds", [0])
-    if isinstance(k, int):
-        k = [k]
-    if isinstance(seeds, int):
-        seeds = [seeds]
-    cfg = ExperimentConfig(
-        algorithm=doc.pop("algorithm"),
-        graph=graph,
-        k=list(k),
-        seeds=list(seeds),
-        W=doc.pop("W", None),
-        algo=AlgoConfig(**algo_kwargs),
-        out=doc.pop("out", None),
-    )
-    if doc:
-        raise HarnessError(f"unknown config keys: {sorted(doc)}")
-    return cfg.validate()
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise HarnessError(f"unknown config keys: {unknown}")
+    return ExperimentConfig(
+        algorithm=doc["algorithm"],
+        graph={k: v for k, v in doc.items() if k in _FLAT_GRAPH_KEYS},
+        k=_axis(doc.get("k", [2])),
+        seeds=_axis(doc.get("seeds", [0])),
+        W=doc.get("W"),
+        algo=AlgoConfig(**{k: v for k, v in doc.items() if k in _FLAT_ALGO_KEYS}),
+        out=doc.get("out"),
+    ).validate()
 
 
 def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
@@ -183,8 +185,7 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise HarnessError(f"config file {path!r} holds a JSON {type(doc).__name__}, "
                            "not an object")
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+    doc.update(overrides or {})
     return config_from_mapping(doc)
 
 

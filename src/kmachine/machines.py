@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clique import CliqueMetrics, CliqueTrace
-from .graphs import Graph, label_bits
+from .graphs import Graph, is_int, label_bits
 from .rng import derive_each
 
 P2P = "p2p"
@@ -41,7 +41,7 @@ def random_vertex_partitions(g: Graph, ks, seed: int) -> list:
     an independent uniform home machine.  Vertex v's key is output v of one
     stream (rng.derive_each), derived once for every k and reduced mod k."""
     for k in ks:
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_int(k):
             raise ConversionError(f"a machine count must be an int, got {k!r}")
         if k < 1 or k > g.n:
             raise ConversionError(f"need 1 <= k <= n, got k={k}, n={g.n}")

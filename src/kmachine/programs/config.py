@@ -1,19 +1,12 @@
 """Tunable parameters shared by the algorithm suite."""
 
-import numbers
 from dataclasses import dataclass
+
+from ..graphs import is_int, is_real
 
 
 class ConfigError(ValueError):
     pass
-
-
-def is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass

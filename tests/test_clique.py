@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmachine import clique
+from kmachine import acceptance, clique
 from kmachine.acceptance import _observed, fidelity_instances, per_vertex_reference
 from kmachine.clique import (
     HALT,
@@ -237,6 +237,15 @@ def test_metrics_recompute_from_trace():
     # source broadcasts twice is refused before it is tallied
     with pytest.raises(ProgramViolation, match="^kernel: broadcast source 2 not above 2$"):
         _hand_trace(5, ([2, 2], [3, 3], _E, _E, _E))
+
+
+def test_metrics_count_rounds_appended_after_an_earlier_call():
+    trace = _hand_trace(4, ([1], [2], _E, _E, _E))
+    assert CliqueMetrics.from_trace(trace) == CliqueMetrics(1, 3, 1, 3, 0)
+    trace.append_arrays(*clique._checked_round(
+        [np.array(c, dtype=np.int64) for c in (_E, _E, [0, 3], [2, 2], [5, 5])],
+        4, clique.payload_cap(4)))
+    assert CliqueMetrics.from_trace(trace) == CliqueMetrics(2, 5, 1, 3, 2)
 
 
 class _Forever(NodeProgram):
@@ -819,6 +828,14 @@ def test_fragment_kernels_match_reference_in_small_blocks(monkeypatch, block):
 # runs one state machine per vertex
 _KERNEL_ALGORITHMS = {"pagerank", "mst", "conn", "stverify", "mis", "triangle",
                       "spanner", "bfs", "bf_sssp", "densest"}
+
+
+def test_criterion_1_runs_every_clique_algorithm_in_table_order():
+    # an algorithm added to the table with a program gets criterion 1's check
+    assert acceptance.FIDELITY_ALGORITHMS == tuple(
+        name for name, entry in ALGORITHMS.items() if entry.program is not None)
+    assert acceptance.FIDELITY_ALGORITHMS[:4] == ("bfs", "mst", "conn", "stverify")
+    assert {"hmis", "logsp"}.isdisjoint(acceptance.FIDELITY_ALGORITHMS)
 
 
 @pytest.mark.parametrize("alg", sorted(a for a, e in ALGORITHMS.items() if e.program))

@@ -14,6 +14,7 @@ from kmachine.cli import main as cli_main
 from kmachine.clique import run_clique
 from kmachine.graphs import Graph, GraphError, inf_weight
 from kmachine.harness import (
+    CONFIG_KEYS,
     CSV_HEADER,
     VALIDATORS,
     ExperimentConfig,
@@ -639,6 +640,16 @@ def test_cli_sweep(tmp_path, capsys):
     # refused before any bits are drawn
     pytest.param({"algorithm": "conn", "gadget": "conn", "b": -3},
                  "gadget needs b >= 1\n", id="negative_b"),
+    # an axis value that is not a list is an axis of one, refused by name
+    pytest.param({**_GNP, "k": None}, "every k must be a positive int, got None\n",
+                 id="k_null"),
+    pytest.param({**_GNP, "seeds": 1.5}, "every seed must be an int64, got 1.5\n",
+                 id="seeds_float"),
+    pytest.param({**_GNP, "k": "24"}, "every k must be a positive int, got '24'\n",
+                 id="k_string"),
+    pytest.param({**_GNP, "out": 2}, "out must be a string, got 2\n", id="out_int"),
+    pytest.param({**_GNP, "out": ["a"]}, "out must be a string, got ['a']\n",
+                 id="out_list"),
 ])
 def test_cli_bad_config_is_one_line_and_exit_2(doc, message, tmp_path, capsys,
                                                monkeypatch):
@@ -697,18 +708,111 @@ def test_cli_override_flags_all_reach_the_config(tmp_path, monkeypatch):
     monkeypatch.setattr(ExperimentConfig, "validate", lambda self: self)
     monkeypatch.setattr("kmachine.cli.run_experiment", lambda cfg: seen.append(cfg) or [])
     out = tmp_path / "rows.csv"
-    rc = cli_main(["run", "--config", str(conf), "--algorithm", "pagerank",
-                   "--n", "20", "--p", "0.4", "--wmax", "9", "--model", "gnp",
-                   "--b", "6", "--k", "2,4", "--seeds", "3,5", "--w", "12",
-                   "--gamma", "0.25", "--tokens-per-node", "7",
-                   "--eps", "0.75", "--delta", "3", "--source", "1", "--out", str(out)])
+    flags = ["--algorithm", "pagerank", "--n", "64,128", "--p", "0.4", "--wmax", "9",
+             "--model", "gnp", "--b", "6", "--file", "g.edges", "--gadget", "conn",
+             "--feasible", "true", "--hyper", "true", "--hyperedges", "30",
+             "--arity", "4", "--k", "4", "--seeds", "3,5", "--w", "12",
+             "--gamma", "0.25", "--tokens-per-node", "7",
+             "--eps", "0.75", "--delta", "3", "--source", "1", "--out", str(out)]
+    # every key of a flat config has its flag, and each is given here
+    assert set(flags[::2]) == {"--" + key.lower().replace("_", "-") for key in CONFIG_KEYS}
+    rc = cli_main(["run", "--config", str(conf), *flags])
     assert rc == 0
     (cfg,) = seen
     assert cfg.algorithm == "pagerank"
-    assert cfg.graph == {"model": "gnp", "n": 20, "p": 0.4, "wmax": 9, "b": 6}
-    assert (cfg.k, cfg.seeds, cfg.W, cfg.out) == ([2, 4], [3, 5], 12, str(out))
+    assert cfg.graph == {"model": "gnp", "n": [64, 128], "p": 0.4, "wmax": 9, "b": 6,
+                         "file": "g.edges", "gadget": "conn", "feasible": True,
+                         "hyper": True, "hyperedges": 30, "arity": 4}
+    assert (cfg.k, cfg.seeds, cfg.W, cfg.out) == ([4], [3, 5], 12, str(out))
     assert cfg.algo == AlgoConfig(source=1, gamma=0.25, tokens_per_node=7, eps=0.75,
                                   delta=3)
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("an instance was built")
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep"]])
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--k", "a"], "every k must be a positive int, got 'a'", id="k_text"),
+    pytest.param(["--k", ""], "every k must be a positive int, got ''", id="k_empty"),
+    pytest.param(["--n", "16.0"], "graph n must be an int, got 16.0", id="n_float"),
+    # a flag is read as the file reads its value: JSON null is given, not absent
+    pytest.param(["--model", "null"], "graph model must be a string, got None",
+                 id="model_null"),
+    pytest.param(["--algorithm", "densest", "--eps", ".5"],
+                 "eps must be a real number, got '.5'", id="eps_not_json"),
+    pytest.param(["--out", "2"], "out must be a string, got 2", id="out_int"),
+    pytest.param(["--bogus", "1"], "unrecognized arguments: --bogus 1", id="unknown_flag"),
+])
+def test_cli_bad_flag_is_one_line_and_exit_2(command, flags, message, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.setattr("kmachine.harness.build_instance", _never_built)
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({"algorithm": "mst", "model": "gnp", "n": 16, "p": 0.3}))
+    rc = cli_main([*command, "--config", str(conf), *flags])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"kmachine: error: {message}\n"
+
+
+_GEN = ["gen", "--model", "cycle", "--n", "8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["gen", "--model", "cycle", "--n", "16.0"],
+                 "vertex count must be an int, got 16.0", id="gen_n_float"),
+    pytest.param(["gen", "--model", "8,16", "--n", "8"], "unknown model [8, 16]",
+                 id="gen_model_list"),
+    pytest.param(["gen", "--model", "gnp", "--n", "8", "--p", "a"],
+                 "model gnp needs edge probability p in [0,1]", id="gen_p_text"),
+    pytest.param(["gen", "--model", "random_weighted", "--n", "8", "--p", "0.5",
+                  "--wmax", "2.5"], "random_weighted needs an int wmax >= 1",
+                 id="gen_wmax_float"),
+    pytest.param([*_GEN, "--out", "2"], "out must be a string, got 2", id="gen_out_int"),
+    pytest.param(["validate", "--out", "2"], "out must be a string, got 2",
+                 id="validate_out_int"),
+    pytest.param(["validate", "--seed", "a"], "argument --seed: invalid int value: 'a'",
+                 id="validate_seed_text"),
+])
+def test_cli_gen_and_validate_refuse_a_bad_flag_in_one_line(argv, message, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr("kmachine.acceptance.validate_all", _never_built)
+    rc = cli_main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"kmachine: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep"], _GEN, ["validate"]])
+@pytest.mark.parametrize("where, reason", [
+    pytest.param("missing/rows.csv", "No such file or directory", id="missing_dir"),
+    pytest.param(".", "Is a directory", id="a_directory"),
+])
+def test_an_unwritable_out_is_refused_before_anything_runs(command, where, reason,
+                                                           tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("kmachine.harness.build_instance", _never_built)
+    monkeypatch.setattr("kmachine.cli.generate", _never_built)
+    monkeypatch.setattr("kmachine.acceptance.validate_all", _never_built)
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({"algorithm": "mst", "model": "cycle", "n": 8}))
+    argv = [*command, *(["--config", str(conf)] if command[0] in ("run", "sweep") else [])]
+    out = tmp_path / where
+    rc = cli_main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"kmachine: error: cannot write {str(out)!r}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
+def test_a_refusal_after_the_out_check_leaves_no_file(tmp_path, capsys):
+    # k > n is refused when the cell runs, after the out file was checked
+    conf = tmp_path / "exp.json"
+    conf.write_text(json.dumps({"algorithm": "mst", "model": "cycle", "n": 4, "k": [8]}))
+    out = tmp_path / "rows.csv"
+    rc = cli_main(["run", "--config", str(conf), "--out", str(out)])
+    assert (rc, out.exists()) == (2, False)
+    assert capsys.readouterr().err == "kmachine: error: need 1 <= k <= n, got k=8, n=4\n"
 
 
 def test_cli_validate_times_each_criterion(tmp_path, capsys, monkeypatch):
@@ -1035,6 +1139,28 @@ def test_one_runner_for_run_and_sweep():
     # one axis check for k, seeds and the sizes
     (harness_text,) = [t for p, t in text.items() if p.name == "harness.py"]
     assert harness_text.count("is listed twice") == 1
+
+
+def test_each_list_is_read_from_the_module_that_owns_it():
+    text = _source_texts()
+    (cli_text,) = [t for p, t in text.items() if p.name == "cli.py"]
+    calls = [node for node in ast.walk(ast.parse(cli_text)) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"]
+    # the config's flags come from one add_argument call over harness.CONFIG_KEYS
+    assert len([c for c in calls if not isinstance(c.args[0], ast.Constant)]) == 1
+    flags = {"--" + key.lower().replace("_", "-") for key in CONFIG_KEYS}
+    assert not [node.value for node in ast.walk(ast.parse(cli_text))
+                if isinstance(node, ast.Constant) and node.value in flags]
+    # no second list of models, no metrics memo, no list of algorithm names
+    trees = {p.name: ast.parse(t) for p, t in text.items()}
+    assert not [(name, node.id) for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "MODELS"]
+    assert not [name for name, t in text.items() if "_totals" in t]
+    listed = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+              and sum(isinstance(e, ast.Constant) and e.value in ALGORITHMS
+                      for e in node.elts) >= 2]
+    assert listed == []
 
 
 def test_src_keeps_no_code_that_only_tests_call():
